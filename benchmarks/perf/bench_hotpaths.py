@@ -927,11 +927,11 @@ def main(argv=None) -> int:
               f"(ref {section['reference_s'] * 1e3:9.2f} ms, "
               f"vec {section['vectorized_s'] * 1e3:9.2f} ms)")
         if not args.quick and section["speedup"] < target:
-            print(f"  WARNING: below the {target:.0f}x target")
+            print(f"  WARNING: below the {target:g}x target")
         if args.quick and quick_target and section["speedup"] < quick_target:
             failures.append(
                 f"{name} speedup {section['speedup']:.1f}x is below the "
-                f"{quick_target:.0f}x regression guard"
+                f"{quick_target:g}x regression guard"
             )
     greedy = report["greedy_allocation"]
     for tier_name, quick_floor in (

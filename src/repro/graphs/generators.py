@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_unique
 
 RandomState = Union[int, np.random.Generator, None]
 
@@ -270,7 +270,7 @@ def dc_sbm_graph(
         lo = np.minimum(src, dst)
         hi = np.maximum(src, dst)
         keys = lo * np.int64(num_vertices) + hi
-        unique_keys = np.unique(np.concatenate([unique_keys, keys]))
+        unique_keys = sorted_unique(np.concatenate([unique_keys, keys]))
         deficit = target_edges - unique_keys.size
     if unique_keys.size > target_edges:
         unique_keys = rng.permutation(unique_keys)[:target_edges]

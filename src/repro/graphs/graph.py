@@ -4,7 +4,8 @@ The GCN substrate, the mapping strategies, and the latency model all consume
 graphs through this one class, so its invariants are load-bearing:
 
 * adjacency is stored in CSR form (``indptr``/``indices``), undirected
-  (every edge appears in both directions) unless constructed otherwise;
+  (every edge appears in both directions), each row sorted ascending
+  without duplicates or self-loops;
 * ``degrees`` is the out-degree per vertex (== in-degree for undirected);
 * features are a dense ``(num_vertices, feature_dim)`` float32 matrix;
 * labels, when present, are int64 class ids per vertex.
@@ -13,7 +14,7 @@ graphs through this one class, so its invariants are load-bearing:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -28,6 +29,15 @@ except ImportError:  # pragma: no cover - environment-dependent
 # Fast-tier dense SpMM is only a candidate while the densified A_hat
 # stays small enough to be a clear memory win-or-wash (float32 bytes).
 _DENSE_SPMM_MAX_BYTES = 64 * 1024 ** 2
+
+T = TypeVar("T")
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by one sort, without ``np.unique``'s hash table."""
+    keys = np.sort(keys)
+    # Prepending ``keys[0] - 1`` keeps the first key and handles empty input.
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
 
 
 class Graph:
@@ -108,47 +118,44 @@ class Graph:
     def from_edges(
         cls,
         num_vertices: int,
-        edges: Iterable[Tuple[int, int]],
+        edges: Union[np.ndarray, Sequence[Tuple[int, int]]],
         features: Optional[np.ndarray] = None,
         labels: Optional[np.ndarray] = None,
         name: str = "graph",
-        undirected: bool = True,
-        dedup: bool = True,
     ) -> "Graph":
-        """Build a graph from an edge list.
+        """Build an undirected graph from ``(u, v)`` integer pairs.
 
-        Self-loops are dropped; with ``undirected=True`` each edge is stored
-        in both directions; with ``dedup=True`` duplicate edges collapse.
+        ``edges`` is an ``(m, 2)`` integer array or a list/tuple of pairs.
+        Self-loops are dropped, each edge is stored in both directions and
+        duplicates collapse.  The CSR comes from one sort of packed
+        ``src * n + dst`` keys, which is already ``(src, dst)`` order.
         """
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        edge_array = np.asarray(list(edges), dtype=np.int64)
+        edge_array = np.asarray(edges)
         if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
+            edge_array = np.empty((0, 2), dtype=np.int64)
         if edge_array.ndim != 2 or edge_array.shape[1] != 2:
             raise GraphError("edges must be (u, v) pairs")
+        if not np.issubdtype(edge_array.dtype, np.integer):
+            raise GraphError(
+                f"edge endpoints must be integers, got dtype {edge_array.dtype}"
+            )
+        edge_array = edge_array.astype(np.int64, copy=False)
         if edge_array.size and (
             edge_array.min() < 0 or edge_array.max() >= num_vertices
         ):
             raise GraphError("edge endpoints out of range")
 
-        src = edge_array[:, 0]
-        dst = edge_array[:, 1]
+        src, dst = edge_array[:, 0], edge_array[:, 1]
         keep = src != dst
         src, dst = src[keep], dst[keep]
-        if undirected:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        if dedup and src.size:
-            packed = src * np.int64(num_vertices) + dst
-            packed = np.unique(packed)
-            src = packed // num_vertices
-            dst = packed % num_vertices
-
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        n = np.int64(num_vertices)
+        src, dst = np.divmod(
+            sorted_unique(np.concatenate([src * n + dst, dst * n + src])), n,
+        )
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        indptr = np.cumsum(indptr)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=indptr[1:])
         return cls(indptr, dst, features=features, labels=labels, name=name)
 
     # ------------------------------------------------------------------
@@ -259,51 +266,44 @@ class Graph:
     # ------------------------------------------------------------------
     # Cached structures for the linear-algebra hot path
     # ------------------------------------------------------------------
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per ``key`` for this immutable graph.
+
+        The store is per instance and never pickled (``__getstate__``).
+        """
+        value = self._lazy.get(key)
+        if value is None:
+            value = self._lazy[key] = build()
+        return value
+
     def _source_indices(self) -> np.ndarray:
         """``src[k]`` = source vertex of CSR arc ``k`` (cached)."""
-        src = self._lazy.get("src")
-        if src is None:
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), self._degrees,
-            )
-            self._lazy["src"] = src
-        return src
+        return self.cached("src", lambda: np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), self._degrees,
+        ))
 
     def _adjacency_csr(self):
         """A scipy CSR adjacency with unit float32 weights, or ``None``."""
         if _sparse is None:
             return None
-        csr = self._lazy.get("csr")
-        if csr is None:
-            n = self.num_vertices
-            csr = _sparse.csr_matrix(
-                (
-                    np.ones(self._indices.size, dtype=np.float32),
-                    self._indices,
-                    self._indptr,
-                ),
-                shape=(n, n),
-            )
-            self._lazy["csr"] = csr
-        return csr
+        n = self.num_vertices
+        return self.cached("csr", lambda: _sparse.csr_matrix(
+            (np.ones(self._indices.size, dtype=np.float32), self._indices,
+             self._indptr),
+            shape=(n, n),
+        ))
 
     def _mean_scale(self) -> np.ndarray:
         """Per-vertex ``1/degree`` (0 for isolated vertices), cached."""
-        scale = self._lazy.get("mean_scale")
-        if scale is None:
-            scale = np.where(
-                self._degrees > 0, 1.0 / np.maximum(self._degrees, 1), 0.0,
-            ).astype(np.float32)
-            self._lazy["mean_scale"] = scale
-        return scale
+        return self.cached("mean_scale", lambda: np.where(
+            self._degrees > 0, 1.0 / np.maximum(self._degrees, 1), 0.0,
+        ).astype(np.float32))
 
     def _inv_sqrt_degree(self) -> np.ndarray:
         """``(deg + 1)^-1/2`` for GCN normalisation, cached."""
-        inv = self._lazy.get("inv_sqrt")
-        if inv is None:
-            inv = (1.0 / np.sqrt(self._degrees + 1.0)).astype(np.float32)
-            self._lazy["inv_sqrt"] = inv
-        return inv
+        return self.cached("inv_sqrt", lambda: (
+            1.0 / np.sqrt(self._degrees + 1.0)
+        ).astype(np.float32))
 
     def _normalized_csr(self):
         """Fused ``A_hat = D^-1/2 (A + I) D^-1/2`` as one scipy CSR.
@@ -316,17 +316,17 @@ class Graph:
         """
         if _sparse is None:
             return None
-        mat = self._lazy.get("norm_csr")
-        if mat is None:
+
+        def build():
             inv = self._inv_sqrt_degree()
             data = inv[self._source_indices()] * inv[self._indices]
             adj = _sparse.csr_matrix(
                 (data, self._indices, self._indptr),
                 shape=(self.num_vertices, self.num_vertices),
             )
-            mat = (adj + _sparse.diags(inv * inv)).tocsr()
-            self._lazy["norm_csr"] = mat
-        return mat
+            return (adj + _sparse.diags(inv * inv)).tocsr()
+
+        return self.cached("norm_csr", build)
 
     def _normalized_dense(self) -> Optional[np.ndarray]:
         """Dense ``A_hat`` for the BLAS SpMM candidate, or ``None``.
@@ -338,19 +338,19 @@ class Graph:
         n = self.num_vertices
         if n == 0 or n * n * 4 > _DENSE_SPMM_MAX_BYTES:
             return None
-        dense = self._lazy.get("norm_dense")
-        if dense is None:
+
+        def build():
             fused = self._normalized_csr()
             if fused is not None:
-                dense = fused.toarray()
-            else:
-                inv = self._inv_sqrt_degree()
-                dense = np.zeros((n, n), dtype=np.float32)
-                src = self._source_indices()
-                dense[src, self._indices] = inv[src] * inv[self._indices]
-                dense[np.arange(n), np.arange(n)] = inv * inv
-            self._lazy["norm_dense"] = dense
-        return dense
+                return fused.toarray()
+            inv = self._inv_sqrt_degree()
+            dense = np.zeros((n, n), dtype=np.float32)
+            src = self._source_indices()
+            dense[src, self._indices] = inv[src] * inv[self._indices]
+            dense[np.arange(n), np.arange(n)] = inv * inv
+            return dense
+
+        return self.cached("norm_dense", build)
 
     def content_fingerprint(self) -> str:
         """Stable hex digest of structure + features + labels (cached).
@@ -358,8 +358,7 @@ class Graph:
         Used as a content key by ``repro.perf`` so artifacts derived from
         equal graphs (latency tables, allocator inputs) can be memoised.
         """
-        digest = self._lazy.get("fingerprint")
-        if digest is None:
+        def build():
             hasher = hashlib.sha256()
             hasher.update(self._indptr.tobytes())
             hasher.update(self._indices.tobytes())
@@ -367,9 +366,9 @@ class Graph:
                 hasher.update(b"|")
                 if extra is not None:
                     hasher.update(np.ascontiguousarray(extra).tobytes())
-            digest = hasher.hexdigest()
-            self._lazy["fingerprint"] = digest
-        return digest
+            return hasher.hexdigest()
+
+        return self.cached("fingerprint", build)
 
     # ------------------------------------------------------------------
     # Linear algebra used by the GCN substrate
@@ -503,10 +502,10 @@ class Graph:
 
         The arc order of this graph (sorted by source, then target, no
         duplicates) is preserved, so the result equals rebuilding from
-        the corresponding edge list via :meth:`from_edges` — without the
-        lexsort/dedup pass.  ``keep`` must be symmetric (arc ``(u, v)``
-        kept iff ``(v, u)`` is) for the result to remain undirected;
-        the degree-based sparsifiers' masks are.
+        the corresponding edge list via :meth:`from_edges` — without
+        re-sorting.  ``keep`` must be symmetric (arc ``(u, v)`` kept iff
+        ``(v, u)`` is) for the result to remain undirected; the
+        degree-based sparsifiers' masks are.
         """
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (self.num_arcs,):

@@ -34,7 +34,11 @@ def save_graph(graph: Graph, path: Union[str, Path]) -> None:
 
 
 def load_graph(path: Union[str, Path]) -> Graph:
-    """Read a graph written by :func:`save_graph`."""
+    """Read a graph written by :func:`save_graph`.
+
+    The CSR must be canonical, as :meth:`Graph.from_edges` builds it: rows
+    strictly increasing, no self-loops, every arc ``(u, v)`` with ``(v, u)``.
+    """
     try:
         data = np.load(path, allow_pickle=False)
     except (OSError, ValueError) as exc:
@@ -45,7 +49,7 @@ def load_graph(path: Union[str, Path]) -> Graph:
             raise GraphError(
                 f"unsupported graph format version {version}"
             )
-        return Graph(
+        graph = Graph(
             indptr=data["indptr"],
             indices=data["indices"],
             features=data["features"] if "features" in data else None,
@@ -54,3 +58,10 @@ def load_graph(path: Union[str, Path]) -> Graph:
         )
     except KeyError as exc:
         raise GraphError(f"malformed graph file {path}: missing {exc}") from exc
+    n = graph.num_vertices
+    src, dst = graph.arc_sources(), graph.indices
+    arcs = src * n + dst
+    if (np.any(np.diff(arcs) <= 0) or np.any(src == dst)
+            or not np.array_equal(np.sort(dst * n + src), arcs)):
+        raise GraphError(f"graph file {path} is not a canonical undirected CSR")
+    return graph

@@ -40,8 +40,8 @@ def test_self_loops_dropped():
 def test_duplicate_edges_dedup():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.num_edges == 1
-    g2 = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)], dedup=False)
-    assert g2.num_arcs > 2
+    np.testing.assert_array_equal(g.indptr, [0, 1, 2, 2])
+    np.testing.assert_array_equal(g.indices, [1, 0])
 
 
 def test_empty_graph():
@@ -49,6 +49,16 @@ def test_empty_graph():
     assert g.num_edges == 0
     assert g.average_degree == 0.0
     assert g.density == 0.0
+
+
+def test_non_integer_endpoints_rejected():
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, [(0.5, 1.7)])
+    with pytest.raises(GraphError, match="integers"):
+        Graph.from_edges(3, np.array([[0.0, 1.0]]))
+    # Empty input stays valid whatever its dtype.
+    assert Graph.from_edges(3, []).num_edges == 0
+    assert Graph.from_edges(3, np.empty((0, 2))).num_edges == 0
 
 
 def test_invalid_inputs():

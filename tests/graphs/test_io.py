@@ -52,3 +52,38 @@ def test_version_mismatch(tiny_graph, tmp_path):
     )
     with pytest.raises(GraphError):
         load_graph(path)
+
+
+def _write_csr(path, indptr, indices):
+    np.savez_compressed(
+        path,
+        format_version=np.array([1]),
+        name=np.array(["crafted"]),
+        indptr=np.array(indptr),
+        indices=np.array(indices),
+    )
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [
+        pytest.param([0, 2, 3, 5], [1, 1, 0, 0, 2], id="duplicate-and-one-way"),
+        pytest.param([0, 2, 4], [1, 1, 0, 0], id="symmetric-duplicates"),
+        pytest.param([0, 2, 3, 4], [2, 1, 0, 0], id="unsorted-row"),
+        pytest.param([0, 2, 3], [0, 1, 0], id="self-loop"),
+        pytest.param([0, 1, 1], [1], id="one-way-arc"),
+        pytest.param([0, 1, 2, 3], [1, 2, 0], id="directed-cycle"),
+    ],
+)
+def test_load_rejects_non_canonical_csr(tmp_path, indptr, indices):
+    path = tmp_path / "crafted.npz"
+    _write_csr(path, indptr, indices)
+    with pytest.raises(GraphError, match="canonical"):
+        load_graph(path)
+
+
+def test_load_accepts_canonical_csr(tmp_path):
+    path = tmp_path / "canonical.npz"
+    _write_csr(path, [0, 2, 3, 4, 4], [1, 2, 0, 0])
+    loaded = load_graph(path)
+    np.testing.assert_array_equal(loaded.degrees, [2, 1, 1, 0])

@@ -19,7 +19,6 @@ from repro.experiments.harness import (
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.gcn.losses import EdgeScatter
 from repro.graphs.generators import dc_sbm_graph
-from repro.graphs.sparsify import sparsify_by_degree
 from repro.hardware.engine import segment_leftfold_sum, segment_reduceat_sum
 from repro.mapping.selective import build_update_plan
 from repro.perf import kernels
@@ -112,15 +111,6 @@ class TestKernelBudgets:
         fast = fast_plan.apply(data.astype(np.float32), emb)
         assert fast.dtype == np.float32
         assert rel_err(fast, exact) <= ERROR_BUDGETS["edge_scatter"]
-
-    @pytest.mark.parametrize("mode", ["both", "either"])
-    def test_sparsify_fast_is_byte_identical(self, graph, mode):
-        exact = sparsify_by_degree(graph, theta=0.25, mode=mode)
-        with numerics("fast"):
-            fast = sparsify_by_degree(graph, theta=0.25, mode=mode)
-        assert ERROR_BUDGETS["sparsify"] == 0.0
-        np.testing.assert_array_equal(fast.indptr, exact.indptr)
-        np.testing.assert_array_equal(fast.indices, exact.indices)
 
 
 # ----------------------------------------------------------------------
