@@ -78,7 +78,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -693,85 +693,6 @@ def bench_sweep(
     }
 
 
-def bench_fast_numerics(quick: bool) -> Dict[str, object]:
-    """Exact vs fast numerics tier over the quick sweep's hot buckets.
-
-    Runs the quick sweep serially under both tiers (warm caches, best of
-    N) and compares the combined ``gcn_training_batched`` +
-    ``accelerator_sim`` phase-bucket time — the two buckets the
-    relaxed-identity tier targets (MODEL.md section 11).  The fast run's
-    provenance must stamp ``numerics="fast"`` on every result.
-    """
-    from repro.experiments.registry import run_all
-    from repro.perf import profile
-
-    only = QUICK_SWEEP_IDS if quick else None
-    buckets = (profile.PHASE_TRAINING_BATCHED, profile.PHASE_ACCELERATOR)
-
-    def bucket_seconds(numerics: str) -> Tuple[Dict[str, float], list]:
-        phase_log: Dict[str, dict] = {}
-        start = time.perf_counter()
-        results = run_all(
-            quick=True, only=only, jobs=1, phase_log=phase_log,
-            numerics=numerics,
-        )
-        wall = time.perf_counter() - start
-        report = profile.phase_report(
-            wall, per_experiment=phase_log, quick=True,
-        )
-        seconds = {
-            name: report["phases"].get(name, {}).get("seconds", 0.0)
-            for name in buckets
-        }
-        return seconds, results
-
-    # Warm both tiers: datasets/artifacts, and the fast tier's kernel-
-    # tuner decisions (tuning happens once per shape class, off the
-    # measured runs).
-    run_all(quick=True, only=only, jobs=1)
-    run_all(quick=True, only=only, jobs=1, numerics="fast")
-
-    repeats = 2 if quick else 3
-    best: Dict[str, Dict[str, float]] = {}
-    tiers_ok = True
-    for _ in range(repeats):
-        for tier in ("exact", "fast"):
-            seconds, results = bucket_seconds(tier)
-            tiers_ok = tiers_ok and all(
-                (r.metadata.get("provenance") or {}).get("numerics", "exact")
-                == tier
-                for r in results
-            )
-            current = best.get(tier)
-            if current is None or (
-                sum(seconds.values()) < sum(current.values())
-            ):
-                best[tier] = seconds
-
-    exact_s = sum(best["exact"].values())
-    fast_s = sum(best["fast"].values())
-    return {
-        "experiments": list(only) if only else "all",
-        "buckets": list(buckets),
-        "per_bucket": {
-            name: {
-                "exact_s": best["exact"][name],
-                "fast_s": best["fast"][name],
-                "speedup": (
-                    best["exact"][name] / best["fast"][name]
-                    if best["fast"][name] > 0 else float("inf")
-                ),
-            }
-            for name in buckets
-        },
-        "reference_s": exact_s,
-        "vectorized_s": fast_s,
-        "speedup": exact_s / fast_s if fast_s > 0 else float("inf"),
-        "provenance_tiers_stamped": tiers_ok,
-        "bit_identical": None,  # relaxed tier: budgeted, not bitwise
-    }
-
-
 def bench_backends(quick: bool) -> Dict[str, object]:
     """Trace-backend economics: compile cold vs memoised warm, replay rate.
 
@@ -890,7 +811,6 @@ def main(argv=None) -> int:
         "serving": bench_serving(args.quick),
         "training": bench_training(args.quick),
         "sweep": bench_sweep(args.quick, args.jobs, args.phases or None),
-        "fast_numerics": bench_fast_numerics(args.quick),
         "backends": bench_backends(args.quick),
     }
     failures = []
@@ -911,12 +831,6 @@ def main(argv=None) -> int:
         # barely moves, compressing the honest ratio to ~1.1-1.3x; the
         # quick guard therefore only pins "batched never loses".
         ("training", 1.5, 1.05),
-        # The relaxed-identity tier must actually buy its relaxation:
-        # >= 1.5x on the combined training + accelerator phase buckets
-        # of the quick sweep (warm caches, best-of-N) — a hard guard in
-        # quick mode, since the bucket ratio is machine-stable even
-        # where absolute sweep times are not.
-        ("fast_numerics", 1.5, 1.5),
         # Compile-once must pay for itself: the memoised warm lookup
         # must beat a cold stage-chain compile >= 5x even in quick mode
         # (it skips the write-histogram pass entirely).
@@ -955,11 +869,6 @@ def main(argv=None) -> int:
     print(f"  backends/wall     trace = "
           f"{backends['trace_vs_analytic_wall']:.2f}x analytic "
           f"(epoch matrix, warm)")
-    if report["fast_numerics"]["provenance_tiers_stamped"] is not True:
-        failures.append(
-            "fast_numerics: results missing or mismatching the numerics "
-            "provenance stamp"
-        )
     sweep = report["sweep"]
     bound = sweep["lpt_bound_speedup"]
     bound_str = f"{bound:.2f}x" if bound else "n/a"

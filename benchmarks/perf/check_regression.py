@@ -33,7 +33,7 @@ DEFAULT_BASELINE = os.path.join(HERE, "BENCH_baseline_quick.json")
 # Sections whose ``speedup`` field is guarded.
 SPEEDUP_SECTIONS = (
     "spmm", "simulator", "functional", "allocator", "greedy_allocation",
-    "serving", "training", "fast_numerics", "backends",
+    "serving", "training", "backends",
 )
 
 

@@ -29,8 +29,6 @@ accelerator builds and warm sweeps skip the search entirely.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.allocation.engine import greedy_allocation_counts
@@ -60,7 +58,6 @@ def _marginal_time_gain(problem: AllocationProblem, stage: int, replicas: int) -
 def greedy_allocation(
     problem: AllocationProblem,
     include_max_bonus: bool = True,
-    heap_cls: Optional[type] = None,
     *,
     memoize: bool = True,
 ) -> AllocationResult:
@@ -75,12 +72,8 @@ def greedy_allocation(
     :meth:`~AllocationProblem.content_fingerprint` — two identical
     problems (same stages, times, costs, budget, caps, ``B``, floors)
     share one search regardless of where they were built.  Pass
-    ``memoize=False`` for an honest cold search (ablation timing), or an
-    explicit ``heap_cls`` to run the retained reference loop with that
-    priority store (:class:`FlatMaxKeys` / ``IndexedMaxHeap``).
+    ``memoize=False`` for an honest cold search (ablation timing).
     """
-    if heap_cls is not None:
-        return greedy_allocation_reference(problem, include_max_bonus, heap_cls)
     if not memoize:
         return AllocationResult(
             problem=problem,

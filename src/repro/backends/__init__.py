@@ -10,7 +10,7 @@ traffic) and *how* it is priced.  Two engines register here:
   ceil occupancy (:mod:`repro.backends.trace`).
 
 The active backend is ambient per process, scoped with
-:func:`use_backend` exactly like the numerics tier; consumers
+:func:`use_backend`; consumers
 (:class:`~repro.accelerators.base.AcceleratorModel`,
 :class:`~repro.core.cosim.CoSimulation`, the serving cost model, the
 profiling estimator) resolve it through :func:`active_backend`.

@@ -17,8 +17,7 @@ coexist.  This module is that contract for the reproduction:
   (:meth:`AcceleratorModel._energy` charges the same event counts under
   either engine, integrating idle leakage over the backend's makespan);
 * backends register by name (:func:`register_backend`) and one of them
-  is *ambient* per process — :func:`use_backend` scopes it exactly like
-  ``repro.perf.kernels.numerics`` scopes the numerics tier, so consumers
+  is *ambient* per process — :func:`use_backend` scopes it, so consumers
   deep in the call tree (accelerator models, the serving cost model, the
   profiling estimator) consult :func:`active_backend` instead of
   threading an engine handle through every call.
@@ -200,7 +199,7 @@ def get_backend(name: str) -> SimulationBackend:
 
 
 # ----------------------------------------------------------------------
-# Ambient (process-wide) backend — the numerics-tier pattern
+# Ambient (process-wide) backend
 # ----------------------------------------------------------------------
 DEFAULT_BACKEND = "analytic"
 

@@ -137,12 +137,11 @@ def _execute(
             if spec_payload is not None
             else default_session()
         )
-    # The numerics tier and the simulation backend are ambient for the
-    # duration of the run: hot kernels and backend consumers deep in the
-    # call tree (Graph SpMM, accelerator models, the serving cost model)
-    # consult the process mode rather than threading the session
-    # everywhere.
-    with session.activate_numerics(), session.activate_backend():
+    # The simulation backend is ambient for the duration of the run:
+    # backend consumers deep in the call tree (accelerator models, the
+    # serving cost model) consult the process backend rather than
+    # threading the session everywhere.
+    with session.activate_backend():
         result = run_experiment(experiment_id, session=session, **overrides)
     return session.stamp(result, experiment_id)
 
@@ -172,7 +171,6 @@ def run_all(
     jobs: int = 1,
     phase_log: Optional[Dict[str, dict]] = None,
     session: Optional[Session] = None,
-    numerics: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run every registered experiment (registry order).
@@ -199,17 +197,12 @@ def run_all(
         The :class:`~repro.runtime.Session` to run under; defaults to
         the process-default session.  Its spec travels to workers and
         its provenance is stamped into every result.
-    numerics:
-        Override the session's numerics tier for this sweep
-        (``"fast"`` runs every experiment under the relaxed-identity
-        kernel tier; see MODEL.md section 11).  The tier travels to
-        workers inside the spec payload and lands in every result's
-        provenance.
     backend:
         Override the session's simulation backend for this sweep
         (``"trace"`` prices every accelerator/serving epoch through the
-        instruction-stream engine; see MODEL.md section 13).  Travels
-        and stamps exactly like ``numerics``.
+        instruction-stream engine; see MODEL.md section 13).  The
+        backend travels to workers inside the spec payload and lands in
+        every result's provenance.
 
     Both paths record per-experiment wall times so later parallel runs
     schedule longest-first from measured durations.
@@ -220,10 +213,6 @@ def run_all(
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     ids = validate_experiment_ids(only)
     session = session or default_session()
-    if numerics is not None and numerics != session.spec.numerics:
-        session = Session(
-            session.spec.with_(numerics=numerics), cache=session.cache,
-        )
     if backend is not None and backend != session.spec.backend:
         session = Session(
             session.spec.with_(backend=backend), cache=session.cache,
@@ -235,7 +224,6 @@ def run_all(
          spec_payload)
         for experiment_id in ids
     ]
-    tier = session.spec.numerics
     engine = session.spec.backend
     if jobs == 1 or len(tasks) <= 1:
         results = []
@@ -244,7 +232,7 @@ def run_all(
             result, seconds, phases = _execute_timed(task, session=session)
             results.append(result)
             durations[
-                sweep.wall_time_key(task[0], quick, tier, engine)
+                sweep.wall_time_key(task[0], quick, engine)
             ] = seconds
             if phase_log is not None:
                 phase_log[task[0]] = {"wall_s": seconds, "phases": phases}
@@ -262,5 +250,5 @@ def run_all(
     }
     return sweep.run_scheduled(
         tasks, jobs, quick, _execute_timed, phase_log=phase_log,
-        cost_hints=cost_hints, numerics=tier, backend=engine,
+        cost_hints=cost_hints, backend=engine,
     )

@@ -100,40 +100,6 @@ SEED_WALL_TIMES: Dict[str, float] = {
     "full:abl-scheduler": 28.0,
     "quick:abl-allocator": 2.0,
     "full:abl-allocator": 9.0,
-    "fast-quick:fig13": 6.5,
-    "fast-full:fig13": 30.0,
-    "fast-quick:abl-scheduler": 5.5,
-    "fast-full:abl-scheduler": 25.0,
-    "fast-quick:abl-allocator": 2.0,
-    "fast-full:abl-allocator": 9.0,
-    # Fast-numerics tier (numerics="fast"): the autotuned kernel
-    # strategies cut the warm training/accelerator buckets >= 1.5x, but
-    # a *cold* first-contact run is dominated by dataset generation and
-    # one-off kernel tuning, which the tier barely touches — so the
-    # measured cold quick walls sit only ~10-25% under exact (fig16
-    # 6.6s vs 7.2s, tab05 2.7s vs 3.5s on a loaded 1-core worker).
-    # Seeds reflect the cold numbers; warm re-runs overwrite them with
-    # measured times anyway.  Serving experiments are integer-arithmetic
-    # queueing sims the tier does not touch; their exact seeds carry
-    # over unchanged.
-    "fast-quick:srv_tail_latency": 6.0,
-    "fast-full:srv_tail_latency": 20.0,
-    "fast-quick:srv_batching_policy": 2.0,
-    "fast-full:srv_batching_policy": 8.0,
-    "fast-quick:srv_saturation": 2.5,
-    "fast-full:srv_saturation": 10.0,
-    "fast-quick:fig16": 5.0,
-    "fast-full:fig16": 25.0,
-    "fast-quick:tab05": 2.0,
-    "fast-full:tab05": 10.0,
-    "fast-quick:tab06": 0.1,
-    "fast-full:tab06": 0.4,
-    "fast-quick:abl-model-family": 0.2,
-    "fast-full:abl-model-family": 1.5,
-    "fast-quick:abl-weight-staleness": 0.1,
-    "fast-full:abl-weight-staleness": 0.4,
-    "fast-quick:abl-variation": 0.15,
-    "fast-full:abl-variation": 0.8,
     # Trace backend (backend="trace"): accelerator-heavy experiments pay
     # the one-off per-(workload, stage) program compilation on first
     # contact — memoised through the artifact cache afterwards — plus
@@ -218,17 +184,13 @@ def _worker_init(threads: int) -> None:
 # Wall-time persistence
 # ----------------------------------------------------------------------
 def wall_time_key(
-    experiment_id: str, quick: bool, numerics: str = "exact",
-    backend: str = "analytic",
+    experiment_id: str, quick: bool, backend: str = "analytic",
 ) -> str:
-    """Store key: quick/full (and exact/fast, analytic/trace) runs have
-    unrelated durations.  Default-tier keys keep the historical
-    ``quick:``/``full:`` (and ``fast-quick:``) forms so recorded times
-    survive each tier's introduction; non-default backends prefix
-    outermost (``trace-quick:fig13``, ``trace-fast-quick:fig13``)."""
+    """Store key: quick/full (and analytic/trace) runs have unrelated
+    durations.  Default-backend keys keep the historical
+    ``quick:``/``full:`` forms so recorded times survive the backend's
+    introduction; non-default backends prefix (``trace-quick:fig13``)."""
     mode = "quick" if quick else "full"
-    if numerics != "exact":
-        mode = f"{numerics}-{mode}"
     if backend != "analytic":
         mode = f"{backend}-{mode}"
     return f"{mode}:{experiment_id}"
@@ -252,12 +214,15 @@ def load_wall_times() -> Dict[str, float]:
         try:
             with open(path) as handle:
                 disk = json.load(handle)
+        except (OSError, ValueError):
+            disk = None
+        # A payload that is not an object is as unusable as corrupt JSON:
+        # ignore it, and the next record_wall_times overwrites the file.
+        if isinstance(disk, dict):
             merged.update({
                 str(k): float(v) for k, v in disk.items()
                 if isinstance(v, (int, float))
             })
-        except (OSError, ValueError):
-            pass
     merged.update(_session_times)
     return merged
 
@@ -285,7 +250,6 @@ def lpt_order(
     experiment_ids: Sequence[str],
     quick: bool,
     cost_hints: Optional[Dict[str, float]] = None,
-    numerics: str = "exact",
     backend: str = "analytic",
 ) -> List[int]:
     """Submission order: longest processing time first.
@@ -298,7 +262,7 @@ def lpt_order(
     times = load_wall_times()
     hints = cost_hints or {}
     known = [
-        times.get(wall_time_key(eid, quick, numerics, backend))
+        times.get(wall_time_key(eid, quick, backend))
         for eid in experiment_ids
     ]
     return sorted(
@@ -340,7 +304,6 @@ def run_scheduled(
     execute: Callable[[Tuple], Tuple[object, float, dict]],
     phase_log: Optional[Dict[str, dict]] = None,
     cost_hints: Optional[Dict[str, float]] = None,
-    numerics: str = "exact",
     backend: str = "analytic",
 ) -> List[object]:
     """Fan ``tasks`` out over a worker pool, longest jobs first.
@@ -361,7 +324,7 @@ def run_scheduled(
         get_cache().spill_to_disk()
         order = lpt_order(
             [task[0] for task in tasks], quick, cost_hints=cost_hints,
-            numerics=numerics, backend=backend,
+            backend=backend,
         )
         results: List[object] = [None] * len(tasks)
         durations: Dict[str, float] = {}
@@ -379,7 +342,7 @@ def run_scheduled(
                 result, seconds, phases = future.result()
                 results[index] = result
                 durations[
-                    wall_time_key(tasks[index][0], quick, numerics, backend)
+                    wall_time_key(tasks[index][0], quick, backend)
                 ] = seconds
                 if phase_log is not None:
                     phase_log[tasks[index][0]] = {

@@ -19,16 +19,11 @@ from typing import Callable, Hashable, Optional, Sequence, Tuple, TypeVar, Union
 import numpy as np
 
 from repro.errors import GraphError
-from repro.perf import kernels
 
 try:  # scipy is optional: the reduceat fallback covers its absence.
     from scipy import sparse as _sparse
 except ImportError:  # pragma: no cover - environment-dependent
     _sparse = None
-
-# Fast-tier dense SpMM is only a candidate while the densified A_hat
-# stays small enough to be a clear memory win-or-wash (float32 bytes).
-_DENSE_SPMM_MAX_BYTES = 64 * 1024 ** 2
 
 T = TypeVar("T")
 
@@ -305,53 +300,6 @@ class Graph:
             1.0 / np.sqrt(self._degrees + 1.0)
         ).astype(np.float32))
 
-    def _normalized_csr(self):
-        """Fused ``A_hat = D^-1/2 (A + I) D^-1/2`` as one scipy CSR.
-
-        Folding the degree scaling and the self-loop into the stored
-        values turns the exact path's scale -> SpMM -> add -> scale
-        chain into a single SpMM (fast tier only: the fused values sum
-        arcs in a different order than scale-then-add).  ``None``
-        without scipy.
-        """
-        if _sparse is None:
-            return None
-
-        def build():
-            inv = self._inv_sqrt_degree()
-            data = inv[self._source_indices()] * inv[self._indices]
-            adj = _sparse.csr_matrix(
-                (data, self._indices, self._indptr),
-                shape=(self.num_vertices, self.num_vertices),
-            )
-            return (adj + _sparse.diags(inv * inv)).tocsr()
-
-        return self.cached("norm_csr", build)
-
-    def _normalized_dense(self) -> Optional[np.ndarray]:
-        """Dense ``A_hat`` for the BLAS SpMM candidate, or ``None``.
-
-        Only materialised for graphs small/dense enough that the dense
-        matrix is affordable; the autotuner decides whether the BLAS
-        matmul actually beats the CSR kernel at the workload's shape.
-        """
-        n = self.num_vertices
-        if n == 0 or n * n * 4 > _DENSE_SPMM_MAX_BYTES:
-            return None
-
-        def build():
-            fused = self._normalized_csr()
-            if fused is not None:
-                return fused.toarray()
-            inv = self._inv_sqrt_degree()
-            dense = np.zeros((n, n), dtype=np.float32)
-            src = self._source_indices()
-            dense[src, self._indices] = inv[src] * inv[self._indices]
-            dense[np.arange(n), np.arange(n)] = inv * inv
-            return dense
-
-        return self.cached("norm_dense", build)
-
     def content_fingerprint(self) -> str:
         """Stable hex digest of structure + features + labels (cached).
 
@@ -432,19 +380,11 @@ class Graph:
     def normalized_adjacency_matmul(self, matrix: np.ndarray) -> np.ndarray:
         """Compute ``D^-1/2 (A + I) D^-1/2 @ matrix`` (GCN propagation).
 
-        Exact tier: the split scale -> SpMM -> add -> scale chain, whose
-        accumulation order the byte-identity contract pins.  Fast tier:
-        the autotuned strategy for this graph/width shape class — the
-        same split chain, the fused-values CSR, or a dense BLAS matmul
-        (``spmm_normalized`` in :mod:`repro.perf.kernels`).
+        The split scale -> SpMM -> add -> scale chain, whose accumulation
+        order the byte-identity contract pins.
         """
         matrix = np.asarray(matrix, dtype=np.float32)
         self._check_rows(matrix)
-        if kernels.fast_mode():
-            return self._normalized_matmul_fast(matrix)
-        return self._normalized_matmul_exact(matrix)
-
-    def _normalized_matmul_exact(self, matrix: np.ndarray) -> np.ndarray:
         inv_sqrt = self._inv_sqrt_degree()
         if matrix.ndim == 1:
             scaled = matrix * inv_sqrt
@@ -452,20 +392,6 @@ class Graph:
         scaled = matrix * inv_sqrt[:, None]
         propagated = self.adjacency_matmul(scaled) + scaled
         return propagated * inv_sqrt[:, None]
-
-    def _normalized_matmul_fast(self, matrix: np.ndarray) -> np.ndarray:
-        candidates = {
-            "split-scale": lambda: self._normalized_matmul_exact(matrix),
-        }
-        fused = self._normalized_csr()
-        if fused is not None:
-            candidates["fused-csr"] = lambda: fused @ matrix
-        dense = self._normalized_dense()
-        if dense is not None:
-            candidates["fused-dense"] = lambda: dense @ matrix
-        ncols = 1 if matrix.ndim == 1 else matrix.shape[1]
-        shape = kernels.shape_class(self.num_vertices, self.num_arcs, ncols)
-        return kernels.run_tuned("spmm_normalized", shape, candidates)
 
     # ------------------------------------------------------------------
     # Transformations
@@ -559,17 +485,3 @@ class Graph:
             f"edges={self.num_edges}, avg_degree={self.average_degree:.1f}, "
             f"feature_dim={self.feature_dim})"
         )
-
-
-# Named strategy surface of the normalised SpMM (what the fast-tier
-# dispatch above autotunes between); registered for introspection and
-# the tolerance suite.
-kernels.register_strategy("spmm_normalized", "split-scale")(
-    Graph._normalized_matmul_exact
-)
-kernels.register_strategy("spmm_normalized", "fused-csr")(
-    lambda graph, matrix: graph._normalized_csr() @ matrix
-)
-kernels.register_strategy("spmm_normalized", "fused-dense")(
-    lambda graph, matrix: graph._normalized_dense() @ matrix
-)

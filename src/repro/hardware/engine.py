@@ -30,7 +30,6 @@ from repro.graphs.graph import Graph
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.hardware.crossbar import Crossbar, CrossbarStats
 from repro.mapping.tiling import TilingPlan, plan_tiling
-from repro.perf import kernels
 
 
 class MappedMatrix:
@@ -289,57 +288,6 @@ def segment_leftfold_sum(
     return out
 
 
-def segment_reduceat_sum(
-    indptr: np.ndarray,
-    rows: np.ndarray,
-    initial: np.ndarray,
-) -> np.ndarray:
-    """Segment sums via ``np.add.reduceat`` — the fast-tier strategy.
-
-    Pairwise accumulation reorders the additions, so results can differ
-    from :func:`segment_leftfold_sum` by float32 rounding (budgeted
-    under ``ERROR_BUDGETS["segment_fold"]``).  Empty segments contribute
-    only ``initial`` — ``reduceat`` would repeat the next segment's
-    value there, so they are masked out explicitly.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    out = np.array(initial, dtype=np.float32, copy=True)
-    if out.shape[0] != indptr.size - 1:
-        raise MappingError("initial must have one row per segment")
-    starts = indptr[:-1]
-    lengths = indptr[1:] - starts
-    nonempty = np.flatnonzero(lengths > 0)
-    if nonempty.size:
-        sums = np.add.reduceat(rows, starts[nonempty], axis=0)
-        out[nonempty] += sums
-    return out
-
-
-def segment_fold(
-    indptr: np.ndarray,
-    rows: np.ndarray,
-    initial: np.ndarray,
-) -> np.ndarray:
-    """Mode-dispatching segment sum.
-
-    Exact mode always takes the order-preserving left fold; fast mode
-    lets the autotuner race the fold against ``reduceat`` per shape
-    class and replays the recorded winner.
-    """
-    if not kernels.fast_mode():
-        return segment_leftfold_sum(indptr, rows, initial)
-    shape = kernels.shape_class(indptr.size - 1, rows.shape[0],
-                               rows.shape[1] if rows.ndim > 1 else 1)
-    return kernels.run_tuned("segment_fold", shape, {
-        "leftfold": lambda: segment_leftfold_sum(indptr, rows, initial),
-        "reduceat": lambda: segment_reduceat_sum(indptr, rows, initial),
-    })
-
-
-kernels.register_strategy("segment_fold", "leftfold")(segment_leftfold_sum)
-kernels.register_strategy("segment_fold", "reduceat")(segment_reduceat_sum)
-
-
 def _arc_sources(graph: Graph, vertices: np.ndarray) -> tuple:
     """CSR edge sources for a vertex subset, in per-vertex edge order.
 
@@ -383,7 +331,7 @@ def aggregate(
     initial = np.zeros(
         (vertices.size, mapped_features.shape[1]), dtype=np.float32,
     )
-    return segment_fold(indptr, rows, initial)
+    return segment_leftfold_sum(indptr, rows, initial)
 
 
 def aggregate_reference(

@@ -26,7 +26,7 @@ from repro.gcn.model import GCN
 from repro.graphs.graph import Graph
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.hardware.crossbar import CrossbarStats
-from repro.hardware.engine import MappedMatrix, segment_fold
+from repro.hardware.engine import MappedMatrix, segment_leftfold_sum
 from repro.perf import profile
 
 
@@ -160,7 +160,7 @@ class FunctionalGCN:
         row itself (the ``A + I`` self loop).
         """
         rows = grid.read_rows(graph.indices)
-        return segment_fold(graph.indptr, rows, resident_rows)
+        return segment_leftfold_sum(graph.indptr, rows, resident_rows)
 
     def _aggregate_reference(
         self,

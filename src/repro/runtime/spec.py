@@ -81,16 +81,11 @@ class RunSpec:
     accelerator:
         Optional accelerator id (``"gopim"``, ``"serial"``, ...) for
         entry points that drive a single system.
-    numerics:
-        Numerics tier — ``"exact"`` (byte-identity contract, the
-        default) or ``"fast"`` (relaxed identity: autotuned kernel
-        strategies within the :data:`repro.perf.kernels.ERROR_BUDGETS`
-        tolerances).
     backend:
         Simulation backend — ``"analytic"`` (closed-form latency
         tables, the default) or ``"trace"`` (instruction-stream
-        compile/replay; see :mod:`repro.backends`).  Scoped through the
-        Session exactly like ``numerics``.
+        compile/replay; see :mod:`repro.backends`).  Scoped through
+        :meth:`Session.activate_backend`.
     """
 
     dataset: Optional[str] = None
@@ -100,7 +95,6 @@ class RunSpec:
     array_bytes: int = EXPERIMENT_ARRAY_BYTES
     hardware: Tuple[Tuple[str, Any], ...] = field(default=())
     accelerator: Optional[str] = None
-    numerics: str = "exact"
     backend: str = "analytic"
 
     def __post_init__(self) -> None:
@@ -120,13 +114,6 @@ class RunSpec:
             self, "hardware", _normalise_overrides(self.hardware),
         )
         object.__setattr__(self, "scale", float(self.scale))
-        from repro.perf.kernels import NUMERICS_MODES
-
-        if self.numerics not in NUMERICS_MODES:
-            raise ConfigError(
-                f"numerics must be one of {NUMERICS_MODES}, "
-                f"got {self.numerics!r}"
-            )
         from repro.backends import BACKEND_NAMES
 
         if self.backend not in BACKEND_NAMES:
@@ -139,17 +126,15 @@ class RunSpec:
     def spec_hash(self) -> str:
         """Stable content hash of this spec (hex digest).
 
-        ``numerics`` and ``backend`` participate only when they are not
-        their defaults (``"exact"`` / ``"analytic"``) — default-tier
-        hashes are unchanged from before each field existed, so recorded
-        provenance and cache keys stay valid.
+        ``backend`` participates only when it is not the default
+        ``"analytic"`` — default-backend hashes are unchanged from before
+        the field existed, so recorded provenance and cache keys stay
+        valid.
         """
         parts = [
             "runspec", self.dataset, self.seed, self.micro_batch,
             self.scale, self.array_bytes, self.hardware, self.accelerator,
         ]
-        if self.numerics != "exact":
-            parts.append(("numerics", self.numerics))
         if self.backend != "analytic":
             parts.append(("backend", self.backend))
         return cache_key(*parts)
@@ -175,7 +160,6 @@ class RunSpec:
             "array_bytes": self.array_bytes,
             "hardware": [list(pair) for pair in self.hardware],
             "accelerator": self.accelerator,
-            "numerics": self.numerics,
             "backend": self.backend,
         }
 

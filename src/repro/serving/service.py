@@ -32,11 +32,7 @@ from repro.serving.arrivals import (
 )
 from repro.serving.batching import BatchingPolicy, BatchPlan, form_batches
 from repro.serving.cost import ServingCostModel, build_serving_system
-from repro.serving.engine import (
-    ServingTimeline,
-    simulate_serving,
-    simulate_serving_reference,
-)
+from repro.serving.engine import ServingTimeline, simulate_serving
 from repro.serving.stats import ServingStats
 
 ARRIVAL_PROCESSES = ("poisson", "mmpp", "trace")
@@ -135,25 +131,13 @@ def request_degrees(session: Session, spec: ServingSpec) -> np.ndarray:
 
 
 @profile.phase(profile.PHASE_TIMING)
-def run_serving(
-    session: Session,
-    spec: ServingSpec,
-    engine: str = "fast",
-) -> ServingRun:
+def run_serving(session: Session, spec: ServingSpec) -> ServingRun:
     """Simulate one serving scenario end to end.
 
     Attributed to the ``timing_model`` phase (the queueing scan is the
     pipeline recurrence's serving analogue); nested dataset/allocation
     work still charges its own inner phase.
-
-    ``engine`` selects the batched timeline engine (``"fast"``, the
-    default) or the scalar event loop (``"reference"``) — the
-    equivalence suite runs both and compares bytes.
     """
-    if engine not in ("fast", "reference"):
-        raise ExperimentError(
-            f"unknown engine {engine!r}; known: fast, reference"
-        )
     system = build_serving_system(
         session, spec.dataset,
         num_servers=spec.num_servers, max_batch=spec.max_batch,
@@ -173,10 +157,7 @@ def run_serving(
     batch_edges = np.diff(edge_prefix[plan.boundaries])
     times = system.batch_times_ns(plan.sizes(), batch_edges)
 
-    simulate = (
-        simulate_serving if engine == "fast" else simulate_serving_reference
-    )
-    timeline = simulate(
+    timeline = simulate_serving(
         plan.dispatch_ns, times, system.num_servers, spec.balancer,
     )
     stats = ServingStats.from_simulation(

@@ -118,15 +118,6 @@ def test_public_greedy_matches_reference_cold_and_warm():
     assert reference.replicas.tobytes() == warm.replicas.tobytes()
 
 
-def test_heap_cls_argument_still_runs_the_reference():
-    from repro.allocation.heap import IndexedMaxHeap
-
-    problem = make_problem(9, 120, seed=2)
-    via_kwarg = greedy_allocation(problem, heap_cls=IndexedMaxHeap)
-    reference = greedy_allocation_reference(problem)
-    assert via_kwarg.replicas.tobytes() == reference.replicas.tobytes()
-
-
 def test_unaffordable_tail_matches():
     # One expensive stage dominates: the reference repeatedly elects it,
     # marks it unaffordable, and falls back — the engine must replay the

@@ -51,27 +51,3 @@ def test_quick_rows_match_golden_hash(experiment_id):
         f"{experiment_id}: quick-mode rows diverged from the recorded "
         f"golden hash — a refactor changed the numbers"
     )
-
-
-def test_golden_comparison_refuses_fast_tier_results():
-    """The byte-identity contract only covers exact-tier runs: a result
-    produced under ``numerics="fast"`` must never be compared against
-    the golden hashes (it could silently masquerade as exact)."""
-    import pytest
-
-    from repro.errors import ExperimentError
-    from repro.experiments.harness import ensure_uniform_numerics
-    from repro.experiments.registry import run_all
-
-    result = run_all(only=["fig05"], quick=True, numerics="fast")[0]
-    assert result.metadata["provenance"]["numerics"] == "fast"
-    with pytest.raises(ExperimentError):
-        ensure_uniform_numerics([result], require="exact")
-
-
-def test_golden_checked_results_are_exact_tier():
-    from repro.experiments.harness import ensure_uniform_numerics
-    from repro.experiments.registry import run_all
-
-    result = run_all(only=[FAST_IDS[0]], quick=True)[0]
-    assert ensure_uniform_numerics([result], require="exact") == "exact"

@@ -136,6 +136,27 @@ class TestSweepScheduling:
         assert "quick:fig05" in times
         assert times["quick:fig05"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", "null", '"x"', '{"quick:fig05": 1.'],
+        ids=["list", "null", "string", "truncated"],
+    )
+    def test_unusable_wall_times_file_is_ignored_and_overwritten(
+        self, monkeypatch, tmp_path, payload,
+    ):
+        import json
+
+        from repro.experiments import sweep
+
+        path = tmp_path / "wall_times.json"
+        path.write_text(payload)
+        monkeypatch.setenv(sweep.ENV_SWEEP_TIMES, str(path))
+        monkeypatch.setattr(sweep, "_session_times", {})
+        assert sweep.load_wall_times() == sweep.SEED_WALL_TIMES
+        assert sweep.lpt_order(["fig04", "fig05"], quick=True) == [0, 1]
+        [result] = run_all(only=["fig05"], quick=True, jobs=1)
+        assert result.experiment_id == "fig05"
+        assert "quick:fig05" in json.loads(path.read_text())
+
     def test_scheduled_pool_returns_request_order(self, monkeypatch, tmp_path):
         from repro.experiments import sweep
 

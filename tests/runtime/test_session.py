@@ -24,6 +24,14 @@ class TestRunSpec:
         assert a == b
         assert a.spec_hash() == b.spec_hash()
         assert a.array_bytes == EXPERIMENT_ARRAY_BYTES
+        # Cache keys and provenance hashes derive from these: pinned
+        # literally so a dropped or added field cannot move them unseen.
+        assert a.spec_hash() == (
+            "0d8662d274e4e8e50faf0bfe7fc162cd8c4f9139171c9aed9b6c38b1cd1b7bee"
+        )
+        assert RunSpec(backend="trace").spec_hash() == (
+            "089d36a3647a32aea1ddda848c4ffbd3ba3b970dd8d378be8c529ce24e4cdeb0"
+        )
 
     def test_hash_changes_with_any_field(self):
         base = RunSpec().spec_hash()
@@ -63,6 +71,10 @@ class TestRunSpec:
         assert clone.spec_hash() == spec.spec_hash()
         # to_dict is JSON-serialisable as-is (worker task payloads).
         json.dumps(spec.to_dict())
+        # A payload from the retired fast tier must fail loudly rather
+        # than run silently as the one numerics contract.
+        with pytest.raises(ConfigError):
+            RunSpec.from_dict({**spec.to_dict(), "numerics": "fast"})
 
     def test_with_derives_variants(self):
         spec = RunSpec(dataset="ddi")

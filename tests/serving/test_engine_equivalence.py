@@ -12,10 +12,12 @@ from repro.errors import ExperimentError
 from repro.runtime import RunSpec, Session
 from repro.serving import (
     ServingSpec,
+    ServingStats,
     run_serving,
     simulate_serving,
     simulate_serving_reference,
 )
+from repro.serving.service import request_degrees
 
 
 def identical(a, b):
@@ -102,7 +104,17 @@ def test_end_to_end_byte_identical(session, process, balancer):
         load=0.9,
         balancer=balancer,
     )
-    fast = run_serving(session, spec, engine="fast")
-    ref = run_serving(session, spec, engine="reference")
-    identical(fast.timeline, ref.timeline)
-    assert fast.stats == ref.stats
+    run = run_serving(session, spec)
+    # Rebuild the run's batch costs and replay them on the scalar loop.
+    edge_prefix = np.concatenate(
+        [[0], np.cumsum(request_degrees(session, spec), dtype=np.int64)]
+    )
+    batch_edges = np.diff(edge_prefix[run.plan.boundaries])
+    times = run.system.batch_times_ns(run.plan.sizes(), batch_edges)
+    ref = simulate_serving_reference(
+        run.plan.dispatch_ns, times, run.system.num_servers, spec.balancer,
+    )
+    identical(run.timeline, ref)
+    assert run.stats == ServingStats.from_simulation(
+        run.arrivals_ns, run.plan, ref, stage_names=run.system.stage_names,
+    )
