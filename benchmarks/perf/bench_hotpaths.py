@@ -86,6 +86,7 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.insert(1, REPO_ROOT)  # tests.oracles: the serial training loops
 
 from repro.graphs.generators import dc_sbm_graph  # noqa: E402
 from repro.pipeline.simulator import (  # noqa: E402
@@ -523,20 +524,20 @@ def bench_training(quick: bool) -> Dict[str, object]:
     Trains fleets of R link-prediction runs on one dc-SBM graph — the
     tab05/fig16 shape: a shared data seed with the update plan varied
     across replicas (vanilla vs ISU) — through ``train_replicas`` and
-    through R serial ``LinkPredictionTrainer`` runs.  The shared seed
-    lets the batched path share negative sampling and the epoch's
-    edge-scatter pattern across the fleet, which is where the win comes
-    from; per-replica loss and metric histories must still match the
-    serial trainers bit-for-bit — asserted, like the other fast paths.
-    The headline ``speedup`` is the R=4 fleet's — the group size the
-    quick sweep actually trains (fig16/tab05 build R=4 groups); R=1
-    records the stacked path's singleton overhead and R=16 how the win
-    fades once the stacked state outgrows the cache.
+    through R runs of the serial ``LinkPredictionTrainer`` loop kept in
+    ``tests/oracles/trainers.py``.  The shared seed lets the batched
+    path share negative sampling and the epoch's edge-scatter pattern
+    across the fleet, which is where the win comes from; per-replica
+    loss and metric histories must still match the serial loop
+    bit-for-bit — asserted, like the other fast paths.  The headline
+    ``speedup`` is the R=4 fleet's — the group size the quick sweep
+    actually trains (fig16/tab05 build R=4 groups); R=1 records the
+    stacked path's singleton overhead and R=16 how the win fades once
+    the stacked state outgrows the cache.
     """
     from repro.gcn.batched import ReplicaSpec, train_replicas
-    from repro.gcn.trainer import make_trainer
     from repro.mapping.selective import build_update_plan
-    from repro.runtime import Session
+    from tests.oracles.trainers import LinkPredictionTrainer
 
     num_vertices = 1024
     epochs = 3 if quick else 6
@@ -547,7 +548,6 @@ def bench_training(quick: bool) -> Dict[str, object]:
         name="bench-training",
     )
     isu_plan = build_update_plan(graph, strategy="isu")
-    session = Session()
 
     def fleet_plans(R: int):
         # Half vanilla, half ISU — the Table 5 comparison, R/2 seeds each.
@@ -555,23 +555,20 @@ def bench_training(quick: bool) -> Dict[str, object]:
 
     def serial_fleet(R: int):
         return [
-            make_trainer(graph, "link", random_state=0).train(
+            LinkPredictionTrainer(graph, random_state=0).train(
                 epochs=epochs, update_plan=plan,
             )
             for plan in fleet_plans(R)
         ]
 
     def batched_fleet(R: int):
-        return train_replicas(
-            [
-                ReplicaSpec(
-                    graph=graph, task="link", epochs=epochs, random_state=0,
-                    update_plan=plan,
-                )
-                for plan in fleet_plans(R)
-            ],
-            session=session, min_batch=1,
-        )
+        return train_replicas([
+            ReplicaSpec(
+                graph=graph, task="link", epochs=epochs, random_state=0,
+                update_plan=plan,
+            )
+            for plan in fleet_plans(R)
+        ])
 
     fleets: Dict[str, Dict[str, float]] = {}
     headline = None

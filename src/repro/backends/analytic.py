@@ -39,8 +39,8 @@ class AnalyticBackend(SimulationBackend):
             # The expected-mix epoch: exactly StageTimingModel's own
             # whole-epoch matrix (the pre-protocol AcceleratorModel call).
             return timing.stage_time_matrix(program.replicas)
-        # One specific write phase: the co-simulation's per-epoch table
-        # (the pre-protocol CoSimulation._epoch_times stack).
+        # One specific write phase: the co-simulation's per-epoch table,
+        # checked against the scalar loop in tests/oracles/cosim.py.
         replicas = program.replica_vector()
         return np.stack([
             timing.compute_times_ns(stage, int(replicas[i]))

@@ -113,7 +113,7 @@ class CoSimulation:
         # Two epoch flavours: minor-refresh (full write rounds) and
         # important-only.  Precompute both makespans through the active
         # simulation backend — each phase is one EpochProgram with the
-        # write phase pinned (``_epoch_times_reference`` keeps the
+        # write phase pinned (``tests/oracles/cosim.py`` keeps the
         # scalar loop the analytic backend is checked against).
         engine = resolve_backend(None)
         makespans = {}
@@ -146,44 +146,3 @@ class CoSimulation:
             result.test_metrics.append(one_epoch.test_metrics[-1])
             result.losses.append(one_epoch.losses[-1])
         return result
-
-    @staticmethod
-    def _epoch_times(timing, replicas, full_round: bool) -> np.ndarray:
-        """Whole-epoch ``(stages, microbatches)`` table for one phase."""
-        return np.stack([
-            timing.compute_times_ns(stage, int(replicas[i]))
-            + timing.phase_write_times_ns(stage, full_round)
-            + timing.reload_times_ns(stage)
-            for i, stage in enumerate(timing.stages)
-        ])
-
-    @staticmethod
-    def _epoch_times_reference(timing, replicas, full_round: bool) -> np.ndarray:
-        """Per-micro-batch scalar loop — the equivalence oracle."""
-        times = np.empty(
-            (len(timing.stages), timing.workload.num_microbatches),
-        )
-        for i, stage in enumerate(timing.stages):
-            for mb in range(timing.workload.num_microbatches):
-                compute = timing.compute_time_ns(stage, mb, int(replicas[i]))
-                write = CoSimulation._epoch_write_ns(
-                    timing, stage, mb, full_round,
-                )
-                reload = timing.reload_time_ns(stage, mb)
-                times[i, mb] = compute + write + reload
-        return times
-
-    @staticmethod
-    def _epoch_write_ns(timing, stage, mb, full_round: bool) -> float:
-        """Write time for a specific epoch phase (not the expected mix)."""
-        from repro.stages.stage import StageKind
-
-        cfg = timing.config
-        per_row = cfg.row_write_latency_ns * timing.params.write_pulses
-        if stage.kind is StageKind.AGGREGATION:
-            rows = timing._write_max_rows(mb, full_round=full_round)
-            return rows * per_row
-        if stage.kind is StageKind.COMBINATION:
-            rows = min(cfg.crossbar_rows, stage.mapped_rows)
-            return rows * per_row / timing.workload.num_microbatches
-        return 0.0

@@ -64,9 +64,8 @@ def run(
             "visibly only near sigma ~ 10%."
         ),
     )
-    # Each sigma changes the group key, so every replica is a singleton:
-    # train_replicas degrades to the serial reference path (the fallback
-    # the batched API guarantees).
+    # Each sigma changes the group key, so every replica trains as a
+    # fleet of one.
     runs = train_replicas(
         [
             ReplicaSpec(
@@ -75,7 +74,6 @@ def run(
             )
             for sigma in sigmas
         ],
-        session=session,
     )
     for sigma, run_result in zip(sigmas, runs):
         result.rows.append({

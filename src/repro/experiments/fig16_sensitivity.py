@@ -51,7 +51,6 @@ def accuracy_vs_theta(
             )
             for plan in [None] + plans
         ],
-        session=session,
     )
     base_metric = runs[0].best_test_metric
     result.rows.append({

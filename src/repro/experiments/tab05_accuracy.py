@@ -61,7 +61,6 @@ def run(
                     random_state=seed, update_plan=plan,
                 ),
             ],
-            session=session,
         )
         vanilla_acc = vanilla_run.best_test_metric
         isu_acc = isu_run.best_test_metric

@@ -3,9 +3,6 @@
 from repro.gcn.losses import (
     accuracy,
     cross_entropy_loss,
-    link_accuracy,
-    link_bce_loss,
-    link_logits,
     sigmoid,
     softmax,
 )
@@ -32,9 +29,6 @@ from repro.gcn.trainer import (
 __all__ = [
     "accuracy",
     "cross_entropy_loss",
-    "link_accuracy",
-    "link_bce_loss",
-    "link_logits",
     "sigmoid",
     "softmax",
     "GCN",

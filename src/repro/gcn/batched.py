@@ -1,15 +1,16 @@
-"""Replica-batched GCN training: R compatible runs in one tensor pass.
+"""Replica-batched GCN training: the one node/link training loop.
 
 The ablation/table experiments (tab05, fig16, abl-model-family,
 abl-weight-staleness, ...) train fleets of *small* GCNs that differ only
 in seed, staleness schedule, or one hyperparameter.  This module stacks
 R such runs into one extra leading tensor dimension — weights
 ``[R, in, out]``, activations ``[R, V, d]`` — and advances all R
-replicas with one batched forward/backward/Adam step per epoch.
+replicas with one batched forward/backward/Adam step per epoch.  A
+single run is a fleet of one: :class:`~repro.gcn.trainer.NodeClassificationTrainer`
+and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine.
 
-**Bit-identity contract.**  Every batched replica reproduces its serial
-counterpart (:class:`~repro.gcn.trainer.NodeClassificationTrainer` /
-:class:`~repro.gcn.trainer.LinkPredictionTrainer`, or the
+**Bit-identity contract.**  Every replica reproduces the serial loops
+kept as oracles in ``tests/oracles/trainers.py`` (and the
 ``train_with_split`` harness loop) bit-for-bit: losses, metrics, and
 final weights.  The building blocks this rests on, each covered by
 ``tests/gcn/test_batched_equivalence.py``:
@@ -22,26 +23,26 @@ final weights.  The building blocks this rests on, each covered by
   reducing (2-D axis reductions use different pairwise-summation
   blocking than the serial 1-D reduce, so ``picked[r].mean()`` matches
   where ``picked.mean(axis=-1)[r]`` does not);
-* per-replica RNG streams are *named* through the Session
-  (:meth:`repro.runtime.Session.replica_rng`) but seeded exactly as the
-  serial trainers seed theirs (``np.random.default_rng(random_state)``
-  for the trainer stream and the model stream), and drawn in the serial
-  order — init by layer, then split, then per-epoch dropout/noise/
-  negative draws — so stream positions coincide after a full run;
+* each replica's model is a :class:`~repro.gcn.model.GCN` built with
+  the replica's seed, so its weight init and its ``_rng`` (the model
+  stream: dropout masks, analog noise) are the serial ones; the trainer
+  stream (split + negative sampling) is ``np.random.default_rng(seed)``;
+  both are drawn in the serial order, so stream positions coincide
+  after every ``train`` call;
 * staleness batches via a per-replica refresh mask: plan-less replicas
   carry an all-ones mask row, and multiplying a float32 gradient by 1.0
   is bitwise the identity, so mixed vanilla/ISU groups stay eligible.
 
 Groups must agree on everything *except* seed, update plan, and (for the
 split path) gradient delay: same graph object, task, dims, epochs,
-learning rate, dropout, noise sigma, and eval cadence.  Singletons and
-incompatible replicas fall back to the serial trainers, which remain the
-reference path.
+learning rate, dropout, noise sigma, and eval cadence.  Model, Adam,
+stale-store and RNG state persist across ``train`` calls, so a caller
+may drive an engine one epoch at a time (the co-simulator does).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,13 +55,6 @@ from repro.gcn.losses import (
 )
 from repro.gcn.model import GCN
 from repro.gcn.optim import Adam
-from repro.gcn.trainer import (
-    LinkPredictionTrainer,
-    NodeClassificationTrainer,
-    TrainingResult,
-    _split_indices,
-    _validate_schedule,
-)
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
 from repro.perf import profile
@@ -69,11 +63,77 @@ NODE_TEST_FRACTION = 0.3  # NodeClassificationTrainer default
 LINK_TEST_FRACTION = 0.2  # LinkPredictionTrainer default
 
 
+@dataclass
+class TrainingResult:
+    """Loss/metric history of one training run.
+
+    ``losses`` has one entry per epoch; the metric lists have one entry
+    per *evaluated* epoch (``eval_epochs`` records which — every epoch
+    under the default ``eval_every=1`` cadence).
+    """
+
+    losses: List[float] = field(default_factory=list)
+    train_metrics: List[float] = field(default_factory=list)
+    test_metrics: List[float] = field(default_factory=list)
+    eval_epochs: List[int] = field(default_factory=list)
+
+    @property
+    def final_test_metric(self) -> float:
+        """Metric at the last epoch."""
+        if not self.test_metrics:
+            raise TrainingError("no epochs recorded")
+        return self.test_metrics[-1]
+
+    @property
+    def best_test_metric(self) -> float:
+        """Best evaluated-epoch metric (what the paper tables report)."""
+        if not self.test_metrics:
+            raise TrainingError("no epochs recorded")
+        return max(self.test_metrics)
+
+
+def _split_indices(
+    count: int,
+    test_fraction: float,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, np.ndarray]:
+    order = rng.permutation(count)
+    cut = int(round(count * (1.0 - test_fraction)))
+    if cut == 0 or cut == count:
+        raise TrainingError("split leaves an empty train or test set")
+    return np.sort(order[:cut]), np.sort(order[cut:])
+
+
+def _validate_schedule(epochs: int, start_epoch: int, eval_every: int) -> None:
+    if epochs < 1:
+        raise TrainingError("epochs must be >= 1")
+    if start_epoch < 0:
+        raise TrainingError("start_epoch must be >= 0")
+    if eval_every < 1:
+        raise TrainingError("eval_every must be >= 1")
+
+
+def _layer_dims(
+    d_in: int,
+    hidden_dim: int,
+    d_out: int,
+    num_layers: int,
+) -> List[Tuple[int, int]]:
+    """``num_layers`` chained ``(d_in, d_out)`` pairs, ``hidden_dim``
+    wide except the last layer's output."""
+    dims: List[Tuple[int, int]] = []
+    for layer in range(num_layers):
+        width = d_out if layer == num_layers - 1 else hidden_dim
+        dims.append((d_in, width))
+        d_in = width
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class ReplicaSpec:
     """One training run, described for replica batching.
 
-    Field defaults mirror the serial trainers'.  ``test_fraction=None``
+    Field defaults mirror the single-run trainers'.  ``test_fraction=None``
     resolves to the task default (0.3 node / 0.2 link).  Replicas group
     together when they agree on every field except ``random_state`` and
     ``update_plan``.
@@ -110,25 +170,6 @@ class ReplicaSpec:
             self.dropout, self.resolved_test_fraction(),
             self.analog_noise_sigma, self.start_epoch, self.eval_every,
         )
-
-
-def _replica_streams(
-    session,
-    index: int,
-    random_state: int,
-) -> Dict[str, np.random.Generator]:
-    """The two named per-replica streams, seeded as the serial trainers.
-
-    ``trainer`` mirrors the trainer's ``self._rng`` (split + negative
-    sampling); ``model`` mirrors the GCN's ``self._rng`` (weight init,
-    dropout masks, analog noise).  Both are raw ``default_rng(seed)``
-    streams — the serial construction, pinned by the golden hashes — and
-    registered on the session under their replica-qualified names.
-    """
-    return {
-        "trainer": session.replica_rng(f"replica{index}/trainer", random_state),
-        "model": session.replica_rng(f"replica{index}/model", random_state),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -190,14 +231,13 @@ class _StackedGCN:
         dropout: float,
         analog_noise_sigma: float,
         params: Dict[str, np.ndarray],
-        model_rngs: Optional[List[np.random.Generator]],
+        model_rngs: List[np.random.Generator],
     ) -> None:
         self._dims = [tuple(d) for d in dims]
         self._dropout = dropout
         self._analog_noise = analog_noise_sigma
         self.params = params
         self._rngs = model_rngs
-        self.num_replicas = next(iter(params.values())).shape[0]
         self._dropout_scratch: Dict[Tuple[int, int], np.ndarray] = {}
 
     @property
@@ -205,47 +245,29 @@ class _StackedGCN:
         return len(self._dims)
 
     @classmethod
-    def from_seeds(
-        cls,
-        dims: Sequence[Tuple[int, int]],
-        dropout: float,
-        analog_noise_sigma: float,
-        model_rngs: List[np.random.Generator],
-    ) -> "_StackedGCN":
-        """Draw each replica's init from its own stream, in serial order
-        (replica-outer, layer-inner — exactly one GCN construction per
-        stream)."""
-        per_layer: List[List[np.ndarray]] = [[] for _ in dims]
-        for rng in model_rngs:
-            for i, (d_in, d_out) in enumerate(dims):
-                scale = np.sqrt(2.0 / (d_in + d_out))
-                per_layer[i].append(
-                    rng.normal(0.0, scale, size=(d_in, d_out))
-                    .astype(np.float32)
-                )
-        params = {
-            f"W{i}": np.stack(stack) for i, stack in enumerate(per_layer)
-        }
-        return cls(dims, dropout, analog_noise_sigma, params, model_rngs)
-
-    @classmethod
     def from_models(cls, models: Sequence[GCN]) -> "_StackedGCN":
-        """Stack pre-constructed (already initialised) GCNs.
+        """Stack initialised GCNs that share dims, dropout and noise.
 
-        Used by the split-harness path, where callers build and seed the
-        models themselves; requires ``dropout == 0`` and no analog noise
-        (no per-epoch model randomness to replicate).
+        Each model's ``_rng`` becomes its replica's model stream, already
+        past the weight-init draws ``GCN.__init__`` made.
         """
         first = models[0]
         params = {
             key: np.stack([m.params[key] for m in models])
             for key in first.params
         }
-        return cls(first.layer_dims, 0.0, 0.0, params, model_rngs=None)
+        return cls(
+            first.layer_dims, first.dropout, first.analog_noise_sigma,
+            params, [m._rng for m in models],
+        )
 
-    def unstack_params(self, replica: int) -> Dict[str, np.ndarray]:
-        """One replica's parameter dict (copies)."""
-        return {key: val[replica].copy() for key, val in self.params.items()}
+    def write_back(self, models: Sequence[GCN]) -> None:
+        """Copy each replica's current weights into its model, so callers
+        observing the models see the state the serial loop leaves."""
+        for r, model in enumerate(models):
+            model.params = {
+                key: val[r].copy() for key, val in self.params.items()
+            }
 
     # ------------------------------------------------------------------
     def forward(
@@ -390,7 +412,8 @@ class _EdgeScoreBuffers:
     ``np.take(..., out=buf, mode="clip")`` into warm buffers skips the
     per-call 6-odd-MB allocation churn of ``embeddings[edges[:, 0]]``;
     the einsum over the buffers returns the same bits as the serial
-    :func:`~repro.gcn.losses.link_logits` (gathers are exact copies).
+    decoder's ``einsum`` over fancy-indexed rows (gathers are exact
+    copies).
     """
 
     def __init__(self, capacity: int, dim: int) -> None:
@@ -408,6 +431,12 @@ class _EdgeScoreBuffers:
         np.take(embeddings, idx0, axis=0, out=a, mode="clip")
         np.take(embeddings, idx1, axis=0, out=b, mode="clip")
         return np.einsum("ij,ij->i", a, b)
+
+
+def _edge_accuracy(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
+    """Balanced accuracy of the dot-product decoder at threshold 0."""
+    correct = float((pos_scores > 0).sum() + (neg_scores <= 0).sum())
+    return correct / (pos_scores.size + neg_scores.size)
 
 
 def _bce_sum_terms(
@@ -444,7 +473,7 @@ def _bce_sum_terms(
 # Batched trainers
 # ----------------------------------------------------------------------
 def _epoch_masks(
-    specs: Sequence[ReplicaSpec],
+    plans: Sequence[Optional[UpdatePlan]],
     num_vertices: int,
     epoch: int,
 ) -> Optional[np.ndarray]:
@@ -452,8 +481,7 @@ def _epoch_masks(
     replica refreshes fully (plan-less, or a minor-refresh epoch)."""
     rows = []
     partial = False
-    for spec in specs:
-        plan = spec.update_plan
+    for plan in plans:
         if plan is None:
             rows.append(None)
             continue
@@ -467,7 +495,7 @@ def _epoch_masks(
         partial = True
     if not partial:
         return None
-    masks = np.ones((len(specs), num_vertices), dtype=bool)
+    masks = np.ones((len(plans), num_vertices), dtype=bool)
     for r, row in enumerate(rows):
         if row is not None:
             masks[r] = row
@@ -475,73 +503,89 @@ def _epoch_masks(
 
 
 class BatchedNodeTrainer:
-    """R node-classification runs, one batched pass per epoch."""
+    """R node-classification runs, one batched pass per epoch.
+
+    Replica ``r`` is the run ``NodeClassificationTrainer(graph,
+    random_state=random_states[r], ...)`` would train; the other
+    hyperparameters are shared by the fleet.  ``models`` holds each
+    replica's :class:`~repro.gcn.model.GCN`, updated after every
+    :meth:`train` call.
+    """
 
     def __init__(
         self,
         graph: Graph,
-        specs: Sequence[ReplicaSpec],
-        session,
+        random_states: Sequence[int],
+        hidden_dim: int = 64,
+        num_layers: int = 2,
+        learning_rate: float = 0.01,
+        dropout: float = 0.0,
+        test_fraction: float = NODE_TEST_FRACTION,
+        analog_noise_sigma: float = 0.0,
     ) -> None:
         if graph.features is None or graph.labels is None:
             raise TrainingError("node task needs features and labels")
         self._graph = graph
-        self._specs = list(specs)
-        first = self._specs[0]
-        self.streams = [
-            _replica_streams(session, i, spec.random_state)
-            for i, spec in enumerate(self._specs)
-        ]
-        dims: List[Tuple[int, int]] = []
-        d_in = graph.feature_dim
-        for layer in range(first.num_layers):
-            d_out = (
-                graph.num_classes if layer == first.num_layers - 1
-                else first.hidden_dim
-            )
-            dims.append((d_in, d_out))
-            d_in = d_out
-        self.model = _StackedGCN.from_seeds(
-            dims, first.dropout, first.analog_noise_sigma,
-            [s["model"] for s in self.streams],
+        self._rngs = [np.random.default_rng(seed) for seed in random_states]
+        dims = _layer_dims(
+            graph.feature_dim, hidden_dim, graph.num_classes, num_layers,
         )
-        self._optimizer = Adam(learning_rate=first.learning_rate)
+        self.models = [
+            GCN(dims, dropout=dropout, random_state=seed,
+                analog_noise_sigma=analog_noise_sigma)
+            for seed in random_states
+        ]
+        self._stacked = _StackedGCN.from_models(self.models)
+        self._optimizer = Adam(learning_rate=learning_rate)
         splits = [
-            _split_indices(
-                graph.num_vertices, spec.resolved_test_fraction(),
-                self.streams[i]["trainer"],
-            )
-            for i, spec in enumerate(self._specs)
+            _split_indices(graph.num_vertices, test_fraction, rng)
+            for rng in self._rngs
         ]
         self.train_idx = np.stack([s[0] for s in splits])
         self.test_idx = np.stack([s[1] for s in splits])
-        self._store = _BatchedStore(first.num_layers)
+        labels = graph.labels
+        self._train_labels = np.stack([labels[idx] for idx in self.train_idx])
+        self._test_labels = np.stack([labels[idx] for idx in self.test_idx])
+        self._store = _BatchedStore(num_layers)
 
     @profile.phase(profile.PHASE_TRAINING_BATCHED)
-    def train(self) -> List[TrainingResult]:
-        first = self._specs[0]
-        epochs, start_epoch = first.epochs, first.start_epoch
-        eval_every = first.eval_every
+    def train(
+        self,
+        epochs: int,
+        update_plans: Sequence[Optional[UpdatePlan]],
+        start_epoch: int = 0,
+        eval_every: int = 1,
+    ) -> List[TrainingResult]:
+        """Train every replica ``epochs`` epochs; ``update_plans[r]``
+        (None = full updates) is replica ``r``'s staleness schedule.
+
+        ``start_epoch`` offsets the plans' epoch phase so a caller driving
+        the loop one epoch at a time keeps the ISU minor-refresh cadence.
+        ``eval_every`` strides metric evaluation (the final epoch is
+        always evaluated); losses are recorded every epoch.
+        """
         _validate_schedule(epochs, start_epoch, eval_every)
+        num_replicas = len(self.models)
+        if len(update_plans) != num_replicas:
+            raise TrainingError("need one update plan per replica")
+        first = self.models[0]
         if first.analog_noise_sigma > 0:
             eval_every = 1  # eval forwards draw RNG; keep streams fixed
         reuse_logits = (
             first.dropout == 0.0 and first.analog_noise_sigma == 0.0
         )
+        model = self._stacked
         graph = self._graph
         features = graph.features
-        labels = graph.labels
-        num_replicas = len(self._specs)
-        results = [TrainingResult() for _ in self._specs]
-        train_labels = np.stack([labels[idx] for idx in self.train_idx])
-        test_labels = np.stack([labels[idx] for idx in self.test_idx])
+        results = [TrainingResult() for _ in range(num_replicas)]
+        train_labels, test_labels = self._train_labels, self._test_labels
         replica_rows = np.arange(num_replicas)[:, None]
         grad_buffer: Optional[np.ndarray] = None
         last_epoch = start_epoch + epochs - 1
         no_updates = np.zeros((num_replicas, graph.num_vertices), dtype=bool)
         for epoch in range(start_epoch, start_epoch + epochs):
-            masks = _epoch_masks(self._specs, graph.num_vertices, epoch)
-            logits, cache = self.model.forward(
+            masks = _epoch_masks(update_plans, graph.num_vertices, epoch)
+            logits, cache = model.forward(
                 graph, features, store=self._store, masks=masks,
                 training=True,
             )
@@ -554,8 +598,8 @@ class BatchedNodeTrainer:
             else:
                 grad_buffer.fill(0.0)
             grad_buffer[replica_rows, self.train_idx] = grad_logits
-            grads = self.model.backward(graph, cache, grad_buffer)
-            self._optimizer.step(self.model.params, grads)
+            grads = model.backward(graph, cache, grad_buffer)
+            self._optimizer.step(model.params, grads)
 
             for r, loss in enumerate(losses):
                 results[r].losses.append(loss)
@@ -568,7 +612,7 @@ class BatchedNodeTrainer:
             if reuse_logits:
                 eval_logits = logits
             else:
-                eval_logits, _ = self.model.forward(
+                eval_logits, _ = model.forward(
                     graph, features, store=self._store, masks=no_updates,
                     training=False,
                 )
@@ -582,6 +626,7 @@ class BatchedNodeTrainer:
                 results[r].eval_epochs.append(epoch)
                 results[r].train_metrics.append(train_metrics[r])
                 results[r].test_metrics.append(test_metrics[r])
+        model.write_back(self.models)
         profile.accrue_calls(
             profile.PHASE_TRAINING_BATCHED, num_replicas - 1,
         )
@@ -591,7 +636,10 @@ class BatchedNodeTrainer:
 class BatchedLinkTrainer:
     """R link-prediction runs, one batched pass per epoch.
 
-    When every replica shares a seed (the tab05/fig16 shape) the edge
+    Replica ``r`` is the run ``LinkPredictionTrainer(graph,
+    random_state=random_states[r], ...)`` would train, as in
+    :class:`BatchedNodeTrainer`.  When every replica shares a seed (the
+    tab05/fig16 shape) the edge
     split and the per-epoch negative draws coincide, so the fused
     gradient-scatter plan (:func:`~repro.gcn.losses.edge_scatter_plan`)
     is built once per epoch and applied per replica.
@@ -600,52 +648,47 @@ class BatchedLinkTrainer:
     def __init__(
         self,
         graph: Graph,
-        specs: Sequence[ReplicaSpec],
-        session,
+        random_states: Sequence[int],
+        hidden_dim: int = 64,
+        embedding_dim: int = 64,
+        num_layers: int = 2,
+        learning_rate: float = 0.01,
+        dropout: float = 0.0,
+        test_fraction: float = LINK_TEST_FRACTION,
+        analog_noise_sigma: float = 0.0,
     ) -> None:
         if graph.features is None:
             raise TrainingError("link task needs vertex features")
         self._graph = graph
-        self._specs = list(specs)
-        first = self._specs[0]
-        self.streams = [
-            _replica_streams(session, i, spec.random_state)
-            for i, spec in enumerate(self._specs)
-        ]
-        dims: List[Tuple[int, int]] = []
-        d_in = graph.feature_dim
-        for layer in range(first.num_layers):
-            d_out = (
-                first.embedding_dim if layer == first.num_layers - 1
-                else first.hidden_dim
-            )
-            dims.append((d_in, d_out))
-            d_in = d_out
-        self.model = _StackedGCN.from_seeds(
-            dims, first.dropout, first.analog_noise_sigma,
-            [s["model"] for s in self.streams],
+        self._rngs = [np.random.default_rng(seed) for seed in random_states]
+        dims = _layer_dims(
+            graph.feature_dim, hidden_dim, embedding_dim, num_layers,
         )
-        self._optimizer = Adam(learning_rate=first.learning_rate)
+        self.models = [
+            GCN(dims, dropout=dropout, random_state=seed,
+                analog_noise_sigma=analog_noise_sigma)
+            for seed in random_states
+        ]
+        self._stacked = _StackedGCN.from_models(self.models)
+        self._optimizer = Adam(learning_rate=learning_rate)
         edges = graph.edge_list()
         if edges.shape[0] < 4:
             raise TrainingError("graph too small for a link split")
         self.train_pos: List[np.ndarray] = []
         self.test_pos: List[np.ndarray] = []
         self.test_neg: List[np.ndarray] = []
-        for i, spec in enumerate(self._specs):
-            rng = self.streams[i]["trainer"]
+        for rng in self._rngs:
             train_rows, test_rows = _split_indices(
-                edges.shape[0], spec.resolved_test_fraction(), rng,
+                edges.shape[0], test_fraction, rng,
             )
             self.train_pos.append(edges[train_rows])
             self.test_pos.append(edges[test_rows])
-            self.test_neg.append(
-                self._sample_negatives(rng, self.test_pos[-1].shape[0])
-            )
-        self._shared_seed = all(
-            spec.random_state == first.random_state for spec in self._specs
-        )
-        dim = first.embedding_dim
+            self.test_neg.append(np.stack(
+                self._sample_negative_columns(rng, test_rows.shape[0]),
+                axis=1,
+            ))
+        self._shared_seed = len(set(random_states)) == 1
+        dim = embedding_dim
         capacity = max(
             max(p.shape[0] for p in self.train_pos),
             max(
@@ -674,74 +717,65 @@ class BatchedLinkTrainer:
         # one [2R, E] matrix (pos rows then neg rows) so the sigmoid and
         # the BCE log run once per epoch instead of 4R times.
         num_edges = self.train_pos[0].shape[0]
-        num_replicas = len(self._specs)
+        num_replicas = len(self.models)
         self._scores = np.empty(
             (2 * num_replicas, num_edges), dtype=np.float32,
         )
         self._log_buf = np.empty(num_edges, dtype=np.float64)
         self._data_buf = np.empty(4 * num_edges, dtype=np.float64)
         self._emb64_buf = np.empty((graph.num_vertices, dim), dtype=np.float64)
-        self._store = _BatchedStore(first.num_layers)
-
-    def _sample_negatives(
-        self, rng: np.random.Generator, count: int,
-    ) -> np.ndarray:
-        n = self._graph.num_vertices
-        src = rng.integers(0, n, size=2 * count + 8)
-        dst = rng.integers(0, n, size=2 * count + 8)
-        keep = src != dst
-        return np.stack([src[keep], dst[keep]], axis=1)[:count]
+        self._store = _BatchedStore(num_layers)
 
     def _sample_negative_columns(
         self, rng: np.random.Generator, count: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Same stream draws as :meth:`_sample_negatives`, but returned
-        as the two contiguous endpoint columns the epoch loop gathers
-        with — skips the ``stack`` + ``ascontiguousarray`` round trip."""
+        """``count`` random non-self-loop vertex pairs, as the two
+        contiguous endpoint columns the epoch loop gathers with (the
+        serial trainer's draws, without its ``[count, 2]`` stack)."""
         n = self._graph.num_vertices
         src = rng.integers(0, n, size=2 * count + 8)
         dst = rng.integers(0, n, size=2 * count + 8)
         keep = src != dst
         return src[keep][:count], dst[keep][:count]
 
-    def _link_accuracy_from_scores(
-        self, pos_scores: np.ndarray, neg_scores: np.ndarray,
-    ) -> float:
-        correct = float(
-            (pos_scores > 0).sum() + (neg_scores <= 0).sum()
-        )
-        return correct / (pos_scores.size + neg_scores.size)
-
     @profile.phase(profile.PHASE_TRAINING_BATCHED)
-    def train(self) -> List[TrainingResult]:
-        first = self._specs[0]
-        epochs, start_epoch = first.epochs, first.start_epoch
-        eval_every = first.eval_every
+    def train(
+        self,
+        epochs: int,
+        update_plans: Sequence[Optional[UpdatePlan]],
+        start_epoch: int = 0,
+        eval_every: int = 1,
+    ) -> List[TrainingResult]:
+        """Train every replica; the schedule arguments are
+        :meth:`BatchedNodeTrainer.train`'s."""
         _validate_schedule(epochs, start_epoch, eval_every)
+        num_replicas = len(self.models)
+        if len(update_plans) != num_replicas:
+            raise TrainingError("need one update plan per replica")
+        first = self.models[0]
         if first.analog_noise_sigma > 0:
             eval_every = 1
         reuse_embeddings = (
             first.dropout == 0.0 and first.analog_noise_sigma == 0.0
         )
+        model = self._stacked
         graph = self._graph
         features = graph.features
         num_vertices = graph.num_vertices
-        num_replicas = len(self._specs)
-        results = [TrainingResult() for _ in self._specs]
+        results = [TrainingResult() for _ in range(num_replicas)]
         buffers = self._buffers
         last_epoch = start_epoch + epochs - 1
         no_updates = np.zeros((num_replicas, num_vertices), dtype=bool)
         grad_emb: Optional[np.ndarray] = None
         for epoch in range(start_epoch, start_epoch + epochs):
-            masks = _epoch_masks(self._specs, num_vertices, epoch)
-            embeddings, cache = self.model.forward(
+            masks = _epoch_masks(update_plans, num_vertices, epoch)
+            embeddings, cache = model.forward(
                 graph, features, store=self._store, masks=masks,
                 training=True,
             )
             neg_idx = [
                 self._sample_negative_columns(
-                    self.streams[r]["trainer"],
-                    self.train_pos[r].shape[0],
+                    self._rngs[r], self.train_pos[r].shape[0],
                 )
                 for r in range(num_replicas)
             ]
@@ -788,8 +822,8 @@ class BatchedLinkTrainer:
                 np.divide(grad, count, out=grad)
                 grad_emb[r] = grad
                 losses[r] = losses[r] / count
-            grads = self.model.backward(graph, cache, grad_emb)
-            self._optimizer.step(self.model.params, grads)
+            grads = model.backward(graph, cache, grad_emb)
+            self._optimizer.step(model.params, grads)
 
             for r, loss in enumerate(losses):
                 results[r].losses.append(loss)
@@ -806,7 +840,7 @@ class BatchedLinkTrainer:
                     scores[num_replicas + r] for r in range(num_replicas)
                 ]
             else:
-                eval_emb, _ = self.model.forward(
+                eval_emb, _ = model.forward(
                     graph, features, store=self._store,
                     masks=no_updates, training=False,
                 )
@@ -823,16 +857,17 @@ class BatchedLinkTrainer:
                 test_scores = buffers.scores(eval_emb[r], cat0, cat1)
                 results[r].eval_epochs.append(epoch)
                 results[r].train_metrics.append(
-                    self._link_accuracy_from_scores(
+                    _edge_accuracy(
                         train_pos_scores[r], train_neg_scores[r],
                     )
                 )
                 results[r].test_metrics.append(
-                    self._link_accuracy_from_scores(
+                    _edge_accuracy(
                         test_scores[:num_test_pos],
                         test_scores[num_test_pos:],
                     )
                 )
+        model.write_back(self.models)
         profile.accrue_calls(
             profile.PHASE_TRAINING_BATCHED, num_replicas - 1,
         )
@@ -842,69 +877,45 @@ class BatchedLinkTrainer:
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
-def _serial_result(spec: ReplicaSpec) -> TrainingResult:
-    """Train one replica on the retained serial reference path."""
-    kwargs = dict(
-        hidden_dim=spec.hidden_dim,
-        num_layers=spec.num_layers,
-        learning_rate=spec.learning_rate,
-        dropout=spec.dropout,
-        test_fraction=spec.resolved_test_fraction(),
-        analog_noise_sigma=spec.analog_noise_sigma,
-    )
-    if spec.task == "link":
-        trainer = LinkPredictionTrainer(
-            spec.graph, random_state=spec.random_state,
-            embedding_dim=spec.embedding_dim, **kwargs,
-        )
-    elif spec.task == "node":
-        trainer = NodeClassificationTrainer(
-            spec.graph, random_state=spec.random_state, **kwargs,
-        )
-    else:
-        raise TrainingError(f"unknown task {spec.task!r}")
-    return trainer.train(
-        epochs=spec.epochs, update_plan=spec.update_plan,
-        start_epoch=spec.start_epoch, eval_every=spec.eval_every,
-    )
-
-
-def train_replicas(
-    specs: Sequence[ReplicaSpec],
-    session=None,
-    min_batch: int = 2,
-) -> List[TrainingResult]:
+def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
     """Train every replica, batching compatible groups.
 
     Replicas sharing a :meth:`ReplicaSpec.group_key` train together in
-    one stacked pass; groups smaller than ``min_batch`` fall back to the
-    serial trainers.  Results come back in input order and are
-    bit-identical to training each spec serially.
+    one stacked pass; a group of one is a fleet of one.  Results come
+    back in input order and are bit-identical to training each spec on
+    its own.
     """
-    if not specs:
-        return []
     for spec in specs:
         if spec.task not in ("node", "link"):
             raise TrainingError(f"unknown task {spec.task!r}")
-    if session is None:
-        from repro.runtime import default_session
-
-        session = default_session()
     groups: Dict[Tuple, List[int]] = {}
     for position, spec in enumerate(specs):
         groups.setdefault(spec.group_key(), []).append(position)
     results: List[Optional[TrainingResult]] = [None] * len(specs)
     for positions in groups.values():
         group = [specs[p] for p in positions]
-        if len(group) < min_batch:
-            for position, spec in zip(positions, group):
-                results[position] = _serial_result(spec)
-            continue
-        if group[0].task == "link":
-            trainer = BatchedLinkTrainer(group[0].graph, group, session)
+        first = group[0]
+        kwargs = dict(
+            hidden_dim=first.hidden_dim,
+            num_layers=first.num_layers,
+            learning_rate=first.learning_rate,
+            dropout=first.dropout,
+            test_fraction=first.resolved_test_fraction(),
+            analog_noise_sigma=first.analog_noise_sigma,
+        )
+        seeds = [spec.random_state for spec in group]
+        if first.task == "link":
+            trainer = BatchedLinkTrainer(
+                first.graph, seeds, embedding_dim=first.embedding_dim,
+                **kwargs,
+            )
         else:
-            trainer = BatchedNodeTrainer(group[0].graph, group, session)
-        for position, result in zip(positions, trainer.train()):
+            trainer = BatchedNodeTrainer(first.graph, seeds, **kwargs)
+        group_results = trainer.train(
+            first.epochs, [spec.update_plan for spec in group],
+            start_epoch=first.start_epoch, eval_every=first.eval_every,
+        )
+        for position, result in zip(positions, group_results):
             results[position] = result
     return results
 
@@ -938,7 +949,7 @@ def train_split_replicas(
     noise, and a shared split.
     """
     num_replicas = len(models)
-    specs_plans = (
+    plans = (
         list(update_plans) if update_plans is not None
         else [None] * num_replicas
     )
@@ -957,10 +968,6 @@ def train_split_replicas(
     num_vertices = graph.num_vertices
     grad_buffer: Optional[np.ndarray] = None
     best = [0.0] * num_replicas
-    plan_specs = [
-        ReplicaSpec(graph=graph, task="node", epochs=epochs, update_plan=p)
-        for p in specs_plans
-    ]
     no_updates = np.zeros((num_replicas, num_vertices), dtype=bool)
     for epoch in range(epochs):
         stale_params: Optional[Dict[str, np.ndarray]] = None
@@ -981,7 +988,7 @@ def train_split_replicas(
                 for key in stacked.params
             }
         masks = (
-            _epoch_masks(plan_specs, num_vertices, epoch)
+            _epoch_masks(plans, num_vertices, epoch)
             if use_store else None
         )
         logits, cache = stacked.forward(
@@ -1010,9 +1017,6 @@ def train_split_replicas(
         )
         for r in range(num_replicas):
             best[r] = max(best[r], test_accs[r])
-    # Write the trained weights back so callers observing the models see
-    # the same final state the serial loop leaves behind.
-    for r, model in enumerate(models):
-        model.params = stacked.unstack_params(r)
+    stacked.write_back(models)
     profile.accrue_calls(profile.PHASE_TRAINING_BATCHED, num_replicas - 1)
     return best

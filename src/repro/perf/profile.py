@@ -56,8 +56,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 # BENCH_phases.json consumers and the CI regression guard key on them.
 # ----------------------------------------------------------------------
 PHASE_DATASET = "dataset_generation"     # graph synthesis + predictor samples
-PHASE_TRAINING = "gcn_training"          # serial node/link trainer epochs
-PHASE_TRAINING_BATCHED = "gcn_training_batched"  # replica-batched epochs
+PHASE_TRAINING = "gcn_training"          # split-harness loop (train_with_split)
+PHASE_TRAINING_BATCHED = "gcn_training_batched"  # node/link trainer epochs
 PHASE_PREDICTOR = "predictor_fit"        # regressor fitting (all families)
 PHASE_ALLOCATION = "allocation_search"   # greedy / baseline / exhaustive
 PHASE_TIMING = "timing_model"            # analytic stage times + pipeline sim

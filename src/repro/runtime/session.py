@@ -106,34 +106,6 @@ class Session:
         master = self.spec.seed if seed is None else seed
         return np.random.default_rng(stream_seed(master, stream))
 
-    def replica_rng(self, stream: str, seed: int) -> np.random.Generator:
-        """A named stream seeded *raw* (no per-stream derivation).
-
-        The replica-batched trainers (:mod:`repro.gcn.batched`) must
-        reproduce the serial trainers' generators bit-for-bit, and those
-        are seeded ``default_rng(random_state)`` directly — routing them
-        through :func:`stream_seed` would change every draw.  This hands
-        out exactly that generator while still *naming* the stream: each
-        call is recorded in :attr:`replica_streams` (name -> generator),
-        so the RNG-hygiene suite can inspect stream positions after a
-        run and assert they match the serial counterparts'.
-
-        Unlike :meth:`rng`, two distinct stream names with equal seeds
-        intentionally return identically seeded generators — replicas
-        that share a ``random_state`` must draw identical sequences.
-        """
-        generator = np.random.default_rng(seed)
-        self.replica_streams[stream] = generator
-        return generator
-
-    @property
-    def replica_streams(self) -> Dict[str, np.random.Generator]:
-        """Live registry of named replica streams (latest per name)."""
-        registry = getattr(self, "_replica_streams", None)
-        if registry is None:
-            registry = self._replica_streams = {}
-        return registry
-
     # ------------------------------------------------------------------
     # Cached artifacts (the old experiments.context surface)
     # ------------------------------------------------------------------

@@ -13,13 +13,13 @@ import pytest
 
 from repro.accelerators.catalog import gopim
 from repro.backends import EpochProgram, get_backend
-from repro.core.cosim import CoSimulation
 from repro.pipeline.simulator import ScheduleMode
 from repro.predictor.profiler import (
     profile_stage_times,
     profile_stage_times_reference,
 )
 from repro.stages.latency import StageTimingModel
+from tests.oracles.cosim import epoch_times_reference
 
 ANALYTIC = get_backend("analytic")
 
@@ -53,7 +53,7 @@ def test_pinned_phase_matrix_matches_cosim_reference(timing, full_round):
         ANALYTIC.stage_time_matrix(EpochProgram(
             timing=timing, replicas=replicas, full_round=full_round,
         )),
-        CoSimulation._epoch_times_reference(timing, replicas, full_round),
+        epoch_times_reference(timing, replicas, full_round),
     )
 
 

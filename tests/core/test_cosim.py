@@ -83,20 +83,26 @@ def test_epochs_validation(arxiv_graph, config):
 def test_epoch_tables_match_scalar_reference(
     arxiv_graph, config, make_accelerator,
 ):
-    # The vectorized whole-epoch timing tables must reproduce the
-    # retained per-micro-batch scalar loop exactly, for both epoch
-    # phases (minor refresh and important-only rounds).
+    # The co-simulator's per-phase epoch table (the analytic backend with
+    # the write phase pinned) must reproduce the per-micro-batch scalar
+    # loop exactly, for both epoch phases (minor refresh and
+    # important-only rounds), on real allocations.
+    from repro.backends import EpochProgram, get_backend
     from repro.stages.workload import workload_from_dataset
+    from tests.oracles.cosim import epoch_times_reference
 
     accelerator = make_accelerator()
     cosim = CoSimulation(accelerator, config)
     workload = workload_from_dataset("arxiv", graph=arxiv_graph)
     timing = accelerator.build_timing_model(workload, cosim._config)
     problem = accelerator._build_problem(timing, cosim._config)
-    replicas = accelerator.allocator(problem).replicas
+    replicas = np.asarray(
+        accelerator.allocator(problem).replicas, dtype=np.int64,
+    )
+    analytic = get_backend("analytic")
     for full_round in (True, False):
-        vectorized = CoSimulation._epoch_times(timing, replicas, full_round)
-        reference = CoSimulation._epoch_times_reference(
-            timing, replicas, full_round,
-        )
-        assert np.array_equal(vectorized, reference)
+        table = analytic.stage_time_matrix(EpochProgram(
+            timing=timing, replicas=replicas, full_round=full_round,
+        ))
+        reference = epoch_times_reference(timing, replicas, full_round)
+        assert np.array_equal(table, reference)

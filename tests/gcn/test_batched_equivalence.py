@@ -1,13 +1,15 @@
-"""Replica-batched training vs the serial trainers, bit for bit.
+"""Replica-batched training vs the serial oracle loops, bit for bit.
 
 ``train_replicas`` stacks R compatible runs into one ``[R, ...]`` tensor
 pass; its contract is *exact* equality with training each
-:class:`~repro.gcn.batched.ReplicaSpec` on the serial trainers — losses,
-train/test metric histories, and eval epochs, not approximately but
-bitwise (``==`` on the float lists).  These tests sweep the dimensions a
-group may vary in (seed, update plan) and the knobs it must carry
-through unchanged (dropout, analog noise, strided eval), plus the
-fallback and ordering guarantees and the split-harness batched path.
+:class:`~repro.gcn.batched.ReplicaSpec` on the serial trainer loops kept
+in ``tests/oracles/trainers.py`` — losses, train/test metric histories,
+and eval epochs, not approximately but bitwise (``==`` on the float
+lists).  These tests sweep the dimensions a group may vary in (seed,
+update plan) and the knobs it must carry through unchanged (dropout,
+analog noise, strided eval), plus groups of one, the co-simulator's
+one-epoch-per-call pattern, input validation, ordering, and the
+split-harness batched path.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import TrainingError
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.gcn.trainer import make_trainer
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
-from repro.runtime import Session
+from tests.oracles.trainers import make_trainer as make_oracle
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +38,7 @@ def plan(graph):
 
 
 def _serial(spec: ReplicaSpec):
-    trainer = make_trainer(
+    trainer = make_oracle(
         spec.graph, spec.task, random_state=spec.random_state,
         hidden_dim=spec.hidden_dim, num_layers=spec.num_layers,
         learning_rate=spec.learning_rate, dropout=spec.dropout,
@@ -50,16 +53,16 @@ def _serial(spec: ReplicaSpec):
     )
 
 
-def _assert_identical(specs, session=None, min_batch=1):
-    batched = train_replicas(
-        specs, session=session or Session(), min_batch=min_batch,
-    )
-    for spec, fast in zip(specs, batched):
-        ref = _serial(spec)
-        assert fast.losses == ref.losses
-        assert fast.train_metrics == ref.train_metrics
-        assert fast.test_metrics == ref.test_metrics
-        assert fast.eval_epochs == ref.eval_epochs
+def _assert_same_result(fast, ref):
+    assert fast.losses == ref.losses
+    assert fast.train_metrics == ref.train_metrics
+    assert fast.test_metrics == ref.test_metrics
+    assert fast.eval_epochs == ref.eval_epochs
+
+
+def _assert_identical(specs):
+    for spec, fast in zip(specs, train_replicas(specs)):
+        _assert_same_result(fast, _serial(spec))
 
 
 @pytest.mark.parametrize("task", ["node", "link"])
@@ -116,28 +119,76 @@ def test_strided_eval(graph, task):
     ])
 
 
-def test_singleton_falls_back_to_serial(graph):
-    spec = ReplicaSpec(graph=graph, task="node", epochs=4, random_state=7)
-    [fast] = train_replicas([spec], session=Session(), min_batch=2)
-    ref = _serial(spec)
-    assert fast.losses == ref.losses
-    assert fast.test_metrics == ref.test_metrics
+def test_singleton_group_matches_oracle(graph, plan):
+    # A group of one trains on the engine as a fleet of one.
+    _assert_identical([
+        ReplicaSpec(
+            graph=graph, task=task, epochs=4, random_state=7,
+            update_plan=plan,
+        )
+        for task in ("node", "link")
+    ])
 
 
 def test_incompatible_groups_keep_input_order(graph):
-    # Epoch counts differ -> two groups (one a serial-fallback
-    # singleton); results must still come back in input order.
+    # Epoch counts differ -> two groups (one a fleet of one); results
+    # must still come back in input order.
     specs = [
         ReplicaSpec(graph=graph, task="node", epochs=4, random_state=0),
         ReplicaSpec(graph=graph, task="node", epochs=6, random_state=1),
         ReplicaSpec(graph=graph, task="node", epochs=4, random_state=2),
     ]
-    _assert_identical(specs, min_batch=2)
+    _assert_identical(specs)
+
+
+@pytest.mark.parametrize("task", ["node", "link"])
+@pytest.mark.parametrize("with_plan", [False, True])
+def test_cosim_call_pattern_matches_oracle(graph, plan, task, with_plan):
+    # The co-simulator trains one epoch per call with the plan phase
+    # carried by start_epoch; model, Adam, store and RNG state must
+    # persist across calls exactly as the serial loop's do.
+    update_plan = plan if with_plan else None
+    kwargs = dict(hidden_dim=24, random_state=3)
+    if task == "link":
+        kwargs["embedding_dim"] = 16
+    trainer = make_trainer(graph, task, **kwargs)
+    oracle = make_oracle(graph, task, **kwargs)
+    for epoch in range(8):
+        fast = trainer.train(
+            epochs=1, update_plan=update_plan, start_epoch=epoch,
+        )
+        ref = oracle.train(
+            epochs=1, update_plan=update_plan, start_epoch=epoch,
+        )
+        _assert_same_result(fast, ref)
+    assert trainer.model.params.keys() == oracle.model.params.keys()
+    for key, weights in oracle.model.params.items():
+        assert np.array_equal(trainer.model.params[key], weights)
+    assert (
+        trainer.model._rng.bit_generator.state
+        == oracle.model._rng.bit_generator.state
+    )
+
+
+@pytest.mark.parametrize("task", ["node", "link"])
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("bad", [
+    {"dropout": 1.0},
+    {"dropout": -0.1},
+    {"analog_noise_sigma": -0.1},
+    {"num_layers": 0},
+], ids=["dropout=1.0", "dropout=-0.1", "sigma=-0.1", "num_layers=0"])
+def test_invalid_spec_rejected_at_any_group_size(graph, task, replicas, bad):
+    # Validation must not depend on how many replicas share the spec.
+    specs = [
+        ReplicaSpec(graph=graph, task=task, epochs=2, random_state=s, **bad)
+        for s in range(replicas)
+    ]
+    with pytest.raises(TrainingError):
+        train_replicas(specs)
 
 
 def test_unknown_task_rejected(graph):
-    from repro.errors import TrainingError
-
     with pytest.raises(TrainingError):
         train_replicas([
             ReplicaSpec(graph=graph, task="edge", epochs=2),

@@ -1,17 +1,30 @@
-"""Losses and metrics, with finite-difference gradient checks."""
+"""Losses and metrics, with finite-difference gradient checks.
+
+The link loss and metric live in ``tests/oracles/link_losses.py`` (the
+serial trainers' oracle); production link training uses
+:class:`~repro.gcn.losses.EdgeScatter`, checked here bitwise against the
+sequential ``np.add.at`` scatter.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.gcn import losses
 from repro.gcn.losses import (
+    EdgeScatter,
     accuracy,
+    apply_edge_scatter,
     cross_entropy_loss,
-    link_accuracy,
-    link_bce_loss,
-    link_logits,
+    edge_scatter_plan,
     sigmoid,
     softmax,
+)
+from tests.oracles.link_losses import (
+    link_accuracy,
+    link_bce_loss,
+    link_bce_loss_reference,
+    link_logits,
 )
 
 
@@ -105,3 +118,64 @@ def test_link_accuracy_perfect():
     assert link_accuracy(emb, pos, neg) == 1.0
     with pytest.raises(TrainingError):
         link_accuracy(emb, np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+
+
+def _random_link_case(seed):
+    """Float32 embeddings, positive and negative edge sets with duplicate
+    and reversed edges, and the link loss's four gradient scatters
+    ``(targets, sources, coefficients)`` in the order it issues them."""
+    rng = np.random.default_rng(seed)
+    num_vertices = int(rng.integers(2, 40))
+    dim = int(rng.integers(1, 9))
+    embeddings = rng.normal(size=(num_vertices, dim)).astype(np.float32)
+
+    def edges(count):
+        base = rng.integers(0, num_vertices, size=(count, 2))
+        picks = rng.integers(0, count, size=count // 2 + 1)
+        return np.concatenate([base, base[picks], base[picks, ::-1]])
+
+    pos = edges(int(rng.integers(1, 50)))
+    neg = edges(int(rng.integers(1, 50)))
+    parts = []
+    for edge_set, coeff in (
+        (pos, rng.random(pos.shape[0]) - 1.0),
+        (neg, rng.random(neg.shape[0])),
+    ):
+        parts.append((edge_set[:, 0], edge_set[:, 1], coeff))
+        parts.append((edge_set[:, 1], edge_set[:, 0], coeff))
+    return embeddings, pos, neg, parts
+
+
+def _use_scipy(monkeypatch, with_scipy):
+    if not with_scipy:
+        monkeypatch.setattr(losses, "_sparse", None)
+    elif losses._sparse is None:
+        pytest.skip("scipy not installed")
+
+
+@pytest.mark.parametrize("with_scipy", [True, False], ids=["scipy", "bincount"])
+def test_edge_scatter_bitwise_equals_add_at(monkeypatch, with_scipy):
+    _use_scipy(monkeypatch, with_scipy)
+    for seed in range(100):
+        emb, _, _, parts = _random_link_case(seed)
+        expected = np.zeros(emb.shape, dtype=np.float64)
+        for targets, sources, coeff in parts:
+            np.add.at(expected, targets, coeff[:, None] * emb[sources])
+        rows, cols, data = (np.concatenate(col) for col in zip(*parts))
+        scatter = EdgeScatter(rows, cols, emb.shape[0])
+        assert np.array_equal(scatter.apply(data, emb), expected)
+        buf = np.empty(emb.shape, dtype=np.float64)
+        assert np.array_equal(scatter.apply(data, emb, emb64_buf=buf), expected)
+        plan = edge_scatter_plan(rows, cols, emb.shape[0])
+        assert np.array_equal(apply_edge_scatter(*plan, data, emb), expected)
+
+
+@pytest.mark.parametrize("with_scipy", [True, False], ids=["scipy", "bincount"])
+def test_fused_link_loss_bitwise_equals_reference(monkeypatch, with_scipy):
+    _use_scipy(monkeypatch, with_scipy)
+    for seed in range(100):
+        emb, pos, neg, _ = _random_link_case(seed)
+        loss, grad = link_bce_loss(emb, pos, neg)
+        ref_loss, ref_grad = link_bce_loss_reference(emb, pos, neg)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)

@@ -5,19 +5,21 @@ every k-th epoch: losses are recorded every epoch and must match the
 reference's bit for bit (the skipped eval forwards have no side effects
 when the analog-noise sigma is zero), and the metrics recorded at the
 evaluated epochs must equal the reference's values at those same epochs.
-Covered for both trainers (node classification and link prediction),
-with and without an ISU :class:`UpdatePlan`, with and without dropout
-(dropout exercises the recompute-eval branch; without it the eval
-forward is skipped entirely and the training logits are reused).
+The reference is the serial oracle's ``train_reference``
+(``tests/oracles/trainers.py``).  Covered for both trainers (node
+classification and link prediction), with and without an ISU
+:class:`UpdatePlan`, with and without dropout (dropout exercises the
+recompute-eval branch; without it the eval forward is skipped entirely
+and the training logits are reused).
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import TrainingError
 from repro.gcn.trainer import LinkPredictionTrainer, NodeClassificationTrainer
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from tests.oracles import trainers as oracle
 
 
 @pytest.fixture(scope="module")
@@ -32,24 +34,22 @@ def plan(graph):
     return build_update_plan(graph, "isu", theta=0.5, minor_period=5)
 
 
-def _node(graph, **kwargs):
-    return NodeClassificationTrainer(
-        graph, hidden_dim=24, num_layers=2, random_state=1, **kwargs,
-    )
+def _node(graph, cls=NodeClassificationTrainer, **kwargs):
+    return cls(graph, hidden_dim=24, num_layers=2, random_state=1, **kwargs)
 
 
-def _link(graph, **kwargs):
-    return LinkPredictionTrainer(
+def _link(graph, cls=LinkPredictionTrainer, **kwargs):
+    return cls(
         graph, hidden_dim=24, embedding_dim=16, random_state=1, **kwargs,
     )
 
 
-def _assert_strided_matches_reference(make_trainer, epochs, eval_every,
-                                      update_plan=None):
+def _assert_strided_matches_reference(make_trainer, make_reference, epochs,
+                                      eval_every, update_plan=None):
     fast = make_trainer().train(
         epochs=epochs, eval_every=eval_every, update_plan=update_plan,
     )
-    ref = make_trainer().train_reference(
+    ref = make_reference().train_reference(
         epochs=epochs, update_plan=update_plan,
     )
     assert fast.losses == ref.losses  # exact: same training computation
@@ -67,30 +67,36 @@ def _assert_strided_matches_reference(make_trainer, epochs, eval_every,
 @pytest.mark.parametrize("eval_every", [1, 3, 7])
 def test_node_trainer_strided_eval(graph, eval_every):
     _assert_strided_matches_reference(
-        lambda: _node(graph), epochs=12, eval_every=eval_every,
+        lambda: _node(graph),
+        lambda: _node(graph, oracle.NodeClassificationTrainer),
+        epochs=12, eval_every=eval_every,
     )
 
 
 @pytest.mark.parametrize("eval_every", [1, 4])
 def test_node_trainer_strided_eval_with_plan(graph, plan, eval_every):
     _assert_strided_matches_reference(
-        lambda: _node(graph), epochs=12, eval_every=eval_every,
-        update_plan=plan,
+        lambda: _node(graph),
+        lambda: _node(graph, oracle.NodeClassificationTrainer),
+        epochs=12, eval_every=eval_every, update_plan=plan,
     )
 
 
 @pytest.mark.parametrize("eval_every", [1, 3, 7])
 def test_link_trainer_strided_eval(graph, eval_every):
     _assert_strided_matches_reference(
-        lambda: _link(graph), epochs=12, eval_every=eval_every,
+        lambda: _link(graph),
+        lambda: _link(graph, oracle.LinkPredictionTrainer),
+        epochs=12, eval_every=eval_every,
     )
 
 
 @pytest.mark.parametrize("eval_every", [1, 4])
 def test_link_trainer_strided_eval_with_plan(graph, plan, eval_every):
     _assert_strided_matches_reference(
-        lambda: _link(graph), epochs=12, eval_every=eval_every,
-        update_plan=plan,
+        lambda: _link(graph),
+        lambda: _link(graph, oracle.LinkPredictionTrainer),
+        epochs=12, eval_every=eval_every, update_plan=plan,
     )
 
 
@@ -98,7 +104,9 @@ def test_dropout_takes_recompute_branch_and_still_matches(graph):
     # With dropout the eval forward cannot reuse the training logits;
     # the fast path recomputes it, exactly like the reference.
     _assert_strided_matches_reference(
-        lambda: _node(graph, dropout=0.3), epochs=8, eval_every=3,
+        lambda: _node(graph, dropout=0.3),
+        lambda: _node(graph, oracle.NodeClassificationTrainer, dropout=0.3),
+        epochs=8, eval_every=3,
     )
 
 
@@ -113,7 +121,7 @@ def test_start_epoch_keeps_plan_phase(graph, plan):
     fast = _node(graph).train(
         epochs=7, start_epoch=3, eval_every=2, update_plan=plan,
     )
-    ref = _node(graph).train_reference(
+    ref = _node(graph, oracle.NodeClassificationTrainer).train_reference(
         epochs=7, start_epoch=3, update_plan=plan,
     )
     assert fast.losses == ref.losses

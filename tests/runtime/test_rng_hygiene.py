@@ -59,7 +59,7 @@ def test_no_stdlib_random_in_src():
 
 # ----------------------------------------------------------------------
 # Runtime hygiene of the replica-batched trainer: its randomness flows
-# only through the Session's named replica streams.
+# only through each replica's trainer stream and its GCN's model stream.
 # ----------------------------------------------------------------------
 def _fleet_graph():
     from repro.graphs.generators import dc_sbm_graph
@@ -73,17 +73,13 @@ def test_train_replicas_leaves_global_numpy_rng_untouched():
     import numpy as np
 
     from repro.gcn.batched import ReplicaSpec, train_replicas
-    from repro.runtime import Session
 
     graph = _fleet_graph()
     before = np.random.get_state()[1].copy()
-    train_replicas(
-        [
-            ReplicaSpec(graph=graph, task="link", epochs=3, random_state=s)
-            for s in range(3)
-        ],
-        session=Session(), min_batch=1,
-    )
+    train_replicas([
+        ReplicaSpec(graph=graph, task="link", epochs=3, random_state=s)
+        for s in range(3)
+    ])
     after = np.random.get_state()[1]
     assert (before == after).all(), (
         "replica-batched training advanced the legacy global numpy RNG"
@@ -91,40 +87,28 @@ def test_train_replicas_leaves_global_numpy_rng_untouched():
 
 
 def test_replica_stream_positions_match_serial_trainers():
-    # After a batched run, every registered replica stream must sit at
-    # the exact position its serial counterpart's generator ends at —
-    # the strongest evidence the batched path drew the same values in
-    # the same order.
-    import numpy as np
-
-    from repro.gcn.batched import ReplicaSpec, train_replicas
-    from repro.gcn.trainer import make_trainer
-    from repro.runtime import Session
+    # After a batched run, every replica's trainer stream and model
+    # stream must sit at the exact position its serial oracle's
+    # generators end at — the strongest evidence the batched path drew
+    # the same values in the same order.
+    from repro.gcn.batched import BatchedLinkTrainer, BatchedNodeTrainer
+    from tests.oracles.trainers import make_trainer
 
     graph = _fleet_graph()
     seeds = (0, 1, 2, 5)
-    for task in ("node", "link"):
-        session = Session()
-        train_replicas(
-            [
-                ReplicaSpec(
-                    graph=graph, task=task, epochs=4, random_state=s,
-                )
-                for s in seeds
-            ],
-            session=session, min_batch=1,
-        )
+    for task, engine_cls in (
+        ("node", BatchedNodeTrainer), ("link", BatchedLinkTrainer),
+    ):
+        engine = engine_cls(graph, seeds)
+        engine.train(4, [None] * len(seeds))
         for index, seed in enumerate(seeds):
             trainer = make_trainer(graph, task, random_state=seed)
             trainer.train(epochs=4)
-            streams = session.replica_streams
-            batched_trainer = streams[f"replica{index}/trainer"]
-            batched_model = streams[f"replica{index}/model"]
             assert (
-                batched_trainer.bit_generator.state
+                engine._rngs[index].bit_generator.state
                 == trainer._rng.bit_generator.state
             ), f"{task} replica {index}: trainer stream position diverged"
             assert (
-                batched_model.bit_generator.state
+                engine.models[index]._rng.bit_generator.state
                 == trainer.model._rng.bit_generator.state
             ), f"{task} replica {index}: model stream position diverged"
