@@ -86,7 +86,7 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-sys.path.insert(1, REPO_ROOT)  # tests.oracles: the serial training loops
+sys.path.insert(1, REPO_ROOT)  # tests.oracles: training and aggregation loops
 
 from repro.graphs.generators import dc_sbm_graph  # noqa: E402
 from repro.pipeline.simulator import (  # noqa: E402
@@ -197,6 +197,7 @@ def bench_functional(quick: bool) -> Dict[str, object]:
     """
     from repro.gcn.model import GCN
     from repro.hardware.functional_gcn import FunctionalGCN
+    from tests.oracles.functional import PerEdgeFunctionalGCN
 
     num_vertices = 256 if quick else 4096
     feature_dim = 32 if quick else 128
@@ -220,9 +221,9 @@ def bench_functional(quick: bool) -> Dict[str, object]:
     def make(vectorized: bool) -> FunctionalGCN:
         # Fresh grids per run: crossbar RNG streams advance with use, so
         # a fair (and bit-comparable) run always starts from seed state.
-        return FunctionalGCN(
-            model, quantize=True, read_noise_sigma=0.05,
-            random_state=17, vectorized=vectorized,
+        cls = FunctionalGCN if vectorized else PerEdgeFunctionalGCN
+        return cls(
+            model, quantize=True, read_noise_sigma=0.05, random_state=17,
         )
 
     repeats = 2 if quick else 3

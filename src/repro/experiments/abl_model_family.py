@@ -16,10 +16,7 @@ from typing import List, Optional, Tuple
 
 from repro.accelerators.catalog import gopim, serial
 from repro.errors import ExperimentError
-from repro.experiments.harness import (
-    ExperimentResult,
-    train_with_split_replicas,
-)
+from repro.experiments.harness import ExperimentResult, train_with_split
 from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.mapping.selective import build_update_plan
@@ -83,12 +80,11 @@ def run(
     ):
         base_report = serial().run(workload, config)
         gopim_report = gopim().run(workload, config)
-        # Full-update + ISU replicas share seed/dims/split: the GCN pair
-        # batches into one stacked pass; the GraphSAGE pair falls back
-        # to the serial loop inside the same call.
-        full_acc, isu_acc = train_with_split_replicas(
+        # Full-update + ISU replicas share seed/dims/split: each family's
+        # pair trains as one stacked fleet with the stale-feature store.
+        full_acc, isu_acc = train_with_split(
             [model_fn(), model_fn()], graph, epochs, seed,
-            update_plans=[None, plan], use_store=True,
+            update_plans=[None, plan],
         )
         result.rows.append({
             "family": family,

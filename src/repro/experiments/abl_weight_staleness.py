@@ -10,43 +10,11 @@ behind pipelining training at all.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-from repro.errors import TrainingError
-from repro.experiments.harness import (
-    ExperimentResult,
-    train_with_split,
-    train_with_split_replicas,
-)
+from repro.experiments.harness import ExperimentResult, train_with_split
 from repro.gcn.model import GCN
 from repro.runtime import Session, default_session, experiment
-
-
-def train_with_delay(
-    graph,
-    delay: int,
-    epochs: int = 30,
-    hidden_dim: int = 32,
-    seed: int = 0,
-) -> float:
-    """Best test accuracy training with gradients ``delay`` epochs stale."""
-    if delay < 0:
-        raise TrainingError("delay must be >= 0")
-    model = GCN(
-        [(graph.feature_dim, hidden_dim),
-         (hidden_dim, graph.num_classes)],
-        random_state=seed,
-    )
-    snapshots: deque = deque(maxlen=delay + 1)
-
-    def stale_params(_epoch: int):
-        snapshots.append({k: v.copy() for k, v in model.params.items()})
-        return snapshots[0]  # weights from `delay` epochs ago
-
-    return train_with_split(
-        model, graph, epochs, seed, forward_params=stale_params,
-    )
 
 
 @experiment(
@@ -78,9 +46,6 @@ def run(
             "staleness'."
         ),
     )
-    for delay in delays:
-        if delay < 0:
-            raise TrainingError("delay must be >= 0")
     # One replica per delay, identical model/seed/split: a single
     # stacked pass replays every staleness depth at once.
     hidden_dim = 32
@@ -92,7 +57,7 @@ def run(
         )
         for _ in delays
     ]
-    accs = train_with_split_replicas(
+    accs = train_with_split(
         models, graph, epochs, seed, param_delays=list(delays),
     )
     baseline = None

@@ -102,13 +102,14 @@ stream and `CrossbarStats` counters (see MODEL.md section 7).
 Deterministic regressor fits are memoised through the content-keyed
 artifact cache (restored state is bit-identical to a fresh fit), so
 repeated sweeps pay for each distinct predictor configuration once.
-Fleet-style experiments (tab05, fig16, abl-model-family,
-abl-weight-staleness, abl-variation) train their replicas through
-`repro.gcn.batched.train_replicas`, which stacks compatible runs into
-one `[R, ...]` tensor pass per epoch — bit-identical to the serial
-loops kept as oracles in `tests/oracles/` (MODEL.md section 10); this
-cut the quick sweep's training bucket ~7x.  Single runs train on the
-same engine as fleets of one.
+Fleet-style experiments (tab05, fig16, abl-variation) train their
+replicas through `repro.gcn.batched.train_replicas`, and
+abl-model-family and abl-weight-staleness (GCN and GraphSAGE fleets)
+through its split engine, `train_split_replicas`; both stack compatible
+runs into one `[R, ...]` tensor pass per epoch — bit-identical to the
+serial loops kept as oracles in `tests/oracles/` (MODEL.md section 10);
+this cut the quick sweep's training bucket ~7x.  Single runs train on
+the same engine as fleets of one.
 `--jobs N` runs experiments in a fork-based pool — longest-known-first
 scheduling, shared warm disk cache, one BLAS thread per worker — and is
 guaranteed byte-identical to a serial run.  Every run is profiled by the

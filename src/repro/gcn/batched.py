@@ -1,34 +1,36 @@
-"""Replica-batched GCN training: the one node/link training loop.
+"""Replica-batched GNN training: the one node/link and split-harness loop.
 
 The ablation/table experiments (tab05, fig16, abl-model-family,
-abl-weight-staleness, ...) train fleets of *small* GCNs that differ only
-in seed, staleness schedule, or one hyperparameter.  This module stacks
-R such runs into one extra leading tensor dimension — weights
+abl-weight-staleness, ...) train fleets of *small* models that differ
+only in seed, staleness schedule, or one hyperparameter.  This module
+stacks R such runs into one extra leading tensor dimension — weights
 ``[R, in, out]``, activations ``[R, V, d]`` — and advances all R
 replicas with one batched forward/backward/Adam step per epoch.  A
 single run is a fleet of one: :class:`~repro.gcn.trainer.NodeClassificationTrainer`
-and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine.
+and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine,
+and :func:`train_split_replicas` (the ablation split harness) trains
+GCN and GraphSAGE fleets of any size.
 
 **Bit-identity contract.**  Every replica reproduces the serial loops
-kept as oracles in ``tests/oracles/trainers.py`` (and the
-``train_with_split`` harness loop) bit-for-bit: losses, metrics, and
-final weights.  The building blocks this rests on, each covered by
-``tests/gcn/test_batched_equivalence.py``:
+kept as oracles in ``tests/oracles/trainers.py`` and
+``tests/oracles/split_harness.py`` bit-for-bit: losses, metrics, final
+weights and model-stream RNG positions.  The building blocks this rests
+on, each covered by ``tests/gcn/test_batched_equivalence.py``:
 
 * stacked ``np.matmul`` equals per-slice 2-D matmul (including the
   broadcast ``[V, d] @ [R, d, o]`` and transposed-operand forms);
 * the SpMM batches by column-stacking ``[R, V, d]`` into ``[V, R*d]``
-  (``normalized_adjacency_matmul`` is column-independent);
+  (``normalized_adjacency_matmul``, ``mean_adjacency_matmul`` and
+  ``adjacency_matmul`` are column-independent);
 * scalar loss reductions extract each replica's contiguous row before
   reducing (2-D axis reductions use different pairwise-summation
   blocking than the serial 1-D reduce, so ``picked[r].mean()`` matches
   where ``picked.mean(axis=-1)[r]`` does not);
-* each replica's model is a :class:`~repro.gcn.model.GCN` built with
-  the replica's seed, so its weight init and its ``_rng`` (the model
-  stream: dropout masks, analog noise) are the serial ones; the trainer
-  stream (split + negative sampling) is ``np.random.default_rng(seed)``;
-  both are drawn in the serial order, so stream positions coincide
-  after every ``train`` call;
+* each replica's model is built with the replica's seed, so its weight
+  init and its ``_rng`` (the model stream: dropout masks, analog noise)
+  are the serial ones; the trainer stream (split + negative sampling)
+  is ``np.random.default_rng(seed)``; both are drawn in the serial
+  order, so stream positions coincide after every ``train`` call;
 * staleness batches via a per-replica refresh mask: plan-less replicas
   carry an all-ones mask row, and multiplying a float32 gradient by 1.0
   is bitwise the identity, so mixed vanilla/ISU groups stay eligible.
@@ -43,7 +45,7 @@ may drive an engine one epoch at a time (the co-simulator does).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from repro.gcn.losses import (
 )
 from repro.gcn.model import GCN
 from repro.gcn.optim import Adam
+from repro.gcn.sage import GraphSAGE
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
 from repro.perf import profile
@@ -173,14 +176,31 @@ class ReplicaSpec:
 
 
 # ----------------------------------------------------------------------
-# Stacked model: [R, in, out] weights, [R, V, d] activations
+# Stacked models: [R, in, out] weights, [R, V, d] activations
 # ----------------------------------------------------------------------
-def _stacked_adjacency(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Batched ``A_hat @ x[r]`` by column-stacking the replica blocks."""
+def _stacked_adjacency(
+    spmm: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+) -> np.ndarray:
+    """Batched ``spmm(x[r])`` by column-stacking the replica blocks.
+
+    ``spmm`` is one of the graph's column-independent SpMMs
+    (``normalized_adjacency_matmul``, ``mean_adjacency_matmul``,
+    ``adjacency_matmul``), so each replica's columns come out as the
+    serial call's.
+    """
     r, v, d = x.shape
     flat = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(v, r * d)
-    out = graph.normalized_adjacency_matmul(flat)
+    out = spmm(flat)
     return np.ascontiguousarray(out.reshape(v, r, d).transpose(1, 0, 2))
+
+
+def _weight_grad(inputs: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Batched ``inputs[r].T @ grad[r]``; 2-D ``inputs`` (the shared
+    features) broadcast over R."""
+    if inputs.ndim == 2:
+        return np.matmul(inputs.T, grad)
+    return np.matmul(inputs.transpose(0, 2, 1), grad)
 
 
 class _BatchedStore:
@@ -201,9 +221,10 @@ class _BatchedStore:
         if buffer is None or masks is None:
             if values.dtype == np.float32 and values.flags["C_CONTIGUOUS"]:
                 # Full refreshes adopt the array: ``values`` is always a
-                # fresh matmul output the caller never touches again, so
-                # skipping the [R, V, d] copy leaves the stored bits
-                # unchanged.
+                # fresh activation the caller never writes, and a later
+                # partial refresh only writes it after the epoch that
+                # produced it is done, so skipping the [R, V, d] copy
+                # leaves the stored bits unchanged.
                 self._buffers[layer] = values
             else:
                 self._buffers[layer] = np.array(values, dtype=np.float32)
@@ -217,57 +238,99 @@ class _BatchedStore:
         return buffer
 
 
-class _StackedGCN:
-    """R GCNs with identical dims advanced as one ``[R, ...]`` model.
+class _StackedModel:
+    """R same-family models with equal hyperparameters advanced as one
+    ``[R, ...]`` model.
 
-    Forward/backward mirror :class:`~repro.gcn.model.GCN` operation for
+    Subclasses mirror one family's forward/backward operation for
     operation; per-replica randomness (dropout, analog noise) draws from
     each replica's own ``model`` stream in the serial order.
     """
 
     def __init__(
         self,
-        dims: Sequence[Tuple[int, int]],
-        dropout: float,
-        analog_noise_sigma: float,
+        first,
         params: Dict[str, np.ndarray],
         model_rngs: List[np.random.Generator],
     ) -> None:
-        self._dims = [tuple(d) for d in dims]
-        self._dropout = dropout
-        self._analog_noise = analog_noise_sigma
+        self._dims = first.layer_dims
+        self._dropout = first.dropout
         self.params = params
         self._rngs = model_rngs
-        self._dropout_scratch: Dict[Tuple[int, int], np.ndarray] = {}
+        self._dropout_scratch: Dict[Tuple[int, ...], np.ndarray] = {}
 
     @property
     def num_layers(self) -> int:
         return len(self._dims)
 
+    @staticmethod
+    def signature(model) -> Tuple:
+        """The hyperparameters every replica of one stacked model shares."""
+        return (model.layer_dims, model.dropout)
+
     @classmethod
-    def from_models(cls, models: Sequence[GCN]) -> "_StackedGCN":
-        """Stack initialised GCNs that share dims, dropout and noise.
+    def from_models(cls, models: Sequence) -> "_StackedModel":
+        """Stack initialised models of one family and one signature.
 
         Each model's ``_rng`` becomes its replica's model stream, already
-        past the weight-init draws ``GCN.__init__`` made.
+        past the weight-init draws the model's constructor made.
         """
         first = models[0]
+        key = cls.signature(first)
+        if any(
+            type(model) is not type(first) or cls.signature(model) != key
+            for model in models
+        ):
+            raise TrainingError(
+                "a stacked fleet needs one model family with equal dims, "
+                "dropout and noise"
+            )
         params = {
-            key: np.stack([m.params[key] for m in models])
-            for key in first.params
+            name: np.stack([m.params[name] for m in models])
+            for name in first.params
         }
-        return cls(
-            first.layer_dims, first.dropout, first.analog_noise_sigma,
-            params, [m._rng for m in models],
-        )
+        return cls(first, params, [m._rng for m in models])
 
-    def write_back(self, models: Sequence[GCN]) -> None:
+    def write_back(self, models: Sequence) -> None:
         """Copy each replica's current weights into its model, so callers
         observing the models see the state the serial loop leaves."""
         for r, model in enumerate(models):
             model.params = {
                 key: val[r].copy() for key, val in self.params.items()
             }
+
+    def _dropout_keep(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """``[R, *shape]`` inverted-dropout masks, one draw per replica
+        stream (a float64 scratch draw consumes the stream as a fresh
+        ``rng.random(shape)`` does)."""
+        scratch = self._dropout_scratch.get(shape)
+        if scratch is None:
+            scratch = np.empty(shape, dtype=np.float64)
+            self._dropout_scratch[shape] = scratch
+        keeps = []
+        for rng in self._rngs:
+            rng.random(out=scratch)
+            keep = (scratch >= self._dropout).astype(np.float32)
+            keep /= (1.0 - self._dropout)
+            keeps.append(keep)
+        return np.stack(keeps)
+
+
+class _StackedGCN(_StackedModel):
+    """R :class:`~repro.gcn.model.GCN` replicas as one model."""
+
+    def __init__(
+        self,
+        first: GCN,
+        params: Dict[str, np.ndarray],
+        model_rngs: List[np.random.Generator],
+    ) -> None:
+        super().__init__(first, params, model_rngs)
+        self._analog_noise = first.analog_noise_sigma
+
+    @staticmethod
+    def signature(model: GCN) -> Tuple:
+        return (model.layer_dims, model.dropout, model.analog_noise_sigma)
 
     # ------------------------------------------------------------------
     def forward(
@@ -296,7 +359,9 @@ class _StackedGCN:
                 fresh = None
                 effective = combined
             cache["fresh"].append(fresh)
-            aggregated = _stacked_adjacency(graph, effective)
+            aggregated = _stacked_adjacency(
+                graph.normalized_adjacency_matmul, effective,
+            )
             if self._analog_noise > 0:
                 factors = np.stack([
                     rng.normal(
@@ -310,20 +375,9 @@ class _StackedGCN:
                 hidden = aggregated * mask
                 cache["masks"].append(mask)
                 if training and self._dropout > 0:
-                    shape = hidden.shape[1:]
-                    scratch = self._dropout_scratch.get(shape)
-                    if scratch is None:
-                        scratch = np.empty(shape, dtype=np.float64)
-                        self._dropout_scratch[shape] = scratch
-                    keeps = []
-                    for rng in self._rngs:
-                        rng.random(out=scratch)
-                        keep = (scratch >= self._dropout).astype(np.float32)
-                        keep /= (1.0 - self._dropout)
-                        keeps.append(keep)
-                    keep_stack = np.stack(keeps)
-                    hidden = hidden * keep_stack
-                    cache["dropout"].append(keep_stack)
+                    keep = self._dropout_keep(hidden.shape[1:])
+                    hidden = hidden * keep
+                    cache["dropout"].append(keep)
                 else:
                     cache["dropout"].append(None)
             else:
@@ -351,21 +405,122 @@ class _StackedGCN:
             mask = cache["masks"][i]
             if mask is not None:
                 grad = grad * mask
-            grad_combined = _stacked_adjacency(graph, grad)
+            grad_combined = _stacked_adjacency(
+                graph.normalized_adjacency_matmul, grad,
+            )
             fresh = cache["fresh"][i]
             if fresh is not None:
                 grad_combined = grad_combined * fresh[:, :, None]
-            inputs = cache["inputs"][i]
-            if inputs.ndim == 2:  # shared features: broadcast over R
-                grads[f"W{i}"] = np.matmul(inputs.T, grad_combined)
-            else:
-                grads[f"W{i}"] = np.matmul(
-                    inputs.transpose(0, 2, 1), grad_combined,
-                )
+            grads[f"W{i}"] = _weight_grad(cache["inputs"][i], grad_combined)
             if i > 0:
                 grad = np.matmul(
                     grad_combined, params[f"W{i}"].transpose(0, 2, 1),
                 )
+        return grads
+
+
+class _StackedSAGE(_StackedModel):
+    """R :class:`~repro.gcn.sage.GraphSAGE` replicas as one model,
+    mirroring ``GraphSAGE.forward``/``backward`` operation for operation.
+
+    The store holds each layer's *input* (the aggregation source).  Layer
+    0's input is the shared feature matrix, which never changes, so its
+    stale rows equal its fresh rows: layer 0 aggregates the features
+    directly, and it passes no gradient back through aggregation anyway.
+    """
+
+    def forward(
+        self,
+        graph: Graph,
+        features: np.ndarray,
+        store: Optional[_BatchedStore] = None,
+        masks: Optional[np.ndarray] = None,
+        training: bool = False,
+        params: Optional[Dict[str, np.ndarray]] = None,
+    ) -> Tuple[np.ndarray, dict]:
+        """Batched forward; arguments as :meth:`_StackedGCN.forward`."""
+        if params is None:
+            params = self.params
+        cache: dict = {"inputs": [], "aggregated": [], "fresh": [],
+                       "masks": [], "dropout": []}
+        hidden: np.ndarray = features  # [V, d0] shared, then [R, V, d]
+        for i in range(self.num_layers):
+            cache["inputs"].append(hidden)
+            fresh = None
+            if i == 0:
+                aggregated = graph.mean_adjacency_matmul(hidden)
+            else:
+                resident = hidden
+                if store is not None:
+                    store.refresh(i, hidden, masks)
+                    resident = store.read(i)
+                    fresh = masks
+                aggregated = _stacked_adjacency(
+                    graph.mean_adjacency_matmul, resident,
+                )
+            cache["fresh"].append(fresh)
+            cache["aggregated"].append(aggregated)
+            out = (
+                np.matmul(hidden, params[f"W{i}_self"])
+                + np.matmul(aggregated, params[f"W{i}_neigh"])
+            )
+            if i < self.num_layers - 1:
+                mask = out > 0
+                out = out * mask
+                cache["masks"].append(mask)
+                if training and self._dropout > 0:
+                    keep = self._dropout_keep(out.shape[1:])
+                    out = out * keep
+                    cache["dropout"].append(keep)
+                else:
+                    cache["dropout"].append(None)
+            else:
+                cache["masks"].append(None)
+                cache["dropout"].append(None)
+            hidden = out
+        return hidden, cache
+
+    def backward(
+        self,
+        graph: Graph,
+        cache: dict,
+        grad_output: np.ndarray,
+        params: Optional[Dict[str, np.ndarray]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Batched backward mirroring :meth:`GraphSAGE.backward` per
+        slice; stale resident rows are constants."""
+        if params is None:
+            params = self.params
+        grads: Dict[str, np.ndarray] = {}
+        grad = np.asarray(grad_output, dtype=np.float32)
+        for i in range(self.num_layers - 1, -1, -1):
+            keep = cache["dropout"][i]
+            if keep is not None:
+                grad = grad * keep
+            mask = cache["masks"][i]
+            if mask is not None:
+                grad = grad * mask
+            grads[f"W{i}_self"] = _weight_grad(cache["inputs"][i], grad)
+            grads[f"W{i}_neigh"] = _weight_grad(cache["aggregated"][i], grad)
+            if i > 0:
+                grad_hidden = np.matmul(
+                    grad, params[f"W{i}_self"].transpose(0, 2, 1),
+                )
+                # Through mean aggregation: (D^-1 A)^T g = A (D^-1 g).
+                grad_agg = np.matmul(
+                    grad, params[f"W{i}_neigh"].transpose(0, 2, 1),
+                )
+                scale = np.where(
+                    graph.degrees > 0,
+                    1.0 / np.maximum(graph.degrees, 1), 0.0,
+                ).astype(np.float32)
+                back = _stacked_adjacency(
+                    graph.adjacency_matmul, grad_agg * scale[:, None],
+                )
+                fresh = cache["fresh"][i]
+                if fresh is not None:  # all-ones rows: bitwise no-ops
+                    back = back * fresh[:, :, None]
+                grad = grad_hidden + back
         return grads
 
 
@@ -921,44 +1076,66 @@ def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
 
 
 # ----------------------------------------------------------------------
-# Split-harness path (train_with_split consumers)
+# Split harness (abl-model-family, abl-weight-staleness)
 # ----------------------------------------------------------------------
+SPLIT_LEARNING_RATE = 0.01  # the harness's Adam step size
+
+_STACKED_FAMILIES = {GCN: _StackedGCN, GraphSAGE: _StackedSAGE}
+
+
 @profile.phase(profile.PHASE_TRAINING_BATCHED)
 def train_split_replicas(
     graph: Graph,
-    models: Sequence[GCN],
+    models: Sequence,
     epochs: int,
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     *,
-    learning_rate: float = 0.01,
     update_plans: Optional[Sequence[Optional[UpdatePlan]]] = None,
-    use_store: bool = False,
     param_delays: Optional[Sequence[int]] = None,
 ) -> List[float]:
-    """Batched ``train_with_split``: best test accuracy per replica.
+    """The split-harness loop: best test accuracy per replica.
 
-    Replicates the harness loop exactly — full-graph forward, CE on the
-    train vertices, Adam on live params, greedy best-of-epochs test
-    accuracy — for R pre-constructed GCNs sharing dims and split.
-    ``update_plans`` (with ``use_store``) reproduces the staleness-store
-    call shape; ``param_delays`` reproduces the PipeDream delayed-
-    gradient shape (forward/backward under weights ``delay`` updates
-    old, optimizer stepping live weights).  The caller checks
-    eligibility; this function assumes identical dims, zero dropout and
-    noise, and a shared split.
+    Trains R >= 1 pre-constructed models of one family (all
+    :class:`~repro.gcn.model.GCN` or all
+    :class:`~repro.gcn.sage.GraphSAGE`, with equal dims, dropout and
+    noise) on one vertex split as one stacked model: full-graph forward,
+    CE on the train vertices, Adam on live params, greedy best-of-epochs
+    test accuracy.  ``update_plans`` (one optional
+    :class:`~repro.mapping.selective.UpdatePlan` per model) turns the
+    stale-feature store on; ``param_delays`` (one delay >= 0 per model)
+    gives PipeDream-style delayed gradients: forward/backward under the
+    weights ``delay`` updates old, the optimizer stepping the live ones.
+    Each replica is bit-identical to the serial loop kept in
+    ``tests/oracles/split_harness.py``, and each model holds its final
+    weights afterwards.
     """
+    if epochs < 1:
+        raise TrainingError("epochs must be >= 1")
+    if graph.features is None or graph.labels is None:
+        raise TrainingError("split training needs features and labels")
+    if not models:
+        raise TrainingError("need at least one model")
     num_replicas = len(models)
-    plans = (
-        list(update_plans) if update_plans is not None
-        else [None] * num_replicas
-    )
+    use_store = update_plans is not None
+    plans = list(update_plans) if use_store else [None] * num_replicas
     delays = (
         list(param_delays) if param_delays is not None
         else [0] * num_replicas
     )
-    stacked = _StackedGCN.from_models(models)
-    optimizer = Adam(learning_rate=learning_rate)
+    if len(plans) != num_replicas or len(delays) != num_replicas:
+        raise TrainingError("need one update plan and one delay per model")
+    if min(delays) < 0:
+        raise TrainingError("delays must be >= 0")
+    family = _STACKED_FAMILIES.get(type(models[0]))
+    if family is None:
+        raise TrainingError(
+            f"no stacked model for {type(models[0]).__name__}"
+        )
+    if models[0].layer_dims[0][0] != graph.feature_dim:
+        raise TrainingError("model input dim must equal the feature dim")
+    stacked = family.from_models(models)
+    optimizer = Adam(learning_rate=SPLIT_LEARNING_RATE)
     store = _BatchedStore(stacked.num_layers) if use_store else None
     labels = graph.labels
     train_labels = np.stack([labels[train_idx]] * num_replicas)

@@ -60,6 +60,11 @@ class GraphSAGE:
         return len(self._dims)
 
     @property
+    def dropout(self) -> float:
+        """Hidden-activation drop probability."""
+        return self._dropout
+
+    @property
     def layer_dims(self) -> List[Tuple[int, int]]:
         """Per-layer (d_in, d_out)."""
         return list(self._dims)

@@ -42,12 +42,6 @@ class FunctionalGCN:
         Hardware configuration.
     quantize / read_noise_sigma:
         Forwarded to the crossbars (cell quantisation, analog noise).
-    vectorized:
-        ``True`` (default) aggregates with one batched grid read per
-        layer; ``False`` replays the per-edge one-hot MVM loop.  The two
-        paths are bit-identical — outputs, noise streams, and event
-        counters — the flag only exists so benchmarks and equivalence
-        tests can run the retained reference.
     """
 
     def __init__(
@@ -57,7 +51,6 @@ class FunctionalGCN:
         quantize: bool = False,
         read_noise_sigma: float = 0.0,
         random_state: int = 0,
-        vectorized: bool = True,
     ) -> None:
         self._model = model
         self._config = config
@@ -71,7 +64,6 @@ class FunctionalGCN:
         self._quantize = quantize
         self._noise = read_noise_sigma
         self._seed = random_state
-        self._vectorized = vectorized
         self._feature_grids: List[Optional[MappedMatrix]] = (
             [None] * model.num_layers
         )
@@ -131,10 +123,7 @@ class FunctionalGCN:
             self._feature_grids[layer] = grid
             tick = time.perf_counter()
             self._phase_times["program"] += tick - tock
-            if self._vectorized:
-                aggregated = self._aggregate(graph, grid, scaled)
-            else:
-                aggregated = self._aggregate_reference(graph, grid, scaled)
+            aggregated = self._aggregate(graph, grid, scaled)
             self._phase_times["aggregation"] += time.perf_counter() - tick
             # Destination-side D^-1/2.
             aggregated = aggregated * inv_sqrt[:, None]
@@ -153,33 +142,15 @@ class FunctionalGCN:
         """Neighbour + self sums via one batched grid read.
 
         One :meth:`MappedMatrix.read_rows` call covers every arc in CSR
-        edge order — the order :meth:`_aggregate_reference` fires its
-        one-hot MVMs, so each crossbar consumes its seeded noise stream
-        identically — and the gathered rows fold into per-vertex sums
-        with the order-preserving segment fold, seeded with the resident
-        row itself (the ``A + I`` self loop).
+        edge order — the order the per-edge one-hot MVM loop (the oracle
+        in ``tests/oracles/functional.py``) fires its reads, so each
+        crossbar consumes its seeded noise stream identically — and the
+        gathered rows fold into per-vertex sums with the order-preserving
+        segment fold, seeded with the resident row itself (the ``A + I``
+        self loop).
         """
         rows = grid.read_rows(graph.indices)
         return segment_leftfold_sum(graph.indptr, rows, resident_rows)
-
-    def _aggregate_reference(
-        self,
-        graph: Graph,
-        grid: MappedMatrix,
-        resident_rows: np.ndarray,
-    ) -> np.ndarray:
-        """Per-edge wordline-activation loop — the equivalence oracle."""
-        n = graph.num_vertices
-        dim = resident_rows.shape[1]
-        out = np.zeros((n, dim), dtype=np.float32)
-        for v in range(n):
-            acc = resident_rows[v].copy()  # self loop (A + I)
-            for u in graph.neighbors(v):
-                one_hot = np.zeros(n, dtype=np.float32)
-                one_hot[u] = 1.0
-                acc += grid.mvm(one_hot)
-            out[v] = acc
-        return out
 
     # ------------------------------------------------------------------
     def stats(self) -> CrossbarStats:

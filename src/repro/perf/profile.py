@@ -31,7 +31,7 @@ Usage::
 
     from repro.perf import profile
 
-    with profile.phase(profile.PHASE_TRAINING):
+    with profile.phase(profile.PHASE_TRAINING_BATCHED):
         ...                       # context-manager form
 
     @profile.phase(profile.PHASE_ALLOCATION)
@@ -56,8 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 # BENCH_phases.json consumers and the CI regression guard key on them.
 # ----------------------------------------------------------------------
 PHASE_DATASET = "dataset_generation"     # graph synthesis + predictor samples
-PHASE_TRAINING = "gcn_training"          # split-harness loop (train_with_split)
-PHASE_TRAINING_BATCHED = "gcn_training_batched"  # node/link trainer epochs
+PHASE_TRAINING_BATCHED = "gcn_training_batched"  # every training loop
 PHASE_PREDICTOR = "predictor_fit"        # regressor fitting (all families)
 PHASE_ALLOCATION = "allocation_search"   # greedy / baseline / exhaustive
 PHASE_TIMING = "timing_model"            # analytic stage times + pipeline sim
@@ -69,7 +68,6 @@ PHASE_ACCELERATOR = "accelerator_sim"    # accelerator run glue: stage build,
 
 ALL_PHASES = (
     PHASE_DATASET,
-    PHASE_TRAINING,
     PHASE_TRAINING_BATCHED,
     PHASE_PREDICTOR,
     PHASE_ALLOCATION,

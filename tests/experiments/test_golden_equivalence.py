@@ -23,7 +23,10 @@ import pytest
 GOLDEN_PATH = Path(__file__).with_name("golden_quick_hashes.json")
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-FAST_IDS = ("fig05", "fig06", "fig07", "abl-motivation", "abl-endurance")
+FAST_IDS = (
+    "fig05", "fig06", "fig07", "abl-motivation", "abl-endurance",
+    "abl-weight-staleness", "abl-model-family",
+)
 RUN_ALL = bool(os.environ.get("REPRO_GOLDEN_FULL"))
 IDS = tuple(GOLDEN) if RUN_ALL else FAST_IDS
 

@@ -47,19 +47,11 @@ def test_quantization_validation():
         abl_quantization.run(num_vertices=4)
 
 
-def test_weight_staleness_validation(small_graph):
+def test_weight_staleness_validation():
     from repro.errors import TrainingError
 
     with pytest.raises(TrainingError):
-        abl_weight_staleness.train_with_delay(small_graph, delay=-1)
-
-
-def test_weight_staleness_zero_matches_sync(small_graph):
-    # Delay 0 is plain synchronous training; it should learn.
-    acc = abl_weight_staleness.train_with_delay(
-        small_graph, delay=0, epochs=15,
-    )
-    assert acc > 1.0 / small_graph.num_classes + 0.1
+        abl_weight_staleness.run(delays=(0, -1))
 
 
 def test_scheduler_experiment_rows():

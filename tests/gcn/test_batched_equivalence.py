@@ -8,8 +8,9 @@ and eval epochs, not approximately but bitwise (``==`` on the float
 lists).  These tests sweep the dimensions a group may vary in (seed,
 update plan) and the knobs it must carry through unchanged (dropout,
 analog noise, strided eval), plus groups of one, the co-simulator's
-one-epoch-per-call pattern, input validation, ordering, and the
-split-harness batched path.
+one-epoch-per-call pattern, input validation, ordering, and the split
+harness (``train_with_split``, GCN and GraphSAGE fleets) against its
+serial oracle in ``tests/oracles/split_harness.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.experiments.harness import train_with_split
 from repro.gcn.batched import ReplicaSpec, train_replicas
+from repro.gcn.batched import _layer_dims as _engine_layer_dims
+from repro.gcn.model import GCN
+from repro.gcn.sage import GraphSAGE
 from repro.gcn.trainer import make_trainer
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from tests.oracles import split_harness as split_oracle
 from tests.oracles.trainers import make_trainer as make_oracle
 
 
@@ -196,94 +202,130 @@ def test_unknown_task_rejected(graph):
 
 
 # ----------------------------------------------------------------------
-# Split-harness batched path (the ablation loop)
+# Split harness (the ablation loop) vs its serial oracle
 # ----------------------------------------------------------------------
-def _layer_dims(graph):
-    fd = graph.features.shape[1]
-    classes = int(graph.labels.max()) + 1
-    return [(fd, 24), (24, classes)]
-
-
-def _fresh_models(graph, n):
-    from repro.gcn.model import GCN
-
-    return [GCN(_layer_dims(graph), random_state=s) for s in range(n)]
-
-
-def _serial_split(graph, model, epochs, seed, plan=None, delay=None,
-                  use_store=False):
-    # A single-model call falls back to the harness's serial
-    # ``train_with_split`` loop — the exact reference semantics
-    # (closure shapes included) the batched path must reproduce.
-    from repro.experiments.harness import train_with_split_replicas
-
-    [best] = train_with_split_replicas(
-        [model], graph, epochs, seed,
-        update_plans=[plan] if use_store or plan is not None else None,
-        use_store=use_store,
-        param_delays=None if delay is None else [delay],
+def _layer_dims(graph, num_layers=2):
+    return _engine_layer_dims(
+        graph.feature_dim, 24, graph.num_classes, num_layers,
     )
-    return best
+
+
+def _fleet(family, graph, seeds, num_layers=2, **kwargs):
+    def make():
+        return [
+            family(_layer_dims(graph, num_layers), random_state=s, **kwargs)
+            for s in seeds
+        ]
+    return make
+
+
+def _assert_split_matches_oracle(make_models, graph, epochs, **schedule):
+    # Best accuracy, final weights and model-stream RNG state, per model.
+    fleet, oracle = make_models(), make_models()
+    best = train_with_split(fleet, graph, epochs, 0, **schedule)
+    assert best == split_oracle.train_fleet(
+        oracle, graph, epochs, 0, **schedule,
+    )
+    for model, ref in zip(fleet, oracle):
+        assert model.params.keys() == ref.params.keys()
+        for key, weights in ref.params.items():
+            assert np.array_equal(model.params[key], weights)
+        assert model._rng.bit_generator.state == ref._rng.bit_generator.state
 
 
 def test_split_replicas_match_serial_loop(graph):
-    from repro.experiments.harness import train_with_split_replicas
-
-    batched = train_with_split_replicas(
-        _fresh_models(graph, 4), graph, epochs=5, seed=0,
-    )
-    serial = [
-        _serial_split(graph, model, epochs=5, seed=0)
-        for model in _fresh_models(graph, 4)
-    ]
-    assert batched == serial
+    _assert_split_matches_oracle(_fleet(GCN, graph, range(4)), graph, 5)
 
 
 def test_split_replicas_with_plans_match_store_loop(graph, plan):
-    from repro.experiments.harness import train_with_split_replicas
-
-    plans = [None, plan, None, plan]
-    batched = train_with_split_replicas(
-        _fresh_models(graph, 4), graph, epochs=5, seed=0,
-        update_plans=plans, use_store=True,
+    _assert_split_matches_oracle(
+        _fleet(GCN, graph, range(4)), graph, 6,
+        update_plans=[None, plan, None, plan],
     )
-    serial = [
-        _serial_split(graph, model, epochs=5, seed=0, plan=p,
-                      use_store=True)
-        for model, p in zip(_fresh_models(graph, 4), plans)
-    ]
-    assert batched == serial
 
 
 def test_split_replicas_with_delays_match_stale_loop(graph):
-    from repro.experiments.harness import train_with_split_replicas
-
-    delays = [0, 1, 2, 0]
-    batched = train_with_split_replicas(
-        _fresh_models(graph, 4), graph, epochs=6, seed=0,
-        param_delays=delays,
+    _assert_split_matches_oracle(
+        _fleet(GCN, graph, range(4)), graph, 6, param_delays=[0, 1, 2, 0],
     )
-    serial = [
-        _serial_split(graph, model, epochs=6, seed=0, delay=d)
-        for model, d in zip(_fresh_models(graph, 4), delays)
-    ]
-    assert batched == serial
 
 
-def test_split_replicas_sage_falls_back(graph):
-    # A non-GCN family is not batchable; the harness must still return
-    # the serial results (one per model, input order).
-    from repro.experiments.harness import train_with_split_replicas
-    from repro.gcn.sage import GraphSAGE
+def test_split_replicas_sage_matches_serial_loop(graph):
+    _assert_split_matches_oracle(_fleet(GraphSAGE, graph, range(3)), graph, 5)
 
-    dims = _layer_dims(graph)
-    batched = train_with_split_replicas(
-        [GraphSAGE(dims, random_state=s) for s in range(2)],
-        graph, epochs=4, seed=0,
+
+@pytest.mark.parametrize("family", [GCN, GraphSAGE], ids=["GCN", "SAGE"])
+def test_split_model_family_shape(graph, plan, family):
+    # abl-model-family: one seed, full-update vs ISU, store on.
+    _assert_split_matches_oracle(
+        _fleet(family, graph, [0, 0]), graph, 7, update_plans=[None, plan],
     )
-    serial = [
-        _serial_split(graph, GraphSAGE(dims, random_state=s),
-                      epochs=4, seed=0)
-        for s in range(2)
-    ]
-    assert batched == serial
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", [GCN, GraphSAGE], ids=["GCN", "SAGE"])
+def test_split_dropout_draws_serial_masks(graph, plan, family, seed):
+    _assert_split_matches_oracle(
+        _fleet(family, graph, [seed, seed + 1], dropout=0.3), graph, 6,
+        update_plans=[plan, None],
+    )
+
+
+def test_split_gcn_noise_dropout_and_delays(graph):
+    _assert_split_matches_oracle(
+        _fleet(GCN, graph, range(3), analog_noise_sigma=0.02), graph, 4,
+    )
+    _assert_split_matches_oracle(
+        _fleet(GCN, graph, range(3), dropout=0.3, analog_noise_sigma=0.02),
+        graph, 6, param_delays=[0, 2, 1],
+    )
+
+
+@pytest.mark.parametrize("schedule", [
+    {}, {"update_plans": "plan"}, {"param_delays": [2]},
+], ids=["plain", "plan", "delay"])
+@pytest.mark.parametrize("family", [GCN, GraphSAGE], ids=["GCN", "SAGE"])
+def test_split_fleet_of_one(graph, plan, family, schedule):
+    if schedule.get("update_plans") == "plan":
+        schedule = {"update_plans": [plan]}
+    _assert_split_matches_oracle(
+        _fleet(family, graph, [5], dropout=0.2), graph, 6, **schedule,
+    )
+
+
+def test_split_sage_three_layers(graph, plan):
+    _assert_split_matches_oracle(
+        _fleet(GraphSAGE, graph, range(2), num_layers=3, dropout=0.3),
+        graph, 6, update_plans=[plan, plan],
+    )
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize(
+    "bad", ["epochs=0", "delay=-1", "unlabelled", "input dim"],
+)
+def test_split_invalid_input_rejected_at_any_fleet_size(graph, replicas, bad):
+    # Validation must not depend on how many models share the split.
+    models = _fleet(GCN, graph, range(replicas))()
+    epochs, delays, target = 3, None, graph
+    if bad == "epochs=0":
+        epochs = 0
+    elif bad == "delay=-1":
+        delays = [-1] * replicas
+    elif bad == "unlabelled":
+        target = graph.with_labels(None)
+    else:
+        target = graph.with_features(graph.features[:, :-1])
+    with pytest.raises(TrainingError):
+        train_with_split(models, target, epochs, 0, param_delays=delays)
+
+
+@pytest.mark.parametrize("fleet", ["mixed family", "mixed dims", "empty"])
+def test_split_incompatible_fleet_rejected(graph, fleet):
+    models = {
+        "mixed family": [GCN(_layer_dims(graph)), GraphSAGE(_layer_dims(graph))],
+        "mixed dims": [GCN(_layer_dims(graph)), GCN(_layer_dims(graph, 3))],
+        "empty": [],
+    }[fleet]
+    with pytest.raises(TrainingError):
+        train_with_split(models, graph, 2, 0)

@@ -3,7 +3,8 @@
 The perf PR rebuilt ``Crossbar.mvm_batch`` / ``MappedMatrix.mvm_batch``,
 added batched row reads, and replaced the per-edge one-hot aggregation
 with a CSR-segment gather — all promising *exact* equality with the
-retained ``*_reference`` loops: same outputs, same seeded noise stream
+retained loops (``*_reference``, and the per-edge aggregation in
+``tests/oracles/functional.py``): same outputs, same seeded noise stream
 consumption, same ``CrossbarStats`` counters.  These tests pin that
 contract on seeded small problems, noise and quantisation on and off.
 """
@@ -23,6 +24,7 @@ from repro.hardware.engine import (
     segment_leftfold_sum,
 )
 from repro.hardware.functional_gcn import FunctionalGCN
+from tests.oracles.functional import PerEdgeFunctionalGCN
 
 
 def _stats_tuple(stats):
@@ -174,11 +176,9 @@ class TestFunctionalForwardEquivalence:
         ).astype(np.float32)
         model = GCN([(12, 10), (10, 6)], random_state=1)
         vec = FunctionalGCN(model, quantize=quantize,
-                            read_noise_sigma=sigma, random_state=13,
-                            vectorized=True)
-        ref = FunctionalGCN(model, quantize=quantize,
-                            read_noise_sigma=sigma, random_state=13,
-                            vectorized=False)
+                            read_noise_sigma=sigma, random_state=13)
+        ref = PerEdgeFunctionalGCN(model, quantize=quantize,
+                                   read_noise_sigma=sigma, random_state=13)
         out_vec = vec.forward(graph, features)
         out_ref = ref.forward(graph, features)
         assert np.array_equal(out_vec, out_ref)

@@ -26,7 +26,6 @@ from repro.gcn.model import GCN, StaleFeatureStore
 from repro.gcn.optim import Adam
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
-from repro.perf import profile
 from tests.oracles.link_losses import link_accuracy, link_bce_loss
 
 # Shared empty update set for eval forwards (never mutated).
@@ -68,7 +67,6 @@ class NodeClassificationTrainer:
         self._store = StaleFeatureStore(self.model.num_layers)
         self._grad_buffer: Optional[np.ndarray] = None
 
-    @profile.phase(profile.PHASE_TRAINING)
     def train(
         self,
         epochs: int = 60,
@@ -147,7 +145,6 @@ class NodeClassificationTrainer:
             )
         return result
 
-    @profile.phase(profile.PHASE_TRAINING)
     def train_reference(
         self,
         epochs: int = 60,
@@ -239,7 +236,6 @@ class LinkPredictionTrainer:
         keep = src != dst
         return np.stack([src[keep], dst[keep]], axis=1)[:count]
 
-    @profile.phase(profile.PHASE_TRAINING)
     def train(
         self,
         epochs: int = 60,
@@ -301,7 +297,6 @@ class LinkPredictionTrainer:
             )
         return result
 
-    @profile.phase(profile.PHASE_TRAINING)
     def train_reference(
         self,
         epochs: int = 60,

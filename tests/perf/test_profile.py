@@ -76,14 +76,14 @@ def test_exception_still_closes_phase():
 
 def test_snapshot_since_returns_delta_only():
     profile.reset()
-    with profile.phase(profile.PHASE_TRAINING):
+    with profile.phase(profile.PHASE_TRAINING_BATCHED):
         time.sleep(0.01)
     before = profile.snapshot()
     with profile.phase(profile.PHASE_PREDICTOR):
         time.sleep(0.01)
     spent = profile.since(before)
     assert profile.PHASE_PREDICTOR in spent
-    assert profile.PHASE_TRAINING not in spent  # no new time accrued
+    assert profile.PHASE_TRAINING_BATCHED not in spent  # no new time accrued
     assert spent[profile.PHASE_PREDICTOR]["calls"] == 1
 
 
