@@ -22,7 +22,7 @@ Energy accounting (matching Fig. 13b/14b's structure):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -40,6 +40,11 @@ from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.workload import Workload
 
 AllocatorFn = Callable[[AllocationProblem], AllocationResult]
+
+#: Layout revision of the ``"timing-tables"`` artifact, part of its key:
+#: bump it whenever the artifact's contents change, so a disk tier
+#: written by older code is never read back.
+_TABLES_REVISION = "stage-activity-v1"
 
 
 @dataclass
@@ -143,16 +148,20 @@ class AcceleratorModel:
         )
 
     @staticmethod
-    def _timing_tables(timing: StageTimingModel) -> Dict[str, np.ndarray]:
-        """Stage-latency tables / allocator inputs, content-memoised.
+    def _timing_tables(timing: StageTimingModel) -> Dict[str, Any]:
+        """Allocator inputs and energy inputs per stage, content-memoised.
 
         Pure function of (graph, model shape, micro-batch, hardware
         config, timing params, update plan) — many experiments evaluate
         the same combination, so the tables go through ``repro.perf``.
+        Beside the allocator's per-stage arrays, ``"activity"`` holds
+        each stage's :meth:`~StageTimingModel.stage_activity_totals`,
+        which no replica assignment changes.  Readers never mutate them.
         """
         workload = timing.workload
         plan = timing.update_plan
         key = cache_key(
+            _TABLES_REVISION,
             workload.graph,
             tuple(workload.layer_dims),
             workload.micro_batch,
@@ -164,7 +173,7 @@ class AcceleratorModel:
             plan.minor_period,
         )
 
-        def compute() -> Dict[str, np.ndarray]:
+        def compute() -> Dict[str, Any]:
             stages = timing.stages
             crossbars = np.array(
                 [timing.crossbars_per_replica(s) for s in stages],
@@ -185,6 +194,9 @@ class AcceleratorModel:
                 "caps": caps,
                 "floors": floors,
                 "mean_times": means,
+                "activity": tuple(
+                    timing.stage_activity_totals(s) for s in stages
+                ),
             }
 
         return get_cache().get_or_compute("timing-tables", key, compute)
@@ -193,11 +205,14 @@ class AcceleratorModel:
         self,
         timing: StageTimingModel,
         config: HardwareConfig,
+        tables: Optional[Dict[str, Any]] = None,
     ) -> AllocationProblem:
+        """The allocation problem; ``tables`` skips a second lookup."""
         workload = timing.workload
         stages = timing.stages
         names = [s.name for s in stages]
-        tables = self._timing_tables(timing)
+        if tables is None:
+            tables = self._timing_tables(timing)
         crossbars = tables["crossbars"]
         caps = tables["caps"]
         floors = tables["floors"]
@@ -247,9 +262,10 @@ class AcceleratorModel:
 
         Attributed to the ``accelerator_sim`` phase; the allocation
         search and timing-model phases nest inside it and keep their own
-        (exclusive) time.  The allocator inputs are content-memoised
-        (``_timing_tables``) and the greedy search itself is memoised on
-        the problem's content fingerprint, so rebuilding the same
+        (exclusive) time.  The allocator and energy inputs are
+        content-memoised in one artifact (``_timing_tables``), fetched
+        once per run, and the greedy search itself is memoised on the
+        problem's content fingerprint, so rebuilding the same
         accelerator — sweep repeats, sibling ablation variants sharing a
         config — skips both.
 
@@ -262,9 +278,9 @@ class AcceleratorModel:
         """
         engine = resolve_backend(backend)
         timing = self.build_timing_model(workload, config)
-        effective = timing.workload
         stages = timing.stages
-        problem = self._build_problem(timing, config)
+        tables = self._timing_tables(timing)
+        problem = self._build_problem(timing, config, tables)
         allocation = self.allocator(problem)
         replicas = allocation.replicas
 
@@ -275,7 +291,7 @@ class AcceleratorModel:
             microbatches_per_batch=self.microbatches_per_batch,
         ))
         pipeline = epoch.pipeline
-        energy = self._energy(timing, pipeline, replicas, config)
+        energy = self._energy(timing, tables, pipeline, replicas, config)
         epoch.energy = energy
         return AcceleratorReport(
             accelerator=self.name,
@@ -295,6 +311,7 @@ class AcceleratorModel:
     def _energy(
         self,
         timing: StageTimingModel,
+        tables: Dict[str, Any],
         pipeline: PipelineResult,
         replicas: np.ndarray,
         config: HardwareConfig,
@@ -306,7 +323,7 @@ class AcceleratorModel:
         for i, stage in enumerate(timing.stages):
             pool_size = int(replicas[i]) * timing.crossbars_per_replica(stage)
             stats = CrossbarStats()
-            act = timing.stage_activity_totals(stage)
+            act = tables["activity"][i]
             stats.mvm_reads = act.mvm_row_streams
             # Replica copies refresh round-robin (one copy per update
             # round) rather than all at once — replicas then serve

@@ -45,15 +45,6 @@ ALLOCATION_NAMESPACE = "allocation"
 _ENGINE_REVISION = "run-skipping-v1"
 
 
-def _marginal_time_gain(problem: AllocationProblem, stage: int, replicas: int) -> float:
-    """Per-micro-batch time saved by the stage's next replica (0 at cap)."""
-    cap = int(problem.replica_caps[stage])
-    if replicas >= cap:
-        return 0.0
-    base = problem.times_ns[stage]
-    return base / replicas - base / (replicas + 1)
-
-
 @profile.phase(profile.PHASE_ALLOCATION)
 def greedy_allocation(
     problem: AllocationProblem,

@@ -27,7 +27,9 @@ its distribution — so one compiled program per ``(graph, model shape,
 micro-batch, config, params, update plan, stage)`` is memoised through
 the content-keyed :class:`~repro.perf.cache.ArtifactCache`
 (``"trace_programs"`` namespace) and shared by every accelerator that
-prices the same workload.  Compilation touches no RNG stream
+prices the same workload.  Each entry holds the record stream and its
+:func:`program_stats` op totals, so pricing and accounting share one
+lookup.  Compilation touches no RNG stream
 (tests/backends/test_trace_backend.py asserts this).
 
 Replay is a vectorized scoreboard: each compute record's ``count``
@@ -44,7 +46,7 @@ the work — the cross-validation experiment quantifies the gap.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -86,6 +88,10 @@ OPCODE_NAMES = {
 }
 
 CACHE_NAMESPACE = "trace_programs"
+#: Layout revision of a ``"trace_programs"`` entry, part of its key:
+#: bump it whenever the entry's contents change, so a disk tier written
+#: by older code is never read back.
+_PROGRAM_REVISION = "records-and-op-totals-v1"
 
 
 def _records(
@@ -182,6 +188,7 @@ def _program_key_base(timing: StageTimingModel) -> str:
         plan = timing.update_plan
         base = cache_key(
             "trace-program",
+            _PROGRAM_REVISION,
             workload.graph,
             tuple(workload.layer_dims),
             workload.micro_batch,
@@ -208,16 +215,26 @@ def program_cache_key(timing: StageTimingModel, stage_index: int) -> str:
     return f"{_program_key_base(timing)}:s{stage_index}"
 
 
+def _program_entry(
+    timing: StageTimingModel,
+    stage_index: int,
+) -> Tuple[np.ndarray, Dict[str, float]]:
+    """The memoised ``(records, op totals)`` pair of one stage."""
+    def compile_entry() -> Tuple[np.ndarray, Dict[str, float]]:
+        records = compile_stage_program(timing, stage_index)
+        return records, program_stats(records)
+
+    return get_cache().get_or_compute(
+        CACHE_NAMESPACE, program_cache_key(timing, stage_index), compile_entry,
+    )
+
+
 def compiled_stage_program(
     timing: StageTimingModel,
     stage_index: int,
 ) -> np.ndarray:
     """The memoised compiled program (ArtifactCache two-tier lookup)."""
-    return get_cache().get_or_compute(
-        CACHE_NAMESPACE,
-        program_cache_key(timing, stage_index),
-        lambda: compile_stage_program(timing, stage_index),
-    )
+    return _program_entry(timing, stage_index)[0]
 
 
 def replay_stage_times(
@@ -359,7 +376,8 @@ class TraceBackend(SimulationBackend):
         per_stage = {}
         totals: Dict[str, float] = {}
         for i, stage in enumerate(timing.stages):
-            stats = program_stats(compiled_stage_program(timing, i))
+            # A copy: callers own their stats, the cached totals stay put.
+            stats = dict(_program_entry(timing, i)[1])
             per_stage[stage.name] = stats
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0) + value

@@ -95,11 +95,6 @@ class EnergyModel:
         """The hardware configuration."""
         return self._config
 
-    @property
-    def peripheral_power_per_crossbar_mw(self) -> float:
-        """ADC/DAC/S&H/S+A/register power attributed to one busy crossbar."""
-        return self._peripheral_mw
-
     def crossbar_activity_energy(
         self,
         stats: CrossbarStats,

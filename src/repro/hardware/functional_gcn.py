@@ -81,10 +81,6 @@ class FunctionalGCN:
         """Model depth."""
         return self._model.num_layers
 
-    def weight_grid(self, layer: int) -> MappedMatrix:
-        """The crossbar grid holding one layer's weights."""
-        return self._weights[layer]
-
     # ------------------------------------------------------------------
     @profile.phase(profile.PHASE_FUNCTIONAL)
     def forward(self, graph: Graph, features: np.ndarray) -> np.ndarray:

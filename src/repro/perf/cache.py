@@ -1,10 +1,10 @@
 """Content-keyed artifact cache for expensive derived artifacts.
 
 Experiments regenerate the same synthetic datasets, fitted predictors,
-stage-latency tables, and allocator inputs over and over: 26 registered
-experiments × a handful of datasets each means the same deterministic
-artifact is rebuilt dozens of times per sweep.  This module provides one
-keyed cache for all of them:
+stage-latency tables, and allocator inputs over and over: every
+registered experiment prices a handful of datasets, so the same
+deterministic artifact is rebuilt dozens of times per sweep.  This
+module provides one keyed cache for all of them:
 
 * **in-process** — a dict behind a lock, always on;
 * **on-disk** — enabled by setting the ``REPRO_CACHE_DIR`` environment
@@ -18,7 +18,16 @@ ints, floats, strings, numpy arrays (dtype + shape + bytes), dataclasses
 (field by field), and anything exposing ``content_fingerprint()`` (e.g.
 :class:`repro.graphs.graph.Graph`).  Two callers that pass equal content
 get the same artifact regardless of where the values came from;
-unhashable inputs raise instead of colliding silently.
+unhashable inputs (including object-dtype arrays, whose bytes are element
+pointers) raise instead of colliding silently.
+
+A frozen dataclass with no ndarray field (``HardwareConfig``,
+``ComponentSpec``, ``TimingParams``) has its content fixed at
+construction, so its encoded byte stream is computed once per instance
+and fed to the hasher from then on: digests are byte-identical to a
+fresh walk.  The memo lives in a module-level table keyed by object
+identity and dropped when the object is collected, so it never reaches a
+pickle or a copy.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import os
 import pickle
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -67,6 +77,11 @@ def _encode(value: Any, hasher) -> None:
     elif isinstance(value, bytes):
         hasher.update(b"Y" + str(len(value)).encode() + b":" + value)
     elif isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            raise CacheKeyError(
+                "cannot build a stable cache key from an object-dtype "
+                "array: its bytes are element pointers, not content"
+            )
         arr = np.ascontiguousarray(value)
         hasher.update(b"A" + str(arr.dtype).encode() + str(arr.shape).encode())
         hasher.update(arr.tobytes())
@@ -87,17 +102,50 @@ def _encode(value: Any, hasher) -> None:
     elif hasattr(value, "content_fingerprint"):
         hasher.update(b"C" + str(value.content_fingerprint()).encode())
     elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        hasher.update(b"O" + type(value).__name__.encode() + b"(")
-        for field in dataclasses.fields(value):
-            _encode(field.name, hasher)
-            _encode(getattr(value, field.name), hasher)
-        hasher.update(b")")
+        encoded = _ENCODINGS.get(id(value))
+        hasher.update(encoded if encoded is not None else _encode_fields(value))
     else:
         raise CacheKeyError(
             f"cannot build a stable cache key from {type(value).__name__}; "
             "pass primitives, numpy arrays, dataclasses, or objects with "
             "a content_fingerprint() method"
         )
+
+
+class _ByteSink(list):
+    """Hasher stand-in that keeps the chunks :func:`_encode` feeds it."""
+
+    update = list.append
+
+
+# id(value) -> encoded bytes of a live dataclass whose content is fixed
+# at construction.  Keyed by identity, not equality: equal values can
+# encode differently (``1 == 1.0``, but ``I1`` != ``F1.0``).  A finalizer
+# drops the entry when the value is collected, so a reused id never
+# finds a stale entry.  Threads racing on one value store equal bytes,
+# and no entry ever changes a digest, so no lock is needed.
+_ENCODINGS: Dict[int, bytes] = {}
+
+
+def _encode_fields(value: Any) -> bytes:
+    """A dataclass's encoding, remembered when its content is fixed."""
+    sink = _ByteSink()
+    sink.update(b"O" + type(value).__name__.encode() + b"(")
+    fields = dataclasses.fields(value)
+    for field in fields:
+        _encode(field.name, sink)
+        _encode(getattr(value, field.name), sink)
+    sink.update(b")")
+    encoded = b"".join(sink)
+    if type(value).__dataclass_params__.frozen and not any(
+        isinstance(getattr(value, field.name), np.ndarray) for field in fields
+    ):
+        try:
+            weakref.finalize(value, _ENCODINGS.pop, id(value), None)
+        except TypeError:  # no weakref slot: encode afresh every time
+            return encoded
+        _ENCODINGS[id(value)] = encoded
+    return encoded
 
 
 def cache_key(*parts: Any) -> str:
@@ -121,6 +169,9 @@ class CacheStats:
     def hits(self) -> int:
         """Total hits from either tier."""
         return self.memory_hits + self.disk_hits
+
+
+_MISSING = object()
 
 
 class ArtifactCache:
@@ -166,24 +217,10 @@ class ArtifactCache:
             if mem_key in self._memory:
                 self.stats.memory_hits += 1
                 return self._memory[mem_key]
-
         path = self._disk_path(namespace, key)
-        if path is not None and path.exists():
-            try:
-                with open(path, "rb") as handle:
-                    value = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError):
-                value = None  # corrupt/partial file: fall through to compute
-            else:
-                try:
-                    # Refresh recency so LRU eviction spares live entries.
-                    os.utime(path)
-                except OSError:
-                    pass
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self._memory[mem_key] = value
-                return value
+        value = self._read_disk(path, mem_key)
+        if value is not _MISSING:
+            return value
 
         value = compute()
         with self._lock:
@@ -207,25 +244,36 @@ class ArtifactCache:
             if mem_key in self._memory:
                 self.stats.memory_hits += 1
                 return self._memory[mem_key]
-        path = self._disk_path(namespace, key)
-        if path is not None and path.exists():
-            try:
-                with open(path, "rb") as handle:
-                    value = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError):
-                pass  # corrupt/partial file: report a miss
-            else:
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self._memory[mem_key] = value
-                return value
+        value = self._read_disk(self._disk_path(namespace, key), mem_key)
+        if value is not _MISSING:
+            return value
         with self._lock:
             self.stats.misses += 1
         return default
+
+    def _read_disk(
+        self, path: Optional[Path], mem_key: Tuple[str, str],
+    ) -> Any:
+        """The disk tier's artifact, promoted to memory, or ``_MISSING``.
+
+        A corrupt or partial file reads as a miss.
+        """
+        if path is None or not path.exists():
+            return _MISSING
+        try:
+            with open(path, "rb") as handle:
+                value = pickle.load(handle)
+        except (OSError, pickle.UnpicklingError, EOFError):
+            return _MISSING
+        try:
+            # Refresh recency so LRU eviction spares live entries.
+            os.utime(path)
+        except OSError:
+            pass
+        with self._lock:
+            self.stats.disk_hits += 1
+            self._memory[mem_key] = value
+        return value
 
     def put(self, namespace: str, key: str, value: Any) -> None:
         """Store an artifact computed out of band (both tiers)."""

@@ -90,16 +90,6 @@ class ServingTimeline:
         """Total busy time per stage, summed over servers."""
         return (self.ends - self.starts).sum(axis=1)
 
-    def server_spans_ns(self) -> np.ndarray:
-        """Per-server last completion (0 for servers never used)."""
-        spans = np.zeros(self.num_servers, dtype=np.int64)
-        finals = self.completions_ns
-        for server in range(self.num_servers):
-            mask = self.assignment == server
-            if np.any(mask):
-                spans[server] = finals[mask].max()
-        return spans
-
 
 def _validate(
     dispatch_ns: np.ndarray,

@@ -74,7 +74,7 @@ class TimingParams:
             raise PipelineError("intrinsic_edge_parallelism must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageActivity:
     """Event counts for one (stage, micro-batch) execution — energy input."""
 

@@ -137,6 +137,15 @@ def test_epoch_stats_aggregate_per_stage(timing):
         )
     assert stats["instructions"] > 0
     assert stats["mvm_activations"] > 0
+    # The totals come from the memoised entry: equal to a fresh count,
+    # and a caller editing its copy leaves the next epoch's intact.
+    for index, stage in enumerate(timing.stages):
+        assert per_stage[stage.name] == program_stats(
+            compile_stage_program(timing, index),
+        )
+        per_stage[stage.name]["instructions"] = -1
+    again = TRACE.simulate_epoch(EpochProgram(timing=timing)).stats
+    assert again["instructions"] == stats["instructions"]
 
 
 def test_replay_monotone_in_lanes(timing):

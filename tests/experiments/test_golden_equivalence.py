@@ -7,8 +7,8 @@ an iteration order shows up here as a hash mismatch — before it shows up
 as a silently different EXPERIMENTS.md.
 
 The always-on subset covers the cheap experiments; set
-``REPRO_GOLDEN_FULL=1`` to check every recorded id (minutes — CI's
-equivalence job scope, not the default tier-1 run).
+``REPRO_GOLDEN_FULL=1`` to check every recorded id.  CI runs the full
+set as its own step, right after the tier-1 suite.
 """
 
 from __future__ import annotations

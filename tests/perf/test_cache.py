@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import dc_sbm_graph
+from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
+from repro.mapping.selective import build_update_plan
 from repro.perf import (
     ENV_DISK_CACHE,
     ENV_DISK_CACHE_MAX_MB,
@@ -22,6 +26,11 @@ from repro.perf import (
     get_cache,
     memoized,
 )
+from repro.perf import cache as cache_module
+from repro.runtime import RunSpec, Session
+from repro.stages.latency import TimingParams
+from repro.stages.workload import Workload
+from tests.oracles.cache_key import cache_key_reference
 
 
 class Mode(enum.Enum):
@@ -65,8 +74,115 @@ class TestCacheKey:
         assert cache_key(g1) != cache_key(g2)
 
     def test_unhashable_raises_instead_of_colliding(self):
-        with pytest.raises(CacheKeyError):
-            cache_key(object())
+        # An object array's bytes are element pointers: equal arrays
+        # would key apart, and mutating an element would keep the key.
+        lists = np.empty(2, dtype=object)
+        lists[0], lists[1] = [1], [2]
+        for value in (object(), lists):
+            with pytest.raises(CacheKeyError):
+                cache_key(value)
+
+
+class TestKeyStability:
+    """Digests recorded before the encoder memoised anything.
+
+    ``config_fingerprint`` is stamped into every result's provenance and
+    the timing-table parts key the accelerator artifacts: a change to
+    either digest orphans every recorded key.
+    """
+
+    def test_config_fingerprints(self):
+        assert Session(RunSpec()).config_fingerprint() == (
+            "01e01ad69147bc1bbc37c0edaeddbcca40be57a61d98c67815042a23dc68a8f2"
+        )
+        assert cache_key(DEFAULT_CONFIG) == (
+            "3a5a1f394c1d714e2e60be6cef4206981fc01b27ec5da492fcc8adbc784cb253"
+        )
+
+    def test_timing_params(self):
+        assert cache_key(TimingParams()) == (
+            "a907314fec8ff5c4ac781a0776023413299d7ae651b0a1e1f7f4466d55e131d5"
+        )
+
+    def test_timing_table_parts(self):
+        graph = dc_sbm_graph(
+            num_vertices=200, num_communities=4, avg_degree=10.0,
+            random_state=7, feature_dim=16, name="small",
+        )
+        workload = Workload(
+            graph=graph, layer_dims=[(16, 32), (32, 8)], micro_batch=32,
+            name="small",
+        )
+        plan = build_update_plan(
+            graph, strategy="isu",
+            rows_per_crossbar=DEFAULT_CONFIG.crossbar_rows,
+        )
+        parts = (
+            graph, tuple(workload.layer_dims), workload.micro_batch,
+            DEFAULT_CONFIG, TimingParams(reload_penalty=1.0),
+            plan.mapping.crossbar_of, plan.important, float(plan.theta),
+            plan.minor_period,
+        )
+        for _ in range(2):  # the first call fills the memo, the second reads it
+            assert cache_key(*parts) == (
+                "18dcc4a42cb83ac514805f80fa6b2f7a"
+                "6394621b257794a06b0dd41c20eced11"
+            )
+
+    def test_hashing_leaves_pickles_unchanged(self):
+        before = pickle.dumps(DEFAULT_CONFIG)
+        cache_key(DEFAULT_CONFIG)
+        assert pickle.dumps(DEFAULT_CONFIG) == before
+
+
+class TestEncodingMemo:
+    def test_memoised_digest_equals_a_fresh_walk(self):
+        config = HardwareConfig(crossbar_rows=128)
+        first = cache_key(config)
+        assert cache_key(config) == first == cache_key_reference(config)
+        assert cache_key(HardwareConfig(crossbar_rows=128)) == first
+
+    def test_values_without_a_weakref_slot_are_encoded_afresh(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            x: int
+
+        value = Slotted(1)
+        assert cache_key(value) == cache_key(value) == cache_key_reference(value)
+
+    def test_keyed_by_identity_not_equality(self):
+        # Equal values may encode differently (2 == 2.0), so one value's
+        # memo must never answer for another.
+        exact, loose = Params(1, 2.0), Params(1, 2)
+        assert exact == loose
+        assert cache_key(exact) != cache_key(loose)
+        assert cache_key(loose) == cache_key_reference(loose)
+
+    def test_mutable_content_is_encoded_afresh(self):
+        @dataclasses.dataclass
+        class Counter:
+            n: int
+
+        @dataclasses.dataclass(frozen=True)
+        class Holder:
+            values: np.ndarray
+
+        counter = Counter(1)
+        holder = Holder(np.zeros(3))
+        before = cache_key(counter), cache_key(holder)
+        counter.n = 2
+        holder.values[0] = 1.0
+        assert cache_key(counter) != before[0]
+        assert cache_key(holder) != before[1]
+
+    def test_memo_dropped_with_its_value(self):
+        config = HardwareConfig(crossbar_rows=256)
+        cache_key(config)
+        ident = id(config)
+        assert ident in cache_module._ENCODINGS
+        del config
+        gc.collect()
+        assert ident not in cache_module._ENCODINGS
 
 
 class TestArtifactCache:
@@ -113,6 +229,15 @@ class TestArtifactCache:
         (tmp_path / "ns" / "k.pkl").write_bytes(b"not a pickle")
         fresh = ArtifactCache(disk_dir=str(tmp_path))
         assert fresh.get_or_compute("ns", "k", lambda: 2) == 2
+
+    def test_get_reads_the_disk_tier_like_get_or_compute(self, tmp_path):
+        ArtifactCache(disk_dir=str(tmp_path)).put("ns", "k", [1])
+        (tmp_path / "ns" / "bad.pkl").write_bytes(b"not a pickle")
+        reader = ArtifactCache(disk_dir=str(tmp_path))
+        assert reader.get("ns", "k") == [1]
+        assert reader.contains("ns", "k")  # promoted to memory
+        assert reader.get("ns", "bad", "absent") == "absent"
+        assert (reader.stats.disk_hits, reader.stats.misses) == (1, 1)
 
     def test_env_var_checked_at_call_time(self, tmp_path, monkeypatch):
         cache = ArtifactCache()
