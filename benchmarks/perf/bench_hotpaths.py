@@ -1,10 +1,11 @@
 """Hot-path microbenchmarks: vectorized kernels vs loop references.
 
 Times the optimisation targets of the perf PRs against the retained
-``*_reference`` implementations and writes the results (plus speedups) to
-``BENCH_hotpaths.json`` at the repo root:
+``*_reference`` implementations (``tests/oracles/``, plus
+``greedy_allocation_reference`` in ``src/``) and writes the results (plus
+speedups) to ``BENCH_hotpaths.json`` at the repo root:
 
-* **spmm** — ``Graph.adjacency_matmul`` (cached-CSR / segment-sum) vs the
+* **spmm** — ``Graph.adjacency_matmul`` (cached scipy CSR) vs the
   ``np.add.at`` scatter reference, on a 4096-vertex dc-SBM graph with
   128-dim features.  Target: >= 3x.
 * **simulator** — ``simulate_pipeline`` (per-row scan recurrence) vs the
@@ -86,14 +87,14 @@ REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-sys.path.insert(1, REPO_ROOT)  # tests.oracles: training and aggregation loops
+sys.path.insert(1, REPO_ROOT)  # tests.oracles: the reference loops
 
 from repro.graphs.generators import dc_sbm_graph  # noqa: E402
 from repro.pipeline.simulator import (  # noqa: E402
     ScheduleMode,
     simulate_pipeline,
-    simulate_pipeline_reference,
 )
+from tests.oracles.pipeline import simulate_pipeline_reference  # noqa: E402
 
 # Quick-mode sweep subset: enough total work (~13 s warm) that pool
 # overhead is a small fraction, and no single experiment dominates, so
@@ -124,7 +125,9 @@ def best_of(fn: Callable[[], object], repeats: int) -> float:
 
 
 def bench_spmm(quick: bool) -> Dict[str, float]:
-    """CSR segment-sum SpMM vs the np.add.at scatter reference."""
+    """Cached scipy CSR SpMM vs the np.add.at scatter reference."""
+    from tests.oracles.graph_build import adjacency_matmul_reference
+
     num_vertices = 1024 if quick else 4096
     feature_dim = 64 if quick else 128
     repeats = 3 if quick else 10
@@ -141,10 +144,12 @@ def bench_spmm(quick: bool) -> Dict[str, float]:
     ).astype(np.float32)
 
     vec = best_of(lambda: graph.adjacency_matmul(dense), repeats)
-    ref = best_of(lambda: graph.adjacency_matmul_reference(dense), repeats)
+    ref = best_of(
+        lambda: adjacency_matmul_reference(graph, dense), repeats,
+    )
     np.testing.assert_allclose(
         graph.adjacency_matmul(dense),
-        graph.adjacency_matmul_reference(dense),
+        adjacency_matmul_reference(graph, dense),
         rtol=1e-4, atol=1e-4,
     )
     return {
@@ -275,11 +280,9 @@ def bench_allocator(quick: bool) -> Dict[str, object]:
     greedy refinement cheap while deep caps (4096) give the reference
     thousands of candidate times to probe one by one.
     """
-    from repro.allocation.baselines import (
-        exhaustive_allocation,
-        exhaustive_allocation_reference,
-    )
+    from repro.allocation.baselines import exhaustive_allocation
     from repro.allocation.problem import AllocationProblem
+    from tests.oracles.allocation import exhaustive_allocation_reference
 
     num_stages = 64
     rng = np.random.default_rng(42)
@@ -471,10 +474,8 @@ def bench_serving(quick: bool) -> Dict[str, object]:
     path is a native-int sequential loop — faster than the reference,
     but not the vectorization this bench guards).
     """
-    from repro.serving.engine import (
-        simulate_serving,
-        simulate_serving_reference,
-    )
+    from repro.serving.engine import simulate_serving
+    from tests.oracles.serving import simulate_serving_reference
 
     num_stages = 4
     num_batches = 5_000 if quick else 40_000

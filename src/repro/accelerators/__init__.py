@@ -9,7 +9,6 @@ from repro.accelerators.report import (
 from repro.accelerators.catalog import (
     REFLIP_RELOAD_PENALTY,
     gopim,
-    gopim_osu,
     gopim_vanilla,
     naive_pipeline,
     plus_isu,
@@ -25,7 +24,6 @@ __all__ = [
     "AcceleratorReport",
     "REFLIP_RELOAD_PENALTY",
     "gopim",
-    "gopim_osu",
     "gopim_vanilla",
     "naive_pipeline",
     "plus_isu",

@@ -129,7 +129,7 @@ class AcceleratorModel:
             from repro.mapping.selective import adaptive_theta
 
             theta = self.theta or adaptive_theta(workload.graph)
-            pruned = sparsify_by_degree(workload.graph, theta, mode="either")
+            pruned = sparsify_by_degree(workload.graph, theta)
             effective_workload = Workload(
                 graph=pruned,
                 layer_dims=workload.layer_dims,

@@ -120,14 +120,3 @@ def plus_isu() -> AcceleratorModel:
 def naive_pipeline() -> AcceleratorModel:
     """Fig. 15's Naive: pipelining with index mapping, no replicas."""
     return AcceleratorModel(name="Naive", schedule=ScheduleMode.INTRA_INTER)
-
-
-def gopim_osu(time_predictor=None) -> AcceleratorModel:
-    """Ablation: GoPIM's allocator with OSU (selection on index mapping)."""
-    return AcceleratorModel(
-        name="GoPIM-OSU",
-        schedule=ScheduleMode.INTRA_INTER,
-        allocator=greedy_allocation,
-        update_strategy="osu",
-        time_predictor=time_predictor,
-    )

@@ -56,8 +56,9 @@ class AnalyticBackend(SimulationBackend):
         edges: np.ndarray,
     ) -> np.ndarray:
         # Term-for-term the pre-protocol ServingCostModel.batch_times_ns
-        # body (retained there as batch_times_ns_reference); quantised
-        # once at the end, byte-identical int64 output.
+        # body (kept as tests/oracles/serving.py's
+        # batch_times_ns_reference); quantised once at the end,
+        # byte-identical int64 output.
         sizes_f = np.asarray(sizes, dtype=np.float64)
         edges_f = np.asarray(edges, dtype=np.float64)
         out = np.empty((model.num_stages, sizes_f.size))

@@ -54,11 +54,6 @@ class ScheduleOutcome:
         """Completion time of the schedule (jobs run concurrently)."""
         return max(p.makespan_ns for p in self.placements)
 
-    @property
-    def total_ns(self) -> float:
-        """Sum of job makespans (throughput view)."""
-        return float(sum(p.makespan_ns for p in self.placements))
-
 
 class MultiTenantScheduler:
     """Splits one chip's crossbar budget across several GCN jobs."""

@@ -25,7 +25,6 @@ any two runs, serial or parallel.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -110,12 +109,6 @@ def validate_experiment_ids(
             f"available: {', '.join(known)}"
         )
     return ids
-
-
-def experiment_seed(experiment_id: str) -> int:
-    """Deterministic per-experiment seed (stable across processes)."""
-    digest = hashlib.sha256(experiment_id.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def _execute(

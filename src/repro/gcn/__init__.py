@@ -18,7 +18,7 @@ from repro.gcn.batched import (
 )
 from repro.gcn.model import GCN, StaleFeatureStore
 from repro.gcn.sage import GraphSAGE
-from repro.gcn.optim import Adam, SGD
+from repro.gcn.optim import Adam
 from repro.gcn.trainer import (
     LinkPredictionTrainer,
     NodeClassificationTrainer,
@@ -38,7 +38,6 @@ __all__ = [
     "restore_model",
     "save_checkpoint",
     "Adam",
-    "SGD",
     "LinkPredictionTrainer",
     "NodeClassificationTrainer",
     "TrainingResult",

@@ -12,13 +12,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import TrainingError
-
-try:  # scipy is optional: the bincount fallback covers its absence.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - environment-dependent
-    _sparse = None
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -108,49 +104,16 @@ def edge_scatter_plan(
     return order, indptr, cols[order].astype(np.int32)
 
 
-def apply_edge_scatter(
-    order: np.ndarray,
-    indptr: np.ndarray,
-    sorted_cols: np.ndarray,
-    data: np.ndarray,
-    embeddings: np.ndarray,
-) -> np.ndarray:
-    """Apply a fused edge-gradient scatter plan.
-
-    Computes ``grad[r] = sum_i data[i] * embeddings[cols[i]]`` over the
-    plan's entries for row ``r``, accumulating in storage order — a
-    sparse ``[V, V] @ [V, d]`` SpMM when scipy is present, a flat
-    ``bincount`` otherwise.  Both are bit-identical to the sequential
-    ``np.add.at`` reference.
-    """
-    num_vertices = indptr.shape[0] - 1
-    emb64 = np.asarray(embeddings, dtype=np.float64)
-    if _sparse is not None:
-        mat = _sparse.csr_matrix(
-            (data[order], sorted_cols, indptr),
-            shape=(num_vertices, num_vertices),
-        )
-        return mat @ emb64
-    contribs = data[order][:, None] * emb64[sorted_cols]
-    dim = emb64.shape[1]
-    rows = np.repeat(np.arange(num_vertices, dtype=np.int64), np.diff(indptr))
-    flat = (rows[:, None] * dim + np.arange(dim, dtype=np.int64)).ravel()
-    return np.bincount(
-        flat, weights=contribs.ravel(), minlength=num_vertices * dim,
-    ).reshape(num_vertices, dim)
-
-
 class EdgeScatter:
     """A fused float64 edge-gradient scatter with a reusable sparse pattern.
 
-    :func:`apply_edge_scatter` rebuilds its CSR matrix (and upcasts the
-    embeddings) on every call; when the same edge pattern is applied
-    with several coefficient vectors — the replica-batched link trainer
-    applies one epoch's plan once per replica — the pattern, the sorted
-    data buffer, and the float64 embedding buffer can all be reused.
-    ``apply`` is bit-identical to :func:`apply_edge_scatter` on the same
-    plan: the sorted-data gather and the SpMM see the same values in the
-    same storage order.
+    The plan (:func:`edge_scatter_plan`) becomes one scipy CSR matrix
+    whose data buffer is refilled per call, so applying the same edge
+    pattern with several coefficient vectors — the replica-batched link
+    trainer applies one epoch's plan once per replica — reuses the
+    pattern, the sorted data buffer and the float64 embedding buffer.
+    Each row's entries are summed in storage order, so ``apply`` is
+    bit-identical to the sequential ``np.add.at`` scatter.
     """
 
     def __init__(
@@ -162,16 +125,14 @@ class EdgeScatter:
         self.order, self.indptr, self.sorted_cols = edge_scatter_plan(
             rows, cols, num_vertices,
         )
-        self._mat = None
-        if _sparse is not None:
-            self._mat = _sparse.csr_matrix(
-                (
-                    np.empty(self.order.shape[0], dtype=np.float64),
-                    self.sorted_cols,
-                    self.indptr,
-                ),
-                shape=(num_vertices, num_vertices),
-            )
+        self._mat = sparse.csr_matrix(
+            (
+                np.empty(self.order.shape[0], dtype=np.float64),
+                self.sorted_cols,
+                self.indptr,
+            ),
+            shape=(num_vertices, num_vertices),
+        )
 
     def apply(
         self,
@@ -184,10 +145,6 @@ class EdgeScatter:
         ``emb64_buf`` is an optional preallocated float64 ``[V, d]``
         scratch the embeddings are cast into (saves the allocation).
         """
-        if self._mat is None:
-            return apply_edge_scatter(
-                self.order, self.indptr, self.sorted_cols, data, embeddings,
-            )
         np.take(data, self.order, out=self._mat.data)
         if emb64_buf is None:
             emb = np.asarray(embeddings, dtype=np.float64)

@@ -34,10 +34,6 @@ class StaleFeatureStore:
             raise TrainingError("num_layers must be >= 1")
         self._buffers: List[Optional[np.ndarray]] = [None] * num_layers
 
-    def is_initialised(self, layer: int) -> bool:
-        """Whether the layer's buffer has ever been written."""
-        return self._buffers[layer] is not None
-
     def refresh(
         self,
         layer: int,

@@ -1,8 +1,7 @@
-"""Optimisers for the numpy GCN substrate.
+"""Adam, the optimiser of the numpy GCN substrate.
 
-Both optimisers operate on flat dicts of parameter arrays and their
-gradients, updating in place.  Adam is the default for the accuracy
-experiments; SGD exists for tests and ablations.
+It operates on flat dicts of parameter arrays and their gradients,
+updating in place.
 """
 
 from __future__ import annotations
@@ -16,34 +15,8 @@ from repro.errors import TrainingError
 Params = Dict[str, np.ndarray]
 
 
-class SGD:
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise TrainingError("momentum must be in [0, 1)")
-        self._lr = learning_rate
-        self._momentum = momentum
-        self._velocity: Params = {}
-
-    def step(self, params: Params, grads: Params) -> None:
-        """Apply one update in place."""
-        for key, grad in grads.items():
-            if key not in params:
-                raise TrainingError(f"gradient for unknown parameter {key!r}")
-            if self._momentum > 0:
-                vel = self._velocity.setdefault(key, np.zeros_like(grad))
-                vel *= self._momentum
-                vel -= self._lr * grad
-                params[key] += vel
-            else:
-                params[key] -= self._lr * grad
-
-
 class Adam:
-    """Adam with bias correction (the trainer default)."""
+    """Adam with bias correction."""
 
     def __init__(
         self,

@@ -33,7 +33,6 @@ from repro.graphs.stats import (
 )
 from repro.graphs.sparsify import (
     degree_rank,
-    drop_edges_random,
     sparsify_by_degree,
     top_degree_vertices,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "get_spec",
     "load_dataset",
     "degree_rank",
-    "drop_edges_random",
     "sparsify_by_degree",
     "top_degree_vertices",
     "GraphStats",

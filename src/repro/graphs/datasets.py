@@ -13,11 +13,11 @@ synthesised to match the statistics GoPIM's mechanisms consume:
 * **relative vertex-count ordering** — drives how many replicas fit
   (ddi smallest ... products largest).
 
-Vertex counts are scaled down (``scale_factor``) so experiments run on a
-laptop; every latency in the pipeline model scales linearly in workload
-size, so *relative* results (speedups, idle fractions, crossovers) are
-preserved.  The applied scale is recorded on the spec and surfaced in
-EXPERIMENTS.md.
+Vertex counts are scaled down (``paper_vertices`` to ``sim_vertices``) so
+experiments run on a laptop; every latency in the pipeline model scales
+linearly in workload size, so *relative* results (speedups, idle
+fractions, crossovers) are preserved.  The applied scale is recorded on
+the spec and surfaced in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -58,11 +58,6 @@ class DatasetSpec:
     in_channels: int
     hidden_channels: int
     out_channels: int
-
-    @property
-    def scale_factor(self) -> float:
-        """How many paper vertices one simulated vertex stands for."""
-        return self.paper_vertices / self.sim_vertices
 
     @property
     def is_dense(self) -> bool:

@@ -17,13 +17,9 @@ import hashlib
 from typing import Callable, Hashable, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.errors import GraphError
-
-try:  # scipy is optional: the reduceat fallback covers its absence.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - environment-dependent
-    _sparse = None
 
 T = TypeVar("T")
 
@@ -277,12 +273,10 @@ class Graph:
             np.arange(self.num_vertices, dtype=np.int64), self._degrees,
         ))
 
-    def _adjacency_csr(self):
-        """A scipy CSR adjacency with unit float32 weights, or ``None``."""
-        if _sparse is None:
-            return None
+    def _adjacency_csr(self) -> sparse.csr_matrix:
+        """A scipy CSR adjacency with unit float32 weights (cached)."""
         n = self.num_vertices
-        return self.cached("csr", lambda: _sparse.csr_matrix(
+        return self.cached("csr", lambda: sparse.csr_matrix(
             (np.ones(self._indices.size, dtype=np.float32), self._indices,
              self._indptr),
             shape=(n, n),
@@ -333,38 +327,11 @@ class Graph:
 
         Inputs are normalised to float32 once at this boundary and every
         intermediate stays float32 — the substrate's uniform dtype.  The
-        sum itself is a CSR SpMM (scipy when available, a ``reduceat``
-        segment-sum otherwise); never densifies A.
+        sum itself is a scipy CSR SpMM; never densifies A.
         """
         matrix = np.asarray(matrix, dtype=np.float32)
         self._check_rows(matrix)
-        csr = self._adjacency_csr()
-        if csr is not None:
-            return csr @ matrix
-        return self._segment_sum(matrix[self._indices])
-
-    def _segment_sum(self, gathered: np.ndarray) -> np.ndarray:
-        """Sum CSR-arc rows into per-vertex rows (degree-0 rows are zero)."""
-        out = np.zeros(
-            (self.num_vertices,) + gathered.shape[1:], dtype=gathered.dtype,
-        )
-        if gathered.shape[0] == 0:
-            return out
-        nonempty = self._degrees > 0
-        # Consecutive non-empty row starts bound exactly one row's arcs, so
-        # reduceat never sees the empty-segment aliasing case.
-        starts = self._indptr[:-1][nonempty]
-        out[nonempty] = np.add.reduceat(gathered, starts, axis=0)
-        return out
-
-    def adjacency_matmul_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Scatter-add (``np.add.at``) SpMM kept as the equivalence oracle."""
-        matrix = np.asarray(matrix, dtype=np.float32)
-        self._check_rows(matrix)
-        out = np.zeros_like(matrix)
-        src = np.repeat(np.arange(self.num_vertices), self._degrees)
-        np.add.at(out, src, matrix[self._indices])
-        return out
+        return self._adjacency_csr() @ matrix
 
     def mean_adjacency_matmul(self, matrix: np.ndarray) -> np.ndarray:
         """Compute ``D^-1 A @ matrix`` (mean aggregation, GraphSAGE-style).
@@ -447,29 +414,6 @@ class Graph:
         return Graph(
             indptr, self._indices[keep], features=self._features,
             labels=self._labels, name=name or self._name,
-        )
-
-    def subgraph(self, vertices: Sequence[int], name: Optional[str] = None) -> "Graph":
-        """Induced subgraph on ``vertices`` (relabelled 0..k-1, input order)."""
-        vertex_ids = np.asarray(vertices, dtype=np.int64)
-        if vertex_ids.size and (
-            vertex_ids.min() < 0 or vertex_ids.max() >= self.num_vertices
-        ):
-            raise GraphError("subgraph vertices out of range")
-        if np.unique(vertex_ids).size != vertex_ids.size:
-            raise GraphError("subgraph vertices must be unique")
-        remap = -np.ones(self.num_vertices, dtype=np.int64)
-        remap[vertex_ids] = np.arange(vertex_ids.size)
-
-        src = self._source_indices()
-        dst = self._indices
-        keep = (remap[src] >= 0) & (remap[dst] >= 0) & (src < dst)
-        edges = np.stack([remap[src[keep]], remap[dst[keep]]], axis=1)
-        features = None if self._features is None else self._features[vertex_ids]
-        labels = None if self._labels is None else self._labels[vertex_ids]
-        return Graph.from_edges(
-            vertex_ids.size, edges, features=features, labels=labels,
-            name=name or f"{self._name}-sub",
         )
 
     def __getstate__(self) -> dict:

@@ -5,9 +5,12 @@ Layers:
 * :mod:`~repro.hardware.config` — all physical constants in one
   :class:`HardwareConfig`;
 * :mod:`~repro.hardware.crossbar` — functional + cost model of a crossbar;
-* :mod:`~repro.hardware.hierarchy` — PE/tile/chip resource accounting;
+* :mod:`~repro.hardware.engine` — matrices programmed onto crossbar grids;
+* :mod:`~repro.hardware.functional_gcn` — value-accurate GCN inference
+  on those grids;
 * :mod:`~repro.hardware.energy` — per-component energy attribution;
-* :mod:`~repro.hardware.memory` — global buffer and off-chip channel.
+* :mod:`~repro.hardware.endurance` — ReRAM write wear and array lifetime;
+* :mod:`~repro.hardware.noc` — mesh NoC transfer latency and energy.
 """
 
 from repro.hardware.config import (
@@ -17,12 +20,6 @@ from repro.hardware.config import (
 )
 from repro.hardware.crossbar import Crossbar, CrossbarStats, quantize_symmetric
 from repro.hardware.energy import EnergyBreakdown, EnergyModel, area_report
-from repro.hardware.hierarchy import (
-    Chip,
-    CrossbarPool,
-    ProcessingElement,
-    Tile,
-)
 from repro.hardware.endurance import (
     RERAM_ENDURANCE_WRITES,
     SRAM_ENDURANCE_WRITES,
@@ -30,9 +27,8 @@ from repro.hardware.endurance import (
     compare_schemes,
     estimate_lifetime,
 )
-from repro.hardware.engine import MappedMatrix, aggregate, combine
+from repro.hardware.engine import MappedMatrix
 from repro.hardware.functional_gcn import FunctionalGCN
-from repro.hardware.memory import GlobalBuffer, OffChipMemory, TrafficRecord
 from repro.hardware.noc import MeshNoc, NocConfig
 
 __all__ = [
@@ -45,16 +41,7 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyModel",
     "area_report",
-    "Chip",
-    "CrossbarPool",
-    "ProcessingElement",
-    "Tile",
-    "GlobalBuffer",
-    "OffChipMemory",
-    "TrafficRecord",
     "MappedMatrix",
-    "aggregate",
-    "combine",
     "MeshNoc",
     "NocConfig",
     "RERAM_ENDURANCE_WRITES",

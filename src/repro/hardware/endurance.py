@@ -10,7 +10,7 @@ The model is deliberately simple: a crossbar row dies after
 ``endurance_writes`` row writes; the array's lifetime is set by the
 *most-written* row (wear is not levelled across rows because a vertex's
 features live at a fixed wordline).  Lifetime is reported in training
-epochs and in wall-clock terms given an epoch's simulated duration.
+epochs.
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ class LifetimeReport:
     epochs_to_wearout_worst: float
     epochs_to_wearout_median: float
     pulses_per_write: int
-
-    def lifetime_seconds(self, epoch_time_ns: float) -> float:
-        """Wall-clock worst-row lifetime at a given epoch duration."""
-        if epoch_time_ns <= 0:
-            raise ConfigError("epoch_time_ns must be positive")
-        return self.epochs_to_wearout_worst * epoch_time_ns * 1e-9
 
 
 def rows_written_per_epoch(plan: UpdatePlan) -> np.ndarray:
@@ -140,33 +134,13 @@ def wear_levelled_rates(
     mapping = plan.mapping
     # Segment means via bincount: sum and count each crossbar's rates in
     # two O(N) passes, then gather — replaces the per-crossbar Python
-    # loop (equivalence: tests/hardware/test_endurance_vectorized.py).
+    # loop in tests/oracles/endurance.py (allclose-level equivalence:
+    # tests/hardware/test_endurance_vectorized.py).
     groups = mapping.crossbar_of
     counts = np.bincount(groups, minlength=mapping.num_crossbars)
     sums = np.bincount(groups, weights=rates, minlength=mapping.num_crossbars)
     means = sums / np.maximum(counts, 1)  # empty crossbars are never read
     return means[groups] + 1.0 / rotation_period_epochs
-
-
-def wear_levelled_rates_reference(
-    plan: UpdatePlan,
-    rotation_period_epochs: int = 100,
-) -> np.ndarray:
-    """Per-crossbar-mean loop form of :func:`wear_levelled_rates`.
-
-    Retained as the equivalence oracle; ``np.mean`` uses pairwise
-    summation while ``bincount`` sums sequentially, so agreement is
-    allclose-level rather than bit-level.
-    """
-    if rotation_period_epochs < 1:
-        raise ConfigError("rotation_period_epochs must be >= 1")
-    rates = rows_written_per_epoch(plan)
-    mapping = plan.mapping
-    levelled = np.empty_like(rates)
-    for crossbar in range(mapping.num_crossbars):
-        members = mapping.vertices_on(crossbar)
-        levelled[members] = rates[members].mean()
-    return levelled + 1.0 / rotation_period_epochs
 
 
 def estimate_lifetime_with_leveling(

@@ -8,25 +8,24 @@ partial sums through a software S+A chain — so tests can check both the
 numerics (results match numpy) and the cost model (event counts match the
 analytic activity predictions).
 
-Two operations cover the GCN stage types:
+Two pieces cover the GCN stage types:
 
 * :class:`MappedMatrix` — a matrix resident on a crossbar grid, supporting
-  dense MVM (Combination / Loss stages) and selective row rewrites
-  (vertex updating);
-* :func:`aggregate` — edge-serial aggregation over a mapped feature
-  matrix (Aggregation / Gradient stages): each neighbour contributes one
-  wordline activation, matching the row-major execution the latency model
-  charges per edge.
+  dense MVM (Combination / Loss stages) and batched row reads, one
+  wordline activation per read (Aggregation / Gradient stages);
+* :func:`segment_leftfold_sum` — the order-preserving per-vertex sum that
+  :class:`~repro.hardware.functional_gcn.FunctionalGCN` folds those reads
+  with, matching the row-major execution the latency model charges per
+  edge.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.errors import MappingError
-from repro.graphs.graph import Graph
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.hardware.crossbar import Crossbar, CrossbarStats
 from repro.mapping.tiling import TilingPlan, plan_tiling
@@ -128,13 +127,13 @@ class MappedMatrix:
     def mvm_batch(self, matrix: np.ndarray) -> np.ndarray:
         """MVM for each input row, batched tile by tile.
 
-        Bit-identical to :meth:`mvm_batch_reference` (the retained per-row
-        loop): row tiles whose input segment is all-zero are skipped for
-        exactly the rows the scalar path skips them for (wordlines stay
-        quiet — no activation counted, no noise drawn), partial sums
-        accumulate over row tiles in the same order, and each crossbar
-        draws its read noise for all its active rows in one batched call
-        from the same seeded stream.
+        Bit-identical to a per-row loop over :meth:`mvm` (the oracle in
+        ``tests/oracles/functional.py``): row tiles whose input segment is
+        all-zero are skipped for exactly the rows the scalar path skips
+        them for (wordlines stay quiet — no activation counted, no noise
+        drawn), partial sums accumulate over row tiles in the same order,
+        and each crossbar draws its read noise for all its active rows in
+        one batched call from the same seeded stream.
         """
         matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2:
@@ -158,13 +157,6 @@ class MappedMatrix:
                 result = self._grid[r][c].mvm_batch(segment)
                 out[active, c * cols:c * cols + width] += result[:, :width]
         return out
-
-    def mvm_batch_reference(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-row loop over :meth:`mvm` — the equivalence oracle."""
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2:
-            raise MappingError("mvm_batch expects 2-D input")
-        return np.stack([self.mvm(row) for row in matrix])
 
     def read_rows(self, row_ids: np.ndarray) -> np.ndarray:
         """Noisy resident rows for a sequence of logical row ids.
@@ -195,39 +187,6 @@ class MappedMatrix:
                 out[here, c * cols:c * cols + width] = block[:, :width]
         return out
 
-    def rewrite_rows(self, row_ids: np.ndarray, values: np.ndarray) -> float:
-        """Rewrite logical matrix rows (a vertex update round).
-
-        Returns the serial-per-crossbar / parallel-across-crossbars
-        latency: the busiest row tile's write count times the row cost.
-        """
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (row_ids.size, self._matrix_cols):
-            raise MappingError("values must be (len(row_ids), matrix_cols)")
-        if row_ids.size and (
-            row_ids.min() < 0 or row_ids.max() >= self._matrix_rows
-        ):
-            raise MappingError("row ids out of range")
-        rows = self._config.crossbar_rows
-        cols = self._config.logical_cols
-        worst = 0.0
-        for r in range(self._plan.row_tiles):
-            mask = (row_ids >= r * rows) & (row_ids < (r + 1) * rows)
-            local_ids = row_ids[mask] - r * rows
-            if local_ids.size == 0:
-                continue
-            tile_cost = 0.0
-            for c in range(self._plan.col_tiles):
-                width = min(cols, self._matrix_cols - c * cols)
-                block = values[mask][:, c * cols:c * cols + width]
-                tile_cost = max(
-                    tile_cost,
-                    self._grid[r][c].write_rows(local_ids, block),
-                )
-            worst = max(worst, tile_cost)
-        return worst
-
     def stats(self) -> CrossbarStats:
         """Merged event counters across the whole grid."""
         total = CrossbarStats()
@@ -235,30 +194,6 @@ class MappedMatrix:
             for crossbar in row:
                 total.merge(crossbar.stats)
         return total
-
-    def resident_matrix(self) -> np.ndarray:
-        """Read the grid back into a dense matrix (test helper)."""
-        rows = self._config.crossbar_rows
-        cols = self._config.logical_cols
-        out = np.zeros((self._matrix_rows, self._matrix_cols),
-                       dtype=np.float32)
-        for r in range(self._plan.row_tiles):
-            height = min(rows, self._matrix_rows - r * rows)
-            for c in range(self._plan.col_tiles):
-                width = min(cols, self._matrix_cols - c * cols)
-                out[r * rows:r * rows + height,
-                    c * cols:c * cols + width] = (
-                    self._grid[r][c].values[:height, :width]
-                )
-        return out
-
-
-def combine(
-    features: np.ndarray,
-    weights: "MappedMatrix",
-) -> np.ndarray:
-    """Combination stage: stream feature rows through mapped weights."""
-    return weights.mvm_batch(features)
 
 
 def segment_leftfold_sum(
@@ -285,79 +220,4 @@ def segment_leftfold_sum(
     for j in range(max_len):
         active = np.flatnonzero(lengths > j)
         out[active] += rows[starts[active] + j]
-    return out
-
-
-def _arc_sources(graph: Graph, vertices: np.ndarray) -> tuple:
-    """CSR edge sources for a vertex subset, in per-vertex edge order.
-
-    Returns ``(sources, indptr)`` where ``sources`` concatenates each
-    requested vertex's neighbour list and ``indptr`` delimits them — the
-    sub-CSR the vectorized aggregation folds over.
-    """
-    starts = graph.indptr[vertices]
-    lengths = graph.indptr[vertices + 1] - starts
-    indptr = np.zeros(vertices.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    offsets = (
-        np.arange(indptr[-1], dtype=np.int64)
-        - np.repeat(indptr[:-1], lengths)
-    )
-    sources = graph.indices[np.repeat(starts, lengths) + offsets]
-    return sources, indptr
-
-
-def aggregate(
-    graph: Graph,
-    mapped_features: "MappedMatrix",
-    vertices: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Aggregation stage: edge-serial row-major execution, vectorized.
-
-    Bit-identical to :func:`aggregate_reference` (the retained per-edge
-    loop): one batched grid read covers every arc in the same edge order
-    the loop fires its one-hot MVMs (so each crossbar's noise stream and
-    event counters match exactly), and the gathered rows are summed per
-    vertex with the order-preserving left fold.  Returns the
-    *unnormalised* neighbour sums for ``vertices`` (default: all).
-    """
-    if mapped_features.shape[0] != graph.num_vertices:
-        raise MappingError("mapped feature matrix does not cover the graph")
-    if vertices is None:
-        vertices = np.arange(graph.num_vertices)
-    vertices = np.asarray(vertices, dtype=np.int64)
-    sources, indptr = _arc_sources(graph, vertices)
-    rows = mapped_features.read_rows(sources)
-    initial = np.zeros(
-        (vertices.size, mapped_features.shape[1]), dtype=np.float32,
-    )
-    return segment_leftfold_sum(indptr, rows, initial)
-
-
-def aggregate_reference(
-    graph: Graph,
-    mapped_features: "MappedMatrix",
-    vertices: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-edge one-hot MVM loop — the equivalence oracle.
-
-    For each output vertex, every neighbour's resident feature row is
-    activated with a unit input (one wordline fires per edge) and the
-    bitline currents accumulate — the hardware analogue of summing
-    neighbour features.
-    """
-    if mapped_features.shape[0] != graph.num_vertices:
-        raise MappingError("mapped feature matrix does not cover the graph")
-    if vertices is None:
-        vertices = np.arange(graph.num_vertices)
-    vertices = np.asarray(vertices, dtype=np.int64)
-    dim = mapped_features.shape[1]
-    out = np.zeros((vertices.size, dim), dtype=np.float32)
-    for i, v in enumerate(vertices):
-        acc = np.zeros(dim, dtype=np.float32)
-        for u in graph.neighbors(int(v)):
-            one_hot = np.zeros(mapped_features.shape[0], dtype=np.float32)
-            one_hot[u] = 1.0
-            acc += mapped_features.mvm(one_hot)
-        out[i] = acc
     return out

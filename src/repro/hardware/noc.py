@@ -25,19 +25,16 @@ class NocConfig:
     """Mesh interconnect parameters.
 
     Defaults follow common ReRAM-accelerator NoC assumptions: 1-cycle
-    (~1 ns) routers, 32-byte flits, ~0.1 pJ/byte/hop.
+    (~1 ns) routers, 32 bytes/ns links, ~0.1 pJ/byte/hop.
     """
 
     hop_latency_ns: float = 1.0
-    flit_bytes: int = 32
     hop_energy_pj_per_byte: float = 0.1
     link_bandwidth_bytes_per_ns: float = 32.0
 
     def __post_init__(self) -> None:
         if self.hop_latency_ns <= 0:
             raise ConfigError("hop_latency_ns must be positive")
-        if self.flit_bytes < 1:
-            raise ConfigError("flit_bytes must be >= 1")
         if self.hop_energy_pj_per_byte < 0:
             raise ConfigError("hop energy must be >= 0")
         if self.link_bandwidth_bytes_per_ns <= 0:
@@ -65,18 +62,6 @@ class MeshNoc:
     def config(self) -> NocConfig:
         """Interconnect parameters."""
         return self._config
-
-    def tile_coordinates(self, tile_id: int) -> tuple:
-        """(row, col) of a tile on the mesh."""
-        if not 0 <= tile_id < self._side * self._side:
-            raise ConfigError(f"tile {tile_id} outside the {self._side}^2 mesh")
-        return divmod(tile_id, self._side)
-
-    def hops_between(self, src_tile: int, dst_tile: int) -> int:
-        """Manhattan hop distance between two tiles."""
-        sr, sc = self.tile_coordinates(src_tile)
-        dr, dc = self.tile_coordinates(dst_tile)
-        return abs(sr - dr) + abs(sc - dc)
 
     def average_hops(self) -> float:
         """Mean hop distance between uniformly random tile pairs.

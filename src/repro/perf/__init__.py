@@ -30,7 +30,6 @@ from repro.perf.cache import (
     cache_key,
     clear_cache,
     get_cache,
-    memoized,
 )
 
 __all__ = [
@@ -43,6 +42,5 @@ __all__ = [
     "cache_key",
     "clear_cache",
     "get_cache",
-    "memoized",
     "profile",
 ]

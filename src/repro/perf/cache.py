@@ -409,31 +409,3 @@ def get_cache() -> ArtifactCache:
 def clear_cache(disk: bool = False) -> None:
     """Reset the default cache (tests and the CLI's cold-start paths)."""
     _default_cache.clear(disk=disk)
-
-
-def memoized(namespace: str, key_fn: Optional[Callable[..., tuple]] = None):
-    """Decorator memoising a function through the default cache.
-
-    ``key_fn(*args, **kwargs)`` must return the tuple of content parts to
-    key on; by default the positional and sorted keyword arguments are
-    used directly (they must be :func:`cache_key`-encodable).
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            parts = (
-                key_fn(*args, **kwargs)
-                if key_fn is not None
-                else args + tuple(sorted(kwargs.items()))
-            )
-            key = cache_key(fn.__module__, fn.__qualname__, *parts)
-            return get_cache().get_or_compute(
-                namespace, key, lambda: fn(*args, **kwargs),
-            )
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate

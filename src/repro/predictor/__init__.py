@@ -5,7 +5,6 @@ from repro.predictor.features import (
     NUM_FEATURES,
     stage_features,
     stage_samples,
-    workload_features,
 )
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.regressors import (
@@ -31,7 +30,6 @@ from repro.predictor.evaluate import (
     GeneralisationResult,
     compare_models,
     default_model_zoo,
-    generalisation_study,
     leave_one_dataset_out,
     prediction_accuracy,
     sweep_mlp_depth,
@@ -43,7 +41,6 @@ __all__ = [
     "NUM_FEATURES",
     "stage_features",
     "stage_samples",
-    "workload_features",
     "MLPRegressor",
     "BayesianRidgeRegressor",
     "DecisionTreeRegressor",
@@ -66,7 +63,6 @@ __all__ = [
     "GeneralisationResult",
     "compare_models",
     "default_model_zoo",
-    "generalisation_study",
     "leave_one_dataset_out",
     "prediction_accuracy",
     "sweep_mlp_depth",

@@ -8,12 +8,11 @@ accuracy, paper: 93.4%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import PredictorError
-from repro.graphs.datasets import dataset_names
 from repro.predictor.dataset import PredictorDataset, generate_dataset
 from repro.predictor.features import stage_samples
 from repro.predictor.mlp import MLPRegressor
@@ -160,15 +159,3 @@ def leave_one_dataset_out(
     return GeneralisationResult(
         dataset=held_out, accuracy=mean_acc, per_stage_accuracy=per_stage,
     )
-
-
-def generalisation_study(
-    datasets: Optional[Sequence[str]] = None,
-    random_state: int = 0,
-) -> List[GeneralisationResult]:
-    """Run leave-one-out over every paper dataset."""
-    names = list(datasets) if datasets is not None else list(dataset_names())
-    return [
-        leave_one_dataset_out(name, random_state=random_state)
-        for name in names
-    ]

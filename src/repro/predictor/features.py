@@ -17,7 +17,7 @@ normalised times).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -89,14 +89,6 @@ def stage_features_with_kind(workload: Workload, stage: StageSpec) -> np.ndarray
     vector[:NUM_FEATURES] = stage_features(workload, stage)
     vector[NUM_FEATURES] = float(STAGE_KIND_CODES[stage.kind])
     return vector
-
-
-def workload_features(workload: Workload) -> Dict[str, np.ndarray]:
-    """Feature vectors for every stage of a workload, keyed by stage name."""
-    return {
-        stage.name: stage_features(workload, stage)
-        for stage in workload.stage_chain()
-    }
 
 
 def stage_samples(

@@ -133,10 +133,3 @@ class TimePredictor:
             log_time = float(self._model.predict(features[None, :])[0])
             times[stage.name] = float(10.0 ** log_time)
         return times
-
-    def predict_stage_time_array(self, workload: Workload) -> np.ndarray:
-        """Predicted times in chain order (allocator input)."""
-        by_name = self.predict_stage_times(workload)
-        return np.array([
-            by_name[stage.name] for stage in workload.stage_chain()
-        ])

@@ -38,9 +38,9 @@ def profile_stage_times(
     priced by the ambient simulation backend (profiling *is* running the
     workload, so it observes whatever engine the session runs under; the
     analytic engine reproduces the timing model's vectorized whole-epoch
-    matrix byte-for-byte).  The retained
-    :func:`profile_stage_times_reference` walks the stage × micro-batch
-    grid in Python and exists only as the equivalence oracle.
+    matrix byte-for-byte).  The equivalence oracle in
+    ``tests/oracles/predictor.py`` walks the stage × micro-batch grid in
+    Python.
     """
     from repro.backends import EpochProgram, resolve_backend
 
@@ -58,28 +58,5 @@ def profile_stage_times(
     return ProfilingResult(
         stage_times_ns=stage_times,
         overhead_ns=float(per_stage.sum()) * epochs,
-        epochs_profiled=epochs,
-    )
-
-
-def profile_stage_times_reference(
-    timing_model: StageTimingModel,
-    epochs: int = 1,
-) -> ProfilingResult:
-    """Original per-(stage, micro-batch) loop, kept as equivalence oracle."""
-    if epochs < 1:
-        raise PredictorError("epochs must be >= 1")
-    workload = timing_model.workload
-    stage_times: Dict[str, float] = {}
-    total = 0.0
-    for stage in timing_model.stages:
-        per_stage = 0.0
-        for mb in range(workload.num_microbatches):
-            per_stage += timing_model.microbatch_time_ns(stage, mb, 1)
-        stage_times[stage.name] = per_stage / workload.num_microbatches
-        total += per_stage
-    return ProfilingResult(
-        stage_times_ns=stage_times,
-        overhead_ns=total * epochs,
         epochs_profiled=epochs,
     )

@@ -19,13 +19,11 @@ See docs/ARCHITECTURE.md for where this layer sits in the stack.
 from repro.runtime.registry import (
     ExperimentSpec,
     collect_specs,
-    declared_specs,
     experiment,
 )
 from repro.runtime.session import (
     Session,
     default_session,
-    set_default_session,
     stream_seed,
 )
 from repro.runtime.spec import EXPERIMENT_ARRAY_BYTES, RunSpec
@@ -36,9 +34,7 @@ __all__ = [
     "RunSpec",
     "Session",
     "collect_specs",
-    "declared_specs",
     "default_session",
     "experiment",
-    "set_default_session",
     "stream_seed",
 ]

@@ -133,11 +133,6 @@ def experiment(
     return register
 
 
-def declared_specs() -> Dict[str, ExperimentSpec]:
-    """Specs registered so far (import order), without importing anything."""
-    return dict(_declared)
-
-
 def collect_specs(
     package: str = "repro.experiments",
 ) -> Dict[str, ExperimentSpec]:

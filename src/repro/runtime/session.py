@@ -227,11 +227,3 @@ def default_session() -> Session:
     if _default_session is None:
         _default_session = Session()
     return _default_session
-
-
-def set_default_session(session: Optional[Session]) -> Optional[Session]:
-    """Replace the process default; returns the previous one."""
-    global _default_session
-    previous = _default_session
-    _default_session = session
-    return previous

@@ -11,10 +11,10 @@ inference requests (ego-subgraph lookups) under live traffic:
 * :mod:`repro.serving.cost` — per-batch stage service times through the
   analytic :class:`~repro.stages.latency.StageTimingModel` laws, with
   per-stage replica counts from the Algorithm 1 allocation layer;
-* :mod:`repro.serving.engine` — the queueing core, implemented twice:
-  a scalar event-loop reference and a batched scan-form timeline engine
-  (the PR 1 pipeline recurrence generalised to release times), gated by
-  a byte-identity equivalence suite;
+* :mod:`repro.serving.engine` — the queueing core: a batched scan-form
+  timeline engine (the PR 1 pipeline recurrence generalised to release
+  times), gated by a byte-identity suite against the scalar event loop
+  in ``tests/oracles/serving.py``;
 * :mod:`repro.serving.stats` — :class:`ServingStats`: p50/p95/p99 tail
   latency, throughput saturation, queue-depth curves, utilisation;
 * :mod:`repro.serving.service` — :class:`ServingSpec` +
@@ -33,11 +33,7 @@ from repro.serving.arrivals import (
 )
 from repro.serving.batching import BatchingPolicy, BatchPlan, form_batches
 from repro.serving.cost import ServingCostModel, build_serving_system
-from repro.serving.engine import (
-    ServingTimeline,
-    simulate_serving,
-    simulate_serving_reference,
-)
+from repro.serving.engine import ServingTimeline, simulate_serving
 from repro.serving.service import ServingRun, ServingSpec, run_serving
 from repro.serving.stats import ServingStats, queue_depth_curve
 
@@ -55,7 +51,6 @@ __all__ = [
     "queue_depth_curve",
     "run_serving",
     "simulate_serving",
-    "simulate_serving_reference",
     "unit_mmpp",
     "unit_poisson",
     "unit_trace",

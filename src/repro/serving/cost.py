@@ -82,9 +82,9 @@ class ServingCostModel:
         backend's :meth:`~repro.backends.SimulationBackend.service_times_ns`
         — the analytic engine mirrors
         :meth:`~repro.stages.latency.StageTimingModel.compute_times_ns`
-        term for term (byte-identical to
-        :meth:`batch_times_ns_reference`); the trace engine prices the
-        same constants with per-lane ceil occupancy.
+        term for term (byte-identical to the pre-protocol loop in
+        ``tests/oracles/serving.py``); the trace engine prices the same
+        constants with per-lane ceil occupancy.
         """
         from repro.backends import resolve_backend
 
@@ -93,35 +93,6 @@ class ServingCostModel:
         if sizes_f.shape != edges_f.shape or sizes_f.ndim != 1:
             raise ConfigError("sizes and edges must be matching 1-D vectors")
         return resolve_backend(None).service_times_ns(self, sizes, edges)
-
-    def batch_times_ns_reference(
-        self,
-        sizes: np.ndarray,
-        edges: np.ndarray,
-    ) -> np.ndarray:
-        """The pre-protocol in-place loop — the analytic equivalence oracle."""
-        sizes_f = np.asarray(sizes, dtype=np.float64)
-        edges_f = np.asarray(edges, dtype=np.float64)
-        if sizes_f.shape != edges_f.shape or sizes_f.ndim != 1:
-            raise ConfigError("sizes and edges must be matching 1-D vectors")
-        out = np.empty((self.num_stages, sizes_f.size))
-        for s in range(self.num_stages):
-            replicas = float(self.replicas[s])
-            if self.is_edge_stage[s]:
-                effective = np.minimum(
-                    replicas * self.intrinsic_edge_parallelism,
-                    np.maximum(1.0, edges_f),
-                )
-                # stage_factor holds the adjacency scan groups here.
-                scan = sizes_f * self.stage_factor[s] * self.read_latency_ns
-                out[s] = (edges_f * self.mvm_latency_ns + scan) / effective
-            else:
-                effective = np.minimum(replicas, sizes_f)
-                out[s] = (
-                    sizes_f * self.stage_factor[s] * self.mvm_latency_ns
-                    / effective
-                )
-        return np.rint(out).astype(np.int64)
 
     def full_batch_time_ns(self) -> int:
         """Bottleneck-stage service time of one full batch."""

@@ -22,10 +22,11 @@ Balancing policies:
 
 The core is implemented twice, like every fast path in this repo:
 
-* :func:`simulate_serving_reference` — the scalar event loop: batches
-  are processed in dispatch order (dispatch order *is* event order —
-  per-server FIFO means no later event can affect an earlier decision),
-  each through a scalar per-stage max/add recurrence.
+* ``simulate_serving_reference`` (``tests/oracles/serving.py``) — the
+  scalar event loop: batches are processed in dispatch order (dispatch
+  order *is* event order — per-server FIFO means no later event can
+  affect an earlier decision), each through a scalar per-stage max/add
+  recurrence.
 * :func:`simulate_serving` — the batched timeline engine.  For static
   assignments (round-robin) each server's per-stage row collapses to
   the scan form of the PR 1 pipeline recurrence generalised to release
@@ -122,57 +123,6 @@ def _validate(
     return dispatch, times
 
 
-def simulate_serving_reference(
-    dispatch_ns: np.ndarray,
-    stage_times_ns: np.ndarray,
-    num_servers: int,
-    balancer: str = "rr",
-) -> ServingTimeline:
-    """The scalar event-loop oracle (kept for equivalence testing).
-
-    Processes dispatch events in time order; for each, picks the server
-    (round-robin counter or shortest-horizon scan) and walks the batch
-    through the server's stage chain with scalar max/add updates.
-    Orders of magnitude slower than :func:`simulate_serving` on large
-    timelines — that gap is the ``serving`` section of
-    ``bench_hotpaths.py``.
-    """
-    dispatch, times = _validate(
-        dispatch_ns, stage_times_ns, num_servers, balancer,
-    )
-    num_stages, num_batches = times.shape
-    starts = np.zeros_like(times)
-    ends = np.zeros_like(times)
-    assignment = np.zeros(num_batches, dtype=np.int64)
-    # Per-server state: when each stage last became free, and the
-    # server's backlog horizon (its last batch's final completion).
-    avail = np.zeros((num_servers, num_stages), dtype=np.int64)
-    horizon = np.zeros(num_servers, dtype=np.int64)
-
-    for k in range(num_batches):
-        if balancer == "rr":
-            server = k % num_servers
-        else:
-            server = 0
-            for r in range(1, num_servers):
-                if horizon[r] < horizon[server]:
-                    server = r
-        ready = dispatch[k]
-        for s in range(num_stages):
-            begin = max(ready, avail[server, s])
-            finish = begin + times[s, k]
-            starts[s, k] = begin
-            ends[s, k] = finish
-            avail[server, s] = finish
-            ready = finish
-        horizon[server] = ready
-        assignment[k] = server
-    return ServingTimeline(
-        assignment=assignment, starts=starts, ends=ends,
-        num_servers=num_servers, balancer=balancer,
-    )
-
-
 def _scan_static(
     dispatch: np.ndarray,
     times: np.ndarray,
@@ -248,8 +198,9 @@ def simulate_serving(
 ) -> ServingTimeline:
     """The batched timeline engine (the hot path the experiments run).
 
-    Byte-identical to :func:`simulate_serving_reference` — integer
-    arithmetic makes the scan form's reassociation exact.
+    Byte-identical to the scalar event loop in
+    ``tests/oracles/serving.py`` — integer arithmetic makes the scan
+    form's reassociation exact.
     """
     dispatch, times = _validate(
         dispatch_ns, stage_times_ns, num_servers, balancer,

@@ -437,7 +437,7 @@ class StageTimingModel:
 
     @profile.phase(profile.PHASE_TIMING)
     def stage_activity_totals(self, stage: StageSpec) -> StageActivity:
-        """Whole-epoch :meth:`activity` totals, computed in one pass."""
+        """Whole-epoch event counts of ``stage`` (energy input), one pass."""
         cfg = self._config
         sizes = self._mb_sizes()
         col_tiles = self._col_tiles(stage.mapped_cols)
@@ -518,58 +518,3 @@ class StageTimingModel:
             stage.name: self.mean_stage_time_ns(stage, 1)
             for stage in self._stages
         }
-
-    # ------------------------------------------------------------------
-    # Activity for the energy model
-    # ------------------------------------------------------------------
-    def activity(
-        self,
-        stage: StageSpec,
-        mb_index: int,
-    ) -> StageActivity:
-        """Event counts of one (stage, micro-batch) execution."""
-        cfg = self._config
-        b = self._workload.microbatch_size(mb_index)
-        col_tiles = self._col_tiles(stage.mapped_cols)
-        value_bytes = max(1, cfg.input_bits // 8)
-
-        if stage.kind.is_edge_proportional:
-            edges = self._workload.microbatch_edges(mb_index)
-            streams = edges
-            buffer_bytes = float(
-                edges * value_bytes + b * stage.mapped_cols * value_bytes
-            )
-        else:
-            streams = b * self._row_tiles(stage.input_dim)
-            buffer_bytes = float(
-                b * (stage.input_dim + stage.mapped_cols) * value_bytes
-            )
-
-        rows_written = 0
-        pulses = self._params.write_pulses
-        if stage.kind is StageKind.AGGREGATION:
-            period = self._plan.minor_period
-            vertices = self._workload.microbatch_vertices(mb_index)
-            important = np.intersect1d(
-                vertices, self._plan.important, assume_unique=True,
-            ).size
-            expected_rows = ((period - 1) * important + vertices.size) / period
-            rows_written = int(round(expected_rows * pulses * col_tiles))
-        elif stage.kind is StageKind.COMBINATION:
-            rows = min(cfg.crossbar_rows, stage.mapped_rows)
-            rows_written = int(round(
-                rows * pulses * col_tiles / self._workload.num_microbatches
-            ))
-        if self._params.reload_penalty > 0 and stage.kind.is_edge_proportional:
-            edges = self._workload.microbatch_edges(mb_index)
-            rows_written += int(round(
-                edges * self._params.reload_penalty * pulses * col_tiles
-            ))
-
-        return StageActivity(
-            mvm_row_streams=streams,
-            crossbars_per_stream=col_tiles,
-            rows_written=rows_written,
-            buffer_bytes=buffer_bytes,
-            offchip_bytes=buffer_bytes * 0.5,
-        )

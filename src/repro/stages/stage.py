@@ -35,11 +35,6 @@ class StageKind(enum.Enum):
         """Whether stage work scales with edges (AG/GC) or rows (CO/LC)."""
         return self in (StageKind.AGGREGATION, StageKind.GRADIENT)
 
-    @property
-    def maps_vertex_features(self) -> bool:
-        """Whether the mapped matrix is the N x d feature matrix."""
-        return self in (StageKind.AGGREGATION, StageKind.GRADIENT)
-
 
 @dataclass(frozen=True)
 class StageSpec:

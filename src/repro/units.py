@@ -11,9 +11,9 @@ These choices keep the numbers from Table II of the paper usable directly
 conversion helpers below make reporting in human units explicit at the
 boundaries.
 
-1 mW x 1 ns = 1 pJ, so ``energy_pj = power_mw * time_ns`` without any
-conversion factor; that identity is the reason for this unit system and is
-asserted in the test suite.
+1 mW x 1 ns = 1 pJ, so a component's energy in pJ is its power in mW
+times its busy time in ns, without any conversion factor; that identity
+is the reason for this unit system.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def ns_to_s(value_ns: float) -> float:
     return value_ns / NS_PER_S
 
 
-def s_to_ns(value_s: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return value_s * NS_PER_S
-
-
 def pj_to_nj(value_pj: float) -> float:
     """Convert picojoules to nanojoules."""
     return value_pj / PJ_PER_NJ
@@ -65,19 +60,6 @@ def pj_to_mj(value_pj: float) -> float:
 def pj_to_j(value_pj: float) -> float:
     """Convert picojoules to joules."""
     return value_pj / PJ_PER_J
-
-
-def energy_pj(power_mw: float, time_ns: float) -> float:
-    """Energy in picojoules for a component at ``power_mw`` busy ``time_ns``.
-
-    In this unit system the product is the energy with no conversion factor:
-    1 mW * 1 ns = 1e-3 J/s * 1e-9 s = 1e-12 J = 1 pJ.
-    """
-    if power_mw < 0:
-        raise ValueError(f"power must be non-negative, got {power_mw}")
-    if time_ns < 0:
-        raise ValueError(f"time must be non-negative, got {time_ns}")
-    return power_mw * time_ns
 
 
 def format_time(value_ns: float) -> str:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.accelerators.catalog import (
     gopim,
-    gopim_osu,
     gopim_vanilla,
     naive_pipeline,
     plus_isu,
@@ -30,7 +29,6 @@ def test_names_and_schedules():
 def test_update_strategies():
     assert gopim().update_strategy == "isu"
     assert gopim_vanilla().update_strategy == "full"
-    assert gopim_osu().update_strategy == "osu"
     assert plus_isu().update_strategy == "isu"
     assert plus_pp().update_strategy == "full"
     assert naive_pipeline().update_strategy == "full"

@@ -6,11 +6,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.harness import ExperimentResult, combine_markdown
-from repro.experiments.registry import (
-    experiment_seed,
-    run_all,
-    validate_experiment_ids,
-)
+from repro.experiments.registry import run_all, validate_experiment_ids
 
 SMALL_IDS = ["fig04", "fig05"]
 
@@ -31,12 +27,6 @@ def test_run_all_validates_before_running():
 def test_run_all_rejects_bad_jobs():
     with pytest.raises(ExperimentError):
         run_all(only=SMALL_IDS, jobs=0)
-
-
-def test_experiment_seed_is_stable_and_distinct():
-    assert experiment_seed("fig05") == experiment_seed("fig05")
-    assert experiment_seed("fig05") != experiment_seed("fig04")
-    assert 0 <= experiment_seed("fig05") < 2**32
 
 
 def test_parallel_matches_serial_byte_for_byte():

@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.gcn import losses
 from repro.gcn.losses import (
     EdgeScatter,
     accuracy,
-    apply_edge_scatter,
     cross_entropy_loss,
-    edge_scatter_plan,
     sigmoid,
     softmax,
 )
@@ -146,16 +143,7 @@ def _random_link_case(seed):
     return embeddings, pos, neg, parts
 
 
-def _use_scipy(monkeypatch, with_scipy):
-    if not with_scipy:
-        monkeypatch.setattr(losses, "_sparse", None)
-    elif losses._sparse is None:
-        pytest.skip("scipy not installed")
-
-
-@pytest.mark.parametrize("with_scipy", [True, False], ids=["scipy", "bincount"])
-def test_edge_scatter_bitwise_equals_add_at(monkeypatch, with_scipy):
-    _use_scipy(monkeypatch, with_scipy)
+def test_edge_scatter_bitwise_equals_add_at():
     for seed in range(100):
         emb, _, _, parts = _random_link_case(seed)
         expected = np.zeros(emb.shape, dtype=np.float64)
@@ -166,13 +154,9 @@ def test_edge_scatter_bitwise_equals_add_at(monkeypatch, with_scipy):
         assert np.array_equal(scatter.apply(data, emb), expected)
         buf = np.empty(emb.shape, dtype=np.float64)
         assert np.array_equal(scatter.apply(data, emb, emb64_buf=buf), expected)
-        plan = edge_scatter_plan(rows, cols, emb.shape[0])
-        assert np.array_equal(apply_edge_scatter(*plan, data, emb), expected)
 
 
-@pytest.mark.parametrize("with_scipy", [True, False], ids=["scipy", "bincount"])
-def test_fused_link_loss_bitwise_equals_reference(monkeypatch, with_scipy):
-    _use_scipy(monkeypatch, with_scipy)
+def test_fused_link_loss_bitwise_equals_reference():
     for seed in range(100):
         emb, pos, neg, _ = _random_link_case(seed)
         loss, grad = link_bce_loss(emb, pos, neg)

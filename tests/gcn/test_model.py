@@ -73,7 +73,6 @@ def test_dropout_only_in_training(small_graph):
 
 def test_stale_store_first_refresh_is_full():
     store = StaleFeatureStore(1)
-    assert not store.is_initialised(0)
     values = np.arange(12, dtype=np.float32).reshape(4, 3)
     store.refresh(0, values, vertices=np.array([0]))  # forced full
     np.testing.assert_allclose(store.read(0), values)

@@ -1,10 +1,10 @@
-"""Optimisers: SGD and Adam converge on a quadratic."""
+"""Adam converges on a quadratic."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.gcn.optim import SGD, Adam
+from repro.gcn.optim import Adam
 
 
 def quadratic_grad(params):
@@ -12,12 +12,8 @@ def quadratic_grad(params):
     return {"w": 2.0 * (params["w"] - 3.0)}
 
 
-@pytest.mark.parametrize("optimizer", [
-    SGD(learning_rate=0.1),
-    SGD(learning_rate=0.05, momentum=0.9),
-    Adam(learning_rate=0.3),
-])
-def test_converges_to_minimum(optimizer):
+def test_converges_to_minimum():
+    optimizer = Adam(learning_rate=0.3)
     params = {"w": np.array([0.0, 10.0])}
     for _ in range(200):
         optimizer.step(params, quadratic_grad(params))
@@ -34,16 +30,10 @@ def test_updates_in_place():
 
 def test_unknown_gradient_key_raises():
     with pytest.raises(TrainingError):
-        SGD().step({"w": np.zeros(2)}, {"v": np.zeros(2)})
-    with pytest.raises(TrainingError):
         Adam().step({"w": np.zeros(2)}, {"v": np.zeros(2)})
 
 
 def test_hyperparameter_validation():
-    with pytest.raises(TrainingError):
-        SGD(learning_rate=0.0)
-    with pytest.raises(TrainingError):
-        SGD(momentum=1.0)
     with pytest.raises(TrainingError):
         Adam(learning_rate=-1.0)
     with pytest.raises(TrainingError):

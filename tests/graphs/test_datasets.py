@@ -43,8 +43,9 @@ def test_density_classification_matches_paper():
 
 
 def test_scale_factor_positive():
+    # Every stand-in scales its dataset down (or keeps it at full size).
     for spec in DATASET_SPECS.values():
-        assert spec.scale_factor >= 1.0
+        assert spec.paper_vertices >= spec.sim_vertices
 
 
 def test_get_spec_case_insensitive_and_unknown():

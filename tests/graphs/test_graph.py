@@ -138,20 +138,6 @@ def test_edge_list_roundtrip(tiny_graph):
     np.testing.assert_array_equal(rebuilt.degrees, tiny_graph.degrees)
 
 
-def test_subgraph(tiny_graph):
-    sub = tiny_graph.subgraph([0, 1, 2])
-    assert sub.num_vertices == 3
-    assert sub.num_edges == 3  # the 0-1-2 triangle
-    np.testing.assert_array_equal(sub.labels, [0, 0, 0])
-
-
-def test_subgraph_validation(tiny_graph):
-    with pytest.raises(GraphError):
-        tiny_graph.subgraph([0, 0])
-    with pytest.raises(GraphError):
-        tiny_graph.subgraph([99])
-
-
 def test_views_are_readonly(tiny_graph):
     with pytest.raises(ValueError):
         tiny_graph.degrees[0] = 5

@@ -105,7 +105,6 @@ GENERATORS = {
 }
 
 
-@pytest.mark.parametrize("mode", ["both", "either"])
 @given(
     family=st.sampled_from(sorted(GENERATORS)),
     num_vertices=st.integers(min_value=4, max_value=120),
@@ -113,20 +112,19 @@ GENERATORS = {
     theta=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_sparsify_matches_oracle(mode, family, num_vertices, seed, theta):
+def test_sparsify_matches_oracle(family, num_vertices, seed, theta):
     graph = GENERATORS[family](num_vertices, seed)
     assert_same_graph(
-        sparsify_by_degree(graph, theta, mode=mode),
-        sparsify_by_degree_reference(graph, theta, mode=mode),
+        sparsify_by_degree(graph, theta),
+        sparsify_by_degree_reference(graph, theta),
     )
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])
-@pytest.mark.parametrize("mode", ["both", "either"])
-def test_sparsify_theta_extremes_match_oracle(small_graph, theta, mode):
+def test_sparsify_theta_extremes_match_oracle(small_graph, theta):
     assert_same_graph(
-        sparsify_by_degree(small_graph, theta, mode=mode),
-        sparsify_by_degree_reference(small_graph, theta, mode=mode),
+        sparsify_by_degree(small_graph, theta),
+        sparsify_by_degree_reference(small_graph, theta),
     )
 
 
@@ -134,32 +132,26 @@ def test_sparsify_theta_extremes_match_oracle(small_graph, theta, mode):
 # The prune memo
 # ----------------------------------------------------------------------
 def test_repeat_prune_returns_same_instance(small_graph):
-    first = sparsify_by_degree(small_graph, 0.3, mode="either")
-    assert sparsify_by_degree(small_graph, 0.3, mode="either") is first
+    first = sparsify_by_degree(small_graph, 0.3)
+    assert sparsify_by_degree(small_graph, 0.3) is first
 
 
-def test_prune_memo_keyed_by_theta_and_mode(small_graph):
-    base = sparsify_by_degree(small_graph, 0.3, mode="both")
-    other_theta = sparsify_by_degree(small_graph, 0.6, mode="both")
-    other_mode = sparsify_by_degree(small_graph, 0.3, mode="either")
+def test_prune_memo_keyed_by_theta(small_graph):
+    base = sparsify_by_degree(small_graph, 0.3)
+    other_theta = sparsify_by_degree(small_graph, 0.6)
     assert base.num_arcs < other_theta.num_arcs
-    assert base.num_arcs < other_mode.num_arcs
-    for theta, mode, pruned in (
-        (0.3, "both", base),
-        (0.6, "both", other_theta),
-        (0.3, "either", other_mode),
-    ):
+    for theta, pruned in ((0.3, base), (0.6, other_theta)):
         assert_same_graph(
-            pruned, sparsify_by_degree_reference(small_graph, theta, mode),
+            pruned, sparsify_by_degree_reference(small_graph, theta),
         )
 
 
 def test_pickle_drops_prune_memo(small_graph):
     bare = pickle.dumps(small_graph)
-    pruned = sparsify_by_degree(small_graph, 0.3, mode="either")
+    pruned = sparsify_by_degree(small_graph, 0.3)
     assert pickle.dumps(small_graph) == bare
     clone = pickle.loads(bare)
-    again = sparsify_by_degree(clone, 0.3, mode="either")
+    again = sparsify_by_degree(clone, 0.3)
     assert again is not pruned
     assert_same_graph(again, pruned)
 
@@ -168,12 +160,12 @@ def test_clear_cache_regenerates_dataset_and_prune():
     clear_cache()
     try:
         graph = load_dataset("cora", random_state=0, scale=0.25)
-        pruned = sparsify_by_degree(graph, 0.5, mode="either")
+        pruned = sparsify_by_degree(graph, 0.5)
         assert load_dataset("cora", random_state=0, scale=0.25) is graph
         clear_cache()
         fresh = load_dataset("cora", random_state=0, scale=0.25)
         assert fresh is not graph
-        repruned = sparsify_by_degree(fresh, 0.5, mode="either")
+        repruned = sparsify_by_degree(fresh, 0.5)
         assert repruned is not pruned
         assert_same_graph(repruned, pruned)
     finally:

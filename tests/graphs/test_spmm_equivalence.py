@@ -1,21 +1,19 @@
-"""SpMM equivalence: cached-CSR / segment-sum kernels vs the scatter oracle.
+"""SpMM equivalence: the cached scipy CSR product vs the scatter oracle.
 
-``Graph.adjacency_matmul`` (scipy CSR when available, ``np.add.reduceat``
-segment-sum otherwise) must match ``adjacency_matmul_reference`` — the
-original ``np.add.at`` scatter — on every graph, including degree-0
-vertices and edgeless graphs.
+``Graph.adjacency_matmul`` must match ``adjacency_matmul_reference``
+(``tests/oracles/graph_build.py``) — the original ``np.add.at`` scatter —
+on every graph, including degree-0 vertices and edgeless graphs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.graphs.graph as graph_mod
 from repro.graphs.generators import dc_sbm_graph
 from repro.graphs.graph import Graph
+from tests.oracles.graph_build import adjacency_matmul_reference
 
 
 def _random_graph(num_vertices: int, edge_seeds: list) -> Graph:
@@ -44,7 +42,7 @@ def test_adjacency_matmul_matches_reference(
     matrix = rng.standard_normal(
         (num_vertices, feature_dim)
     ).astype(np.float32)
-    expected = graph.adjacency_matmul_reference(matrix)
+    expected = adjacency_matmul_reference(graph, matrix)
     np.testing.assert_allclose(
         graph.adjacency_matmul(matrix), expected, rtol=1e-5, atol=1e-5,
     )
@@ -53,37 +51,11 @@ def test_adjacency_matmul_matches_reference(
     assert np.all(expected[isolated] == 0.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    num_vertices=st.integers(min_value=1, max_value=30),
-    edge_seeds=st.lists(
-        st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
-        max_size=90,
-    ),
-)
-def test_segment_sum_fallback_matches_reference(num_vertices, edge_seeds):
-    """The scipy-free reduceat path must agree with the oracle too."""
-    graph = _random_graph(num_vertices, edge_seeds)
-    rng = np.random.default_rng(7)
-    matrix = rng.standard_normal((num_vertices, 5)).astype(np.float32)
-    saved = graph_mod._sparse
-    graph_mod._sparse = None
-    try:
-        fallback = graph.adjacency_matmul(matrix)
-    finally:
-        graph_mod._sparse = saved
-    np.testing.assert_allclose(
-        fallback,
-        graph.adjacency_matmul_reference(matrix),
-        rtol=1e-5, atol=1e-5,
-    )
-
-
 def test_edgeless_graph_aggregates_to_zero():
     graph = Graph.from_edges(5, [], name="empty")
     matrix = np.ones((5, 3), dtype=np.float32)
     assert np.all(graph.adjacency_matmul(matrix) == 0.0)
-    assert np.all(graph.adjacency_matmul_reference(matrix) == 0.0)
+    assert np.all(adjacency_matmul_reference(graph, matrix) == 0.0)
 
 
 def test_dtype_normalised_to_float32_once():

@@ -48,15 +48,6 @@ def test_isu_extends_median_not_worst(small_graph):
     assert isu.writes_per_epoch_mean < full.writes_per_epoch_mean
 
 
-def test_lifetime_seconds(small_graph):
-    report = estimate_lifetime(build_update_plan(small_graph, "full"), "full")
-    assert report.lifetime_seconds(1e6) == pytest.approx(
-        report.epochs_to_wearout_worst * 1e-3,
-    )
-    with pytest.raises(ConfigError):
-        report.lifetime_seconds(0.0)
-
-
 def test_compare_schemes(small_graph):
     reports = compare_schemes({
         "full": build_update_plan(small_graph, "full"),

@@ -1,10 +1,11 @@
 """Bincount wear-levelling vs the per-crossbar loop reference.
 
 ``wear_levelled_rates`` computes each crossbar's mean write rate with two
-``np.bincount`` passes; the retained reference loops over crossbars with
-``np.mean``.  ``np.mean`` uses pairwise summation while ``bincount`` sums
-sequentially, so the two agree to allclose (observed ~4e-16), not bit for
-bit — the tolerance here is deliberately tight to pin that down.
+``np.bincount`` passes; the reference in ``tests/oracles/endurance.py``
+loops over crossbars with ``np.mean``.  ``np.mean`` uses pairwise
+summation while ``bincount`` sums sequentially, so the two agree to
+allclose (observed ~4e-16), not bit for bit — the tolerance here is
+deliberately tight to pin that down.
 """
 
 import numpy as np
@@ -15,10 +16,10 @@ from repro.hardware.endurance import (
     estimate_lifetime,
     estimate_lifetime_with_leveling,
     wear_levelled_rates,
-    wear_levelled_rates_reference,
 )
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from tests.oracles.endurance import wear_levelled_rates_reference
 
 
 @pytest.mark.parametrize("strategy,theta,rows", [

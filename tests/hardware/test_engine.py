@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MappingError
-from repro.graphs.generators import dc_sbm_graph
 from repro.hardware.config import DEFAULT_CONFIG
-from repro.hardware.engine import MappedMatrix, aggregate, combine
+from repro.hardware.engine import MappedMatrix
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +21,11 @@ def test_mapped_matrix_structure(weights):
     assert mapped.plan.row_tiles == 2
     assert mapped.plan.col_tiles == 2
     assert mapped.num_crossbars == 4
-    np.testing.assert_allclose(mapped.resident_matrix(), weights)
+    # Identity inputs read each programmed row back through the grid.
+    np.testing.assert_allclose(
+        mapped.mvm_batch(np.eye(100, dtype=np.float32)), weights,
+        rtol=1e-6,
+    )
 
 
 def test_mvm_matches_numpy(weights):
@@ -37,7 +40,7 @@ def test_mvm_batch_matches_numpy(weights):
     mapped = MappedMatrix(weights)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(7, 100)).astype(np.float32)
-    np.testing.assert_allclose(combine(x, mapped), x @ weights,
+    np.testing.assert_allclose(mapped.mvm_batch(x), x @ weights,
                                rtol=1e-3, atol=1e-3)
 
 
@@ -58,71 +61,9 @@ def test_program_latency_is_serial_per_crossbar(weights):
     assert mapped.program_latency_ns == pytest.approx(expected)
 
 
-def test_rewrite_rows_updates_values_and_cost(weights):
-    mapped = MappedMatrix(weights)
-    rows = np.array([0, 1, 70])
-    new = np.zeros((3, 48), dtype=np.float32)
-    latency = mapped.rewrite_rows(rows, new)
-    resident = mapped.resident_matrix()
-    np.testing.assert_allclose(resident[rows], 0.0)
-    np.testing.assert_allclose(resident[2], weights[2], rtol=1e-6)
-    # Busiest row tile got 2 rows (ids 0 and 1) -> 2 serial writes.
-    assert latency == pytest.approx(
-        2 * DEFAULT_CONFIG.row_write_latency_ns,
-    )
-
-
-def test_rewrite_validation(weights):
-    mapped = MappedMatrix(weights)
-    with pytest.raises(MappingError):
-        mapped.rewrite_rows(np.array([0]), np.zeros((1, 5)))
-    with pytest.raises(MappingError):
-        mapped.rewrite_rows(np.array([200]), np.zeros((1, 48)))
-
-
 def test_mvm_input_length_checked(weights):
     mapped = MappedMatrix(weights)
     with pytest.raises(MappingError):
         mapped.mvm(np.zeros(99))
     with pytest.raises(MappingError):
         MappedMatrix(np.zeros((0, 3)))
-
-
-def test_aggregate_matches_adjacency_matmul():
-    graph = dc_sbm_graph(48, 2, 4.0, random_state=0)
-    rng = np.random.default_rng(3)
-    features = rng.normal(size=(48, 8)).astype(np.float32)
-    mapped = MappedMatrix(features)
-    hardware_sums = aggregate(graph, mapped)
-    reference = graph.adjacency_matmul(features)
-    np.testing.assert_allclose(hardware_sums, reference,
-                               rtol=1e-3, atol=1e-3)
-
-
-def test_aggregate_edge_serial_cost():
-    graph = dc_sbm_graph(48, 2, 4.0, random_state=0)
-    features = np.ones((48, 8), dtype=np.float32)
-    mapped = MappedMatrix(features)
-    before = mapped.stats().mvm_reads
-    aggregate(graph, mapped)
-    activations = mapped.stats().mvm_reads - before
-    # One activation per directed edge (times the single col tile).
-    assert activations == graph.num_arcs
-
-
-def test_aggregate_subset_of_vertices():
-    graph = dc_sbm_graph(48, 2, 4.0, random_state=0)
-    rng = np.random.default_rng(4)
-    features = rng.normal(size=(48, 8)).astype(np.float32)
-    mapped = MappedMatrix(features)
-    subset = np.array([0, 5, 11])
-    out = aggregate(graph, mapped, vertices=subset)
-    reference = graph.adjacency_matmul(features)[subset]
-    np.testing.assert_allclose(out, reference, rtol=1e-3, atol=1e-3)
-
-
-def test_aggregate_wrong_graph_size():
-    graph = dc_sbm_graph(48, 2, 4.0, random_state=0)
-    mapped = MappedMatrix(np.ones((30, 8), dtype=np.float32))
-    with pytest.raises(MappingError):
-        aggregate(graph, mapped)

@@ -3,9 +3,9 @@
 The perf PR rebuilt ``Crossbar.mvm_batch`` / ``MappedMatrix.mvm_batch``,
 added batched row reads, and replaced the per-edge one-hot aggregation
 with a CSR-segment gather — all promising *exact* equality with the
-retained loops (``*_reference``, and the per-edge aggregation in
-``tests/oracles/functional.py``): same outputs, same seeded noise stream
-consumption, same ``CrossbarStats`` counters.  These tests pin that
+retained per-row and per-edge loops in ``tests/oracles/functional.py``:
+same outputs, same seeded noise stream consumption, same
+``CrossbarStats`` counters.  These tests pin that
 contract on seeded small problems, noise and quantisation on and off.
 """
 
@@ -17,14 +17,9 @@ import pytest
 from repro.errors import MappingError
 from repro.gcn.model import GCN
 from repro.graphs.generators import dc_sbm_graph
-from repro.hardware.engine import (
-    MappedMatrix,
-    aggregate,
-    aggregate_reference,
-    segment_leftfold_sum,
-)
+from repro.hardware.engine import MappedMatrix, segment_leftfold_sum
 from repro.hardware.functional_gcn import FunctionalGCN
-from tests.oracles.functional import PerEdgeFunctionalGCN
+from tests.oracles.functional import PerEdgeFunctionalGCN, mvm_batch_reference
 
 
 def _stats_tuple(stats):
@@ -52,7 +47,7 @@ class TestMvmBatchEquivalence:
         ref = MappedMatrix(matrix, quantize=quantize,
                            read_noise_sigma=sigma, random_state=9)
         out_vec = vec.mvm_batch(inputs)
-        out_ref = ref.mvm_batch_reference(inputs)
+        out_ref = mvm_batch_reference(ref, inputs)
         assert np.array_equal(out_vec, out_ref)
         assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
 
@@ -67,10 +62,10 @@ class TestMvmBatchEquivalence:
         ref = MappedMatrix(matrix, quantize=quantize,
                            read_noise_sigma=sigma, random_state=2)
         vec.mvm_batch(inputs)
-        ref.mvm_batch_reference(inputs)
+        mvm_batch_reference(ref, inputs)
         assert np.array_equal(
             vec.mvm_batch(inputs * 2.0),
-            ref.mvm_batch_reference(inputs * 2.0),
+            mvm_batch_reference(ref, inputs * 2.0),
         )
 
 
@@ -127,41 +122,6 @@ class TestSegmentLeftfoldSum:
                 np.array([0, 1]), np.ones((1, 2), dtype=np.float32),
                 np.zeros((2, 2), dtype=np.float32),
             )
-
-
-class TestAggregateEquivalence:
-    @pytest.mark.parametrize("sigma", [0.0, 0.03])
-    def test_full_graph(self, sigma):
-        graph = _graph()
-        rng = np.random.default_rng(4)
-        features = rng.standard_normal(
-            (graph.num_vertices, 18)
-        ).astype(np.float32)
-        vec = MappedMatrix(features, read_noise_sigma=sigma, random_state=6)
-        ref = MappedMatrix(features, read_noise_sigma=sigma, random_state=6)
-        assert np.array_equal(
-            aggregate(graph, vec), aggregate_reference(graph, ref),
-        )
-        assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
-
-    def test_vertex_subset_with_duplicates_and_isolated(self):
-        graph = _graph()
-        degrees = graph.degrees
-        isolated = int(np.argmin(degrees))  # lowest-degree vertex
-        subset = np.array(
-            [5, isolated, 0, graph.num_vertices - 1, 5], dtype=np.int64,
-        )
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal(
-            (graph.num_vertices, 9)
-        ).astype(np.float32)
-        vec = MappedMatrix(features, read_noise_sigma=0.02, random_state=8)
-        ref = MappedMatrix(features, read_noise_sigma=0.02, random_state=8)
-        got = aggregate(graph, vec, subset)
-        expected = aggregate_reference(graph, ref, subset)
-        assert got.shape == (subset.size, 9)
-        assert np.array_equal(got, expected)
-        assert _stats_tuple(vec.stats()) == _stats_tuple(ref.stats())
 
 
 class TestFunctionalForwardEquivalence:

@@ -12,22 +12,6 @@ def test_mesh_side_from_tiles():
     assert noc.side == 256  # sqrt(65536)
 
 
-def test_hop_distance():
-    noc = MeshNoc()
-    assert noc.hops_between(0, 0) == 0
-    assert noc.hops_between(0, 1) == 1
-    assert noc.hops_between(0, noc.side) == 1  # one row down
-    assert noc.hops_between(0, noc.side + 1) == 2
-
-
-def test_tile_coordinates_bounds():
-    noc = MeshNoc()
-    with pytest.raises(ConfigError):
-        noc.tile_coordinates(noc.side ** 2)
-    with pytest.raises(ConfigError):
-        noc.tile_coordinates(-1)
-
-
 def test_average_hops_formula():
     noc = MeshNoc()
     n = noc.side
@@ -64,7 +48,7 @@ def test_validation():
     with pytest.raises(ConfigError):
         NocConfig(hop_latency_ns=0.0)
     with pytest.raises(ConfigError):
-        NocConfig(flit_bytes=0)
+        NocConfig(link_bandwidth_bytes_per_ns=0.0)
     noc = MeshNoc()
     with pytest.raises(ConfigError):
         noc.transfer_latency_ns(-1.0, 1)

@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import dc_sbm_graph
-from repro.mapping.vertex_map import (
-    interleaved_mapping,
-    interleaved_mapping_reference,
-)
+from repro.mapping.vertex_map import interleaved_mapping
+from tests.oracles.mapping import interleaved_mapping_reference
 
 
 @pytest.mark.parametrize("num_vertices,rows,scopes,seed", [

@@ -1,16 +1,19 @@
-"""Oracle for the functional GCN's aggregation: one MVM per edge.
+"""Oracles for the functional crossbar engine.
 
 :meth:`repro.hardware.functional_gcn.FunctionalGCN._aggregate` gathers
 every arc's grid row in one batched read; the loop here fires one
 one-hot wordline MVM per edge, in CSR edge order, as the hardware
-would.  The two must agree bit for bit — outputs, seeded noise streams
-and ``CrossbarStats`` counters.
+would.  :meth:`repro.hardware.engine.MappedMatrix.mvm_batch` streams a
+batch tile by tile; :func:`mvm_batch_reference` loops over rows.  Each
+pair must agree bit for bit — outputs, seeded noise streams and
+``CrossbarStats`` counters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import MappingError
 from repro.graphs.graph import Graph
 from repro.hardware.engine import MappedMatrix
 from repro.hardware.functional_gcn import FunctionalGCN
@@ -37,3 +40,13 @@ class PerEdgeFunctionalGCN(FunctionalGCN):
                 acc += grid.mvm(one_hot)
             out[v] = acc
         return out
+
+
+def mvm_batch_reference(
+    mapped: MappedMatrix, matrix: np.ndarray,
+) -> np.ndarray:
+    """Per-row loop over :meth:`MappedMatrix.mvm` — the oracle."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    if matrix.ndim != 2:
+        raise MappingError("mvm_batch expects 2-D input")
+    return np.stack([mapped.mvm(row) for row in matrix])

@@ -1,11 +1,13 @@
-"""Oracles for building a CSR graph and pruning it by degree.
+"""Oracles for building a CSR graph, pruning it by degree and its SpMM.
 
 ``from_edges_reference`` dedupes with ``np.unique``, re-sorts with
 ``lexsort`` and counts rows with ``np.add.at``; ``sparsify_by_degree_reference``
 filters the undirected edge list and rebuilds the graph from it.
 :meth:`repro.graphs.graph.Graph.from_edges` (one sort of packed keys) and
 :func:`repro.graphs.sparsify.sparsify_by_degree` (a CSR arc filter) must
-give byte-identical graphs.
+give byte-identical graphs.  ``adjacency_matmul_reference`` scatter-adds
+each arc's row with ``np.add.at``; :meth:`Graph.adjacency_matmul` (a
+scipy CSR product) must match it.
 """
 
 from __future__ import annotations
@@ -58,24 +60,27 @@ def from_edges_reference(
     return Graph(indptr, dst, features=features, labels=labels, name=name)
 
 
-def sparsify_by_degree_reference(
-    graph: Graph, theta: float, mode: str = "both",
-) -> Graph:
-    """Keep the edges with both (``"both"``) or at least one (``"either"``)
-    endpoint among the top-``theta`` degree vertices, by edge-list rebuild."""
-    if mode not in ("both", "either"):
-        raise GraphError(f"mode must be 'both' or 'either', got {mode!r}")
+def sparsify_by_degree_reference(graph: Graph, theta: float) -> Graph:
+    """Keep the edges with at least one endpoint among the top-``theta``
+    degree vertices, by edge-list rebuild."""
     important = np.zeros(graph.num_vertices, dtype=bool)
     important[top_degree_vertices(graph, theta)] = True
     edges = graph.edge_list()
     if edges.size:
-        if mode == "both":
-            keep = important[edges[:, 0]] & important[edges[:, 1]]
-        else:
-            keep = important[edges[:, 0]] | important[edges[:, 1]]
+        keep = important[edges[:, 0]] | important[edges[:, 1]]
         edges = edges[keep]
     return from_edges_reference(
         graph.num_vertices, edges,
         features=graph.features, labels=graph.labels,
         name=f"{graph.name}-deg-sparse",
     )
+
+
+def adjacency_matmul_reference(graph: Graph, matrix: np.ndarray) -> np.ndarray:
+    """Scatter-add (``np.add.at``) SpMM kept as the equivalence oracle."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    graph._check_rows(matrix)
+    out = np.zeros_like(matrix)
+    src = np.repeat(np.arange(graph.num_vertices), graph._degrees)
+    np.add.at(out, src, matrix[graph._indices])
+    return out

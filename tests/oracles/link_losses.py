@@ -2,9 +2,9 @@
 
 The serial trainers' link loss: ``link_bce_loss`` fuses the four
 sequential ``np.add.at`` gradient scatters of ``link_bce_loss_reference``
-into one stably ordered sparse product, which
+into one stably ordered sparse product through
 :class:`repro.gcn.losses.EdgeScatter` (the replica-batched link trainer's
-scatter) reproduces bit for bit.  The serial trainer oracles in
+scatter), bit for bit.  The serial trainer oracles in
 :mod:`tests.oracles.trainers` train on these.
 """
 
@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.gcn.losses import apply_edge_scatter, edge_scatter_plan, sigmoid
+from repro.gcn.losses import EdgeScatter, sigmoid
 
 
 def link_logits(
@@ -68,10 +68,9 @@ def link_bce_loss(
 
     Returns the loss and its gradient w.r.t. the vertex embeddings.
     Fast path: the reference's four sequential ``np.add.at`` scatters
-    are fused into one stably-ordered sparse SpMM
-    (``edge_scatter_plan`` / ``apply_edge_scatter``), which preserves
-    the per-target accumulation order and is therefore bit-identical to
-    ``link_bce_loss_reference``.
+    are fused into one stably-ordered sparse SpMM (:class:`EdgeScatter`),
+    which preserves the per-target accumulation order and is therefore
+    bit-identical to ``link_bce_loss_reference``.
     """
     pos_edges = np.asarray(pos_edges, dtype=np.int64)
     neg_edges = np.asarray(neg_edges, dtype=np.int64)
@@ -80,14 +79,12 @@ def link_bce_loss(
     total, count, rows_parts, cols_parts, data_parts = _bce_terms(
         embeddings, pos_edges, neg_edges,
     )
-    order, indptr, sorted_cols = edge_scatter_plan(
+    scatter = EdgeScatter(
         np.concatenate(rows_parts),
         np.concatenate(cols_parts),
         embeddings.shape[0],
     )
-    grad = apply_edge_scatter(
-        order, indptr, sorted_cols, np.concatenate(data_parts), embeddings,
-    )
+    grad = scatter.apply(np.concatenate(data_parts), embeddings)
     return total / count, (grad / count).astype(np.float32)
 
 

@@ -24,7 +24,6 @@ from repro.perf import (
     cache_key,
     clear_cache,
     get_cache,
-    memoized,
 )
 from repro.perf import cache as cache_module
 from repro.runtime import RunSpec, Session
@@ -261,21 +260,6 @@ class TestDefaultCacheAndDecorator:
 
     def teardown_method(self):
         clear_cache()
-
-    def test_memoized_decorator(self):
-        calls = []
-
-        @memoized("test-ns")
-        def expensive(a, b=2):
-            calls.append((a, b))
-            return a * b
-
-        assert expensive(3) == 6
-        assert expensive(3) == 6
-        assert expensive(3, b=4) == 12
-        assert calls == [(3, 2), (3, 4)]
-        assert expensive.__wrapped__(3) == 6  # bypasses the cache
-        assert len(calls) == 3
 
     def test_clear_cache_resets_default(self):
         get_cache().get_or_compute("ns", "k", lambda: 1)

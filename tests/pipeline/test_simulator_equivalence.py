@@ -1,10 +1,10 @@
 """Vectorized pipeline recurrence vs the retained double-loop reference.
 
 ``simulate_pipeline`` solves the Eq. 3-6 recurrence with per-row
-cummax/cumsum scans; ``simulate_pipeline_reference`` keeps the original
-micro-batch loop.  They must agree on every shape, schedule mode, batch
-granularity, and on degenerate inputs (zero times, single stage, single
-micro-batch).
+cummax/cumsum scans; ``simulate_pipeline_reference``
+(``tests/oracles/pipeline.py``) keeps the original micro-batch loop.  They
+must agree on every shape, schedule mode, batch granularity, and on
+degenerate inputs (zero times, single stage, single micro-batch).
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.simulator import (
-    ScheduleMode,
-    simulate_pipeline,
-    simulate_pipeline_reference,
-)
+from repro.pipeline.simulator import ScheduleMode, simulate_pipeline
+from tests.oracles.pipeline import simulate_pipeline_reference
 
 
 def _assert_equivalent(times, mode, batch):

@@ -11,7 +11,6 @@ from repro.predictor.features import (
     stage_features,
     stage_features_with_kind,
     stage_samples,
-    workload_features,
 )
 from repro.stages.latency import StageTimingModel
 from repro.stages.stage import StageKind, StageSpec
@@ -40,11 +39,6 @@ def test_kind_code_appended(small_workload):
 def test_all_kinds_have_codes():
     assert set(STAGE_KIND_CODES) == set(StageKind)
     assert len(set(STAGE_KIND_CODES.values())) == 4
-
-
-def test_workload_features_keys(small_workload):
-    feats = workload_features(small_workload)
-    assert set(feats) == {s.name for s in small_workload.stage_chain()}
 
 
 def test_stage_samples_targets_are_log_times(small_workload):

@@ -2,8 +2,9 @@
 
 ``_fit`` draws every epoch's shuffle as one ``(epochs, n)`` permutation
 matrix up front and runs the Adam update in preallocated scratch with the
-same IEEE operations in the same order as ``_fit_reference`` (``g * g``
-standing in, bitwise-equally, for ``g ** 2``).  Weights, biases and the
+same IEEE operations in the same order as ``mlp_fit_reference`` in
+``tests/oracles/predictor.py`` (``g * g`` standing in, bitwise-equally,
+for ``g ** 2``).  Weights, biases and the
 loss history must therefore match *bit for bit*, not just approximately.
 
 The base ``Regressor.fit`` additionally memoises fitted state through the
@@ -17,6 +18,7 @@ import pytest
 from repro.perf import get_cache
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.regressors import RidgeRegressor
+from tests.oracles.predictor import mlp_fit_reference
 
 
 def _training_data(seed=0, n=300, dims=11):
@@ -37,7 +39,7 @@ def test_fit_bit_identical_to_reference(hidden, epochs):
     fast = MLPRegressor(hidden_layers=hidden, epochs=epochs, random_state=7)
     ref = MLPRegressor(hidden_layers=hidden, epochs=epochs, random_state=7)
     fast._fit(xn, y)
-    ref._fit_reference(xn, y)
+    mlp_fit_reference(ref, xn, y)
     assert len(fast._weights) == len(ref._weights)
     for w_fast, w_ref in zip(fast._weights, ref._weights):
         np.testing.assert_array_equal(w_fast, w_ref)
@@ -54,7 +56,7 @@ def test_fit_bit_identical_with_partial_final_batch():
     fast = MLPRegressor(epochs=15, batch_size=64, random_state=2)
     ref = MLPRegressor(epochs=15, batch_size=64, random_state=2)
     fast._fit(xn, y)
-    ref._fit_reference(xn, y)
+    mlp_fit_reference(ref, xn, y)
     for w_fast, w_ref in zip(fast._weights, ref._weights):
         np.testing.assert_array_equal(w_fast, w_ref)
     assert fast.loss_history == ref.loss_history

@@ -65,14 +65,6 @@ def test_predictions_positive_and_reasonable(fitted_predictor):
         assert 0.1 < times[name] / truth[name] < 10.0
 
 
-def test_predict_array_order(fitted_predictor):
-    workload = workload_from_dataset("cora", random_state=0)
-    array = fitted_predictor.predict_stage_time_array(workload)
-    by_name = fitted_predictor.predict_stage_times(workload)
-    expected = [by_name[s.name] for s in workload.stage_chain()]
-    np.testing.assert_allclose(array, expected)
-
-
 def test_is_fitted_flag():
     predictor = TimePredictor(PerKindRegressor(LinearRegressor))
     assert not predictor.is_fitted

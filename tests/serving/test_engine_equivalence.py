@@ -15,9 +15,9 @@ from repro.serving import (
     ServingStats,
     run_serving,
     simulate_serving,
-    simulate_serving_reference,
 )
 from repro.serving.service import request_degrees
+from tests.oracles.serving import simulate_serving_reference
 
 
 def identical(a, b):

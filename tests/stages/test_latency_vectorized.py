@@ -3,7 +3,8 @@
 ``StageTimingModel`` gained whole-epoch vector methods
 (``compute_times_ns`` / ``write_times_ns`` / ``reload_times_ns`` /
 ``stage_time_matrix`` / ``stage_activity_totals``); the scalar
-per-(stage, micro-batch) methods remain the reference semantics.
+per-(stage, micro-batch) methods, and the per-micro-batch activity and
+profiling loops in ``tests/oracles/``, remain the reference semantics.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import pytest
 
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
-from repro.predictor.profiler import (
-    profile_stage_times,
-    profile_stage_times_reference,
-)
+from repro.predictor.profiler import profile_stage_times
 from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.workload import Workload
+from tests.oracles.predictor import profile_stage_times_reference
+from tests.oracles.stages import stage_activity_reference
 
 
 def _timing_model(strategy: str, reload_penalty: float = 0.0,
@@ -94,7 +94,10 @@ def test_activity_totals_match_scalar_sum(strategy):
     num_mbs = timing.workload.num_microbatches
     for stage in timing.stages:
         total = timing.stage_activity_totals(stage)
-        acts = [timing.activity(stage, mb) for mb in range(num_mbs)]
+        acts = [
+            stage_activity_reference(timing, stage, mb)
+            for mb in range(num_mbs)
+        ]
         assert total.mvm_row_streams == sum(a.mvm_row_streams for a in acts)
         assert total.rows_written == sum(a.rows_written for a in acts)
         assert total.buffer_bytes == pytest.approx(

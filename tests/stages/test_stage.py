@@ -33,8 +33,6 @@ def test_stage_kind_flags():
     assert StageKind.GRADIENT.is_edge_proportional
     assert not StageKind.COMBINATION.is_edge_proportional
     assert not StageKind.LOSS.is_edge_proportional
-    assert StageKind.AGGREGATION.maps_vertex_features
-    assert not StageKind.LOSS.maps_vertex_features
 
 
 def test_input_dims():
