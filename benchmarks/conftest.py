@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime import default_session
+from repro.runtime import current_session
 
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_caches():
     """Pre-build the shared workloads and predictor once per session."""
-    session = default_session()
+    session = current_session()
     session.prefetch(
         ("ddi", "collab", "ppa", "proteins", "arxiv", "products", "cora"),
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.runtime import default_session
+from repro.runtime import current_session
 from repro.accelerators import (
     gopim,
     gopim_vanilla,
@@ -30,7 +30,7 @@ from repro.units import format_energy, format_time
 
 def compare(dataset: str) -> None:
     """Print the six-system comparison for one dataset."""
-    session = default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(num_samples=800, seed=0)
     workload = session.workload(dataset, seed=0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 
 from repro.accelerators import gopim, naive_pipeline, serial
-from repro.runtime import default_session
+from repro.runtime import current_session
 from repro.pipeline import bottleneck_stage, render_gantt, utilization_report
 from repro.units import format_time
 
@@ -42,7 +42,7 @@ def show(report, width: int) -> None:
 def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "cora"
     width = int(sys.argv[2]) if len(sys.argv) > 2 else 72
-    session = default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(dataset, seed=0)
     predictor = session.predictor(num_samples=800, seed=0)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from repro import GoPIMSystem, workload_from_dataset
 from repro.accelerators import serial
-from repro.runtime import default_session
+from repro.runtime import current_session
 from repro.units import format_energy, format_time
 
 
 def main() -> None:
-    session = default_session()
+    session = current_session()
     config = session.config
     print("Training the execution-time predictor (one-off)...")
     predictor = session.predictor(num_samples=800, seed=0)

@@ -17,7 +17,7 @@ import sys
 
 from repro.accelerators import gopim, gopim_vanilla, serial
 from repro.core import CoSimulation
-from repro.runtime import default_session
+from repro.runtime import current_session
 from repro.units import format_time
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "arxiv"
     epochs = int(sys.argv[2]) if len(sys.argv) > 2 else 25
     target = float(sys.argv[3]) if len(sys.argv) > 3 else 0.7
-    session = default_session()
+    session = current_session()
     config = session.config
     graph = session.graph(dataset, seed=0)
     print(f"{dataset}: {graph}")

@@ -270,11 +270,12 @@ class AcceleratorModel:
         config — skips both.
 
         The epoch is priced by a :class:`~repro.backends.SimulationBackend`
-        (``backend`` names one explicitly; the default is the ambient
-        process backend, usually ``"analytic"``).  The allocation plan
-        and the activity-count energy model are backend-independent:
-        every engine prices the *same* replica assignment, so backends
-        differ only in how operations turn into nanoseconds.
+        (``backend`` names one explicitly; the default is the current
+        session's, see :func:`repro.runtime.current_session`).  The
+        allocation plan and the activity-count energy model are
+        backend-independent: every engine prices the *same* replica
+        assignment, so backends differ only in how operations turn into
+        nanoseconds.
         """
         engine = resolve_backend(backend)
         timing = self.build_timing_model(workload, config)

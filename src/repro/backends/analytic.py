@@ -21,11 +21,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.backends.protocol import (
-    EpochProgram,
-    SimulationBackend,
-    register_backend,
-)
+from repro.backends.protocol import EpochProgram, SimulationBackend
 
 
 class AnalyticBackend(SimulationBackend):
@@ -83,4 +79,4 @@ class AnalyticBackend(SimulationBackend):
         return {"model": "closed-form"}
 
 
-ANALYTIC_BACKEND = register_backend(AnalyticBackend())
+ANALYTIC_BACKEND = AnalyticBackend()

@@ -16,27 +16,25 @@ coexist.  This module is that contract for the reproduction:
   statistics.  Energy stays activity-count-based and backend-independent
   (:meth:`AcceleratorModel._energy` charges the same event counts under
   either engine, integrating idle leakage over the backend's makespan);
-* backends register by name (:func:`register_backend`) and one of them
-  is *ambient* per process — :func:`use_backend` scopes it, so consumers
+* :mod:`repro.backends` maps each engine's name to its instance.  The
+  run's :class:`~repro.runtime.RunSpec` names the engine, so consumers
   deep in the call tree (accelerator models, the serving cost model, the
-  profiling estimator) consult :func:`active_backend` instead of
+  profiling estimator) take it from the current session instead of
   threading an engine handle through every call.
 
-The default ambient backend is ``"analytic"``; with it active, every
-code path is byte-identical to the pre-protocol implementation (the
-golden-hash suite pins this).
+The default engine is ``"analytic"``; under it, every code path is
+byte-identical to the pre-protocol implementation (the golden-hash
+suite pins this).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.pipeline.simulator import (
     PipelineResult,
     ScheduleMode,
@@ -131,7 +129,8 @@ class SimulationBackend(ABC):
     not in the paper's scheduling constraints.
     """
 
-    #: Registry key; subclasses override.
+    #: The engine's name in :data:`repro.backends.BACKEND_NAMES`;
+    #: subclasses override.
     name: str = ""
 
     # ------------------------------------------------------------------
@@ -166,81 +165,3 @@ class SimulationBackend(ABC):
             pipeline=pipeline,
             stats=self.epoch_stats(program),
         )
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_backends: Dict[str, SimulationBackend] = {}
-
-
-def register_backend(backend: SimulationBackend) -> SimulationBackend:
-    """Register a backend instance under its ``name``."""
-    if not backend.name:
-        raise ConfigError("backend must declare a non-empty name")
-    _backends[backend.name] = backend
-    return backend
-
-
-def backend_names() -> Tuple[str, ...]:
-    """The registered backend names, registration order."""
-    return tuple(_backends)
-
-
-def get_backend(name: str) -> SimulationBackend:
-    """Look a backend up by name."""
-    backend = _backends.get(name)
-    if backend is None:
-        raise ConfigError(
-            f"unknown simulation backend {name!r}; "
-            f"registered: {', '.join(_backends) or '(none)'}"
-        )
-    return backend
-
-
-# ----------------------------------------------------------------------
-# Ambient (process-wide) backend
-# ----------------------------------------------------------------------
-DEFAULT_BACKEND = "analytic"
-
-_active: str = DEFAULT_BACKEND
-
-
-def active_backend_name() -> str:
-    """The process-wide active backend name."""
-    return _active
-
-
-def active_backend() -> SimulationBackend:
-    """The process-wide active backend instance."""
-    return get_backend(_active)
-
-
-def set_active_backend(name: str) -> str:
-    """Set the process-wide backend; returns the previous name."""
-    global _active
-    get_backend(name)  # validate eagerly
-    previous = _active
-    _active = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: str):
-    """Scope the active backend (the Session/driver entry point)."""
-    previous = set_active_backend(name)
-    try:
-        yield get_backend(name)
-    finally:
-        set_active_backend(previous)
-
-
-def resolve_backend(
-    backend: Union[None, str, SimulationBackend],
-) -> SimulationBackend:
-    """Normalise a backend argument: ``None`` means the ambient one."""
-    if backend is None:
-        return active_backend()
-    if isinstance(backend, SimulationBackend):
-        return backend
-    return get_backend(backend)

@@ -50,11 +50,7 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro.backends.protocol import (
-    EpochProgram,
-    SimulationBackend,
-    register_backend,
-)
+from repro.backends.protocol import EpochProgram, SimulationBackend
 from repro.perf import profile
 from repro.perf.cache import cache_key, get_cache
 from repro.stages.latency import StageTimingModel
@@ -385,4 +381,4 @@ class TraceBackend(SimulationBackend):
         return totals
 
 
-TRACE_BACKEND = register_backend(TraceBackend())
+TRACE_BACKEND = TraceBackend()

@@ -59,9 +59,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.accelerators import (
         gopim, gopim_vanilla, reflip, regraphx, serial, slimgnn_like,
     )
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    session = default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(args.dataset, seed=args.seed,
                                 micro_batch=args.micro_batch)
@@ -96,9 +96,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.accelerators import gopim, serial
     from repro.pipeline.trace import bottleneck_stage, render_gantt
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    session = default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(args.dataset, seed=args.seed)
     acc = (
@@ -118,9 +118,11 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.harness import combine_markdown
     from repro.experiments.registry import run_all
+    from repro.runtime import RunSpec, Session
 
+    session = Session(RunSpec(backend=args.backend))
     results = run_all(quick=args.quick, only=args.ids or None,
-                      jobs=args.jobs, backend=args.backend)
+                      jobs=args.jobs, session=session)
     print(combine_markdown(results))
     return 0
 
@@ -153,9 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.registry import run_all, specs
     from repro.runtime import RunSpec, Session
 
-    session = Session(RunSpec(
-        seed=args.seed, backend=args.backend or "analytic",
-    ))
+    session = Session(RunSpec(seed=args.seed, backend=args.backend))
     result = run_all(
         quick=args.quick, only=[args.experiment_id], session=session,
     )[0]
@@ -176,9 +176,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.graphs.stats import compute_stats
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    graph = default_session().graph(args.dataset, seed=args.seed)
+    graph = current_session().graph(args.dataset, seed=args.seed)
     stats = compute_stats(graph)
     for key, value in stats.as_dict().items():
         if isinstance(value, float):
@@ -194,9 +194,9 @@ def _cmd_lifetime(args: argparse.Namespace) -> int:
         estimate_lifetime_with_leveling,
     )
     from repro.mapping.selective import build_update_plan
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    graph = default_session().graph(args.dataset, seed=args.seed)
+    graph = current_session().graph(args.dataset, seed=args.seed)
     plans = {
         "full": build_update_plan(graph, "full"),
         "OSU": build_update_plan(graph, "osu"),
@@ -260,9 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--jobs", type=int, default=1, metavar="N",
                              help="worker processes")
     experiments.add_argument("--backend", choices=("analytic", "trace"),
-                             default=None,
-                             help="simulation backend for every epoch "
-                                  "(default: the session's, i.e. analytic)")
+                             default="analytic",
+                             help="simulation backend for every epoch")
 
     sub.add_parser("list", help="print the experiment registry")
 
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quick", action="store_true",
                      help="fast smoke parameters")
     run.add_argument("--backend", choices=("analytic", "trace"),
-                     default=None,
+                     default="analytic",
                      help="simulation backend (trace replays compiled "
                           "instruction streams; provenance-stamped)")
     run.add_argument("--json", action="store_true",

@@ -17,7 +17,7 @@ perturbs per-epoch accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from repro.gcn.trainer import make_trainer
 from repro.graphs.datasets import get_spec
 from repro.graphs.graph import Graph
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import Session
 
 
 @dataclass
@@ -78,12 +75,9 @@ class CoSimulation:
         self,
         accelerator: AcceleratorModel,
         config: Optional[HardwareConfig] = None,
-        session: Optional["Session"] = None,
     ) -> None:
-        if config is None:
-            config = DEFAULT_CONFIG if session is None else session.config
         self._accelerator = accelerator
-        self._config = config
+        self._config = DEFAULT_CONFIG if config is None else config
 
     def run(
         self,
@@ -111,10 +105,10 @@ class CoSimulation:
         plan = timing.update_plan
 
         # Two epoch flavours: minor-refresh (full write rounds) and
-        # important-only.  Precompute both makespans through the active
-        # simulation backend — each phase is one EpochProgram with the
-        # write phase pinned (``tests/oracles/cosim.py`` keeps the
-        # scalar loop the analytic backend is checked against).
+        # important-only.  Precompute both makespans through the current
+        # session's simulation backend — each phase is one EpochProgram
+        # with the write phase pinned (``tests/oracles/cosim.py`` keeps
+        # the scalar loop the analytic backend is checked against).
         engine = resolve_backend(None)
         makespans = {}
         for full_round in (True, False):

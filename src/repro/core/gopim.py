@@ -21,7 +21,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.mapping.selective import UpdatePlan, build_update_plan
 from repro.predictor.predictor import TimePredictor
 from repro.stages.workload import Workload
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import Session
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,6 @@ class GoPIMSystem:
         first use (deterministic, cached on the instance).
     theta:
         Override for the adaptive update threshold.
-    session:
-        A :class:`repro.runtime.Session`; when given, supplies the
-        resolved config and the cached predictor unless overridden by
-        the explicit ``config``/``predictor`` arguments.
     """
 
     def __init__(
@@ -82,13 +75,8 @@ class GoPIMSystem:
         config: Optional[HardwareConfig] = None,
         predictor: Optional[TimePredictor] = None,
         theta: Optional[float] = None,
-        session: Optional["Session"] = None,
     ) -> None:
-        if config is None:
-            config = DEFAULT_CONFIG if session is None else session.config
-        if predictor is None and session is not None:
-            predictor = session.predictor()
-        self._config = config
+        self._config = DEFAULT_CONFIG if config is None else config
         self._predictor = predictor
         self._theta = theta
 

@@ -1,8 +1,10 @@
 """Experiment harness: one module per reproduced table/figure.
 
 Experiments declare themselves with the :func:`repro.runtime.experiment`
-decorator and run under a :class:`repro.runtime.Session`, which owns the
-resolved hardware config, seeded RNG streams, and the artifact cache.
+decorator and run inside a :class:`repro.runtime.Session`, which owns the
+resolved hardware config, simulation backend, seeded RNG streams, and the
+artifact cache; a run function reads it with
+:func:`repro.runtime.current_session`.
 """
 
 from repro.experiments.harness import ExperimentResult, combine_markdown

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.allocation.baselines import (
 from repro.allocation.greedy import greedy_allocation, greedy_allocation_reference
 from repro.allocation.problem import AllocationProblem
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.stages.latency import StageTimingModel
 
 # Decision times must reflect an actual search, so the memoised
@@ -46,10 +46,9 @@ def build_problem(
     dataset: str,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> AllocationProblem:
     """The crossbar-allocation problem one dataset's workload poses."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(dataset, seed=seed, scale=scale)
     timing = StageTimingModel(workload)
@@ -88,10 +87,8 @@ def run(
     datasets: Sequence[str] = ("ddi", "collab", "products"),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Quality + decision-time comparison of all allocation policies."""
-    session = session or default_session()
     result = ExperimentResult(
         experiment_id="abl-allocator",
         title="Allocation policy ablation: makespan quality vs decision time",
@@ -102,7 +99,7 @@ def run(
         ),
     )
     for dataset in datasets:
-        problem = build_problem(dataset, seed=seed, scale=scale, session=session)
+        problem = build_problem(dataset, seed=seed, scale=scale)
         baseline = problem.makespan_ns(
             np.ones(problem.num_stages, dtype=np.int64),
         )

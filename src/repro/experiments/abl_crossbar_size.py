@@ -14,17 +14,12 @@ the trade-off the fixed choice hides:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
 from repro.hardware.config import HardwareConfig
-from repro.runtime import (
-    EXPERIMENT_ARRAY_BYTES,
-    Session,
-    default_session,
-    experiment,
-)
+from repro.runtime import EXPERIMENT_ARRAY_BYTES, current_session, experiment
 
 SIZE_GRID = (32, 64, 128)
 
@@ -42,10 +37,9 @@ def run(
     sizes: Sequence[int] = SIZE_GRID,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """GoPIM speedup/energy vs square crossbar size."""
-    session = session or default_session()
+    session = current_session()
     workload = session.workload(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
         experiment_id="abl-crossbar-size",

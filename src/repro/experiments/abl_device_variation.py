@@ -10,12 +10,12 @@ microbenchmark.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.graphs.datasets import get_spec
 from repro.hardware.engine import MappedMatrix
@@ -49,10 +49,9 @@ def run(
     epochs: int = 25,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Accuracy and raw MVM error vs device-variation sigma."""
-    session = session or default_session()
+    session = current_session()
     spec = get_spec(dataset)
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(

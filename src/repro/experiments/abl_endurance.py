@@ -11,10 +11,10 @@ updating cannot spare the rows it keeps refreshing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.hardware.endurance import (
     compare_schemes,
     estimate_lifetime_with_leveling,
@@ -33,10 +33,9 @@ def run(
     datasets: Sequence[str] = ("ddi", "cora"),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Lifetime comparison: full vs OSU vs ISU per dataset."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="abl-endurance",
         title="ReRAM array lifetime under each update scheme",

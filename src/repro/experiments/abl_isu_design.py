@@ -13,14 +13,12 @@ sweep; this experiment sweeps each:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.accelerators.base import AcceleratorModel
 from repro.allocation.greedy import greedy_allocation
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.mapping.selective import build_update_plan
 from repro.mapping.vertex_map import interleaved_mapping
 from repro.pipeline.simulator import ScheduleMode
@@ -32,10 +30,9 @@ def minor_period_sweep(
     periods: Sequence[int] = (1, 5, 10, 20, 40),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Average write cycles and rows per epoch vs the minor period."""
-    session = session or default_session()
+    session = current_session()
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
         experiment_id="abl-minor-period",
@@ -57,10 +54,9 @@ def scope_count_sweep(
     scope_counts: Sequence[int] = (1, 2, 8, 64),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Per-crossbar degree balance vs the interleaving scope count K."""
-    session = session or default_session()
+    session = current_session()
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
         experiment_id="abl-scopes",
@@ -86,10 +82,9 @@ def write_pulse_sweep(
     pulses: Sequence[int] = (1, 2, 4, 8),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """GoPIM-vs-Vanilla speedup gap vs the write-pulse calibration."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
@@ -132,18 +127,16 @@ def write_pulse_sweep(
 def run(
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """All three ISU-design sweeps as one table."""
-    session = session or default_session()
     combined = ExperimentResult(
         experiment_id="abl-isu",
         title="ISU design-choice ablations (minor period, scopes, pulses)",
     )
     for sub in (
-        minor_period_sweep(seed=seed, scale=scale, session=session),
-        scope_count_sweep(seed=seed, scale=scale, session=session),
-        write_pulse_sweep(seed=seed, scale=scale, session=session),
+        minor_period_sweep(seed=seed, scale=scale),
+        scope_count_sweep(seed=seed, scale=scale),
+        write_pulse_sweep(seed=seed, scale=scale),
     ):
         for row in sub.rows:
             combined.rows.append({"sweep": sub.experiment_id, **row})

@@ -12,7 +12,7 @@ nothing in GoPIM is GCN-specific by running the full stack on GraphSAGE:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.accelerators.catalog import gopim, serial
 from repro.errors import ExperimentError
@@ -20,7 +20,7 @@ from repro.experiments.harness import ExperimentResult, train_with_split
 from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.mapping.selective import build_update_plan
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.stages.workload import Workload
 
 
@@ -49,12 +49,11 @@ def run(
     epochs: int = 25,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Speedups and ISU accuracy impact for both model families."""
     if epochs < 1:
         raise ExperimentError("epochs must be >= 1")
-    session = session or default_session()
+    session = current_session()
     config = session.config
     base = session.workload(dataset, seed=seed, scale=scale)
     graph = base.graph

@@ -12,10 +12,10 @@ every dataset:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.stages.analysis import (
     aggregation_combination_ratios,
     profile_stages,
@@ -37,10 +37,9 @@ def run(
     datasets: Sequence[str] = MOTIVATION_DATASETS,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """The motivation profile per dataset."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="abl-motivation",
         title="Section III motivation profile (AG:CO ratios, update share)",

@@ -11,12 +11,12 @@ not, matching Table V's benign accuracy deltas).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, gopim_vanilla, serial
 from repro.core.cosim import CoSimulation
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 
 @experiment(
@@ -34,10 +34,9 @@ def run(
     targets: Sequence[float] = (0.5, 0.7),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Time-to-accuracy comparison on one dataset."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(

@@ -10,11 +10,11 @@ behind pipelining training at all.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult, train_with_split
 from repro.gcn.model import GCN
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 
 @experiment(
@@ -31,10 +31,9 @@ def run(
     epochs: int = 30,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Accuracy vs gradient-staleness depth."""
-    session = session or default_session()
+    session = current_session()
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
         experiment_id="abl-weight-staleness",

@@ -21,14 +21,13 @@ doubles as a byte-identity canary: its delta column must be 0.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.accelerators.base import AcceleratorReport
 from repro.accelerators.catalog import gopim, plus_isu, plus_pp, serial
-from repro.backends import use_backend
 from repro.errors import ExperimentError
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.stages.workload import Workload
 
 COMPARE_BACKENDS = ("analytic", "trace")
@@ -60,17 +59,17 @@ def _run_group(
 ) -> Dict[str, Dict[str, AcceleratorReport]]:
     """Each backend's reports for one comparison group.
 
-    The systems and workload are shared; only the ambient backend
-    changes between the two passes, so every delta in the output is
-    attributable to the pricing engine alone.
+    The systems and workload are shared; only the backend each run is
+    priced on changes between the two passes, so every delta in the
+    output is attributable to the pricing engine alone.
     """
-    out: Dict[str, Dict[str, AcceleratorReport]] = {}
-    for backend in COMPARE_BACKENDS:
-        with use_backend(backend):
-            out[backend] = {
-                acc.name: acc.run(workload, config) for acc in systems
-            }
-    return out
+    return {
+        backend: {
+            acc.name: acc.run(workload, config, backend=backend)
+            for acc in systems
+        }
+        for backend in COMPARE_BACKENDS
+    }
 
 
 def _emit_rows(
@@ -122,12 +121,11 @@ def run(
     seed: int = 0,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Cross-validate the backends on fig13/fig14/fig17-shaped groups."""
     from repro.accelerators.catalog import reflip, regraphx, slimgnn_like
 
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed) if use_predictor else None
     result = ExperimentResult(

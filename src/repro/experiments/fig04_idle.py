@@ -8,11 +8,11 @@ stage's crossbar pool.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import slimgnn_like
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 FIG04_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
 
@@ -29,10 +29,9 @@ def run(
     datasets: Sequence[str] = FIG04_DATASETS,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 4's per-stage idle percentages."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     result = ExperimentResult(
         experiment_id="fig04",

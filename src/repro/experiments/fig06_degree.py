@@ -9,13 +9,11 @@ show the balance ISU achieves.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
 from repro.mapping.vertex_map import index_mapping, interleaved_mapping
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 FIG06_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
 
@@ -32,10 +30,9 @@ def run(
     seed: int = 0,
     rows_per_crossbar: int = 64,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 6's per-crossbar degree spread."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="fig06",
         title="Average degree of vertices mapped on each crossbar",

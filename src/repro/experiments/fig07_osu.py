@@ -10,13 +10,13 @@ Two parts:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.experiments.harness import ExperimentResult
 from repro.mapping.selective import build_update_plan
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 TOY_DEGREES = (300, 500, 250, 450, 2, 15, 10, 1)
 
@@ -56,10 +56,9 @@ def run(
     datasets: Sequence[str] = ("ddi", "proteins", "ppa"),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 7's cycle counts, toy and dataset scale."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="fig07",
         title="Selective updating write cycles: OSU vs ISU",

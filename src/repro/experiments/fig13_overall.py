@@ -7,7 +7,7 @@ sparse-graph study) and normalises to Serial.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.accelerators.base import AcceleratorReport
 from repro.accelerators.catalog import (
@@ -19,7 +19,7 @@ from repro.accelerators.catalog import (
     slimgnn_like,
 )
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 FIG13_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
 
@@ -30,10 +30,9 @@ def run_systems(
     micro_batch: int = 64,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> Dict[str, AcceleratorReport]:
     """All six systems' reports for one dataset."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     workload = session.workload(
         dataset, seed=seed, micro_batch=micro_batch, scale=scale,
@@ -65,10 +64,8 @@ def run(
     scale: float = 1.0,
     use_predictor: bool = True,
     include_cora: bool = False,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 13 (a) speedups and (b) energy savings."""
-    session = session or default_session()
     result = ExperimentResult(
         experiment_id="fig13",
         title="Overall speedup and energy saving, normalised to Serial",
@@ -82,7 +79,7 @@ def run(
     for dataset in names:
         reports = run_systems(
             dataset, seed=seed, micro_batch=micro_batch, scale=scale,
-            use_predictor=use_predictor, session=session,
+            use_predictor=use_predictor,
         )
         base = reports["Serial"]
         for name, report in reports.items():

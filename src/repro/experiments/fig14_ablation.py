@@ -8,11 +8,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, plus_isu, plus_pp, serial
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 FIG14_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
 
@@ -30,10 +30,9 @@ def run(
     seed: int = 0,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Fig. 14's ablation of GoPIM's techniques."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed) if use_predictor else None
     result = ExperimentResult(

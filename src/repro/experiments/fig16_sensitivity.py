@@ -7,11 +7,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.graphs.datasets import get_spec
 from repro.mapping.selective import build_update_plan
@@ -26,10 +26,9 @@ def accuracy_vs_theta(
     epochs: int = 40,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Train with ISU at each theta and record the best test metric."""
-    session = session or default_session()
+    session = current_session()
     spec = get_spec(dataset)
     graph = session.graph(dataset, seed=seed, scale=scale)
     result = ExperimentResult(
@@ -73,7 +72,6 @@ def speedup_vs_batch(
     seed: int = 0,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Fig. 16(c): GoPIM speedup grows with the micro-batch size.
 
@@ -82,7 +80,7 @@ def speedup_vs_batch(
     counts the curve rises through b=32/64 and then rolls off as B
     approaches 1, which the paper-scale graphs never reach.
     """
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed) if use_predictor else None
     result = ExperimentResult(
@@ -119,21 +117,17 @@ def run(
     thetas: Sequence[float] = THETA_GRID,
     batches: Sequence[int] = BATCH_GRID,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """All three Fig. 16 panels as one result."""
-    session = session or default_session()
     combined = ExperimentResult(
         experiment_id="fig16",
         title="Sensitivity: update threshold (a/b) and micro-batch size (c)",
     )
     dense = accuracy_vs_theta(
         "ddi", thetas=thetas, epochs=epochs, seed=seed, scale=scale,
-        session=session,
     )
     sparse = accuracy_vs_theta(
         "cora", thetas=thetas, epochs=epochs, seed=seed, scale=scale,
-        session=session,
     )
     for row in dense.rows:
         combined.rows.append({"panel": "a (ddi, dense)", **row})
@@ -141,7 +135,7 @@ def run(
         combined.rows.append({"panel": "b (Cora, sparse)", **row})
     for row in speedup_vs_batch(
         "ddi", batches=batches, seed=seed, scale=scale,
-        use_predictor=use_predictor, session=session,
+        use_predictor=use_predictor,
     ).rows:
         combined.rows.append({"panel": "c (batch size)", **row})
     return combined

@@ -9,11 +9,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.stages.workload import Workload
 
 DIMENSION_GRID = (256, 512, 1024, 2048)
@@ -32,10 +32,9 @@ def run(
     seed: int = 0,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce both Fig. 17 panels."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed) if use_predictor else None
     result = ExperimentResult(

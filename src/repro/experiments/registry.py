@@ -4,15 +4,18 @@ The registry is **declarative**: each experiment module registers an
 :class:`~repro.runtime.ExperimentSpec` by decorating its run function
 with :func:`repro.runtime.experiment`, and :func:`specs` collects them
 by importing the package — there is no hand-maintained id→function map.
-``REGISTRY``, ``QUICK_OVERRIDES``, and ``WALL_CLOCK_EXPERIMENTS`` are
-derived views over the collected specs, computed lazily via module
-``__getattr__`` so importing this module stays cheap.
+``REGISTRY`` and ``WALL_CLOCK_EXPERIMENTS`` are derived views over the
+collected specs, computed lazily via module ``__getattr__`` so importing
+this module stays cheap.
 
 ``run_all`` executes experiments under a :class:`~repro.runtime.Session`
-(the default one unless given) and returns results in registry order —
-this is what regenerates EXPERIMENTS.md.  ``run_all(..., jobs=N)`` fans
-out over a process pool: the session's spec ships to each worker (specs
-are plain dicts), workloads every experiment needs are prefetched into
+(the current one unless given) and returns results in registry order —
+this is what regenerates EXPERIMENTS.md.  Each run enters its session
+with :meth:`~repro.runtime.Session.use`, so the experiment and every
+pricing call beneath it read that session (and the backend its spec
+names) from :func:`~repro.runtime.current_session`.
+``run_all(..., jobs=N)`` fans out over a process pool: the session's
+spec ships to each worker (specs are plain dicts), workloads every experiment needs are prefetched into
 the shared cache first, and submission order is longest-first from
 recorded wall times with spec cost hints breaking ties for unmeasured
 experiments.  All artifacts are content-keyed and every run function
@@ -25,7 +28,6 @@ any two runs, serial or parallel.
 
 from __future__ import annotations
 
-import inspect
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +38,7 @@ from repro.runtime import (
     RunSpec,
     Session,
     collect_specs,
-    default_session,
+    current_session,
 )
 
 _specs: Optional[Dict[str, ExperimentSpec]] = None
@@ -60,12 +62,6 @@ def __getattr__(name: str) -> Any:
         return frozenset(
             spec_id for spec_id, spec in specs().items() if spec.wall_clock
         )
-    if name == "QUICK_OVERRIDES":
-        return {
-            spec_id: dict(spec.quick)
-            for spec_id, spec in specs().items()
-            if spec.quick
-        }
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -74,22 +70,16 @@ def run_experiment(
     session: Optional[Session] = None,
     **kwargs,
 ) -> ExperimentResult:
-    """Run one experiment by id, optionally under an explicit session."""
+    """Run one experiment by id inside ``session`` (default: the current
+    one)."""
     spec = specs().get(experiment_id)
     if spec is None:
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {', '.join(specs())}"
         )
-    # Some experiments (e.g. fig05's fixed worked example) use no session
-    # artifacts and take no ``session`` parameter; only thread it through
-    # where the run function declares it.
-    if (
-        session is not None
-        and "session" in inspect.signature(spec.run).parameters
-    ):
-        kwargs["session"] = session
-    return spec.run(**kwargs)
+    with (session or current_session()).use():
+        return spec.run(**kwargs)
 
 
 def validate_experiment_ids(
@@ -112,7 +102,7 @@ def validate_experiment_ids(
 
 
 def _execute(
-    task: Tuple[str, dict, Optional[dict]],
+    task: Tuple[str, dict, dict],
     session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Run one experiment and stamp its provenance.
@@ -124,23 +114,13 @@ def _execute(
     byte-identical artifacts.
     """
     experiment_id, overrides, spec_payload = task
-    if session is None:
-        session = (
-            Session(RunSpec.from_dict(spec_payload))
-            if spec_payload is not None
-            else default_session()
-        )
-    # The simulation backend is ambient for the duration of the run:
-    # backend consumers deep in the call tree (accelerator models, the
-    # serving cost model) consult the process backend rather than
-    # threading the session everywhere.
-    with session.activate_backend():
-        result = run_experiment(experiment_id, session=session, **overrides)
+    session = session or Session(RunSpec.from_dict(spec_payload))
+    result = run_experiment(experiment_id, session=session, **overrides)
     return session.stamp(result, experiment_id)
 
 
 def _execute_timed(
-    task: Tuple[str, dict, Optional[dict]],
+    task: Tuple[str, dict, dict],
     session: Optional[Session] = None,
 ) -> Tuple[ExperimentResult, float, Dict[str, Dict[str, float]]]:
     """:func:`_execute` plus wall time and its phase-attributed profile.
@@ -164,7 +144,6 @@ def run_all(
     jobs: int = 1,
     phase_log: Optional[Dict[str, dict]] = None,
     session: Optional[Session] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentResult]:
     """Run every registered experiment (registry order).
 
@@ -188,14 +167,9 @@ def run_all(
         ``profile.phase_report``.
     session:
         The :class:`~repro.runtime.Session` to run under; defaults to
-        the process-default session.  Its spec travels to workers and
-        its provenance is stamped into every result.
-    backend:
-        Override the session's simulation backend for this sweep
-        (``"trace"`` prices every accelerator/serving epoch through the
-        instruction-stream engine; see MODEL.md section 13).  The
-        backend travels to workers inside the spec payload and lands in
-        every result's provenance.
+        the current one.  Its spec — simulation backend included
+        (MODEL.md section 13) — travels to workers, and its provenance
+        is stamped into every result.
 
     Both paths record per-experiment wall times so later parallel runs
     schedule longest-first from measured durations.
@@ -205,11 +179,7 @@ def run_all(
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     ids = validate_experiment_ids(only)
-    session = session or default_session()
-    if backend is not None and backend != session.spec.backend:
-        session = Session(
-            session.spec.with_(backend=backend), cache=session.cache,
-        )
+    session = session or current_session()
     spec_payload = session.spec.to_dict()
     tasks = [
         (experiment_id,

@@ -12,10 +12,10 @@ the table is attributable to the policy.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.serving import ServingSpec, run_serving
 
 #: (kind, max_batch, timeout_us) triples of the compared policies.
@@ -44,10 +44,9 @@ def run(
     process: str = "mmpp",
     policies: Sequence[Tuple[str, int, float]] = POLICY_GRID,
     seed: int = 0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Run each batching policy over the same bursty arrival timeline."""
-    session = session or default_session()
+    session = current_session()
     base = ServingSpec(
         dataset=dataset,
         num_requests=num_requests,

@@ -11,10 +11,10 @@ closer to capacity.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.serving import ServingSpec, run_serving
 
 FULL_LOADS = (0.5, 0.7, 0.9, 1.0, 1.1, 1.25, 1.4)
@@ -36,10 +36,9 @@ def run(
     process: str = "poisson",
     balancers: Sequence[str] = ("rr", "jsq"),
     seed: int = 0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Sweep offered load through saturation for each balancer."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="srv_saturation",
         title=f"Serving throughput saturation ({dataset})",

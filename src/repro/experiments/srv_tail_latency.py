@@ -12,10 +12,10 @@ Poisson/MMPP gap isolates burstiness.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 from repro.serving import ServingSpec, run_serving
 
 FULL_LOADS = (0.4, 0.6, 0.8, 0.9, 0.97)
@@ -37,10 +37,9 @@ def run(
     processes: Sequence[str] = ("poisson", "mmpp"),
     balancer: str = "jsq",
     seed: int = 0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Sweep offered load under each arrival process."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="srv_tail_latency",
         title=f"Serving tail latency vs offered load ({dataset})",

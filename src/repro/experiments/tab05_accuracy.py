@@ -8,13 +8,13 @@ low-degree vertices) and never loses more than ~0.65%.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.harness import ExperimentResult
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.graphs.datasets import get_spec
 from repro.mapping.selective import build_update_plan
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 TAB05_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
 
@@ -32,10 +32,9 @@ def run(
     epochs: int = 40,
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Table V's accuracy comparison."""
-    session = session or default_session()
+    session = current_session()
     result = ExperimentResult(
         experiment_id="tab05",
         title="Accuracy impact of ISU (GoPIM-Vanilla vs GoPIM)",

@@ -9,11 +9,9 @@ structure at its scaled-down graph and budget.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 
 @experiment(
@@ -29,10 +27,9 @@ def run(
     seed: int = 0,
     scale: float = 1.0,
     use_predictor: bool = True,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Table VI's allocation detail."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed) if use_predictor else None
     workload = session.workload(dataset, seed=seed, scale=scale)

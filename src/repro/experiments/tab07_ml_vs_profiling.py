@@ -9,12 +9,12 @@ the ML route cuts estimation overhead by ~94%.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
 from repro.predictor.profiler import profile_stage_times
-from repro.runtime import Session, default_session, experiment
+from repro.runtime import current_session, experiment
 
 
 @experiment(
@@ -29,10 +29,9 @@ def run(
     datasets: Sequence[str] = ("ddi", "collab", "ppa", "proteins", "arxiv"),
     seed: int = 0,
     scale: float = 1.0,
-    session: Optional[Session] = None,
 ) -> ExperimentResult:
     """Reproduce Table VII's ML vs profiling comparison."""
-    session = session or default_session()
+    session = current_session()
     config = session.config
     predictor = session.predictor(seed=seed)
     result = ExperimentResult(

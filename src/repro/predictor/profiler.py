@@ -35,10 +35,10 @@ def profile_stage_times(
     The returned times are the exact per-stage means; the overhead is the
     total simulated serial execution time spent to observe them (every
     stage of every micro-batch, ``epochs`` times).  The profiled epoch is
-    priced by the ambient simulation backend (profiling *is* running the
-    workload, so it observes whatever engine the session runs under; the
-    analytic engine reproduces the timing model's vectorized whole-epoch
-    matrix byte-for-byte).  The equivalence oracle in
+    priced by the current session's simulation backend (profiling *is*
+    running the workload, so it observes whatever engine the session runs
+    under; the analytic engine reproduces the timing model's vectorized
+    whole-epoch matrix byte-for-byte).  The equivalence oracle in
     ``tests/oracles/predictor.py`` walks the stage × micro-batch grid in
     Python.
     """

@@ -4,10 +4,13 @@ The entry point for every way of driving this reproduction — ``run_all``
 sweeps, the CLI, services, CI smoke runs — is the same pair of objects:
 
 * :class:`RunSpec` — a frozen, hashable description of a run (dataset,
-  seed, scale, micro-batch, hardware overrides, accelerator id);
+  seed, scale, micro-batch, hardware overrides, accelerator id,
+  simulation backend);
 * :class:`Session` — the resolved runtime built from a spec: hardware
-  config, named seeded RNG streams, the artifact cache, the phase
-  profiler, and result provenance.
+  config, simulation backend, named seeded RNG streams, the artifact
+  cache, and result provenance.  ``with session.use():`` makes it the
+  run context that :func:`current_session` returns to code deep in the
+  call tree; outside every such block that is a process default.
 
 Experiments declare themselves with the :func:`experiment` decorator;
 :func:`collect_specs` gathers the resulting :class:`ExperimentSpec`
@@ -23,7 +26,7 @@ from repro.runtime.registry import (
 )
 from repro.runtime.session import (
     Session,
-    default_session,
+    current_session,
     stream_seed,
 )
 from repro.runtime.spec import EXPERIMENT_ARRAY_BYTES, RunSpec
@@ -34,7 +37,7 @@ __all__ = [
     "RunSpec",
     "Session",
     "collect_specs",
-    "default_session",
+    "current_session",
     "experiment",
     "stream_seed",
 ]

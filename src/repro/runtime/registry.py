@@ -10,7 +10,7 @@ with :func:`experiment`::
         cost_hint=8.0,
         order=60,
     )
-    def run(..., session=None) -> ExperimentResult: ...
+    def run(..., seed=0) -> ExperimentResult: ...
 
 The decorator registers an :class:`ExperimentSpec` (id, title, run
 function, datasets needed, relative cost hint, quick-mode overrides,

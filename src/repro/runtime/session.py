@@ -6,14 +6,23 @@ constructed, passed around, pickled across worker processes (via its
 spec), and torn down without leaking state:
 
 * the resolved :class:`~repro.hardware.config.HardwareConfig`;
+* the simulation backend its spec names (``spec.backend``);
 * named, seeded RNG streams (:meth:`Session.rng`) derived from the
   spec's master seed, so independent subsystems never share a stream;
 * the content-keyed :class:`~repro.perf.cache.ArtifactCache` backing
   workloads, fitted predictors, and stage tables;
-* the phase profiler (:mod:`repro.perf.profile`);
 * result provenance — :meth:`Session.stamp` records the spec hash and
   config fingerprint into each
   :class:`~repro.experiments.harness.ExperimentResult`'s metadata.
+
+The session is also the run context.  ``with session.use():`` makes it
+the :func:`current_session` until the block exits, in this thread or
+asyncio task only (a :class:`~contextvars.ContextVar` holds it), and
+nested blocks restore the outer session on exit.  Code deep in the call
+tree — experiments, the backend consumers — reads
+:func:`current_session` instead of taking a ``session`` argument.
+Outside every block it returns one default ``Session()``, built once
+per process.
 
 Two Sessions built from equal specs are interchangeable: every artifact
 they resolve is content-keyed, every stream they hand out is seeded from
@@ -23,12 +32,14 @@ or process boundaries (tests/runtime/test_session.py asserts this).
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.perf import profile
 from repro.perf.cache import ArtifactCache, cache_key, get_cache
 from repro.runtime.spec import RunSpec
 
@@ -50,7 +61,7 @@ def stream_seed(master_seed: int, stream: str) -> int:
 
 
 class Session:
-    """One resolved run: config + RNG streams + cache + profiler.
+    """One resolved run: config + backend + RNG streams + cache.
 
     Parameters
     ----------
@@ -71,26 +82,22 @@ class Session:
         self.spec = spec if spec is not None else RunSpec()
         self.config = self.spec.resolve_config()
         self.cache = cache if cache is not None else get_cache()
-        self.profile = profile
 
     def __repr__(self) -> str:
         return f"Session(spec_hash={self.spec.spec_hash()[:12]})"
 
-    # ------------------------------------------------------------------
-    # Simulation backend
-    # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The spec's simulation backend (``"analytic"`` or ``"trace"``)."""
-        return self.spec.backend
+    @contextmanager
+    def use(self) -> Iterator["Session"]:
+        """Make this the :func:`current_session` for the ``with`` block.
 
-    def activate_backend(self):
-        """Context manager scoping the process simulation backend of
-        the :mod:`repro.backends` protocol to this session's.  The
-        experiment driver wraps each run in it."""
-        from repro import backends
-
-        return backends.use_backend(self.spec.backend)
+        Each call sets and resets its own context token, so one session
+        may be entered from several threads at once.
+        """
+        token = _current.set(self)
+        try:
+            yield self
+        finally:
+            _current.reset(token)
 
     # ------------------------------------------------------------------
     # RNG streams
@@ -216,14 +223,20 @@ class Session:
 
 
 # ----------------------------------------------------------------------
-# Process default
+# Run context
 # ----------------------------------------------------------------------
-_default_session: Optional[Session] = None
+_current: ContextVar[Optional[Session]] = ContextVar(
+    "repro_session", default=None,
+)
 
 
-def default_session() -> Session:
-    """The lazily created process-default session (``RunSpec()``)."""
-    global _default_session
-    if _default_session is None:
-        _default_session = Session()
-    return _default_session
+@functools.cache
+def _process_session() -> Session:
+    return Session()
+
+
+def current_session() -> Session:
+    """The innermost session entered with :meth:`Session.use` in this
+    context, else the process default ``Session()``."""
+    session = _current.get()
+    return session if session is not None else _process_session()

@@ -5,9 +5,9 @@ declarative architecture spec) put every knob that can change a result in
 one serialisable record.  ``RunSpec`` is that record for this
 reproduction: dataset, seed, workload scale, micro-batch size, the
 hardware budget plus any :class:`~repro.hardware.config.HardwareConfig`
-field overrides, and an optional accelerator id.  Everything else —
-resolved config, RNG streams, caches, profiling — hangs off the
-:class:`~repro.runtime.session.Session` built from it.
+field overrides, an optional accelerator id, and the simulation
+backend.  Everything else — resolved config, RNG streams, caches — hangs
+off the :class:`~repro.runtime.session.Session` built from it.
 
 A ``RunSpec`` hashes to a *content key* (:meth:`RunSpec.spec_hash`): two
 equal specs always produce the same hash, across processes and runs, so
@@ -84,8 +84,9 @@ class RunSpec:
     backend:
         Simulation backend — ``"analytic"`` (closed-form latency
         tables, the default) or ``"trace"`` (instruction-stream
-        compile/replay; see :mod:`repro.backends`).  Scoped through
-        :meth:`Session.activate_backend`.
+        compile/replay; see :mod:`repro.backends`).  The one place a
+        run chooses its engine: pricing code reads it from
+        :func:`~repro.runtime.current_session`.
     """
 
     dataset: Optional[str] = None

@@ -78,9 +78,9 @@ class ServingCostModel:
         """Integer-ns ``(num_stages, num_batches)`` service-time matrix.
 
         ``sizes[k]`` is batch ``k``'s request count, ``edges[k]`` its
-        summed seed degrees.  Dispatches to the ambient simulation
-        backend's :meth:`~repro.backends.SimulationBackend.service_times_ns`
-        — the analytic engine mirrors
+        summed seed degrees.  Dispatches to
+        :meth:`~repro.backends.SimulationBackend.service_times_ns` of the
+        current session's backend — the analytic engine mirrors
         :meth:`~repro.stages.latency.StageTimingModel.compute_times_ns`
         term for term (byte-identical to the pre-protocol loop in
         ``tests/oracles/serving.py``); the trace engine prices the same
@@ -193,7 +193,7 @@ def build_serving_system(
         intrinsic_edge_parallelism=params.intrinsic_edge_parallelism,
         allocation=None,
     )
-    # Allocator inputs stay analytic regardless of the ambient backend:
+    # Allocator inputs stay analytic whatever the session's backend:
     # provisioning is part of the planner, and keeping the replica split
     # backend-independent means every backend prices the *same* system
     # (mirrors AcceleratorModel, whose allocation tables are analytic).

@@ -132,38 +132,40 @@ def request_degrees(session: Session, spec: ServingSpec) -> np.ndarray:
 
 @profile.phase(profile.PHASE_TIMING)
 def run_serving(session: Session, spec: ServingSpec) -> ServingRun:
-    """Simulate one serving scenario end to end.
+    """Simulate one serving scenario end to end, inside ``session``.
 
-    Attributed to the ``timing_model`` phase (the queueing scan is the
-    pipeline recurrence's serving analogue); nested dataset/allocation
-    work still charges its own inner phase.
+    Batches are priced on the backend ``session``'s spec names, whatever
+    session the caller is in.  Attributed to the ``timing_model`` phase
+    (the queueing scan is the pipeline recurrence's serving analogue);
+    nested dataset/allocation work still charges its own inner phase.
     """
-    system = build_serving_system(
-        session, spec.dataset,
-        num_servers=spec.num_servers, max_batch=spec.max_batch,
-    )
-    rate = (
-        float(spec.rate_rps)
-        if spec.rate_rps is not None
-        else spec.load * system.capacity_rps
-    )
-    arrivals = arrival_times_ns(_unit_pattern(session, spec), rate)
-    degrees = request_degrees(session, spec)
+    with session.use():
+        system = build_serving_system(
+            session, spec.dataset,
+            num_servers=spec.num_servers, max_batch=spec.max_batch,
+        )
+        rate = (
+            float(spec.rate_rps)
+            if spec.rate_rps is not None
+            else spec.load * system.capacity_rps
+        )
+        arrivals = arrival_times_ns(_unit_pattern(session, spec), rate)
+        degrees = request_degrees(session, spec)
 
-    plan = form_batches(arrivals, spec.batching_policy())
-    edge_prefix = np.concatenate(
-        [[0], np.cumsum(degrees, dtype=np.int64)]
-    )
-    batch_edges = np.diff(edge_prefix[plan.boundaries])
-    times = system.batch_times_ns(plan.sizes(), batch_edges)
+        plan = form_batches(arrivals, spec.batching_policy())
+        edge_prefix = np.concatenate(
+            [[0], np.cumsum(degrees, dtype=np.int64)]
+        )
+        batch_edges = np.diff(edge_prefix[plan.boundaries])
+        times = system.batch_times_ns(plan.sizes(), batch_edges)
 
-    timeline = simulate_serving(
-        plan.dispatch_ns, times, system.num_servers, spec.balancer,
-    )
-    stats = ServingStats.from_simulation(
-        arrivals, plan, timeline, stage_names=system.stage_names,
-    )
-    return ServingRun(
-        spec=spec, system=system, rate_rps=rate, arrivals_ns=arrivals,
-        plan=plan, timeline=timeline, stats=stats,
-    )
+        timeline = simulate_serving(
+            plan.dispatch_ns, times, system.num_servers, spec.balancer,
+        )
+        stats = ServingStats.from_simulation(
+            arrivals, plan, timeline, stage_names=system.stage_names,
+        )
+        return ServingRun(
+            spec=spec, system=system, rate_rps=rate, arrivals_ns=arrivals,
+            plan=plan, timeline=timeline, stats=stats,
+        )

@@ -8,9 +8,9 @@ from repro.accelerators.report import energy_table, render_report, stage_table
 
 @pytest.fixture(scope="module")
 def report(request):
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    session = default_session()
+    session = current_session()
     workload = session.workload("cora", seed=0)
     return gopim().run(workload, session.config)
 

@@ -1,10 +1,10 @@
-"""SimulationBackend protocol: registry, ambient mode, conformance.
+"""SimulationBackend protocol: name lookup, session scoping, conformance.
 
-The conformance tests run parametrically against every registered
-backend — any future engine must satisfy them too: latency matrices are
-finite and non-negative, adding replicas never slows a stage down,
-bigger workloads cost more, serving costs are integer-ns and monotone in
-batch size, and energy accounting stays positive under every engine.
+The conformance tests run parametrically against every backend — any
+future engine must satisfy them too: latency matrices are finite and
+non-negative, adding replicas never slows a stage down, bigger workloads
+cost more, serving costs are integer-ns and monotone in batch size, and
+energy accounting stays positive under every engine.
 """
 
 from __future__ import annotations
@@ -15,16 +15,13 @@ import pytest
 from repro.accelerators.catalog import gopim, serial
 from repro.backends import (
     BACKEND_NAMES,
-    DEFAULT_BACKEND,
     EpochProgram,
-    active_backend_name,
     get_backend,
     resolve_backend,
-    set_active_backend,
-    use_backend,
 )
 from repro.errors import ConfigError, ExperimentError
 from repro.graphs.generators import dc_sbm_graph
+from repro.runtime import RunSpec, Session, current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import Workload
 
@@ -36,41 +33,50 @@ def timing(small_workload, small_config) -> StageTimingModel:
     return StageTimingModel(small_workload, small_config)
 
 
+def current_backend_name() -> str:
+    return current_session().spec.backend
+
+
 class TestRegistry:
     def test_both_backends_registered(self):
         assert set(BACKENDS) <= set(BACKEND_NAMES)
 
     def test_default_is_analytic(self):
-        assert DEFAULT_BACKEND == "analytic"
-        assert active_backend_name() == "analytic"
+        assert BACKEND_NAMES[0] == RunSpec().backend == "analytic"
+        assert current_backend_name() == "analytic"
+        assert resolve_backend(None) is get_backend("analytic")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="unknown simulation backend"):
             get_backend("cycle-accurate")
 
     def test_resolve_none_is_ambient(self):
-        assert resolve_backend(None) is get_backend(active_backend_name())
+        assert resolve_backend(None) is get_backend(current_backend_name())
+        with Session(RunSpec(backend="trace")).use():
+            assert resolve_backend(None) is get_backend("trace")
         assert resolve_backend("trace") is get_backend("trace")
         trace = get_backend("trace")
         assert resolve_backend(trace) is trace
 
-    def test_use_backend_scopes_and_restores(self):
-        assert active_backend_name() == "analytic"
-        with use_backend("trace") as engine:
-            assert engine is get_backend("trace")
-            assert active_backend_name() == "trace"
-        assert active_backend_name() == "analytic"
+    def test_session_scope_restores(self):
+        assert current_backend_name() == "analytic"
+        session = Session(RunSpec(backend="trace"))
+        with session.use() as entered:
+            assert entered is session
+            assert current_session() is session
+            assert current_backend_name() == "trace"
+        assert current_backend_name() == "analytic"
 
-    def test_use_backend_restores_on_error(self):
+    def test_session_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with use_backend("trace"):
+            with Session(RunSpec(backend="trace")).use():
                 raise RuntimeError("boom")
-        assert active_backend_name() == "analytic"
+        assert current_backend_name() == "analytic"
 
-    def test_set_active_validates_eagerly(self):
+    def test_runspec_validates_eagerly(self):
         with pytest.raises(ConfigError):
-            set_active_backend("nope")
-        assert active_backend_name() == "analytic"
+            RunSpec(backend="nope")
+        assert current_backend_name() == "analytic"
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -175,8 +181,6 @@ class TestTraceVsAnalytic:
 
 class TestRunSpecBackend:
     def test_unknown_backend_rejected(self):
-        from repro.runtime import RunSpec
-
         with pytest.raises(ConfigError):
             RunSpec(backend="bogus")
 
@@ -184,14 +188,10 @@ class TestRunSpecBackend:
         # Pre-refactor payloads hashed without a backend key; the
         # default spec must keep hashing identically (stored golden
         # hashes reference it).
-        from repro.runtime import RunSpec
-
         assert RunSpec().spec_hash() == RunSpec(backend="analytic").spec_hash()
         assert RunSpec(backend="trace").spec_hash() != RunSpec().spec_hash()
 
     def test_round_trip_and_legacy_payload(self):
-        from repro.runtime import RunSpec
-
         spec = RunSpec(backend="trace")
         assert RunSpec.from_dict(spec.to_dict()) == spec
         legacy = spec.to_dict()
@@ -199,14 +199,12 @@ class TestRunSpecBackend:
         assert RunSpec.from_dict(legacy).backend == "analytic"
 
     def test_session_provenance_carries_backend(self):
-        from repro.runtime import RunSpec, Session
-
         session = Session(RunSpec(backend="trace"))
-        assert session.backend == "trace"
+        assert session.spec.backend == "trace"
         assert session.provenance()["backend"] == "trace"
-        with session.activate_backend():
-            assert active_backend_name() == "trace"
-        assert active_backend_name() == "analytic"
+        with session.use():
+            assert current_backend_name() == "trace"
+        assert current_backend_name() == "analytic"
 
 
 class TestUniformBackend:

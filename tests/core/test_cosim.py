@@ -6,17 +6,17 @@ import pytest
 from repro.accelerators import gopim, gopim_vanilla, serial
 from repro.core import CoSimResult, CoSimulation
 from repro.errors import TrainingError
-from repro.runtime import default_session
+from repro.runtime import current_session
 
 
 @pytest.fixture(scope="module")
 def arxiv_graph():
-    return default_session().graph("arxiv", seed=0, scale=0.5)
+    return current_session().graph("arxiv", seed=0, scale=0.5)
 
 
 @pytest.fixture(scope="module")
 def config():
-    return default_session().config
+    return current_session().config
 
 
 def test_cosim_result_accounting():

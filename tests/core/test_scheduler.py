@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.scheduler import MultiTenantScheduler
 from repro.errors import AllocationError
-from repro.runtime import default_session
+from repro.runtime import current_session
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    session = default_session()
+    session = current_session()
     return [
         session.workload("cora", seed=0),
         session.workload("ddi", seed=0),
@@ -18,7 +18,7 @@ def workloads():
 
 @pytest.fixture(scope="module")
 def scheduler():
-    return MultiTenantScheduler(config=default_session().config)
+    return MultiTenantScheduler(config=current_session().config)
 
 
 def test_equal_split_structure(scheduler, workloads):
@@ -43,7 +43,7 @@ def test_greedy_no_worse_than_equal(scheduler, workloads):
 def test_greedy_respects_total_budget(scheduler, workloads):
     outcome = scheduler.greedy_split(workloads, quanta=8)
     total = sum(p.budget for p in outcome.placements)
-    assert total <= default_session().config.total_crossbars
+    assert total <= current_session().config.total_crossbars
 
 
 def test_greedy_favours_heavier_job(scheduler, workloads):

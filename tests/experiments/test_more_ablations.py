@@ -67,9 +67,9 @@ def test_scheduler_experiment_rows():
 
 
 def test_model_family_sage_workload_dims():
-    from repro.runtime import default_session
+    from repro.runtime import current_session
 
-    base = default_session().workload("cora", seed=0)
+    base = current_session().workload("cora", seed=0)
     sage = abl_model_family.sage_workload(base)
     assert sage.layer_dims == [
         (2 * a, b) for a, b in base.layer_dims

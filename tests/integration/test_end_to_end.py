@@ -12,12 +12,12 @@ from repro.pipeline.simulator import ScheduleMode, simulate_pipeline
 from repro.predictor.dataset import generate_dataset
 from repro.predictor.predictor import PerKindRegressor, TimePredictor
 from repro.predictor.regressors import LinearRegressor
-from repro.runtime import default_session
+from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
 
 
 def experiment_config():
-    return default_session().config
+    return current_session().config
 
 
 @pytest.fixture(scope="module")

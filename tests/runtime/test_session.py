@@ -1,15 +1,20 @@
-"""RunSpec/Session semantics: hashing, resolution, determinism."""
+"""RunSpec/Session semantics: hashing, resolution, determinism, and
+the run context (``Session.use`` / ``current_session``)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.backends import resolve_backend
 from repro.errors import ConfigError, ExperimentError
 from repro.perf.cache import ArtifactCache
 from repro.runtime import (
     EXPERIMENT_ARRAY_BYTES,
     RunSpec,
     Session,
+    current_session,
     stream_seed,
 )
 
@@ -144,3 +149,102 @@ class TestDeterminism:
         prov = result.metadata["provenance"]
         assert prov["spec_hash"] == self.SPEC.spec_hash()
         assert prov["experiment_id"] == "fig06"
+
+
+def _start_threads(target, args):
+    threads = [threading.Thread(target=target, args=(arg,)) for arg in args]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+class TestRunContext:
+    """The active session is scoped per thread and per ``with`` block."""
+
+    def test_default_is_built_once(self):
+        assert current_session() is current_session()
+        assert current_session().spec == RunSpec()
+
+    def test_threads_see_their_own_session_at_once(self):
+        names = ("analytic", "trace")
+        barrier = threading.Barrier(len(names) + 1, timeout=30)
+        seen = {}
+
+        def worker(name):
+            with Session(RunSpec(backend=name)).use():
+                barrier.wait()  # every scope is open
+                seen[name] = resolve_backend(None).name
+                barrier.wait()  # every thread has read
+
+        threads = _start_threads(worker, names)
+        barrier.wait()
+        seen["main"] = resolve_backend(None).name
+        barrier.wait()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            "analytic": "analytic", "trace": "trace", "main": "analytic",
+        }
+
+    def test_nested_scopes_restore_the_outer_session(self):
+        default = current_session()
+        outer = Session(RunSpec(seed=1))
+        inner = Session(RunSpec(seed=2, backend="trace"))
+        with outer.use():
+            with inner.use():
+                assert current_session() is inner
+                assert resolve_backend(None).name == "trace"
+            assert current_session() is outer
+            with pytest.raises(RuntimeError):
+                with inner.use():
+                    raise RuntimeError("boom")
+            assert current_session() is outer
+            assert resolve_backend(None).name == "analytic"
+        assert current_session() is default
+
+    def test_one_session_entered_from_many_threads(self):
+        shared = Session(RunSpec(backend="trace"))
+        workers = 8  # more threads than cores
+        barrier = threading.Barrier(workers, timeout=30)
+        seen = []
+
+        def worker(index):
+            own = Session(RunSpec(seed=index))
+            views = []
+            with shared.use():
+                barrier.wait()  # every thread is inside at once
+                for _ in range(200):
+                    with own.use():
+                        views.append(current_session() is own)
+                    views.append(current_session() is shared)
+            views.append(current_session() is not shared)
+            seen.append(all(views))  # skipped if an exit raised
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = _start_threads(worker, range(workers))
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [True] * workers
+
+    def test_parallel_sweep_under_a_trace_session(self):
+        from repro.experiments.registry import run_all
+
+        ids = ["abl-crossbar-size", "fig14"]
+        with Session(RunSpec(backend="trace")).use():
+            serial = run_all(only=ids, quick=True, jobs=1)
+            parallel = run_all(only=ids, quick=True, jobs=2)
+        for results in (serial, parallel):
+            assert [r.experiment_id for r in results] == ids
+            assert all(
+                r.metadata["provenance"]["backend"] == "trace"
+                for r in results
+            )
+        assert [_rows_bytes(r) for r in parallel] == [
+            _rows_bytes(r) for r in serial
+        ]

@@ -126,12 +126,12 @@ def test_fresh_sessions_identical_rows():
     results = []
     for _ in range(2):
         session = Session(RunSpec(seed=0), cache=ArtifactCache())
-        result = srv_tail_latency.run(
-            num_requests=6_000,
-            loads=(0.6, 0.9),
-            processes=("poisson", "mmpp"),
-            session=session,
-        )
+        with session.use():
+            result = srv_tail_latency.run(
+                num_requests=6_000,
+                loads=(0.6, 0.9),
+                processes=("poisson", "mmpp"),
+            )
         session.stamp(result, "srv_tail_latency")
         results.append(result)
     first, second = results
@@ -143,12 +143,12 @@ def test_fresh_sessions_identical_rows():
 
 
 def test_experiment_rows_shape(session):
-    result = srv_tail_latency.run(
-        num_requests=4_000,
-        loads=(0.5, 0.9),
-        processes=("poisson",),
-        session=session,
-    )
+    with session.use():
+        result = srv_tail_latency.run(
+            num_requests=4_000,
+            loads=(0.5, 0.9),
+            processes=("poisson",),
+        )
     assert len(result.rows) == 2
     for row in result.rows:
         assert row["requests"] == 4_000

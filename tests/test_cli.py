@@ -1,8 +1,14 @@
 """CLI smoke tests (capture stdout, check structure)."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_datasets_command(capsys):
@@ -69,3 +75,23 @@ def test_lifetime_command(capsys):
     out = capsys.readouterr().out
     assert "ISU+leveling" in out
     assert "worst-row epochs" in out
+
+
+def test_run_on_the_trace_backend_prices_on_trace(capsys):
+    argv = ["run", "abl-crossbar-size", "--quick", "--backend", "trace",
+            "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    provenance = payload["provenance"]
+    assert provenance["backend"] == "trace"
+    assert provenance["run_spec"]["backend"] == "trace"
+    # The recorded trace digest differs from the analytic one, so a
+    # match shows the rows were priced on trace, not only stamped.
+    digests = json.loads(
+        (REPO / "benchmarks/e2e/expected_digests.json").read_text(),
+    )
+    rows = hashlib.sha256(
+        json.dumps(payload["rows"], sort_keys=True, default=str).encode(),
+    ).hexdigest()
+    assert rows == digests["trace"]["abl-crossbar-size"]
+    assert rows != digests["analytic"]["abl-crossbar-size"]
