@@ -10,7 +10,7 @@ subclasses.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -80,16 +80,18 @@ class MLPRegressor(Regressor):
             self._weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self._biases.append(np.zeros(fan_out))
 
-    def _forward(self, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
-        activations = [x]
+    def _forward(self, x: np.ndarray, acts: Sequence[np.ndarray]) -> np.ndarray:
+        """Run the net on ``x``, writing layer ``i``'s output into
+        ``acts[i]`` (shape ``(rows, dims[i + 1])``); returns ``acts[-1]``."""
         out = x
         last = len(self._weights) - 1
-        for i, (w, b) in enumerate(zip(self._weights, self._biases)):
-            out = out @ w + b
+        for i, (w, b, z) in enumerate(zip(self._weights, self._biases, acts)):
+            np.matmul(out, w, out=z)
+            np.add(z, b, out=z)
             if i != last:
-                out = np.maximum(out, 0.0)
-            activations.append(out)
-        return out, activations
+                np.maximum(z, 0.0, out=z)
+            out = z
+        return out
 
     def _fit(self, x: np.ndarray, y: np.ndarray) -> None:
         rng = np.random.default_rng(self._seed)
@@ -99,20 +101,26 @@ class MLPRegressor(Regressor):
 
         dims = [x.shape[1], *self._hidden, 1]
         self._init_params(dims, rng)
-        m_w = [np.zeros_like(w) for w in self._weights]
-        v_w = [np.zeros_like(w) for w in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
-        # Per-parameter scratch for the Adam update: the reference loop
-        # (tests/oracles/predictor.py) spends a surprising share of fit
-        # time allocating its ~10 temporaries per parameter per step.
-        # Every in-place expression below applies the same IEEE ops in
-        # the same order as the reference, so the fitted weights are
-        # bit-identical (tests/predictor/test_mlp_fastpath.py).
-        scratch = [
-            (np.empty_like(p), np.empty_like(p))
-            for p in (*self._weights, *self._biases)
-        ]
+        num_layers = len(self._weights)
+        # Flat layout: the parameters, their gradients and both Adam
+        # moments each live in one float64 buffer, every weight first and
+        # then every bias, and the per-layer arrays are reshaped views.
+        # Adam then runs its 13 ufunc calls once per step over the whole
+        # buffer, and weight decay runs once over the leading weight slice.
+        # Elementwise IEEE ops do not depend on an element's position, so
+        # every parameter sees the same ops in the same order as in
+        # ``mlp_fit_reference`` (tests/oracles/predictor.py) and the fit
+        # is byte-identical to it (tests/predictor/test_mlp_fastpath.py).
+        initial = (*self._weights, *self._biases)
+        params = np.concatenate([p.ravel() for p in initial])
+        grads, m, v, num, den = (np.zeros_like(params) for _ in range(5))
+        views = _views(params, initial)
+        self._weights, self._biases = views[:num_layers], views[num_layers:]
+        grad_views = _views(grads, initial)
+        grads_w, grads_b = grad_views[:num_layers], grad_views[num_layers:]
+        size_w = sum(w.size for w in self._weights)
+        weights, weight_grads = params[:size_w], grads[:size_w]
+        decay = num[:size_w]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
         self.loss_history = []
@@ -122,59 +130,86 @@ class MLPRegressor(Regressor):
         # stream consumes the identical sequence of permutation draws, and
         # no other draw happens after initialisation.
         orders = np.stack([rng.permutation(n) for _ in range(self._epochs)])
-        num_layers = len(self._weights)
-        params = (*self._weights, *self._biases)
-        moments1 = (*m_w, *m_b)
-        moments2 = (*v_w, *v_b)
+        # Per-layer outputs, output gradients and ReLU masks, allocated once
+        # per distinct batch size (full batches and a short last one).
+        buffers = {}
         for epoch in range(self._epochs):
             order = orders[epoch]
             epoch_loss = 0.0
             for start in range(0, n, self._batch_size):
                 batch = order[start:start + self._batch_size]
-                xb, yb = x[batch], targets[batch]
-                pred, acts = self._forward(xb)
-                err = pred.ravel() - yb
+                rows = batch.size
+                if rows not in buffers:
+                    buffers[rows] = (
+                        [np.empty((rows, d)) for d in dims[1:]],
+                        [np.empty((rows, d)) for d in dims[1:]],
+                        [np.empty((rows, d), dtype=bool) for d in dims[1:-1]],
+                    )
+                acts, deltas, masks = buffers[rows]
+                xb = x[batch]
+                pred = self._forward(xb, acts)
+                err = deltas[-1][:, 0]
+                np.subtract(pred[:, 0], targets[batch], out=err)
                 epoch_loss += float((err ** 2).sum())
 
-                # Backprop through the MSE head.
-                grad = (2.0 / xb.shape[0]) * err[:, None]
-                grads: List[np.ndarray] = [None] * (2 * num_layers)
+                # Backprop through the MSE head; deltas[layer] is the loss
+                # gradient at layer ``layer``'s output.
+                np.multiply(err, 2.0 / rows, out=err)
                 for layer in range(num_layers - 1, -1, -1):
-                    grads[layer] = (
-                        acts[layer].T @ grad + self._decay * self._weights[layer]
-                    )
-                    grads[num_layers + layer] = grad.sum(axis=0)
-                    if layer > 0:
-                        grad = grad @ self._weights[layer].T
-                        grad = grad * (acts[layer] > 0)
+                    delta = deltas[layer]
+                    below = acts[layer - 1] if layer > 0 else xb
+                    np.matmul(below.T, delta, out=grads_w[layer])
+                    np.sum(delta, axis=0, out=grads_b[layer])
+                    if layer == 0:
+                        break
+                    back = deltas[layer - 1]
+                    if layer == num_layers - 1:
+                        # The width-1 output makes ``delta @ w.T`` a K=1
+                        # matmul, which BLAS computes as ``0 + g * w``; the
+                        # broadcast product plus 0.0 gives the same bits,
+                        # down to turning -0.0 into 0.0.
+                        w_row = self._weights[layer][:, 0]
+                        np.multiply(delta, w_row, out=back)
+                        np.add(back, 0.0, out=back)
+                    else:
+                        np.matmul(delta, self._weights[layer].T, out=back)
+                    np.greater(below, 0.0, out=masks[layer - 1])
+                    np.multiply(back, masks[layer - 1], out=back)
+                np.multiply(weights, self._decay, out=decay)
+                np.add(weight_grads, decay, out=weight_grads)
 
                 step += 1
                 correction1 = 1 - beta1 ** step
                 correction2 = 1 - beta2 ** step
-                for param, m, v, g, (num, den) in zip(
-                    params, moments1, moments2, grads, scratch,
-                ):
-                    # m = beta1 * m + (1 - beta1) * g, in place.
-                    np.multiply(m, beta1, out=m)
-                    np.multiply(g, 1 - beta1, out=num)
-                    np.add(m, num, out=m)
-                    # v = beta2 * v + (1 - beta2) * g**2, in place
-                    # (g * g is bitwise-equal to g ** 2 and skips the
-                    # generic pow loop).
-                    np.multiply(v, beta2, out=v)
-                    np.multiply(g, g, out=den)
-                    np.multiply(den, 1 - beta2, out=den)
-                    np.add(v, den, out=v)
-                    # param -= lr * (m / c1) / (sqrt(v / c2) + eps)
-                    np.divide(m, correction1, out=num)
-                    np.divide(v, correction2, out=den)
-                    np.sqrt(den, out=den)
-                    np.add(den, eps, out=den)
-                    np.divide(num, den, out=num)
-                    np.multiply(num, self._lr, out=num)
-                    np.subtract(param, num, out=param)
+                # m = beta1 * m + (1 - beta1) * g, in place.
+                np.multiply(m, beta1, out=m)
+                np.multiply(grads, 1 - beta1, out=num)
+                np.add(m, num, out=m)
+                # v = beta2 * v + (1 - beta2) * g**2, in place (g * g is
+                # bitwise-equal to g ** 2 and skips the generic pow loop).
+                np.multiply(v, beta2, out=v)
+                np.multiply(grads, grads, out=den)
+                np.multiply(den, 1 - beta2, out=den)
+                np.add(v, den, out=v)
+                # param -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(m, correction1, out=num)
+                np.divide(v, correction2, out=den)
+                np.sqrt(den, out=den)
+                np.add(den, eps, out=den)
+                np.divide(num, den, out=num)
+                np.multiply(num, self._lr, out=num)
+                np.subtract(params, num, out=params)
             self.loss_history.append(epoch_loss / n)
 
     def _predict(self, x: np.ndarray) -> np.ndarray:
-        pred, _ = self._forward(x)
-        return pred.ravel() * self._y_std + self._y_mean
+        acts = [np.empty((x.shape[0], w.shape[1])) for w in self._weights]
+        return self._forward(x, acts).ravel() * self._y_std + self._y_mean
+
+
+def _views(flat: np.ndarray, like: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to the shapes of ``like``."""
+    views, start = [], 0
+    for array in like:
+        views.append(flat[start:start + array.size].reshape(array.shape))
+        start += array.size
+    return views

@@ -94,6 +94,11 @@ class Regressor:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
+        if x.ndim != 2 or x.shape[1] != self._x_mean.size:
+            raise PredictorError(
+                f"{self.name}: fitted on {self._x_mean.size} features, "
+                f"got features of shape {x.shape}"
+            )
         return self._predict((x - self._x_mean) / self._x_std)
 
     def rmse(self, features: np.ndarray, targets: np.ndarray) -> float:

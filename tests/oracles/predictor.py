@@ -1,17 +1,22 @@
 """Oracles for the predictor layer: the original MLP fit loop and the
 per-(stage, micro-batch) profiling loop.
 
-:meth:`repro.predictor.mlp.MLPRegressor._fit` runs the Adam update in
-preallocated scratch with the same IEEE operations in the same order as
-:func:`mlp_fit_reference`, so fitted weights, biases and loss histories
-agree bit for bit.  :func:`repro.predictor.profiler.profile_stage_times`
+:func:`mlp_fit_reference` is the original allocating loop: one array per
+parameter and per Adam moment, a fresh array for every intermediate, and
+its own forward pass (:func:`_forward_reference`), so it shares only
+``_init_params`` with the code it checks.
+:meth:`repro.predictor.mlp.MLPRegressor._fit` keeps every parameter,
+gradient and moment in one flat buffer and writes forward and backward
+into preallocated buffers, yet applies the same IEEE operations to every
+element in the same order, so fitted weights, biases and loss histories
+agree byte for byte.  :func:`repro.predictor.profiler.profile_stage_times`
 reads one whole-epoch stage-time matrix; :func:`profile_stage_times_reference`
 walks the stage x micro-batch grid in Python.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -19,6 +24,21 @@ from repro.errors import PredictorError
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.profiler import ProfilingResult
 from repro.stages.latency import StageTimingModel
+
+
+def _forward_reference(
+    model: MLPRegressor, x: np.ndarray,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The original allocating forward: the output and every layer's input."""
+    activations = [x]
+    out = x
+    last = len(model._weights) - 1
+    for i, (w, b) in enumerate(zip(model._weights, model._biases)):
+        out = out @ w + b
+        if i != last:
+            out = np.maximum(out, 0.0)
+        activations.append(out)
+    return out, activations
 
 
 def mlp_fit_reference(
@@ -49,7 +69,7 @@ def mlp_fit_reference(
         for start in range(0, n, model._batch_size):
             batch = order[start:start + model._batch_size]
             xb, yb = x[batch], targets[batch]
-            pred, acts = model._forward(xb)
+            pred, acts = _forward_reference(model, xb)
             err = pred.ravel() - yb
             epoch_loss += float((err ** 2).sum())
 

@@ -37,6 +37,14 @@ def test_per_kind_unknown_code_raises():
         model.predict(bad)
 
 
+def test_per_kind_rejects_wrong_width():
+    rng = np.random.default_rng(0)
+    x = np.column_stack([rng.normal(size=(40, 10)), np.repeat([0.0, 1.0], 20)])
+    model = PerKindRegressor(LinearRegressor).fit(x, x[:, 0])
+    with pytest.raises(PredictorError, match="10 features"):
+        model.predict([[0.0, 1.0]])
+
+
 def test_per_kind_validation():
     model = PerKindRegressor(LinearRegressor)
     with pytest.raises(PredictorError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictorError
+from repro.predictor.mlp import MLPRegressor
 from repro.predictor.regressors import (
     BayesianRidgeRegressor,
     DecisionTreeRegressor,
@@ -67,6 +68,19 @@ def test_all_models_fit_and_predict(cls):
 def test_predict_before_fit_raises(cls):
     with pytest.raises(PredictorError):
         cls().predict(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("cls", [*ALL_MODELS, MLPRegressor])
+def test_predict_rejects_wrong_width(cls):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 10))
+    model = cls().fit(x, x[:, 0])
+    # Width 1 and a length-1 row would broadcast against the 10 fitted
+    # features; width 9 would fail inside numpy, not as a PredictorError.
+    for bad in (np.zeros((5, 1)), np.zeros((5, 9)), np.zeros(1)):
+        with pytest.raises(PredictorError, match="10 features"):
+            model.predict(bad)
+    assert model.predict(x[:3]).shape == (3,)
 
 
 def test_tree_fits_step_function():

@@ -11,6 +11,18 @@ from repro.cli import build_parser, main
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _expected_digests():
+    return json.loads(
+        (REPO / "benchmarks/e2e/expected_digests.json").read_text(),
+    )
+
+
+def _rows_digest(rows):
+    return hashlib.sha256(
+        json.dumps(rows, sort_keys=True, default=str).encode(),
+    ).hexdigest()
+
+
 def test_datasets_command(capsys):
     assert main(["datasets"]) == 0
     out = capsys.readouterr().out
@@ -87,11 +99,22 @@ def test_run_on_the_trace_backend_prices_on_trace(capsys):
     assert provenance["run_spec"]["backend"] == "trace"
     # The recorded trace digest differs from the analytic one, so a
     # match shows the rows were priced on trace, not only stamped.
-    digests = json.loads(
-        (REPO / "benchmarks/e2e/expected_digests.json").read_text(),
-    )
-    rows = hashlib.sha256(
-        json.dumps(payload["rows"], sort_keys=True, default=str).encode(),
-    ).hexdigest()
+    digests = _expected_digests()
+    rows = _rows_digest(payload["rows"])
     assert rows == digests["trace"]["abl-crossbar-size"]
     assert rows != digests["analytic"]["abl-crossbar-size"]
+
+
+def test_bke_cross_validation_orderings_agree(capsys):
+    assert main(["run", "bke_cross_validation", "--quick", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows, "bke_cross_validation produced no rows"
+    assert all(row["ordering agrees"] for row in rows), (
+        "analytic and trace disagree on a speedup ordering"
+    )
+    serial = [row for row in rows if row["system"] == "Serial"]
+    assert serial and all(row["delta"] == 0.0 for row in serial), (
+        "Serial rows must be byte-identical across backends"
+    )
+    expected = _expected_digests()["analytic"]["bke_cross_validation"]
+    assert _rows_digest(rows) == expected
