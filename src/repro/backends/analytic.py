@@ -7,12 +7,13 @@ order, on the same floats — results are byte-identical to the code this
 refactor carved the protocol out of.  The golden-hash suite and
 ``tests/backends/test_analytic_identity.py`` pin that equivalence.
 
-What "analytic" means here: each (stage, micro-batch) latency is a
-closed-form expression — operation counts *divided* by the effective
-parallelism (``work / min(replicas, work_items)``) — so fractional
-lane occupancy is averaged away.  The trace backend prices the same
-lowered programs with per-lane ceil arithmetic instead; comparing the
-two is the cross-validation experiment's job.
+What "analytic" means here: each (stage, micro-batch) latency is the
+closed-form :func:`~repro.stages.latency.compute_law_ns` — operation
+counts *divided* by the :func:`~repro.stages.latency.effective_lanes`
+(``work / lanes``) — so fractional lane occupancy is averaged away.  The
+trace backend prices the same work, on the same lanes and stage
+constants, with per-lane ceil arithmetic instead (``ceil(work /
+lanes)``); comparing the two is the cross-validation experiment's job.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Any, Dict
 import numpy as np
 
 from repro.backends.protocol import EpochProgram, SimulationBackend
+from repro.stages.latency import compute_law_ns, effective_lanes
 
 
 class AnalyticBackend(SimulationBackend):
@@ -51,28 +53,23 @@ class AnalyticBackend(SimulationBackend):
         sizes: np.ndarray,
         edges: np.ndarray,
     ) -> np.ndarray:
-        # Term-for-term the pre-protocol ServingCostModel.batch_times_ns
-        # body (kept as tests/oracles/serving.py's
-        # batch_times_ns_reference); quantised once at the end,
-        # byte-identical int64 output.
+        # The training side's compute law on the serving model's stage
+        # constants (byte-identical to the pre-protocol loop kept as
+        # tests/oracles/serving.py's batch_times_ns_reference); quantised
+        # once at the end.
         sizes_f = np.asarray(sizes, dtype=np.float64)
         edges_f = np.asarray(edges, dtype=np.float64)
         out = np.empty((model.num_stages, sizes_f.size))
         for s in range(model.num_stages):
-            replicas = float(model.replicas[s])
-            if model.is_edge_stage[s]:
-                effective = np.minimum(
-                    replicas * model.intrinsic_edge_parallelism,
-                    np.maximum(1.0, edges_f),
-                )
-                scan = sizes_f * model.stage_factor[s] * model.read_latency_ns
-                out[s] = (edges_f * model.mvm_latency_ns + scan) / effective
-            else:
-                effective = np.minimum(replicas, sizes_f)
-                out[s] = (
-                    sizes_f * model.stage_factor[s] * model.mvm_latency_ns
-                    / effective
-                )
+            edge_stage = bool(model.is_edge_stage[s])
+            lanes = effective_lanes(
+                edge_stage, float(model.replicas[s]), sizes_f, edges_f,
+                model.intrinsic_edge_parallelism,
+            )
+            out[s] = compute_law_ns(
+                edge_stage, sizes_f, edges_f, model.stage_factor[s], lanes,
+                model.mvm_latency_ns, model.read_latency_ns,
+            )
         return np.rint(out).astype(np.int64)
 
     def epoch_stats(self, program: EpochProgram) -> Dict[str, Any]:

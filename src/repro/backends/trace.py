@@ -53,7 +53,11 @@ import numpy as np
 from repro.backends.protocol import EpochProgram, SimulationBackend
 from repro.perf import profile
 from repro.perf.cache import cache_key, get_cache
-from repro.stages.latency import StageTimingModel
+from repro.stages.latency import (
+    StageTimingModel,
+    effective_lanes,
+    stage_cost_factor,
+)
 from repro.stages.stage import StageKind
 
 #: Instruction-record layout.  ``count`` is float64 because reload rows
@@ -125,6 +129,7 @@ def compile_stage_program(
     mbs = np.arange(num_mbs, dtype=np.int32)
     sizes = workload.microbatch_sizes()
     per_row = cfg.row_write_latency_ns * params.write_pulses
+    factor = stage_cost_factor(stage, cfg, params)
 
     blocks = []
     if stage.kind.is_edge_proportional:
@@ -132,10 +137,8 @@ def compile_stage_program(
         blocks.append(_records(
             OP_MVM, mbs, 1, edges, cfg.mvm_latency_ns, 0,
         ))
-        row_tiles = -(-stage.mapped_rows // cfg.crossbar_rows)
-        groups = -(-row_tiles // params.scan_group_tiles)
         blocks.append(_records(
-            OP_SCAN, mbs, groups, sizes, cfg.read_latency_ns, 0,
+            OP_SCAN, mbs, factor, sizes, cfg.read_latency_ns, 0,
         ))
         if params.reload_penalty > 0.0:
             blocks.append(_records(
@@ -143,9 +146,8 @@ def compile_stage_program(
                 cfg.row_write_latency_ns, 1,
             ))
     else:
-        row_tiles = -(-stage.input_dim // cfg.crossbar_rows)
         blocks.append(_records(
-            OP_MVM, mbs, row_tiles, sizes, cfg.mvm_latency_ns, 0,
+            OP_MVM, mbs, factor, sizes, cfg.mvm_latency_ns, 0,
         ))
 
     if stage.kind is StageKind.AGGREGATION:
@@ -251,16 +253,11 @@ def replay_stage_times(
     stage = timing.stages[stage_index]
     workload = timing.workload
     num_mbs = workload.num_microbatches
-    sizes = workload.microbatch_sizes().astype(np.int64)
-    if stage.kind.is_edge_proportional:
-        edges = workload.microbatch_edge_counts().astype(np.int64)
-        lanes = np.minimum(
-            replicas * timing.params.intrinsic_edge_parallelism,
-            np.maximum(1, edges),
-        ).astype(np.float64)
-    else:
-        lanes = np.minimum(replicas, sizes).astype(np.float64)
-    lanes = np.maximum(lanes, 1.0)
+    lanes = effective_lanes(
+        stage.kind.is_edge_proportional, replicas,
+        workload.microbatch_sizes(), workload.microbatch_edge_counts(),
+        timing.params.intrinsic_edge_parallelism,
+    )
 
     times = np.zeros(num_mbs)
     compute = records[records["dep"] == 0]
@@ -337,32 +334,29 @@ class TraceBackend(SimulationBackend):
     ) -> np.ndarray:
         """Serving batch costs under per-lane ceil occupancy.
 
-        Same per-stage constants as the analytic law, but the dispatched
-        streams are dealt to discrete lanes — an inference batch whose
-        size does not divide the replica count pays for its ragged last
-        round, which the analytic division amortises away.
+        Same lanes and per-stage constants as the analytic law, but the
+        dispatched streams are dealt to discrete lanes — an inference
+        batch whose size does not divide the replica count pays for its
+        ragged last round, which the analytic division amortises away.
         """
         sizes_f = np.asarray(sizes, dtype=np.float64)
         edges_f = np.asarray(edges, dtype=np.float64)
         out = np.empty((model.num_stages, sizes_f.size))
         for s in range(model.num_stages):
-            replicas = float(model.replicas[s])
-            if model.is_edge_stage[s]:
-                effective = np.minimum(
-                    replicas * model.intrinsic_edge_parallelism,
-                    np.maximum(1.0, edges_f),
-                )
+            edge_stage = bool(model.is_edge_stage[s])
+            lanes = effective_lanes(
+                edge_stage, float(model.replicas[s]), sizes_f, edges_f,
+                model.intrinsic_edge_parallelism,
+            )
+            if edge_stage:
                 out[s] = (
-                    np.ceil(edges_f / effective) * model.mvm_latency_ns
-                    + np.ceil(sizes_f / effective)
+                    np.ceil(edges_f / lanes) * model.mvm_latency_ns
+                    + np.ceil(sizes_f / lanes)
                     * model.stage_factor[s] * model.read_latency_ns
                 )
             else:
-                effective = np.maximum(
-                    1.0, np.minimum(replicas, sizes_f),
-                )
                 out[s] = (
-                    np.ceil(sizes_f / effective)
+                    np.ceil(sizes_f / lanes)
                     * model.stage_factor[s] * model.mvm_latency_ns
                 )
         return np.rint(out).astype(np.int64)

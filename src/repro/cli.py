@@ -133,7 +133,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
     collected = specs()
     width = max(len(spec_id) for spec_id in collected)
     header = (
-        f"{'id':<{width}}  {'cost':>5}  {'backends':<15}  "
+        f"{'id':<{width}}  {'cost (s)':>8}  {'backends':<15}  "
         f"{'datasets':<22}  title"
     )
     print(header)
@@ -142,7 +142,7 @@ def _cmd_list(_: argparse.Namespace) -> int:
         datasets = ",".join(spec.datasets) if spec.datasets else "-"
         backends = ",".join(spec.backends)
         print(
-            f"{spec_id:<{width}}  {spec.cost_hint:>5.1f}  "
+            f"{spec_id:<{width}}  {spec.cost_hint:>8.2g}  "
             f"{backends:<15}  "
             f"{datasets:<22}  {spec.title}"
         )

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.accelerators.base import AcceleratorModel
 from repro.allocation.baselines import (
     combination_only_allocation,
     exhaustive_allocation,
@@ -26,7 +27,6 @@ from repro.allocation.greedy import greedy_allocation, greedy_allocation_referen
 from repro.allocation.problem import AllocationProblem
 from repro.experiments.harness import ExperimentResult
 from repro.runtime import current_session, experiment
-from repro.stages.latency import StageTimingModel
 
 # Decision times must reflect an actual search, so the memoised
 # allocators run cache-bypassed here; the retained one-purchase-per-
@@ -47,39 +47,23 @@ def build_problem(
     seed: int = 0,
     scale: float = 1.0,
 ) -> AllocationProblem:
-    """The crossbar-allocation problem one dataset's workload poses."""
+    """The crossbar-allocation problem one dataset's workload poses.
+
+    Priced on the current session's hardware, exactly as an accelerator
+    run with full updating and the default timing constants poses it.
+    """
     session = current_session()
-    config = session.config
     workload = session.workload(dataset, seed=seed, scale=scale)
-    timing = StageTimingModel(workload)
-    stages = timing.stages
-    crossbars = np.array([timing.crossbars_per_replica(s) for s in stages])
-    floors = np.array([
-        np.mean([timing.write_time_ns(s, mb)
-                 for mb in range(workload.num_microbatches)])
-        for s in stages
-    ])
-    times = np.array([
-        timing.mean_stage_time_ns(s, 1) for s in stages
-    ]) - floors
-    return AllocationProblem(
-        stage_names=[s.name for s in stages],
-        times_ns=np.maximum(times, 1e-3),
-        crossbars_per_replica=crossbars,
-        budget=config.total_crossbars - int(crossbars.sum()),
-        replica_caps=np.array(
-            [timing.max_useful_replicas(s) for s in stages],
-        ),
-        num_microbatches=workload.num_microbatches,
-        fixed_floors_ns=floors,
-    )
+    model = AcceleratorModel(name="abl-allocator")
+    timing = model.build_timing_model(workload, session.config)
+    return model._build_problem(timing, session.config)
 
 
 @experiment(
     "abl-allocator",
     title="Allocation policy ablation: makespan quality vs decision time",
     datasets=("ddi", "collab", "products"),
-    cost_hint=4.0,
+    cost_hint=1.0,
     wall_clock=True,
     order=140,
 )

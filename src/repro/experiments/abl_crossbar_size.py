@@ -28,7 +28,7 @@ SIZE_GRID = (32, 64, 128)
     "abl-crossbar-size",
     title="Crossbar size design-space sweep",
     datasets=("ddi",),
-    cost_hint=3.0,
+    cost_hint=0.04,
     backends=("analytic", "trace"),
     order=180,
 )

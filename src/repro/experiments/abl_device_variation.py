@@ -39,7 +39,7 @@ def mvm_relative_error(sigma: float, seed: int = 0) -> float:
     "abl-variation",
     title="Device variation: accuracy vs analog noise sigma",
     datasets=("arxiv",),
-    cost_hint=20.0,
+    cost_hint=0.17,
     quick={"epochs": 8, "sigmas": (0.0, 0.05)},
     order=170,
 )

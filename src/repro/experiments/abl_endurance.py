@@ -26,7 +26,7 @@ from repro.mapping.selective import build_update_plan
     "abl-endurance",
     title="ReRAM array lifetime under each update scheme",
     datasets=("ddi", "cora"),
-    cost_hint=1.0,
+    cost_hint=0.0038,
     order=210,
 )
 def run(

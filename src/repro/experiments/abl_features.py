@@ -19,7 +19,7 @@ from repro.runtime import experiment
 @experiment(
     "abl-features",
     title="Table I feature ablation (drop-one RMSE)",
-    cost_hint=8.0,
+    cost_hint=4.4,
     quick={"num_samples": 400},
     order=190,
 )

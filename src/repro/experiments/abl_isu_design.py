@@ -120,7 +120,7 @@ def write_pulse_sweep(
     "abl-isu",
     title="ISU design-choice ablations (minor period, scopes, pulses)",
     datasets=("ddi", "proteins"),
-    cost_hint=3.0,
+    cost_hint=0.11,
     backends=("analytic", "trace"),
     order=150,
 )

@@ -39,7 +39,7 @@ def sage_workload(base: Workload) -> Workload:
     "abl-model-family",
     title="GoPIM across model families: GCN vs GraphSAGE",
     datasets=("arxiv",),
-    cost_hint=10.0,
+    cost_hint=0.26,
     quick={"epochs": 10},
     backends=("analytic", "trace"),
     order=260,

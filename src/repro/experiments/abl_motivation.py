@@ -30,7 +30,7 @@ MOTIVATION_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
     "abl-motivation",
     title="Section III motivation profile",
     datasets=MOTIVATION_DATASETS,
-    cost_hint=2.0,
+    cost_hint=0.0093,
     order=200,
 )
 def run(
@@ -52,7 +52,7 @@ def run(
     )
     for name in datasets:
         workload = session.workload(name, seed=seed, scale=scale)
-        timing = StageTimingModel(workload)
+        timing = StageTimingModel(workload, config=session.config)
         ratios = aggregation_combination_ratios(timing)
         profiles = {p.name: p for p in profile_stages(timing)}
         ag1 = profiles.get("AG1")
@@ -63,14 +63,10 @@ def run(
             s for s in timing.stages if s.name == "AG1"
         )
         replicas = timing.max_useful_replicas(ag_stage) // 8 or 1
-        compute = sum(
-            timing.compute_time_ns(ag_stage, mb, replicas)
-            for mb in range(workload.num_microbatches)
-        )
-        writes = sum(
-            timing.write_time_ns(ag_stage, mb)
-            for mb in range(workload.num_microbatches)
-        )
+        # Python's sum over Python floats, as the recorded digests were
+        # made; np.sum's pairwise order would move their last bits.
+        compute = sum(timing.compute_times_ns(ag_stage, replicas).tolist())
+        writes = sum(timing.write_times_ns(ag_stage).tolist())
         result.rows.append({
             "dataset": name,
             "AG:CO ratio (max layer)": max(ratios.values()),

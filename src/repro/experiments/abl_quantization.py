@@ -29,7 +29,7 @@ BIT_GRID = (2, 4, 8, 16)
 @experiment(
     "abl-quantization",
     title="Cell-precision DSE: hardware inference accuracy",
-    cost_hint=5.0,
+    cost_hint=0.013,
     quick={"weight_bits": (2, 4), "epochs": 10},
     order=230,
 )

@@ -28,7 +28,7 @@ SAMPLE_GRID = (100, 200, 400, 800, 1600)
 @experiment(
     "abl-samples",
     title="Predictor sample efficiency",
-    cost_hint=10.0,
+    cost_hint=1.2,
     quick={"sample_counts": (100, 400)},
     order=220,
 )

@@ -20,7 +20,7 @@ from repro.runtime import current_session, experiment
     "abl-scheduler",
     title="Multi-tenant chip scheduling: equal vs greedy split",
     datasets=("ddi", "cora"),
-    cost_hint=2.0,
+    cost_hint=0.18,
     order=240,
 )
 def run(

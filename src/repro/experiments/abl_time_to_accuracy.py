@@ -23,7 +23,7 @@ from repro.runtime import current_session, experiment
     "abl-tta",
     title="Hardware time-to-accuracy",
     datasets=("arxiv",),
-    cost_hint=15.0,
+    cost_hint=0.15,
     quick={"epochs": 8},
     backends=("analytic", "trace"),
     order=160,

@@ -21,7 +21,7 @@ from repro.runtime import current_session, experiment
     "abl-weight-staleness",
     title="Bounded weight staleness from pipelining",
     datasets=("arxiv",),
-    cost_hint=12.0,
+    cost_hint=0.1,
     quick={"delays": (0, 4), "epochs": 10},
     order=250,
 )

@@ -105,7 +105,7 @@ def _emit_rows(
     "bke_cross_validation",
     title="Backend cross-validation: analytic vs trace speedup orderings",
     datasets=("ddi", "collab", "ppa", "proteins"),
-    cost_hint=8.0,
+    cost_hint=0.058,
     quick={
         "datasets": ("ddi",),
         "ablation_datasets": ("ddi",),

@@ -21,7 +21,7 @@ FIG04_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
     "fig04",
     title="Idle time percentage of crossbars per stage",
     datasets=FIG04_DATASETS,
-    cost_hint=2.0,
+    cost_hint=0.3,
     backends=("analytic", "trace"),
     order=10,
 )

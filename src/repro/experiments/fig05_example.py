@@ -46,7 +46,7 @@ def makespan_for(stage1_replicas: int, stage2_replicas: int) -> float:
 @experiment(
     "fig05",
     title="Unused-crossbar allocation example",
-    cost_hint=0.1,
+    cost_hint=0.00062,
     order=20,
 )
 def run() -> ExperimentResult:

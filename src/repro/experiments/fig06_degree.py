@@ -22,7 +22,7 @@ FIG06_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
     "fig06",
     title="Average degree of vertices mapped on each crossbar",
     datasets=FIG06_DATASETS,
-    cost_hint=1.5,
+    cost_hint=0.0064,
     order=30,
 )
 def run(

@@ -49,7 +49,7 @@ def toy_cycles() -> dict:
     "fig07",
     title="Selective updating write cycles: OSU vs ISU",
     datasets=("ddi", "proteins", "ppa"),
-    cost_hint=1.0,
+    cost_hint=0.0052,
     order=40,
 )
 def run(

@@ -25,7 +25,7 @@ from repro.runtime import experiment
 @experiment(
     "fig09",
     title="Execution-time predictor RMSE",
-    cost_hint=6.0,
+    cost_hint=41.0,
     quick={"num_samples": 400},
     order=50,
 )

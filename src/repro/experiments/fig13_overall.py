@@ -53,7 +53,7 @@ def run_systems(
     "fig13",
     title="Overall speedup and energy saving, normalised to Serial",
     datasets=FIG13_DATASETS,
-    cost_hint=8.0,
+    cost_hint=2.6,
     backends=("analytic", "trace"),
     order=60,
 )

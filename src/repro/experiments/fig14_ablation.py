@@ -21,7 +21,7 @@ FIG14_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
     "fig14",
     title="Ablation: +PP, +ISU, and ML-based allocation",
     datasets=FIG14_DATASETS,
-    cost_hint=6.0,
+    cost_hint=0.042,
     backends=("analytic", "trace"),
     order=70,
 )

@@ -20,7 +20,7 @@ from repro.runtime import current_session, experiment
     "fig15",
     title="Crossbar idle percentage vs micro-batch size",
     datasets=("ddi",),
-    cost_hint=3.0,
+    cost_hint=0.041,
     backends=("analytic", "trace"),
     order=80,
 )

@@ -105,7 +105,7 @@ def speedup_vs_batch(
     "fig16",
     title="Sensitivity: update threshold (a/b) and micro-batch size (c)",
     datasets=("ddi", "cora"),
-    cost_hint=20.0,
+    cost_hint=1.3,
     quick={"epochs": 12, "thetas": (0.4, 0.6, 0.8)},
     backends=("analytic", "trace"),
     order=90,

@@ -23,7 +23,7 @@ DIMENSION_GRID = (256, 512, 1024, 2048)
     "fig17",
     title="Scalability: feature dimension sweep and the products dataset",
     datasets=("ddi", "products"),
-    cost_hint=6.0,
+    cost_hint=0.048,
     backends=("analytic", "trace"),
     order=100,
 )

@@ -32,7 +32,7 @@ POLICY_GRID: Tuple[Tuple[str, int, float], ...] = (
     "srv_batching_policy",
     title="Serving batching policies at fixed load",
     datasets=("ddi",),
-    cost_hint=3.0,
+    cost_hint=0.059,
     quick={"num_requests": 60_000},
     backends=("analytic", "trace"),
     order=310,

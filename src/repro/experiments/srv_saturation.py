@@ -24,7 +24,7 @@ FULL_LOADS = (0.5, 0.7, 0.9, 1.0, 1.1, 1.25, 1.4)
     "srv_saturation",
     title="Serving throughput saturation vs offered load",
     datasets=("ddi",),
-    cost_hint=4.0,
+    cost_hint=0.062,
     quick={"num_requests": 60_000, "loads": (0.7, 1.0, 1.3)},
     backends=("analytic", "trace"),
     order=320,

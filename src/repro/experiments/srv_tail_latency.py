@@ -25,7 +25,7 @@ FULL_LOADS = (0.4, 0.6, 0.8, 0.9, 0.97)
     "srv_tail_latency",
     title="Serving tail latency vs offered load",
     datasets=("ddi",),
-    cost_hint=6.0,
+    cost_hint=0.23,
     quick={"num_requests": 180_000, "loads": (0.5, 0.8, 0.95)},
     backends=("analytic", "trace"),
     order=300,

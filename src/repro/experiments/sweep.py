@@ -9,10 +9,13 @@ fixes the scheduling half of the perf story:
 
 * **LPT ordering** — experiments are submitted longest-first, using
   per-experiment wall times recorded from prior runs (serial or
-  parallel).  Unknown experiments are assumed long and scheduled first.
-  Times live in memory for the session and, when a cache directory is
-  configured, persist to ``<cache_dir>/sweep/wall_times.json`` (or the
-  ``REPRO_SWEEP_TIMES`` path) so a fresh process schedules well too.
+  parallel).  Experiments without a recorded time are assumed long and
+  scheduled first, longest declared ``cost_hint`` (each spec's measured
+  cold quick-tier wall) first — so a fresh process orders the whole
+  registry by declared cost.  Times live in memory for the session and,
+  when a cache directory is configured, persist to
+  ``<cache_dir>/sweep/wall_times.json`` (or the ``REPRO_SWEEP_TIMES``
+  path), where they take precedence over the declared costs.
 * **Fork workers** — the pool uses the ``fork`` start method where
   available, so workers inherit the parent's warm in-memory artifact
   cache instead of starting cold.
@@ -58,79 +61,6 @@ _BLAS_THREAD_SYMBOLS = (
 
 _session_times: Dict[str, float] = {}
 _shared_dir: Optional[str] = None
-
-#: Seed durations for experiments that have never run on this machine,
-#: so the LPT scheduler places them sensibly on first contact instead of
-#: treating them as unknowns.  Measured times (disk or session) always
-#: override these.  Units: seconds on a ~1-core CI worker.
-SEED_WALL_TIMES: Dict[str, float] = {
-    "quick:srv_tail_latency": 6.0,
-    "full:srv_tail_latency": 20.0,
-    "quick:srv_batching_policy": 2.0,
-    "full:srv_batching_policy": 8.0,
-    "quick:srv_saturation": 2.5,
-    "full:srv_saturation": 10.0,
-    # Training-heavy experiments, re-seeded after replica batching cut
-    # their trainer time ~7x (cold-cache quick runs on a 1-core worker;
-    # full values are rough 5x extrapolations — only first contact uses
-    # them, and overestimating a long job is the safe LPT direction).
-    "quick:fig16": 6.0,
-    "full:fig16": 30.0,
-    "quick:tab05": 2.5,
-    "full:tab05": 12.0,
-    "quick:tab06": 0.1,
-    "full:tab06": 0.5,
-    "quick:abl-model-family": 0.3,
-    "full:abl-model-family": 2.0,
-    "quick:abl-weight-staleness": 0.1,
-    "full:abl-weight-staleness": 0.5,
-    "quick:abl-variation": 0.2,
-    "full:abl-variation": 1.0,
-    # Allocation-heavy experiments, re-seeded after the run-skipping
-    # Algorithm 1 engine and the content-keyed allocation cache: within
-    # one run, repeated accelerator builds now share their greedy
-    # searches, and the searches themselves vectorize.  Cold-cache
-    # quick runs measured on a 1-core worker; full values are rough
-    # 4-5x extrapolations (overestimating a long job is the safe LPT
-    # direction).  abl-allocator also gained a reference-loop row, so
-    # its seed is a fresh measurement, not a scaled-down old one.
-    "quick:fig13": 7.5,
-    "full:fig13": 35.0,
-    "quick:abl-scheduler": 6.0,
-    "full:abl-scheduler": 28.0,
-    "quick:abl-allocator": 2.0,
-    "full:abl-allocator": 9.0,
-    # Trace backend (backend="trace"): accelerator-heavy experiments pay
-    # the one-off per-(workload, stage) program compilation on first
-    # contact — memoised through the artifact cache afterwards — plus
-    # the per-replay scoreboard arithmetic, so cold quick walls sit
-    # modestly above their analytic counterparts.  Training-only and
-    # serving-queueing experiments barely move.  Full values are the
-    # usual conservative 4-5x extrapolations (overestimating a long job
-    # is the safe LPT direction).
-    "trace-quick:fig13": 9.0,
-    "trace-full:fig13": 40.0,
-    "trace-quick:fig14": 2.5,
-    "trace-full:fig14": 10.0,
-    "trace-quick:fig17": 2.0,
-    "trace-full:fig17": 9.0,
-    "trace-quick:abl-scheduler": 7.0,
-    "trace-full:abl-scheduler": 32.0,
-    "trace-quick:abl-allocator": 2.5,
-    "trace-full:abl-allocator": 11.0,
-    "trace-quick:srv_tail_latency": 6.5,
-    "trace-full:srv_tail_latency": 22.0,
-    "trace-quick:fig16": 6.5,
-    "trace-full:fig16": 32.0,
-    "trace-quick:tab05": 2.5,
-    "trace-full:tab05": 12.0,
-    "trace-quick:bke_cross_validation": 5.0,
-    "trace-full:bke_cross_validation": 20.0,
-    # The cross-validation experiment itself runs both engines whatever
-    # the session backend is, so its analytic-session walls match.
-    "quick:bke_cross_validation": 5.0,
-    "full:bke_cross_validation": 20.0,
-}
 
 
 def limit_blas_threads(threads: int = 1) -> bool:
@@ -208,7 +138,7 @@ def _times_path() -> Optional[str]:
 
 def load_wall_times() -> Dict[str, float]:
     """Known per-experiment wall times, freshest source winning."""
-    merged: Dict[str, float] = dict(SEED_WALL_TIMES)
+    merged: Dict[str, float] = {}
     path = _times_path()
     if path and os.path.exists(path):
         try:

@@ -23,7 +23,7 @@ TAB05_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
     "tab05",
     title="Accuracy impact of ISU (GoPIM-Vanilla vs GoPIM)",
     datasets=TAB05_DATASETS,
-    cost_hint=25.0,
+    cost_hint=2.5,
     quick={"epochs": 12},
     order=110,
 )

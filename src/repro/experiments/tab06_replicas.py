@@ -18,7 +18,7 @@ from repro.runtime import current_session, experiment
     "tab06",
     title="Crossbar allocation detail",
     datasets=("ddi",),
-    cost_hint=2.0,
+    cost_hint=0.0043,
     backends=("analytic", "trace"),
     order=120,
 )

@@ -21,7 +21,7 @@ from repro.runtime import current_session, experiment
     "tab07",
     title="GoPIM speedups: ML predictor vs profiling",
     datasets=("ddi", "collab", "ppa", "proteins", "arxiv"),
-    cost_hint=6.0,
+    cost_hint=0.086,
     backends=("analytic", "trace"),
     order=130,
 )

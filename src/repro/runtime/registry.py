@@ -7,13 +7,13 @@ with :func:`experiment`::
         "fig13",
         title="Overall speedup and energy saving",
         datasets=("ddi", "collab", "ppa", "proteins", "arxiv"),
-        cost_hint=8.0,
+        cost_hint=2.6,
         order=60,
     )
     def run(..., seed=0) -> ExperimentResult: ...
 
 The decorator registers an :class:`ExperimentSpec` (id, title, run
-function, datasets needed, relative cost hint, quick-mode overrides,
+function, datasets needed, cost hint, quick-mode overrides,
 wall-clock flag, rendering order) and returns the function unchanged, so
 direct calls keep working.  :func:`collect_specs` imports every module
 of :mod:`repro.experiments` and returns the collected specs ordered by
@@ -22,8 +22,9 @@ of :mod:`repro.experiments` and returns the collected specs ordered by
 The spec metadata is what makes the registry more than a name table:
 
 * ``datasets`` lets sweep drivers prefetch workloads before forking;
-* ``cost_hint`` seeds LPT scheduling for experiments with no recorded
-  wall time yet;
+* ``cost_hint`` is the experiment's cold quick-tier wall in seconds,
+  measured once and declared; it orders LPT scheduling for experiments
+  with no recorded wall time yet;
 * ``quick`` holds the CI smoke parameterisation next to the experiment
   it parameterises;
 * ``wall_clock`` marks tables that measure wall time (excluded from

@@ -34,7 +34,7 @@ from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.errors import ConfigError
 from repro.mapping.tiling import plan_tiling
 from repro.runtime.session import Session
-from repro.stages.latency import TimingParams
+from repro.stages.latency import TimingParams, stage_cost_factor
 
 #: Pipeline depth the per-replica allocator balances for.  Serving keeps
 #: a replica's stage pipeline continuously fed under load, so the
@@ -80,11 +80,11 @@ class ServingCostModel:
         ``sizes[k]`` is batch ``k``'s request count, ``edges[k]`` its
         summed seed degrees.  Dispatches to
         :meth:`~repro.backends.SimulationBackend.service_times_ns` of the
-        current session's backend — the analytic engine mirrors
-        :meth:`~repro.stages.latency.StageTimingModel.compute_times_ns`
-        term for term (byte-identical to the pre-protocol loop in
+        current session's backend — the analytic engine applies the
+        compute law :meth:`~repro.stages.latency.StageTimingModel.compute_times_ns`
+        uses (byte-identical to the pre-protocol loop in
         ``tests/oracles/serving.py``); the trace engine prices the same
-        constants with per-lane ceil occupancy.
+        lanes and constants with per-lane ceil occupancy.
         """
         from repro.backends import resolve_backend
 
@@ -163,18 +163,14 @@ def build_serving_system(
     servers = min(num_servers, fitting)
     per_server_budget = config.total_crossbars // servers - mandatory
 
-    # Pre-reduce the per-stage latency-law constants: adjacency scan
-    # groups for edge stages, input-dim row tiles for node stages.
+    # The training side's per-stage latency-law constants.
     is_edge = np.array(
         [s.kind.is_edge_proportional for s in forward], dtype=bool,
     )
-    factor = np.empty(len(forward))
-    for i, stage in enumerate(forward):
-        if is_edge[i]:
-            row_tiles = -(-stage.mapped_rows // config.crossbar_rows)
-            factor[i] = -(-row_tiles // params.scan_group_tiles)
-        else:
-            factor[i] = -(-stage.input_dim // config.crossbar_rows)
+    factor = np.array(
+        [stage_cost_factor(s, config, params) for s in forward],
+        dtype=np.float64,
+    )
 
     # Allocator inputs: one full batch's per-stage time at 1 replica.
     batch_edges = max(1, round(max_batch * mean_degree))

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.stages.latency import StageTimingModel
 from repro.stages.stage import StageKind
 
@@ -40,17 +38,10 @@ class StageProfile:
 
 def profile_stages(timing: StageTimingModel) -> List[StageProfile]:
     """Per-stage timing profiles (no replicas)."""
-    workload = timing.workload
     profiles: List[StageProfile] = []
     for stage in timing.stages:
-        totals = np.array([
-            timing.microbatch_time_ns(stage, mb, 1)
-            for mb in range(workload.num_microbatches)
-        ])
-        writes = np.array([
-            timing.write_time_ns(stage, mb)
-            for mb in range(workload.num_microbatches)
-        ])
+        totals = timing.microbatch_times_ns(stage, 1)
+        writes = timing.write_times_ns(stage)
         total_sum = float(totals.sum())
         write_sum = float(writes.sum())
         profiles.append(StageProfile(
@@ -87,13 +78,17 @@ def update_time_share(timing: StageTimingModel) -> float:
     The paper quotes 52% for AG1+AG2 on ppa; this is the same quantity for
     whatever workload the timing model wraps.
     """
-    workload = timing.workload
     write_total = 0.0
     stage_total = 0.0
     for stage in timing.stages:
         if stage.kind is not StageKind.AGGREGATION:
             continue
-        for mb in range(workload.num_microbatches):
-            stage_total += timing.microbatch_time_ns(stage, mb, 1)
-            write_total += timing.write_time_ns(stage, mb)
+        # Python floats summed left to right: np.sum's pairwise order
+        # would move the last bits of the recorded digests.
+        for total, write in zip(
+            timing.microbatch_times_ns(stage, 1).tolist(),
+            timing.write_times_ns(stage).tolist(),
+        ):
+            stage_total += total
+            write_total += write
     return write_total / stage_total if stage_total > 0 else 0.0

@@ -23,6 +23,12 @@ Serialisation structure (documented in DESIGN.md section 4):
   source-vertex row per processed edge (``reload_penalty`` rows per edge),
   which is why ReFlip loses energy on dense graphs (Section VII-B).
 
+Both simulation engines read the per-stage constants
+(:func:`stage_cost_factor`) and the lanes rule (:func:`effective_lanes`)
+defined here; the analytic engine prices work with the closed form
+:func:`compute_law_ns` (``work / lanes``), the trace engine per lane
+(``ceil(work / lanes)``, ``repro.backends.trace``).
+
 All latencies are nanoseconds.
 """
 
@@ -85,6 +91,65 @@ class StageActivity:
     offchip_bytes: float = 0.0
 
 
+def stage_cost_factor(
+    stage: StageSpec,
+    config: HardwareConfig,
+    params: TimingParams,
+) -> int:
+    """Serialised crossbar cycles one work item costs on ``stage``.
+
+    AG/GC: the adjacency-scan read groups per vertex (the full-length
+    row's row tiles, ``scan_group_tiles`` per read cycle).  CO/LC: the
+    input-row tiles each streamed vertex row activates in series.
+    """
+    if stage.kind.is_edge_proportional:
+        row_tiles = -(-stage.mapped_rows // config.crossbar_rows)
+        return -(-row_tiles // params.scan_group_tiles)
+    return -(-stage.input_dim // config.crossbar_rows)
+
+
+def effective_lanes(
+    edge_stage: bool,
+    replicas,
+    sizes: np.ndarray,
+    edges: np.ndarray,
+    intrinsic_edge_parallelism: int,
+) -> np.ndarray:
+    """Lanes a batch's work spreads over, per batch (float64, >= 1).
+
+    AG/GC: replicas x intrinsic edge parallelism, capped at the batch's
+    edge count.  CO/LC: replicas, capped at the batch's vertex count.
+    """
+    if edge_stage:
+        lanes = np.minimum(
+            replicas * intrinsic_edge_parallelism, np.maximum(1, edges),
+        )
+    else:
+        lanes = np.minimum(replicas, sizes)
+    return np.maximum(lanes, 1).astype(np.float64, copy=False)
+
+
+def compute_law_ns(
+    edge_stage: bool,
+    sizes: np.ndarray,
+    edges: np.ndarray,
+    factor,
+    lanes: np.ndarray,
+    mvm_latency_ns: float,
+    read_latency_ns: float,
+) -> np.ndarray:
+    """Closed-form MVM + scan latency per batch: ``work / lanes``.
+
+    AG/GC: one MVM per edge plus ``factor`` scan reads per vertex.
+    CO/LC: ``factor`` serialised MVMs per vertex.  The trace backend
+    prices the same work as ``ceil(work / lanes)`` per lane instead.
+    """
+    if edge_stage:
+        scan = sizes * factor * read_latency_ns
+        return (edges * mvm_latency_ns + scan) / lanes
+    return sizes * factor * mvm_latency_ns / lanes
+
+
 class StageTimingModel:
     """Computes per-(stage, micro-batch) latency and activity for a workload.
 
@@ -118,10 +183,7 @@ class StageTimingModel:
             )
         self._plan = update_plan
         self._stages = workload.stage_chain()
-        # Cache per-micro-batch write maxima per epoch phase; computing the
-        # per-crossbar histogram per call would dominate runtime otherwise.
-        self._write_max_cache: Dict[tuple, int] = {}
-        # Lazily built vectors shared by the batched (whole-epoch) methods.
+        # Lazily built vectors shared by the whole-epoch methods.
         self._vector_cache: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -170,103 +232,12 @@ class StageTimingModel:
             return max(1, int(self._workload.average_microbatch_edges()))
         return self._workload.micro_batch
 
-    def _row_tiles(self, rows: int) -> int:
-        return -(-rows // self._config.crossbar_rows)
-
     def _col_tiles(self, cols: int) -> int:
         return -(-cols // self._config.logical_cols)
 
     # ------------------------------------------------------------------
-    # Compute (MVM) time
-    # ------------------------------------------------------------------
-    def compute_time_ns(
-        self,
-        stage: StageSpec,
-        mb_index: int,
-        replicas: int = 1,
-    ) -> float:
-        """MVM + scan latency of one micro-batch at ``replicas`` copies."""
-        if replicas < 1:
-            raise PipelineError("replicas must be >= 1")
-        cfg = self._config
-        b = self._workload.microbatch_size(mb_index)
-        if stage.kind.is_edge_proportional:
-            edges = self._workload.microbatch_edges(mb_index)
-            effective = min(
-                replicas * self._params.intrinsic_edge_parallelism,
-                max(1, edges),
-            )
-            mvm = edges * cfg.mvm_latency_ns
-            row_tiles = self._row_tiles(stage.mapped_rows)
-            groups = -(-row_tiles // self._params.scan_group_tiles)
-            scan = b * groups * cfg.read_latency_ns
-            return (mvm + scan) / effective
-        effective = min(replicas, b)
-        row_tiles = self._row_tiles(stage.input_dim)
-        return b * row_tiles * cfg.mvm_latency_ns / effective
-
-    # ------------------------------------------------------------------
-    # Vertex / weight update (write) time
-    # ------------------------------------------------------------------
-    def _write_max_rows(self, mb_index: int, full_round: bool) -> int:
-        """Busiest-crossbar row count for a micro-batch's update round."""
-        key = (mb_index, full_round)
-        cached = self._write_max_cache.get(key)
-        if cached is not None:
-            return cached
-        vertices = self._workload.microbatch_vertices(mb_index)
-        if not full_round:
-            vertices = np.intersect1d(
-                vertices, self._plan.important, assume_unique=True,
-            )
-        if vertices.size == 0:
-            result = 0
-        else:
-            counts = self._plan.mapping.rows_per_crossbar_for(vertices)
-            result = int(counts.max())
-        self._write_max_cache[key] = result
-        return result
-
-    def write_time_ns(self, stage: StageSpec, mb_index: int) -> float:
-        """Update-write latency charged to this (stage, micro-batch).
-
-        AG stages write the micro-batch's combined features into the mapped
-        feature matrix; the expected cost mixes the every-epoch round over
-        important vertices with the 1-in-``minor_period`` full refresh.
-        CO stages absorb the (small) per-epoch weight rewrite.  Replicas do
-        not reduce write time: every replica is programmed, in parallel
-        across replicas (distinct crossbars).
-        """
-        cfg = self._config
-        pulses = self._params.write_pulses
-        per_row = cfg.row_write_latency_ns * pulses
-        if stage.kind is StageKind.AGGREGATION:
-            period = self._plan.minor_period
-            partial = self._write_max_rows(mb_index, full_round=False)
-            full = self._write_max_rows(mb_index, full_round=True)
-            expected = ((period - 1) * partial + full) / period
-            return expected * per_row
-        if stage.kind is StageKind.COMBINATION:
-            # Weight rewrite once per epoch, amortised over micro-batches.
-            rows = min(cfg.crossbar_rows, stage.mapped_rows)
-            return rows * per_row / self._workload.num_microbatches
-        return 0.0
-
-    def reload_time_ns(self, stage: StageSpec, mb_index: int) -> float:
-        """ReFlip-style repeated source-vertex loads (0 unless configured)."""
-        if self._params.reload_penalty == 0.0:
-            return 0.0
-        if not stage.kind.is_edge_proportional:
-            return 0.0
-        edges = self._workload.microbatch_edges(mb_index)
-        return (
-            edges * self._params.reload_penalty
-            * self._config.row_write_latency_ns
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized whole-epoch forms (the hot path; the scalar methods above
-    # are retained as the per-micro-batch reference the tests check).
+    # Whole-epoch latency vectors (one entry per micro-batch); their
+    # per-micro-batch oracle is tests/oracles/stages.py.
     # ------------------------------------------------------------------
     def _mb_sizes(self) -> np.ndarray:
         sizes = self._vector_cache.get("sizes")
@@ -313,10 +284,6 @@ class StageTimingModel:
         else:
             partial = np.zeros(num_mbs, dtype=np.int64)
         self._vector_cache["write_maxima"] = (partial, full)
-        # Seed the scalar cache so later per-micro-batch calls are free.
-        for mb in range(num_mbs):
-            self._write_max_cache.setdefault((mb, False), int(partial[mb]))
-            self._write_max_cache.setdefault((mb, True), int(full[mb]))
         return partial, full
 
     def _important_counts(self) -> np.ndarray:
@@ -329,28 +296,34 @@ class StageTimingModel:
         return counts
 
     def compute_times_ns(self, stage: StageSpec, replicas: int = 1) -> np.ndarray:
-        """Vector of :meth:`compute_time_ns` over every micro-batch."""
+        """MVM + scan latency of every micro-batch at ``replicas`` copies."""
         if replicas < 1:
             raise PipelineError("replicas must be >= 1")
         cfg = self._config
+        edge_stage = stage.kind.is_edge_proportional
         sizes = self._mb_sizes().astype(np.float64)
-        if stage.kind.is_edge_proportional:
-            edges = self._mb_edges()
-            effective = np.minimum(
-                replicas * self._params.intrinsic_edge_parallelism,
-                np.maximum(1, edges),
-            ).astype(np.float64)
-            mvm = edges * cfg.mvm_latency_ns
-            row_tiles = self._row_tiles(stage.mapped_rows)
-            groups = -(-row_tiles // self._params.scan_group_tiles)
-            scan = sizes * groups * cfg.read_latency_ns
-            return (mvm + scan) / effective
-        effective = np.minimum(replicas, sizes)
-        row_tiles = self._row_tiles(stage.input_dim)
-        return sizes * row_tiles * cfg.mvm_latency_ns / effective
+        edges = self._mb_edges()
+        lanes = effective_lanes(
+            edge_stage, replicas, sizes, edges,
+            self._params.intrinsic_edge_parallelism,
+        )
+        return compute_law_ns(
+            edge_stage, sizes, edges,
+            stage_cost_factor(stage, cfg, self._params), lanes,
+            cfg.mvm_latency_ns, cfg.read_latency_ns,
+        )
 
     def write_times_ns(self, stage: StageSpec) -> np.ndarray:
-        """Vector of :meth:`write_time_ns` over every micro-batch."""
+        """Update-write latency charged to every micro-batch of ``stage``.
+
+        AG stages write the micro-batch's combined features into the mapped
+        feature matrix; the expected cost mixes the every-epoch round over
+        important vertices with the 1-in-``minor_period`` full refresh.
+        CO stages absorb the (small) per-epoch weight rewrite, amortised
+        over micro-batches.  Replicas do not reduce write time: every
+        replica is programmed, in parallel across replicas (distinct
+        crossbars).
+        """
         cfg = self._config
         num_mbs = self._workload.num_microbatches
         per_row = cfg.row_write_latency_ns * self._params.write_pulses
@@ -374,8 +347,8 @@ class StageTimingModel:
         Unlike :meth:`write_times_ns`, which averages minor-refresh and
         important-only rounds by the minor period, this prices every
         micro-batch for a specific phase — what the co-simulation charges
-        epoch by epoch.  Matches the scalar per-micro-batch write oracle
-        in ``tests/oracles/cosim.py``.
+        epoch by epoch.  Matches the per-micro-batch write oracle in
+        ``tests/oracles/cosim.py``.
         """
         cfg = self._config
         num_mbs = self._workload.num_microbatches
@@ -390,7 +363,7 @@ class StageTimingModel:
         return np.zeros(num_mbs)
 
     def reload_times_ns(self, stage: StageSpec) -> np.ndarray:
-        """Vector of :meth:`reload_time_ns` over every micro-batch."""
+        """ReFlip-style repeated source-vertex loads (0 unless configured)."""
         num_mbs = self._workload.num_microbatches
         if (
             self._params.reload_penalty == 0.0
@@ -408,7 +381,7 @@ class StageTimingModel:
         stage: StageSpec,
         replicas: int = 1,
     ) -> np.ndarray:
-        """Vector of :meth:`microbatch_time_ns` over every micro-batch."""
+        """Full latency of every (stage, micro-batch) execution."""
         return (
             self.compute_times_ns(stage, replicas)
             + self.write_times_ns(stage)
@@ -452,7 +425,9 @@ class StageTimingModel:
                  + sizes * stage.mapped_cols * value_bytes).sum()
             )
         else:
-            streams = int(sizes.sum()) * self._row_tiles(stage.input_dim)
+            streams = int(sizes.sum()) * stage_cost_factor(
+                stage, cfg, self._params,
+            )
             buffer_bytes = float(
                 (sizes * (stage.input_dim + stage.mapped_cols)
                  * value_bytes).sum()
@@ -491,19 +466,6 @@ class StageTimingModel:
     # ------------------------------------------------------------------
     # Totals
     # ------------------------------------------------------------------
-    def microbatch_time_ns(
-        self,
-        stage: StageSpec,
-        mb_index: int,
-        replicas: int = 1,
-    ) -> float:
-        """Full latency of one (stage, micro-batch) execution."""
-        return (
-            self.compute_time_ns(stage, mb_index, replicas)
-            + self.write_time_ns(stage, mb_index)
-            + self.reload_time_ns(stage, mb_index)
-        )
-
     def mean_stage_time_ns(self, stage: StageSpec, replicas: int = 1) -> float:
         """Mean per-micro-batch latency across the epoch (allocator input)."""
         return float(

@@ -81,31 +81,6 @@ class Workload:
         return build_stage_chain(self.num_vertices, self.layer_dims)
 
     # ------------------------------------------------------------------
-    def microbatch_range(self, index: int) -> Tuple[int, int]:
-        """Vertex-id half-open range covered by micro-batch ``index``."""
-        if not 0 <= index < self.num_microbatches:
-            raise PipelineError(
-                f"micro-batch {index} out of range "
-                f"(0..{self.num_microbatches - 1})"
-            )
-        start = index * self.micro_batch
-        return start, min(start + self.micro_batch, self.num_vertices)
-
-    def microbatch_vertices(self, index: int) -> np.ndarray:
-        """Vertex ids of micro-batch ``index``."""
-        start, stop = self.microbatch_range(index)
-        return np.arange(start, stop, dtype=np.int64)
-
-    def microbatch_size(self, index: int) -> int:
-        """Vertices in micro-batch ``index`` (last may be ragged)."""
-        start, stop = self.microbatch_range(index)
-        return stop - start
-
-    def microbatch_edges(self, index: int) -> int:
-        """Sum of degrees over micro-batch ``index`` (AG/GC input work)."""
-        start, stop = self.microbatch_range(index)
-        return int(self._degree_prefix[stop] - self._degree_prefix[start])
-
     def microbatch_boundaries(self) -> np.ndarray:
         """Vertex-id boundaries of every micro-batch: length ``num_mbs + 1``."""
         bounds = np.arange(self.num_microbatches + 1, dtype=np.int64)

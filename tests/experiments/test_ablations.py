@@ -48,3 +48,29 @@ def test_write_pulse_gap_grows():
     result = abl_isu_design.write_pulse_sweep(pulses=(1, 8), scale=0.5)
     gains = result.column("ISU gain")
     assert gains[1] > gains[0] > 1.0
+
+
+def test_allocator_problem_is_priced_on_the_session_hardware():
+    # 128-row crossbars halve every stage's row tiles against the
+    # 64-row default, so a problem tiled on the default config would
+    # charge twice the crossbars against the session's budget.
+    from repro.hardware.config import DEFAULT_CONFIG
+    from repro.mapping.tiling import plan_tiling
+    from repro.runtime import RunSpec, Session
+
+    session = Session(RunSpec(hardware={"crossbar_rows": 128}))
+    with session.use():
+        problem = abl_allocator.build_problem("ddi", scale=0.5)
+    stages = session.workload("ddi", scale=0.5).stage_chain()
+
+    def tiled(config):
+        return [
+            plan_tiling(s.mapped_rows, s.mapped_cols, config).num_crossbars
+            for s in stages
+        ]
+
+    assert tiled(session.config) != tiled(DEFAULT_CONFIG)
+    assert problem.crossbars_per_replica.tolist() == tiled(session.config)
+    assert problem.budget == (
+        session.config.total_crossbars - sum(tiled(session.config))
+    )

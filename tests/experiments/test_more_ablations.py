@@ -22,6 +22,28 @@ def test_motivation_profile_rows():
     assert row["AG1 microbatch skew"] > 1.0
 
 
+def test_motivation_profile_is_priced_on_the_session_hardware():
+    # Slower row writes must raise the update share of AG time: the
+    # profile is priced on the session's config, not the default one.
+    from repro.runtime import RunSpec, Session
+
+    def row(spec):
+        with Session(spec).use():
+            return abl_motivation.run(datasets=("collab",), scale=0.5).rows[0]
+
+    default = row(RunSpec())
+    slow_writes = row(RunSpec(hardware={"write_latency_ns": 200.0}))
+    assert slow_writes["update share of AG"] > default["update share of AG"]
+    assert (
+        slow_writes["update share (replicated)"]
+        > default["update share (replicated)"]
+    )
+    assert (
+        slow_writes["AG:CO ratio (max layer)"]
+        != default["AG:CO ratio (max layer)"]
+    )
+
+
 def test_endurance_rows_per_scheme():
     result = abl_endurance.run(datasets=("cora",), scale=0.5)
     schemes = [r["scheme"] for r in result.rows]

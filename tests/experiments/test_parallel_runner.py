@@ -99,12 +99,33 @@ class TestSweepScheduling:
         sweep.record_wall_times({"full:a": 7.0})
         monkeypatch.setattr(sweep, "_session_times", {})  # fresh process
         times = sweep.load_wall_times()
-        assert times["quick:a"] == 1.0
-        assert times["full:a"] == 7.0
-        # Seeded defaults (unmeasured srv_* costs) ride along until a
-        # real measurement overrides them.
-        for key, seeded in sweep.SEED_WALL_TIMES.items():
-            assert times[key] == seeded
+        # Only measured times are known: declared costs live on the specs.
+        assert times == {"quick:a": 1.0, "full:a": 7.0}
+
+    @pytest.mark.parametrize("backend", ["analytic", "trace"])
+    def test_fresh_process_orders_by_declared_cost(
+        self, monkeypatch, tmp_path, backend,
+    ):
+        # No session times and no times file: every experiment is
+        # unmeasured, so the submission order is the declared cost_hint
+        # order, longest first (ties keep the registry order).
+        from repro.experiments import sweep
+        from repro.experiments.registry import specs
+
+        monkeypatch.delenv(sweep.ENV_DISK_CACHE, raising=False)
+        monkeypatch.setenv(
+            sweep.ENV_SWEEP_TIMES, str(tmp_path / "absent.json"),
+        )
+        monkeypatch.setattr(sweep, "_session_times", {})
+        ids = list(specs())
+        hints = {eid: specs()[eid].cost_hint for eid in ids}
+        order = sweep.lpt_order(
+            ids, quick=True, cost_hints=hints, backend=backend,
+        )
+        assert [ids[i] for i in order] == sorted(
+            ids, key=lambda eid: -hints[eid],
+        )
+        assert not (tmp_path / "absent.json").exists()
 
     def test_quick_and_full_times_are_distinct_keys(self):
         from repro.experiments import sweep
@@ -141,7 +162,7 @@ class TestSweepScheduling:
         path.write_text(payload)
         monkeypatch.setenv(sweep.ENV_SWEEP_TIMES, str(path))
         monkeypatch.setattr(sweep, "_session_times", {})
-        assert sweep.load_wall_times() == sweep.SEED_WALL_TIMES
+        assert sweep.load_wall_times() == {}
         assert sweep.lpt_order(["fig04", "fig05"], quick=True) == [0, 1]
         [result] = run_all(only=["fig05"], quick=True, jobs=1)
         assert result.experiment_id == "fig05"

@@ -44,11 +44,7 @@ def test_timing_model_agrees_with_pipeline_sim(predictor):
     # event-driven simulation the accelerators run.
     workload = workload_from_dataset("cora", random_state=0)
     timing = StageTimingModel(workload)
-    times = np.array([
-        [timing.microbatch_time_ns(s, mb, 1)
-         for mb in range(workload.num_microbatches)]
-        for s in timing.stages
-    ])
+    times = timing.stage_time_matrix()
     result = simulate_pipeline(times, ScheduleMode.INTRA_INTER)
     # Sanity: uniformised closed form brackets the heterogeneous makespan.
     uniform_upper = times.max(axis=1).sum() + (

@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.stages.stage import StageKind
+from tests.oracles.stages import (
+    compute_time_reference,
+    reload_time_reference,
+    write_max_rows_reference,
+)
 
 
 def epoch_times_reference(timing, replicas, full_round: bool) -> np.ndarray:
@@ -21,9 +26,11 @@ def epoch_times_reference(timing, replicas, full_round: bool) -> np.ndarray:
     )
     for i, stage in enumerate(timing.stages):
         for mb in range(timing.workload.num_microbatches):
-            compute = timing.compute_time_ns(stage, mb, int(replicas[i]))
+            compute = compute_time_reference(
+                timing, stage, mb, int(replicas[i]),
+            )
             write = epoch_write_ns(timing, stage, mb, full_round)
-            reload = timing.reload_time_ns(stage, mb)
+            reload = reload_time_reference(timing, stage, mb)
             times[i, mb] = compute + write + reload
     return times
 
@@ -33,7 +40,7 @@ def epoch_write_ns(timing, stage, mb, full_round: bool) -> float:
     cfg = timing.config
     per_row = cfg.row_write_latency_ns * timing.params.write_pulses
     if stage.kind is StageKind.AGGREGATION:
-        rows = timing._write_max_rows(mb, full_round=full_round)
+        rows = write_max_rows_reference(timing, mb, full_round=full_round)
         return rows * per_row
     if stage.kind is StageKind.COMBINATION:
         rows = min(cfg.crossbar_rows, stage.mapped_rows)

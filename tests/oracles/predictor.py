@@ -24,6 +24,7 @@ from repro.errors import PredictorError
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.profiler import ProfilingResult
 from repro.stages.latency import StageTimingModel
+from tests.oracles.stages import microbatch_time_reference
 
 
 def _forward_reference(
@@ -116,7 +117,7 @@ def profile_stage_times_reference(
     for stage in timing_model.stages:
         per_stage = 0.0
         for mb in range(workload.num_microbatches):
-            per_stage += timing_model.microbatch_time_ns(stage, mb, 1)
+            per_stage += microbatch_time_reference(timing_model, stage, mb, 1)
         stage_times[stage.name] = per_stage / workload.num_microbatches
         total += per_stage
     return ProfilingResult(

@@ -9,7 +9,11 @@ from repro.mapping.selective import build_update_plan
 from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.stage import StageKind
 from repro.stages.workload import Workload
-from tests.oracles.stages import stage_activity_reference
+from tests.oracles.stages import (
+    microbatch_edges,
+    microbatch_size,
+    stage_activity_reference,
+)
 
 
 @pytest.fixture
@@ -24,31 +28,23 @@ def _stage(timing, name):
 def test_co_time_formula(timing, small_workload):
     cfg = DEFAULT_CONFIG
     co1 = _stage(timing, "CO1")
-    b = small_workload.microbatch_size(0)
+    b = small_workload.microbatch_sizes()[0]
     row_tiles = -(-co1.input_dim // cfg.crossbar_rows)
     expected = (
         b * row_tiles * cfg.mvm_latency_ns
-        + timing.write_time_ns(co1, 0)
+        + timing.write_times_ns(co1)[0]
     )
-    assert timing.microbatch_time_ns(co1, 0, 1) == pytest.approx(expected)
+    assert timing.microbatch_times_ns(co1, 1)[0] == pytest.approx(expected)
 
 
 def test_ag_time_edge_proportional(timing, small_workload):
     cfg = DEFAULT_CONFIG
     ag1 = _stage(timing, "AG1")
-    t0 = timing.compute_time_ns(ag1, 0, 1)
-    edges0 = small_workload.microbatch_edges(0)
+    times = timing.compute_times_ns(ag1, 1)
+    edges = small_workload.microbatch_edge_counts()
     # Dominant term is edges x mvm latency.
-    assert t0 >= edges0 * cfg.mvm_latency_ns
+    assert times[0] >= edges[0] * cfg.mvm_latency_ns
     # Different micro-batches with different degree sums cost differently.
-    times = [
-        timing.compute_time_ns(ag1, mb, 1)
-        for mb in range(small_workload.num_microbatches)
-    ]
-    edges = [
-        small_workload.microbatch_edges(mb)
-        for mb in range(small_workload.num_microbatches)
-    ]
     order_t = np.argsort(times[:-1])  # last mb may be ragged
     order_e = np.argsort(edges[:-1])
     np.testing.assert_array_equal(order_t, order_e)
@@ -63,17 +59,17 @@ def test_ag_dominates_co(timing):
 
 def test_replicas_divide_compute(timing):
     ag1 = _stage(timing, "AG1")
-    t1 = timing.compute_time_ns(ag1, 0, 1)
-    t4 = timing.compute_time_ns(ag1, 0, 4)
+    t1 = timing.compute_times_ns(ag1, 1)[0]
+    t4 = timing.compute_times_ns(ag1, 4)[0]
     assert t4 == pytest.approx(t1 / 4)
 
 
 def test_replica_cap_row_stages(timing, small_workload):
     co1 = _stage(timing, "CO1")
     b = small_workload.micro_batch
-    capped = timing.compute_time_ns(co1, 0, b)
-    beyond = timing.compute_time_ns(co1, 0, 10 * b)
-    assert capped == pytest.approx(beyond)
+    capped = timing.compute_times_ns(co1, b)
+    beyond = timing.compute_times_ns(co1, 10 * b)
+    np.testing.assert_array_equal(capped, beyond)
     assert timing.max_useful_replicas(co1) == b
 
 
@@ -86,9 +82,10 @@ def test_replica_cap_edge_stages(timing, small_workload):
 
 def test_writes_not_reduced_by_replicas(timing):
     ag1 = _stage(timing, "AG1")
-    assert timing.write_time_ns(ag1, 0) == pytest.approx(
-        timing.microbatch_time_ns(ag1, 0, 10 ** 9)
-        - timing.compute_time_ns(ag1, 0, 10 ** 9),
+    np.testing.assert_allclose(
+        timing.write_times_ns(ag1),
+        timing.microbatch_times_ns(ag1, 10 ** 9)
+        - timing.compute_times_ns(ag1, 10 ** 9),
     )
 
 
@@ -98,20 +95,14 @@ def test_isu_reduces_write_time(small_workload):
     isu = StageTimingModel(small_workload, update_plan=isu_plan)
     ag1_full = _stage(full, "AG1")
     ag1_isu = _stage(isu, "AG1")
-    total_full = sum(
-        full.write_time_ns(ag1_full, mb)
-        for mb in range(small_workload.num_microbatches)
-    )
-    total_isu = sum(
-        isu.write_time_ns(ag1_isu, mb)
-        for mb in range(small_workload.num_microbatches)
-    )
+    total_full = full.write_times_ns(ag1_full).sum()
+    total_isu = isu.write_times_ns(ag1_isu).sum()
     assert total_isu < 0.6 * total_full
 
 
 def test_gc_and_lc_write_free(timing):
-    assert timing.write_time_ns(_stage(timing, "GC1"), 0) == 0.0
-    assert timing.write_time_ns(_stage(timing, "LC1"), 0) == 0.0
+    assert not timing.write_times_ns(_stage(timing, "GC1")).any()
+    assert not timing.write_times_ns(_stage(timing, "LC1")).any()
 
 
 def test_reload_penalty_only_for_edge_stages(small_workload):
@@ -120,11 +111,12 @@ def test_reload_penalty_only_for_edge_stages(small_workload):
     )
     ag1 = _stage(reflip, "AG1")
     co1 = _stage(reflip, "CO1")
-    edges = small_workload.microbatch_edges(0)
-    assert reflip.reload_time_ns(ag1, 0) == pytest.approx(
+    edges = small_workload.microbatch_edge_counts()
+    np.testing.assert_allclose(
+        reflip.reload_times_ns(ag1),
         edges * DEFAULT_CONFIG.row_write_latency_ns,
     )
-    assert reflip.reload_time_ns(co1, 0) == 0.0
+    assert not reflip.reload_times_ns(co1).any()
 
 
 def test_intrinsic_edge_parallelism(small_workload):
@@ -133,8 +125,8 @@ def test_intrinsic_edge_parallelism(small_workload):
         small_workload, params=TimingParams(intrinsic_edge_parallelism=8),
     )
     ag1 = _stage(plain, "AG1")
-    assert fast.compute_time_ns(ag1, 0, 1) == pytest.approx(
-        plain.compute_time_ns(ag1, 0, 1) / 8,
+    np.testing.assert_allclose(
+        fast.compute_times_ns(ag1, 1), plain.compute_times_ns(ag1, 1) / 8,
     )
 
 
@@ -154,17 +146,17 @@ def test_no_replica_times_keys(timing):
 def test_activity_counts(timing, small_workload):
     ag1 = _stage(timing, "AG1")
     act = stage_activity_reference(timing, ag1, 0)
-    assert act.mvm_row_streams == small_workload.microbatch_edges(0)
+    assert act.mvm_row_streams == microbatch_edges(small_workload, 0)
     assert act.rows_written > 0
     assert act.buffer_bytes > 0
     co1 = _stage(timing, "CO1")
     act_co = stage_activity_reference(timing, co1, 0)
-    assert act_co.mvm_row_streams == small_workload.microbatch_size(0) * 1
+    assert act_co.mvm_row_streams == microbatch_size(small_workload, 0) * 1
 
 
 def test_invalid_replicas(timing):
     with pytest.raises(PipelineError):
-        timing.compute_time_ns(_stage(timing, "CO1"), 0, 0)
+        timing.compute_times_ns(_stage(timing, "CO1"), 0)
 
 
 def test_timing_params_validation():

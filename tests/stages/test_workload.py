@@ -6,31 +6,36 @@ import pytest
 from repro.errors import PipelineError
 from repro.graphs.datasets import get_spec
 from repro.stages.workload import Workload, workload_from_dataset
+from tests.oracles.stages import microbatch_range
 
 
 def test_microbatch_partition(small_workload):
     wl = small_workload
     assert wl.num_microbatches == -(-wl.num_vertices // wl.micro_batch)
+    bounds = wl.microbatch_boundaries()
     covered = np.concatenate([
-        wl.microbatch_vertices(i) for i in range(wl.num_microbatches)
+        np.arange(start, stop) for start, stop in zip(bounds, bounds[1:])
     ])
     np.testing.assert_array_equal(covered, np.arange(wl.num_vertices))
+    assert [microbatch_range(wl, i) for i in range(wl.num_microbatches)] == (
+        list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    )
 
 
 def test_ragged_last_microbatch(small_graph):
     wl = Workload(small_graph, [(16, 8)], micro_batch=48)
-    sizes = [wl.microbatch_size(i) for i in range(wl.num_microbatches)]
+    sizes = wl.microbatch_sizes()
     assert sum(sizes) == wl.num_vertices
     assert sizes[-1] == wl.num_vertices - 48 * (wl.num_microbatches - 1)
 
 
 def test_microbatch_edges_match_degrees(small_workload):
     wl = small_workload
+    edges = wl.microbatch_edge_counts()
     for i in range(wl.num_microbatches):
-        vertices = wl.microbatch_vertices(i)
-        assert wl.microbatch_edges(i) == wl.graph.degrees[vertices].sum()
-    total = sum(wl.microbatch_edges(i) for i in range(wl.num_microbatches))
-    assert total == wl.graph.num_arcs
+        start, stop = microbatch_range(wl, i)
+        assert edges[i] == wl.graph.degrees[start:stop].sum()
+    assert edges.sum() == wl.graph.num_arcs
 
 
 def test_average_microbatch_edges(small_workload):
@@ -45,8 +50,9 @@ def test_stage_chain_matches_dims(small_workload):
 
 
 def test_out_of_range_microbatch(small_workload):
+    # The per-index oracle accessors reject an index past the partition.
     with pytest.raises(PipelineError):
-        small_workload.microbatch_range(small_workload.num_microbatches)
+        microbatch_range(small_workload, small_workload.num_microbatches)
 
 
 def test_validation(small_graph):

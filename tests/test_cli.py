@@ -118,3 +118,52 @@ def test_bke_cross_validation_orderings_agree(capsys):
     )
     expected = _expected_digests()["analytic"]["bke_cross_validation"]
     assert _rows_digest(rows) == expected
+
+
+def test_run_json_carries_provenance(capsys):
+    from repro.runtime import collect_specs
+
+    # fig13 declares no quick overrides, so its plain run is the
+    # recorded quick-tier run.
+    assert main(["run", "fig13", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    provenance = payload["provenance"]
+    assert provenance.get("spec_hash"), "provenance missing spec_hash"
+    assert provenance["experiment_id"] == "fig13"
+    assert provenance["run_spec"]["seed"] == 0
+    assert provenance.get("config_fingerprint")
+    assert payload["rows"], "fig13 produced no rows"
+    assert payload["registry"] == list(collect_specs()), (
+        "CLI registry ids diverge from the collected ExperimentSpecs"
+    )
+    expected = _expected_digests()["analytic"]["fig13"]
+    assert _rows_digest(payload["rows"]) == expected
+
+
+def test_run_allocator_sweep_quick(capsys):
+    assert main(["run", "abl-scheduler", "--quick", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"], "abl-scheduler produced no rows"
+    assert payload["provenance"].get("spec_hash"), (
+        "abl-scheduler payload missing provenance"
+    )
+    expected = _expected_digests()["analytic"]["abl-scheduler"]
+    assert _rows_digest(payload["rows"]) == expected
+
+
+def test_run_serving_quick(capsys):
+    assert main(["run", "srv_tail_latency", "--quick", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rows = payload["rows"]
+    assert rows, "srv_tail_latency produced no rows"
+    total = sum(row["requests"] for row in rows)
+    assert total >= 1_000_000, (
+        f"quick serving run simulated only {total} requests"
+    )
+    for row in rows:
+        assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
+    assert payload["provenance"].get("spec_hash"), (
+        "serving payload missing provenance"
+    )
+    expected = _expected_digests()["analytic"]["srv_tail_latency"]["0"]
+    assert _rows_digest(rows) == expected
