@@ -25,6 +25,7 @@ from repro.gcn import (
     GCN,
     NodeClassificationTrainer,
     accuracy,
+    infer,
     restore_model,
     save_checkpoint,
 )
@@ -57,7 +58,7 @@ def main() -> None:
 
     labels = graph.labels
     test_idx = trainer.test_idx
-    sw_logits, _ = restored.forward(graph, graph.features)
+    sw_logits = infer(restored, graph, graph.features)
     sw_acc = accuracy(sw_logits[test_idx], labels[test_idx])
     print(f"\nsoftware inference accuracy: {sw_acc:.1%}")
 

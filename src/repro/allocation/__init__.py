@@ -1,6 +1,6 @@
 """Crossbar resource allocation: Algorithm 1 and baseline policies."""
 
-from repro.allocation.heap import FlatMaxKeys, IndexedMaxHeap, LazyMaxKeys
+from repro.allocation.heap import FlatMaxKeys, LazyMaxKeys
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.allocation.greedy import (
     greedy_allocation,
@@ -17,7 +17,6 @@ from repro.allocation.baselines import (
 
 __all__ = [
     "FlatMaxKeys",
-    "IndexedMaxHeap",
     "LazyMaxKeys",
     "AllocationProblem",
     "AllocationResult",

@@ -101,7 +101,6 @@ def greedy_allocation(
 def greedy_allocation_reference(
     problem: AllocationProblem,
     include_max_bonus: bool = True,
-    heap_cls: type = FlatMaxKeys,
 ) -> AllocationResult:
     """One-purchase-per-iteration Algorithm 1 — the equivalence oracle.
 
@@ -111,10 +110,11 @@ def greedy_allocation_reference(
     ``tests/allocation/test_engine_equivalence.py`` and re-measured by
     ``benchmarks/perf/bench_hotpaths.py``.
 
-    ``heap_cls`` selects the priority store: :class:`FlatMaxKeys`
-    (default) and :class:`IndexedMaxHeap` implement the same total order
-    ``(key, -insertion_order)``, so the decision sequence — and therefore
-    the returned allocation — is identical for both (asserted by
+    Both heaps are :class:`~repro.allocation.heap.FlatMaxKeys` stores.
+    They answer the paper's indexed max-heap queries under its total
+    order ``(key, -insertion_order)``, so the decision sequence is the
+    indexed heap's (that heap is an oracle in
+    ``tests/oracles/allocation.py``, compared with the flat store by
     ``tests/allocation/test_greedy_stores.py``); the flat store is much
     faster at the allocator's stage counts.
     """
@@ -133,8 +133,8 @@ def greedy_allocation_reference(
     caps = problem.replica_caps.tolist()
     costs = problem.crossbars_per_replica.tolist()
 
-    heap_v = heap_cls()
-    heap_p = heap_cls()
+    heap_v = FlatMaxKeys()
+    heap_p = FlatMaxKeys()
     for stage in range(n):
         base = times[stage]
         gain = 0.0 if caps[stage] <= 1 else base - base / 2

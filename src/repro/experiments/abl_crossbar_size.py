@@ -18,8 +18,7 @@ from typing import Sequence
 
 from repro.accelerators.catalog import gopim, serial
 from repro.experiments.harness import ExperimentResult
-from repro.hardware.config import HardwareConfig
-from repro.runtime import EXPERIMENT_ARRAY_BYTES, current_session, experiment
+from repro.runtime import current_session, experiment
 
 SIZE_GRID = (32, 64, 128)
 
@@ -50,10 +49,8 @@ def run(
         ),
     )
     for size in sizes:
-        config = HardwareConfig(
-            crossbar_rows=size,
-            crossbar_cols=size,
-            array_capacity_bytes=EXPERIMENT_ARRAY_BYTES,
+        config = session.config.scaled(
+            crossbar_rows=size, crossbar_cols=size,
         )
         base = serial().run(workload, config)
         rep = gopim().run(workload, config)

@@ -15,13 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.gcn.batched import infer
 from repro.gcn.losses import accuracy
 from repro.gcn.trainer import NodeClassificationTrainer
 from repro.graphs.generators import dc_sbm_graph
-from repro.hardware.config import HardwareConfig
 from repro.hardware.functional_gcn import FunctionalGCN
 from repro.experiments.harness import ExperimentResult
-from repro.runtime import experiment
+from repro.runtime import current_session, experiment
 
 BIT_GRID = (2, 4, 8, 16)
 
@@ -55,7 +55,7 @@ def run(
     labels = graph.labels
     test_idx = trainer.test_idx
 
-    sw_logits, _ = model.forward(graph, graph.features)
+    sw_logits = infer(model, graph, graph.features)
     sw_acc = accuracy(sw_logits[test_idx], labels[test_idx])
 
     result = ExperimentResult(
@@ -72,8 +72,9 @@ def run(
         "test accuracy": sw_acc,
         "gap vs software": 0.0,
     })
+    session_config = current_session().config
     for bits in weight_bits:
-        config = HardwareConfig(weight_bits=bits)
+        config = session_config.scaled(weight_bits=bits)
         hardware = FunctionalGCN(model, config=config, quantize=True)
         hw_logits = hardware.forward(graph, graph.features)
         hw_acc = accuracy(hw_logits[test_idx], labels[test_idx])

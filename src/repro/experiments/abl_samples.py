@@ -18,7 +18,7 @@ from repro.predictor.dataset import generate_dataset
 from repro.predictor.evaluate import prediction_accuracy
 from repro.predictor.features import stage_samples
 from repro.predictor.predictor import TimePredictor
-from repro.runtime import experiment
+from repro.runtime import current_session, experiment
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import workload_from_dataset
 
@@ -52,7 +52,9 @@ def run(
     )
     train_all, test = pool.split(train_fraction=0.8, random_state=seed)
     workload = workload_from_dataset(held_out, random_state=seed)
-    _, log_truth, names = stage_samples(StageTimingModel(workload))
+    _, log_truth, names = stage_samples(
+        StageTimingModel(workload, current_session().config),
+    )
     truth = {n: float(10.0 ** t) for n, t in zip(names, log_truth)}
 
     for count in sample_counts:

@@ -2,7 +2,6 @@
 
 from repro.gcn.losses import (
     accuracy,
-    cross_entropy_loss,
     sigmoid,
     softmax,
 )
@@ -13,10 +12,11 @@ from repro.gcn.checkpoint import (
 )
 from repro.gcn.batched import (
     ReplicaSpec,
+    infer,
     train_replicas,
     train_split_replicas,
 )
-from repro.gcn.model import GCN, StaleFeatureStore
+from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.gcn.optim import Adam
 from repro.gcn.trainer import (
@@ -28,11 +28,9 @@ from repro.gcn.trainer import (
 
 __all__ = [
     "accuracy",
-    "cross_entropy_loss",
     "sigmoid",
     "softmax",
     "GCN",
-    "StaleFeatureStore",
     "GraphSAGE",
     "load_checkpoint",
     "restore_model",
@@ -43,6 +41,7 @@ __all__ = [
     "TrainingResult",
     "make_trainer",
     "ReplicaSpec",
+    "infer",
     "train_replicas",
     "train_split_replicas",
 ]

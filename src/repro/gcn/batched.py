@@ -8,11 +8,14 @@ stacks R such runs into one extra leading tensor dimension — weights
 replicas with one batched forward/backward/Adam step per epoch.  A
 single run is a fleet of one: :class:`~repro.gcn.trainer.NodeClassificationTrainer`
 and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine,
-and :func:`train_split_replicas` (the ablation split harness) trains
-GCN and GraphSAGE fleets of any size.
+:func:`train_split_replicas` (the ablation split harness) trains
+GCN and GraphSAGE fleets of any size, and :func:`infer` runs one
+model's eval forward.  The stacked models here are the only GNN
+forward/backward in ``src/``.
 
-**Bit-identity contract.**  Every replica reproduces the serial loops
-kept as oracles in ``tests/oracles/trainers.py`` and
+**Bit-identity contract.**  Every replica reproduces the serial passes
+kept as oracles in ``tests/oracles/gnn.py`` and the serial loops built
+on them in ``tests/oracles/trainers.py`` and
 ``tests/oracles/split_harness.py`` bit-for-bit: losses, metrics, final
 weights and model-stream RNG positions.  The building blocks this rests
 on, each covered by ``tests/gcn/test_batched_equivalence.py``:
@@ -204,7 +207,8 @@ def _weight_grad(inputs: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 class _BatchedStore:
-    """Stacked :class:`~repro.gcn.model.StaleFeatureStore`: one
+    """The stacked stale-feature store (the serial ``StaleFeatureStore``
+    oracle is in ``tests/oracles/gnn.py``): one
     ``[R, V, d]`` buffer per layer, refreshed through a per-replica row
     mask (``masks=None`` = full refresh, as is every first refresh)."""
 
@@ -317,7 +321,9 @@ class _StackedModel:
 
 
 class _StackedGCN(_StackedModel):
-    """R :class:`~repro.gcn.model.GCN` replicas as one model."""
+    """R :class:`~repro.gcn.model.GCN` replicas as one model, mirroring
+    the serial GCN forward/backward (the oracle functions in
+    ``tests/oracles/gnn.py``) operation for operation."""
 
     def __init__(
         self,
@@ -393,7 +399,7 @@ class _StackedGCN(_StackedModel):
         grad_output: np.ndarray,
         params: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
-        """Batched backward mirroring :meth:`GCN.backward` per slice."""
+        """Batched backward mirroring the serial GCN backward per slice."""
         if params is None:
             params = self.params
         grads: Dict[str, np.ndarray] = {}
@@ -421,7 +427,8 @@ class _StackedGCN(_StackedModel):
 
 class _StackedSAGE(_StackedModel):
     """R :class:`~repro.gcn.sage.GraphSAGE` replicas as one model,
-    mirroring ``GraphSAGE.forward``/``backward`` operation for operation.
+    mirroring the serial GraphSAGE forward/backward (the oracle
+    functions in ``tests/oracles/gnn.py``) operation for operation.
 
     The store holds each layer's *input* (the aggregation source).  Layer
     0's input is the shared feature matrix, which never changes, so its
@@ -487,7 +494,7 @@ class _StackedSAGE(_StackedModel):
         grad_output: np.ndarray,
         params: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
-        """Batched backward mirroring :meth:`GraphSAGE.backward` per
+        """Batched backward mirroring the serial GraphSAGE backward per
         slice; stale resident rows are constants."""
         if params is None:
             params = self.params
@@ -531,7 +538,7 @@ def _cross_entropy_replicas(
     logits: np.ndarray,
     labels: np.ndarray,
 ) -> Tuple[List[float], np.ndarray]:
-    """Batched :func:`~repro.gcn.losses.cross_entropy_loss`.
+    """Batched mean cross-entropy and its gradient w.r.t. the logits.
 
     ``logits`` is ``[R, n, C]``, ``labels`` ``[R, n]``.  Scalar losses
     extract each replica's contiguous probability row before the 1-D
@@ -1081,6 +1088,25 @@ def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
 SPLIT_LEARNING_RATE = 0.01  # the harness's Adam step size
 
 _STACKED_FAMILIES = {GCN: _StackedGCN, GraphSAGE: _StackedSAGE}
+
+
+def infer(model, graph: Graph, features: np.ndarray) -> np.ndarray:
+    """``model``'s eval-forward output (logits or embeddings), ``[V, d]``.
+
+    Runs the model's stacked family as a fleet of one: no stale store,
+    no dropout; analog noise, if any, draws from the model's stream as a
+    training eval forward does.
+    """
+    features = np.asarray(features, dtype=np.float32)
+    d_in = model.layer_dims[0][0]
+    if features.shape != (graph.num_vertices, d_in):
+        raise TrainingError(
+            f"features must be ({graph.num_vertices}, "
+            f"{d_in}), got {features.shape}"
+        )
+    stacked = _STACKED_FAMILIES[type(model)].from_models([model])
+    outputs, _ = stacked.forward(graph, features)
+    return outputs[0]
 
 
 @profile.phase(profile.PHASE_TRAINING_BATCHED)

@@ -1,10 +1,12 @@
-"""Losses and metrics for node classification, and the sigmoid and fused
-edge-gradient scatter the link-prediction loss is built from.
+"""Softmax and accuracy for node classification, and the sigmoid and
+fused edge-gradient scatter the link-prediction loss is built from.
 
-:class:`~repro.gcn.batched.BatchedLinkTrainer` computes the link loss
-itself.  The serial link loss, whose sequential ``np.add.at`` scatter
-:class:`EdgeScatter` reproduces bit for bit, is kept as an oracle in
-``tests/oracles/link_losses.py``.
+The losses themselves live with the training loop:
+:mod:`repro.gcn.batched` computes the cross-entropy and the link loss
+for a whole ``[R, ...]`` fleet.  The serial cross-entropy is kept as an
+oracle in ``tests/oracles/gnn.py``, and the serial link loss, whose
+sequential ``np.add.at`` scatter :class:`EdgeScatter` reproduces bit for
+bit, in ``tests/oracles/link_losses.py``.
 """
 
 from __future__ import annotations
@@ -22,27 +24,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def cross_entropy_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. the logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise TrainingError("logits must be (n, classes); labels (n,)")
-    if logits.shape[0] == 0:
-        raise TrainingError("empty batch")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise TrainingError("labels out of range of logit columns")
-    probs = softmax(logits)
-    n = logits.shape[0]
-    loss = float(-np.log(probs[np.arange(n), labels] + 1e-12).mean())
-    grad = probs
-    grad[np.arange(n), labels] -= 1.0
-    return loss, (grad / n).astype(np.float32)
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

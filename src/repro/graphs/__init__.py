@@ -23,7 +23,6 @@ from repro.graphs.datasets import (
     get_spec,
     load_dataset,
 )
-from repro.graphs.io import load_graph, save_graph
 from repro.graphs.stats import (
     GraphStats,
     compute_stats,
@@ -57,6 +56,4 @@ __all__ = [
     "degree_gini",
     "homophily",
     "powerlaw_alpha_mle",
-    "load_graph",
-    "save_graph",
 ]

@@ -5,8 +5,9 @@ Combination streams feature rows through weight-mapped crossbar grids,
 Aggregation fires one wordline per edge against the feature-mapped grids
 (Section II-B's mapping), and the degree normalisation that the GCN math
 needs is folded into the streamed values — so results are comparable to
-:class:`repro.gcn.model.GCN` bit-for-bit in the ideal case, and degrade
-realistically when cell quantisation or read noise is enabled.
+the software forward (:func:`repro.gcn.batched.infer`) bit-for-bit in the
+ideal case, and degrade realistically when cell quantisation or read
+noise is enabled.
 
 This is the reproduction's NeuroSim-style *inference-on-hardware* mode:
 slow (every edge is a crossbar activation) but fully observable, used by

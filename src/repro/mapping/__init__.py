@@ -1,6 +1,6 @@
 """Data mapping: matrix tiling, vertex placement, selective updating."""
 
-from repro.mapping.tiling import TilingPlan, crossbars_for_matrix, plan_tiling
+from repro.mapping.tiling import TilingPlan, plan_tiling
 from repro.mapping.vertex_map import (
     VertexMapping,
     index_mapping,
@@ -18,7 +18,6 @@ from repro.mapping.selective import (
 
 __all__ = [
     "TilingPlan",
-    "crossbars_for_matrix",
     "plan_tiling",
     "VertexMapping",
     "index_mapping",

@@ -78,12 +78,3 @@ def plan_tiling(
         col_tiles=col_tiles,
         rows_per_tile=min(matrix_rows, config.crossbar_rows),
     )
-
-
-def crossbars_for_matrix(
-    matrix_rows: int,
-    matrix_cols: int,
-    config: HardwareConfig = DEFAULT_CONFIG,
-) -> int:
-    """Crossbars needed for one replica of a ``rows x cols`` value matrix."""
-    return plan_tiling(matrix_rows, matrix_cols, config).num_crossbars

@@ -3,7 +3,6 @@
 from repro.pipeline.simulator import (
     PipelineResult,
     ScheduleMode,
-    analytic_makespan_ns,
     simulate_pipeline,
 )
 from repro.pipeline.trace import (
@@ -15,7 +14,6 @@ from repro.pipeline.trace import (
 __all__ = [
     "PipelineResult",
     "ScheduleMode",
-    "analytic_makespan_ns",
     "simulate_pipeline",
     "bottleneck_stage",
     "render_gantt",

@@ -19,14 +19,15 @@ Pipelined scheduling follows the paper's constraints exactly:
 
 For uniform stage times and ``INTRA_INTER`` the resulting makespan equals
 the closed form of Eq. (6): ``sum_i T_i + (B-1) * max_i T_i`` — a property
-the test suite checks.
+the test suite checks against the closed form kept in
+``tests/oracles/pipeline.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -194,13 +195,3 @@ def simulate_pipeline(
         ends=ends[:, :num_mbs].copy(),
         mode=mode,
     )
-
-
-def analytic_makespan_ns(stage_times_ns: Sequence[float], num_microbatches: int) -> float:
-    """Eq. (6)'s closed form for uniform stage times, full pipelining."""
-    times = np.asarray(stage_times_ns, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0:
-        raise PipelineError("stage_times_ns must be a non-empty 1-D sequence")
-    if num_microbatches < 1:
-        raise PipelineError("num_microbatches must be >= 1")
-    return float(times.sum() + (num_microbatches - 1) * times.max())

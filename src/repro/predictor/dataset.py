@@ -4,8 +4,9 @@ The paper records the execution times of all stages of six workloads for
 30 epochs (~2,200 samples) on the ReRAM simulator.  We do the analogous
 thing against our analytic timing model: draw random workloads (graph
 size, density, feature dimensions, depth, micro-batch), compute each
-stage's no-replica time, perturb it with multiplicative measurement noise,
-and emit (Table I features, log10 time) pairs.
+stage's no-replica time on the current session's hardware, perturb it
+with multiplicative measurement noise, and emit (Table I features, log10
+time) pairs.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ import numpy as np
 
 from repro.errors import PredictorError
 from repro.graphs.generators import RandomState, _rng, dc_sbm_graph
+from repro.hardware.config import HardwareConfig
 from repro.perf import cache_key, get_cache
 from repro.predictor.features import stage_samples
+from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import Workload
 from repro.perf import profile
@@ -95,20 +98,24 @@ def generate_dataset(
     """Generate ~``num_samples`` (feature, log-time) pairs.
 
     Each random workload contributes one sample per stage; multiplicative
-    log-normal noise models measurement jitter across epochs.
+    log-normal noise models measurement jitter across epochs.  Stage
+    times are priced on the current session's hardware configuration.
     """
     if num_samples < 1:
         raise PredictorError("num_samples must be >= 1")
     if noise_sigma < 0:
         raise PredictorError("noise_sigma must be >= 0")
+    config = current_session().config
     if isinstance(random_state, (int, np.integer)):
         # Seeded generation is deterministic: memoise the whole dataset.
-        key = cache_key(num_samples, int(random_state), float(noise_sigma))
+        key = cache_key(
+            num_samples, int(random_state), float(noise_sigma), config,
+        )
         return get_cache().get_or_compute(
             "predictor-datasets", key,
-            lambda: _generate(num_samples, random_state, noise_sigma),
+            lambda: _generate(num_samples, random_state, noise_sigma, config),
         )
-    return _generate(num_samples, random_state, noise_sigma)
+    return _generate(num_samples, random_state, noise_sigma, config)
 
 
 @profile.phase(profile.PHASE_DATASET)
@@ -116,6 +123,7 @@ def _generate(
     num_samples: int,
     random_state: RandomState,
     noise_sigma: float,
+    config: HardwareConfig,
 ) -> PredictorDataset:
     rng = _rng(random_state)
     feature_rows: List[np.ndarray] = []
@@ -123,7 +131,7 @@ def _generate(
     names: List[str] = []
     while sum(t.size for t in target_rows) < num_samples:
         workload = random_workload(rng)
-        model = StageTimingModel(workload)
+        model = StageTimingModel(workload, config)
         feats, targets, stage_names = stage_samples(model)
         if noise_sigma > 0:
             targets = targets + rng.normal(

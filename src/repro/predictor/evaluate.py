@@ -27,6 +27,7 @@ from repro.predictor.regressors import (
     RidgeRegressor,
 )
 from repro.predictor.predictor import PerKindRegressor
+from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import workload_from_dataset
 
@@ -148,7 +149,7 @@ def leave_one_dataset_out(
     )
     predictor = TimePredictor().fit(dataset)
     workload = workload_from_dataset(held_out, random_state=random_state)
-    timing = StageTimingModel(workload)
+    timing = StageTimingModel(workload, current_session().config)
     _, targets, names = stage_samples(timing)
     predicted = predictor.predict_stage_times(workload)
     per_stage: Dict[str, float] = {}

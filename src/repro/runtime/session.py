@@ -161,18 +161,20 @@ class Session:
         num_samples: int = 800,
         seed: Optional[int] = None,
     ) -> "TimePredictor":
-        """Cached fitted TimePredictor (deterministic per (samples, seed))."""
+        """Cached fitted TimePredictor, trained on samples priced on this
+        session's hardware (deterministic per (samples, seed, config))."""
         from repro.predictor.dataset import generate_dataset
         from repro.predictor.predictor import TimePredictor
 
         seed = self.spec.seed if seed is None else seed
-        key = cache_key(num_samples, seed)
+        key = cache_key(num_samples, seed, self.config)
 
         def fit() -> "TimePredictor":
-            dataset = generate_dataset(
-                num_samples=num_samples, random_state=seed,
-            )
-            return TimePredictor().fit(dataset)
+            with self.use():
+                dataset = generate_dataset(
+                    num_samples=num_samples, random_state=seed,
+                )
+                return TimePredictor().fit(dataset)
 
         return self.cache.get_or_compute("predictors", key, fit)
 

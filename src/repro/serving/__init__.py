@@ -35,7 +35,7 @@ from repro.serving.batching import BatchingPolicy, BatchPlan, form_batches
 from repro.serving.cost import ServingCostModel, build_serving_system
 from repro.serving.engine import ServingTimeline, simulate_serving
 from repro.serving.service import ServingRun, ServingSpec, run_serving
-from repro.serving.stats import ServingStats, queue_depth_curve
+from repro.serving.stats import ServingStats
 
 __all__ = [
     "BatchPlan",
@@ -48,7 +48,6 @@ __all__ = [
     "arrival_times_ns",
     "build_serving_system",
     "form_batches",
-    "queue_depth_curve",
     "run_serving",
     "simulate_serving",
     "unit_mmpp",

@@ -134,23 +134,3 @@ class ServingStats:
             "queue_depth": round(self.mean_queue_depth, 2),
             "utilization": round(self.bottleneck_utilization, 4),
         }
-
-
-def queue_depth_curve(
-    arrivals_ns: np.ndarray,
-    completions_ns: np.ndarray,
-    points: int = 64,
-) -> np.ndarray:
-    """Requests in system sampled at ``points`` evenly spaced instants.
-
-    Depth at time ``t`` is ``#{arrivals <= t} - #{completions <= t}`` —
-    two ``searchsorted`` calls against the sorted timelines.
-    """
-    arrivals = np.sort(np.asarray(arrivals_ns, dtype=np.int64))
-    completions = np.sort(np.asarray(completions_ns, dtype=np.int64))
-    grid = np.linspace(
-        int(arrivals[0]), int(completions[-1]), points,
-    ).astype(np.int64)
-    in_count = np.searchsorted(arrivals, grid, side="right")
-    out_count = np.searchsorted(completions, grid, side="right")
-    return (in_count - out_count).astype(np.int64)

@@ -7,16 +7,20 @@ current key assignment under the strict total order
 same order therefore drives the greedy through the identical decision
 sequence.  These tests pin that equivalence down both at the store level
 (random operation sequences with forced ties) and end-to-end (byte-equal
-allocations on random problems).
+allocations on random problems, with the greedy loop's store swapped for
+the heap).  The indexed heap is an oracle, kept in
+``tests/oracles/allocation.py``; the loop runs on ``FlatMaxKeys``.
 """
 
 import numpy as np
 import pytest
 
+from repro.allocation import greedy
 from repro.allocation.greedy import greedy_allocation_reference
-from repro.allocation.heap import FlatMaxKeys, IndexedMaxHeap
+from repro.allocation.heap import FlatMaxKeys
 from repro.allocation.problem import AllocationProblem
 from repro.errors import AllocationError
+from tests.oracles.allocation import IndexedMaxHeap
 
 
 def _random_problem(rng: np.random.Generator) -> AllocationProblem:
@@ -40,20 +44,22 @@ def _random_problem(rng: np.random.Generator) -> AllocationProblem:
 
 
 @pytest.mark.parametrize("include_max_bonus", [True, False])
-def test_greedy_identical_across_stores(include_max_bonus):
+def test_greedy_identical_across_stores(include_max_bonus, monkeypatch):
     rng = np.random.default_rng(7)
-    for _ in range(40):
-        problem = _random_problem(rng)
-        flat = greedy_allocation_reference(
+    problems = [_random_problem(rng) for _ in range(40)]
+    flat = [
+        greedy_allocation_reference(
             problem, include_max_bonus=include_max_bonus,
-            heap_cls=FlatMaxKeys,
         )
-        heap = greedy_allocation_reference(
+        for problem in problems
+    ]
+    monkeypatch.setattr(greedy, "FlatMaxKeys", IndexedMaxHeap)
+    for problem, on_flat in zip(problems, flat):
+        on_heap = greedy_allocation_reference(
             problem, include_max_bonus=include_max_bonus,
-            heap_cls=IndexedMaxHeap,
         )
-        np.testing.assert_array_equal(flat.replicas, heap.replicas)
-        assert flat.makespan_ns == heap.makespan_ns
+        np.testing.assert_array_equal(on_flat.replicas, on_heap.replicas)
+        assert on_flat.makespan_ns == on_heap.makespan_ns
 
 
 def test_stores_agree_on_random_query_sequences():

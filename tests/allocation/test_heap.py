@@ -1,11 +1,12 @@
-"""Indexed max-heap, including a hypothesis model-based check."""
+"""The indexed max-heap oracle (``tests/oracles/allocation.py``),
+including a hypothesis model-based check."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation.heap import IndexedMaxHeap
 from repro.errors import AllocationError
+from tests.oracles.allocation import IndexedMaxHeap
 
 
 def test_push_top_pop_order():

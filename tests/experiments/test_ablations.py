@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import abl_allocator, abl_isu_design
+from repro.experiments import abl_allocator, abl_crossbar_size, abl_isu_design
 
 
 def test_allocator_quality_order():
@@ -74,3 +74,23 @@ def test_allocator_problem_is_priced_on_the_session_hardware():
     assert problem.budget == (
         session.config.total_crossbars - sum(tiled(session.config))
     )
+
+
+def test_crossbar_size_sweep_is_priced_on_the_session_hardware():
+    # Each swept size replaces only the crossbar geometry of the
+    # session's config, so a run override (slower row writes) and the
+    # run's array capacity both reach the rows.
+    from repro.runtime import RunSpec, Session
+
+    def rows(spec):
+        with Session(spec).use():
+            return abl_crossbar_size.run(scale=0.5).rows
+
+    default = rows(RunSpec())
+    slow_writes = rows(RunSpec(hardware={"write_latency_ns": 200.0}))
+    assert [r["crossbar"] for r in slow_writes] == [
+        r["crossbar"] for r in default
+    ]
+    assert slow_writes != default
+    for slow, base in zip(slow_writes, default):
+        assert slow["GoPIM time (ms)"] > base["GoPIM time (ms)"]

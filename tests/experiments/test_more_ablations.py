@@ -62,6 +62,39 @@ def test_samples_sweep_columns():
         assert 0.0 <= row["unseen (cora) accuracy"] <= 1.0
 
 
+def test_predictor_samples_are_priced_on_the_session_hardware():
+    # Slower row writes lengthen the stages that rewrite crossbars, so
+    # the predictor's training targets, the held-out truth abl-samples
+    # scores against, and a session's fitted predictor must all move
+    # under the override: they are priced on the session's config, not
+    # the default one.
+    import numpy as np
+
+    from repro.predictor.dataset import generate_dataset
+    from repro.runtime import RunSpec, Session
+
+    default = Session(RunSpec())
+    slow = Session(RunSpec(hardware={"write_latency_ns": 200.0}))
+
+    def targets(session):
+        with session.use():
+            return generate_dataset(num_samples=200, random_state=0).targets
+
+    def quick_rows(session):
+        with session.use():
+            return abl_samples.run(sample_counts=(100, 400)).rows
+
+    assert not np.array_equal(targets(slow), targets(default))
+    assert quick_rows(slow) != quick_rows(default)
+    # Session.predictor fits under its own session even when called
+    # outside any ``use()`` block.
+    workload = default.workload("cora", scale=0.5)
+    assert (
+        slow.predictor(num_samples=200).predict_stage_times(workload)
+        != default.predictor(num_samples=200).predict_stage_times(workload)
+    )
+
+
 def test_quantization_validation():
     from repro.errors import ExperimentError
 

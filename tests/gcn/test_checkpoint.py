@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
+from repro.gcn.batched import infer
 from repro.gcn.checkpoint import (
     load_checkpoint,
     restore_model,
@@ -19,10 +20,10 @@ def test_round_trip_gcn(tmp_path, tiny_graph):
     save_checkpoint(model.params, model.layer_dims, path)
 
     fresh = GCN([(4, 6), (6, 2)], random_state=99)
-    before, _ = fresh.forward(tiny_graph, tiny_graph.features)
+    before = infer(fresh, tiny_graph, tiny_graph.features)
     restore_model(fresh, path)
-    after, _ = fresh.forward(tiny_graph, tiny_graph.features)
-    reference, _ = model.forward(tiny_graph, tiny_graph.features)
+    after = infer(fresh, tiny_graph, tiny_graph.features)
+    reference = infer(model, tiny_graph, tiny_graph.features)
     assert not np.allclose(before, reference)
     np.testing.assert_allclose(after, reference, rtol=1e-6)
 

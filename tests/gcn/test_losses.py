@@ -1,7 +1,8 @@
 """Losses and metrics, with finite-difference gradient checks.
 
-The link loss and metric live in ``tests/oracles/link_losses.py`` (the
-serial trainers' oracle); production link training uses
+The serial cross-entropy lives in ``tests/oracles/gnn.py`` and the link
+loss and metric in ``tests/oracles/link_losses.py`` (the serial
+trainers' oracles); production link training uses
 :class:`~repro.gcn.losses.EdgeScatter`, checked here bitwise against the
 sequential ``np.add.at`` scatter.
 """
@@ -13,10 +14,10 @@ from repro.errors import TrainingError
 from repro.gcn.losses import (
     EdgeScatter,
     accuracy,
-    cross_entropy_loss,
     sigmoid,
     softmax,
 )
+from tests.oracles.gnn import cross_entropy_loss
 from tests.oracles.link_losses import (
     link_accuracy,
     link_bce_loss,

