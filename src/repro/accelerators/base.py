@@ -34,8 +34,9 @@ from repro.hardware.crossbar import CrossbarStats
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
 from repro.hardware.noc import MeshNoc
 from repro.mapping.selective import UpdatePlan, build_update_plan
-from repro.perf import cache_key, get_cache, profile
+from repro.perf import cache_key, profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
+from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel, TimingParams
 from repro.stages.workload import Workload
 
@@ -199,7 +200,9 @@ class AcceleratorModel:
                 ),
             }
 
-        return get_cache().get_or_compute("timing-tables", key, compute)
+        return current_session().cache.get_or_compute(
+            "timing-tables", key, compute,
+        )
 
     def _build_problem(
         self,

@@ -25,7 +25,8 @@ from repro.allocation.batched import allocate_many
 from repro.allocation.greedy import _ENGINE_REVISION, ALLOCATION_NAMESPACE
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.perf import profile
-from repro.perf.cache import cache_key, get_cache
+from repro.perf.cache import cache_key
+from repro.runtime import current_session
 
 
 def serial_allocation(problem: AllocationProblem) -> AllocationResult:
@@ -209,7 +210,9 @@ def exhaustive_allocation(
             },
         }
 
-    cached = get_cache().get_or_compute(ALLOCATION_NAMESPACE, key, compute)
+    cached = current_session().cache.get_or_compute(
+        ALLOCATION_NAMESPACE, key, compute,
+    )
     return AllocationResult(
         problem=problem,
         replicas=np.array(cached["replicas"], dtype=np.int64),

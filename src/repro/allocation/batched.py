@@ -30,7 +30,8 @@ import numpy as np
 
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.perf import profile
-from repro.perf.cache import cache_key, get_cache
+from repro.perf.cache import cache_key
+from repro.runtime import current_session
 
 
 def _batched_counts(
@@ -151,7 +152,7 @@ def allocate_many(
     if not problems:
         return []
     results: List[AllocationResult] = [None] * len(problems)  # type: ignore[list-item]
-    cache = get_cache() if memoize else None
+    cache = current_session().cache if memoize else None
     keys: List[str] = []
     misses: List[int] = []
     if cache is not None:

@@ -35,7 +35,8 @@ from repro.allocation.engine import greedy_allocation_counts
 from repro.allocation.heap import FlatMaxKeys
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.perf import profile
-from repro.perf.cache import cache_key, get_cache
+from repro.perf.cache import cache_key
+from repro.runtime import current_session
 
 #: Cache namespace shared by every memoised allocator result.
 ALLOCATION_NAMESPACE = "allocation"
@@ -87,7 +88,9 @@ def greedy_allocation(
             },
         }
 
-    cached = get_cache().get_or_compute(ALLOCATION_NAMESPACE, key, compute)
+    cached = current_session().cache.get_or_compute(
+        ALLOCATION_NAMESPACE, key, compute,
+    )
     # Copy on the way out: the memory tier hands back the stored object,
     # and results must not alias each other.
     return AllocationResult(

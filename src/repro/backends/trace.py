@@ -52,7 +52,8 @@ import numpy as np
 
 from repro.backends.protocol import EpochProgram, SimulationBackend
 from repro.perf import profile
-from repro.perf.cache import cache_key, get_cache
+from repro.perf.cache import cache_key
+from repro.runtime import current_session
 from repro.stages.latency import (
     StageTimingModel,
     effective_lanes,
@@ -222,7 +223,7 @@ def _program_entry(
         records = compile_stage_program(timing, stage_index)
         return records, program_stats(records)
 
-    return get_cache().get_or_compute(
+    return current_session().cache.get_or_compute(
         CACHE_NAMESPACE, program_cache_key(timing, stage_index), compile_entry,
     )
 

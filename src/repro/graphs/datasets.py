@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.generators import RandomState, _rng, dc_sbm_graph
 from repro.graphs.graph import Graph
-from repro.perf import cache_key, get_cache
+from repro.perf import cache_key
 from repro.perf import profile
 
 
@@ -206,11 +206,14 @@ def load_dataset(
     if scale <= 0:
         raise GraphError("scale must be positive")
     if isinstance(random_state, (int, np.integer)):
+        # Imported here: the run context sits above the graph layer.
+        from repro.runtime.session import current_session
+
         # Seeded loads are pure functions of (name, seed, scale): memoise
         # through the artifact cache so repeated experiments share one
         # generated instance (graphs are immutable).
         key = cache_key(spec.name, int(random_state), float(scale))
-        return get_cache().get_or_compute(
+        return current_session().cache.get_or_compute(
             "datasets", key,
             lambda: _generate_dataset_graph(spec, random_state, scale),
         )

@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import PredictorError
 from repro.graphs.generators import RandomState, _rng, dc_sbm_graph
 from repro.hardware.config import HardwareConfig
-from repro.perf import cache_key, get_cache
+from repro.perf import cache_key
 from repro.predictor.features import stage_samples
 from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
@@ -111,7 +111,7 @@ def generate_dataset(
         key = cache_key(
             num_samples, int(random_state), float(noise_sigma), config,
         )
-        return get_cache().get_or_compute(
+        return current_session().cache.get_or_compute(
             "predictor-datasets", key,
             lambda: _generate(num_samples, random_state, noise_sigma, config),
         )

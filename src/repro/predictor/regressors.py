@@ -27,7 +27,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PredictorError
-from repro.perf import cache_key, get_cache, profile
+from repro.perf import cache_key, profile
+from repro.runtime import current_session
 
 
 def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -72,7 +73,7 @@ class Regressor:
         key = cache_key(
             "fitted-regressor", type(self).__qualname__, self.__dict__, x, y,
         )
-        state = get_cache().get_or_compute(
+        state = current_session().cache.get_or_compute(
             "fitted-regressors", key, lambda: self._fit_and_pack(x, y),
         )
         self.__dict__.update(pickle.loads(state))

@@ -72,6 +72,9 @@ class Session:
         Artifact cache to use; defaults to the process-wide cache so
         sessions share deterministic artifacts (pass a fresh
         :class:`ArtifactCache` for an isolated cold-cache session).
+        Every cached layer reads ``current_session().cache``, so work
+        run inside this session (``with session.use():``) keeps its
+        artifacts here.
     """
 
     def __init__(
@@ -81,10 +84,16 @@ class Session:
     ) -> None:
         self.spec = spec if spec is not None else RunSpec()
         self.config = self.spec.resolve_config()
-        self.cache = cache if cache is not None else get_cache()
+        self._cache = cache
 
     def __repr__(self) -> str:
         return f"Session(spec_hash={self.spec.spec_hash()[:12]})"
+
+    @property
+    def cache(self) -> ArtifactCache:
+        """The session's own cache, else the process-wide one (looked up
+        on each access, like :func:`~repro.perf.cache.get_cache`)."""
+        return self._cache if self._cache is not None else get_cache()
 
     @contextmanager
     def use(self) -> Iterator["Session"]:
@@ -139,13 +148,15 @@ class Session:
         )
         scale = self.spec.scale if scale is None else scale
         key = cache_key(name, seed, micro_batch, float(scale))
-        return self.cache.get_or_compute(
-            "workloads", key,
-            lambda: workload_from_dataset(
-                name, random_state=seed, micro_batch=micro_batch,
-                scale=scale,
-            ),
-        )
+
+        def build() -> "Workload":
+            with self.use():
+                return workload_from_dataset(
+                    name, random_state=seed, micro_batch=micro_batch,
+                    scale=scale,
+                )
+
+        return self.cache.get_or_compute("workloads", key, build)
 
     def graph(
         self,

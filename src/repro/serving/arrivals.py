@@ -33,6 +33,11 @@ DEFAULT_BURSTINESS = 8.0
 #: Default expected arrivals per MMPP phase at unit rate.
 DEFAULT_PHASE_LENGTH = 400.0
 
+#: Longest arrival timeline in nanoseconds (about 146 years): half the
+#: int64 range, which leaves headroom for the dispatch and completion
+#: times built on top of it and for rounding in the float check.
+_MAX_TIMELINE_NS = 2.0 ** 62
+
 #: A built-in diurnal-ish trace pattern (relative inter-arrival
 #: weights): calm - ramp - burst - cooldown, replayed cyclically.
 DEFAULT_TRACE = (
@@ -141,14 +146,28 @@ def arrival_times_ns(
     Each unit gap is divided by ``rate_rps`` (requests per second),
     quantised to whole nanoseconds, and summed — per-gap quantisation
     keeps the sequence non-decreasing, and integer accumulation keeps
-    every downstream engine comparison exact.
+    every downstream engine comparison exact.  A non-finite or negative
+    gap, or a timeline longer than 2**62 ns (about 146 years), raises
+    :class:`~repro.errors.ExperimentError` instead of wrapping to
+    negative timestamps.
     """
     if rate_rps <= 0:
         raise ExperimentError(f"rate_rps must be positive, got {rate_rps}")
     inter = np.asarray(unit_inter, dtype=np.float64)
     if inter.ndim != 1 or inter.size == 0:
         raise ExperimentError("unit_inter must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(inter)):
+        raise ExperimentError("inter-arrival gaps must be finite")
     if np.any(inter < 0):
         raise ExperimentError("inter-arrival gaps must be non-negative")
-    gaps_ns = np.rint(inter * (1e9 / rate_rps)).astype(np.int64)
-    return np.cumsum(gaps_ns)
+    gaps = inter * (1e9 / rate_rps)
+    np.rint(gaps, out=gaps)
+    span_ns = gaps.sum()
+    # ``not <`` also rejects the NaN or inf span of an overflowing scale.
+    if not span_ns < _MAX_TIMELINE_NS:
+        raise ExperimentError(
+            f"arrivals at {rate_rps:g} req/s span {span_ns:.3g} ns, "
+            f"beyond the {_MAX_TIMELINE_NS:.3g} ns an int64 timeline allows"
+        )
+    stamps = gaps.astype(np.int64)
+    return np.cumsum(stamps, out=stamps)

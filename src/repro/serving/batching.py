@@ -19,15 +19,20 @@ trigger policies:
 Batch membership and dispatch times are a pure function of the arrival
 timestamps and the policy — both queueing engines consume the same
 :class:`BatchPlan`, so batching is deliberately implemented once.  The
-``size`` path is fully vectorized (a reshape); the windowed policies
-advance with ``searchsorted`` jumps, one iteration per *batch* rather
-than per request.
+``size`` path is fully vectorized (a reshape).  The windowed policies
+loop once per *batch*, not per request.  A hybrid window opened at
+request ``s`` fills iff its ``max_batch``-th arrival,
+``arrivals[s + max_batch - 1]``, lands by the deadline — arrivals never
+decrease, so one comparison decides the size trigger.  Only a window
+that times out searches for its last member, and only among its first
+``max_batch`` arrivals; a ``timeout`` window, which has no cap, searches
+the rest of the timeline.  Dispatch times follow from the batch sizes in
+one vector step at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -121,12 +126,6 @@ class BatchPlan:
         """Requests per batch."""
         return np.diff(self.boundaries)
 
-    def batch_of_request(self) -> np.ndarray:
-        """Batch index of every request (arrival order)."""
-        return np.repeat(
-            np.arange(self.num_batches, dtype=np.int64), self.sizes(),
-        )
-
 
 def _size_batches(arrivals: np.ndarray, max_batch: int) -> BatchPlan:
     n = arrivals.size
@@ -144,24 +143,30 @@ def _windowed_batches(
     policy: BatchingPolicy,
 ) -> BatchPlan:
     n = arrivals.size
-    size_trigger = policy.kind == "hybrid"
-    bounds: List[int] = [0]
-    dispatch: List[int] = []
+    timeout = policy.timeout_ns
+    # A timeout window has no size trigger: cap it past any batch.
+    cap = policy.max_batch if policy.kind == "hybrid" else n + 1
+    arrival = arrivals.item
+    if arrival(n - 1) + timeout > np.iinfo(np.int64).max:
+        raise ExperimentError("timeout_ns pushes dispatch times past int64")
+    stops = [0]
     start = 0
     while start < n:
-        limit = int(arrivals[start]) + policy.timeout_ns
-        stop = int(np.searchsorted(arrivals, limit, side="right"))
-        if size_trigger and stop - start >= policy.max_batch:
-            stop = start + policy.max_batch
-            dispatch.append(int(arrivals[stop - 1]))
+        end = start + cap
+        limit = arrival(start) + timeout
+        if end <= n and arrival(end - 1) <= limit:
+            start = end
         else:
-            dispatch.append(limit)
-        bounds.append(stop)
-        start = stop
-    return BatchPlan(
-        boundaries=np.array(bounds, dtype=np.int64),
-        dispatch_ns=np.array(dispatch, dtype=np.int64),
+            start += int(arrivals[start:end].searchsorted(limit, "right"))
+        stops.append(start)
+    bounds = np.array(stops, dtype=np.int64)
+    # A full batch leaves at its last arrival, any other at its deadline.
+    dispatch = np.where(
+        np.diff(bounds) == cap,
+        arrivals[bounds[1:] - 1],
+        arrivals[bounds[:-1]] + timeout,
     )
+    return BatchPlan(boundaries=bounds, dispatch_ns=dispatch)
 
 
 def form_batches(
@@ -172,7 +177,7 @@ def form_batches(
     arrivals = np.asarray(arrivals_ns, dtype=np.int64)
     if arrivals.ndim != 1 or arrivals.size == 0:
         raise ExperimentError("arrivals_ns must be a non-empty 1-D array")
-    if np.any(np.diff(arrivals) < 0):
+    if np.any(arrivals[1:] < arrivals[:-1]):
         raise ExperimentError("arrivals must be non-decreasing")
     if policy.kind == "size":
         return _size_batches(arrivals, policy.max_batch)

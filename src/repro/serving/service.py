@@ -153,10 +153,7 @@ def run_serving(session: Session, spec: ServingSpec) -> ServingRun:
         degrees = request_degrees(session, spec)
 
         plan = form_batches(arrivals, spec.batching_policy())
-        edge_prefix = np.concatenate(
-            [[0], np.cumsum(degrees, dtype=np.int64)]
-        )
-        batch_edges = np.diff(edge_prefix[plan.boundaries])
+        batch_edges = np.add.reduceat(degrees, plan.boundaries[:-1])
         times = system.batch_times_ns(plan.sizes(), batch_edges)
 
         timeline = simulate_serving(

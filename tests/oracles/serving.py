@@ -1,6 +1,11 @@
-"""Oracles for the serving layer: the scalar queueing loop and the
-pre-protocol batch-cost loop.
+"""Oracles for the serving layer: the batch-formation loop, the scalar
+queueing loop and the pre-protocol batch-cost loop.
 
+:func:`form_batches_reference` searches the whole arrival timeline once
+per batch; :func:`repro.serving.batching.form_batches` must reproduce
+its plans byte for byte.  :func:`batch_of_request` is the per-request
+batch index that ``ServingStats.from_simulation`` used to gather
+completions with.
 :func:`simulate_serving_reference` walks dispatch events in order with
 scalar max/add updates; :func:`repro.serving.engine.simulate_serving`
 must reproduce its timelines byte for byte.
@@ -15,8 +20,53 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.serving.batching import BatchingPolicy, BatchPlan
 from repro.serving.cost import ServingCostModel
 from repro.serving.engine import ServingTimeline, _validate
+
+
+def form_batches_reference(
+    arrivals_ns: np.ndarray,
+    policy: BatchingPolicy,
+) -> BatchPlan:
+    """The batch-formation oracle: one whole-timeline search per batch.
+
+    A window opened at request ``start`` finds every arrival up to its
+    deadline with ``searchsorted`` over the whole timeline; a hybrid
+    window holding ``max_batch`` of them dispatches at the last one,
+    any other window at its deadline.  A size batch takes the next
+    ``max_batch`` requests and dispatches at the last one's arrival.
+    """
+    arrivals = np.asarray(arrivals_ns, dtype=np.int64)
+    n = arrivals.size
+    bounds = [0]
+    dispatch = []
+    start = 0
+    while start < n:
+        if policy.kind == "size":
+            stop = min(start + policy.max_batch, n)
+            dispatch.append(int(arrivals[stop - 1]))
+        else:
+            limit = int(arrivals[start]) + policy.timeout_ns
+            stop = int(np.searchsorted(arrivals, limit, side="right"))
+            if policy.kind == "hybrid" and stop - start >= policy.max_batch:
+                stop = start + policy.max_batch
+                dispatch.append(int(arrivals[stop - 1]))
+            else:
+                dispatch.append(limit)
+        bounds.append(stop)
+        start = stop
+    return BatchPlan(
+        boundaries=np.array(bounds, dtype=np.int64),
+        dispatch_ns=np.array(dispatch, dtype=np.int64),
+    )
+
+
+def batch_of_request(plan: BatchPlan) -> np.ndarray:
+    """Batch index of every request (arrival order)."""
+    return np.repeat(
+        np.arange(plan.num_batches, dtype=np.int64), plan.sizes(),
+    )
 
 
 def simulate_serving_reference(

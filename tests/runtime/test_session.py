@@ -1,6 +1,7 @@
 """RunSpec/Session semantics: hashing, resolution, determinism, and
 the run context (``Session.use`` / ``current_session``)."""
 
+import dataclasses
 import json
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from repro.backends import resolve_backend
 from repro.errors import ConfigError, ExperimentError
-from repro.perf.cache import ArtifactCache
+from repro.perf.cache import ArtifactCache, get_cache
 from repro.runtime import (
     EXPERIMENT_ARRAY_BYTES,
     RunSpec,
@@ -149,6 +150,26 @@ class TestDeterminism:
         prov = result.metadata["provenance"]
         assert prov["spec_hash"] == self.SPEC.spec_hash()
         assert prov["experiment_id"] == "fig06"
+
+
+class TestIsolatedCache:
+    """A session built with its own cache keeps every artifact there."""
+
+    def test_process_cache_sees_no_traffic(self):
+        from repro.experiments.registry import run_experiment
+        from repro.serving import ServingSpec, run_serving
+
+        process = get_cache()
+        before = (dataclasses.replace(process.stats), len(process))
+        session = Session(RunSpec(seed=0), cache=ArtifactCache())
+        session.workload("ddi")  # outside any ``use()`` block
+        run_experiment("tab06", session=session)
+        run_serving(session, ServingSpec(num_requests=20_000))
+        # The trace backend's compiled programs, in the same cache.
+        traced = Session(RunSpec(seed=0, backend="trace"), cache=session.cache)
+        run_experiment("tab06", session=traced)
+        assert (process.stats, len(process)) == before
+        assert len(session.cache) == session.cache.stats.misses > 0
 
 
 def _start_threads(target, args):

@@ -86,3 +86,14 @@ class TestRateScaling:
             arrival_times_ns(np.ones(10), 0.0)
         with pytest.raises(ExperimentError):
             arrival_times_ns(np.array([1.0, -0.5]), 1e6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gap_raises(self, bad):
+        with pytest.raises(ExperimentError, match="finite"):
+            arrival_times_ns(np.array([1.0, bad, 1.0]), 1e6)
+
+    @pytest.mark.parametrize("rate_rps", [1e-10, 5e-324])
+    def test_timeline_beyond_int64_raises(self, rate_rps):
+        # 1e19 ns gaps, and an infinite scale: both would wrap int64.
+        with pytest.raises(ExperimentError, match="int64"):
+            arrival_times_ns(np.ones(3), rate_rps)

@@ -7,6 +7,7 @@ from repro.experiments import srv_tail_latency
 from repro.perf.cache import ArtifactCache
 from repro.runtime import RunSpec, Session
 from repro.serving import ServingSpec, run_serving
+from tests.oracles.serving import batch_of_request
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def test_littles_law(session, base_spec):
     """
     run = run_serving(session, base_spec)
     arrivals = run.arrivals_ns
-    completions = run.timeline.completions_ns[run.plan.batch_of_request()]
+    completions = run.timeline.completions_ns[batch_of_request(run.plan)]
 
     events = np.concatenate([arrivals, completions])
     deltas = np.concatenate([
@@ -87,7 +88,7 @@ def test_queueing_p99_monotone_in_load(session, process):
     end_to_end = []
     for load in loads:
         run = run_serving(session, spec.at_load(load))
-        owner = run.plan.batch_of_request()
+        owner = batch_of_request(run.plan)
         queueing = np.sort(
             run.timeline.completions_ns[owner]
             - run.plan.dispatch_ns[owner]
