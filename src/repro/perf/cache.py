@@ -1,10 +1,12 @@
 """Content-keyed artifact cache for expensive derived artifacts.
 
 Experiments regenerate the same synthetic datasets, fitted predictors,
-stage-latency tables, and allocator inputs over and over: every
-registered experiment prices a handful of datasets, so the same
-deterministic artifact is rebuilt dozens of times per sweep.  This
-module provides one keyed cache for all of them:
+stage-latency tables, allocator inputs and serving request streams
+(arrival patterns and per-request seed degrees) over and over: every
+registered experiment prices a handful of datasets, and every serving
+load point replays one stream, so the same deterministic artifact is
+rebuilt dozens of times per sweep.  This module provides one keyed
+cache for all of them:
 
 * **in-process** — a dict behind a lock, always on;
 * **on-disk** — enabled by setting the ``REPRO_CACHE_DIR`` environment

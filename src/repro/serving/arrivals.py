@@ -80,20 +80,25 @@ def unit_mmpp(
     rate scaling is exact.
     """
     _validate_count(num_requests)
-    if burstiness <= 1.0:
+    # ``not ... <`` also rejects NaN.
+    if not 1.0 < burstiness < np.inf:
         raise ExperimentError(
-            f"burstiness must be > 1 for a bursty process, got {burstiness}"
+            "burstiness must be > 1 and finite for a bursty process, "
+            f"got {burstiness}"
         )
-    if phase_length <= 0:
+    if not 0 < phase_length < np.inf:
         raise ExperimentError(
-            f"phase_length must be positive, got {phase_length}"
+            f"phase_length must be positive and finite, got {phase_length}"
         )
     rate_low = 2.0 / (1.0 + burstiness)
     rate_high = burstiness * rate_low
     state = int(rng.integers(2))
-    times = []
+    # Each phase's gaps go straight into one preallocated array, as
+    # ``np.diff`` of the whole timeline would give them (the first gap
+    # is measured from 0), so no request-length timeline is ever held.
+    inter = np.empty(num_requests)
     collected = 0
-    clock = 0.0
+    clock = last = 0.0
     while collected < num_requests:
         rate = rate_high if state else rate_low
         duration = rng.exponential(phase_length)
@@ -105,14 +110,18 @@ def unit_mmpp(
         while offsets.size and offsets[-1] < duration:
             more = rng.exponential(1.0 / rate, max(16, offsets.size // 4))
             offsets = np.concatenate([offsets, offsets[-1] + np.cumsum(more)])
-        inside = offsets[offsets < duration]
-        times.append(clock + inside)
-        collected += inside.size
+        inside = offsets[offsets < duration][:num_requests - collected]
+        if inside.size:
+            stamps = clock + inside
+            end = collected + stamps.size
+            inter[collected] = stamps[0] - last
+            np.subtract(stamps[1:], stamps[:-1], out=inter[collected + 1:end])
+            last = stamps[-1]
+            collected = end
         clock += duration
         state = 1 - state
-    stamps = np.concatenate(times)[:num_requests]
-    inter = np.diff(stamps, prepend=0.0)
-    return inter / inter.mean()
+    inter /= inter.mean()
+    return inter
 
 
 def unit_trace(
@@ -146,13 +155,17 @@ def arrival_times_ns(
     Each unit gap is divided by ``rate_rps`` (requests per second),
     quantised to whole nanoseconds, and summed — per-gap quantisation
     keeps the sequence non-decreasing, and integer accumulation keeps
-    every downstream engine comparison exact.  A non-finite or negative
-    gap, or a timeline longer than 2**62 ns (about 146 years), raises
+    every downstream engine comparison exact.  A rate that is not
+    positive and finite, a non-finite or negative gap, or a timeline
+    longer than 2**62 ns (about 146 years), raises
     :class:`~repro.errors.ExperimentError` instead of wrapping to
     negative timestamps.
     """
-    if rate_rps <= 0:
-        raise ExperimentError(f"rate_rps must be positive, got {rate_rps}")
+    # ``not ... <`` also rejects a NaN rate.
+    if not 0 < rate_rps < np.inf:
+        raise ExperimentError(
+            f"rate_rps must be positive and finite, got {rate_rps}"
+        )
     inter = np.asarray(unit_inter, dtype=np.float64)
     if inter.ndim != 1 or inter.size == 0:
         raise ExperimentError("unit_inter must be a non-empty 1-D sequence")

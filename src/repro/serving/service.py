@@ -11,17 +11,26 @@ drawn from streams named by ``(dataset, process)`` and seeded from the
 Session's master seed only — *not* by offered load or batching policy —
 so a load sweep or a policy comparison replays the identical request
 sequence and its curves differ only through the quantity under study.
+
+Each stream is drawn once: the unit pattern and the seed degrees are
+kept, read-only, in the session's artifact cache under
+``"serving-streams"``, keyed by what the draw reads (stream name,
+resolved master seed, request count, burstiness, workload graph).  Every
+other scenario of that stream — another load, rate, policy, balancer or
+backend — reuses the arrays, at 8 bytes per request each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.perf import profile
+from repro.perf.cache import cache_key
 from repro.runtime.session import Session
 from repro.serving.arrivals import (
     DEFAULT_BURSTINESS,
@@ -36,6 +45,14 @@ from repro.serving.engine import ServingTimeline, simulate_serving
 from repro.serving.stats import ServingStats
 
 ARRIVAL_PROCESSES = ("poisson", "mmpp", "trace")
+
+#: Cache namespace of the drawn unit patterns and seed degrees.
+STREAMS_NAMESPACE = "serving-streams"
+
+#: Part of every stream key; bump it when a draw's law, layout or
+#: unkeyed default (``DEFAULT_PHASE_LENGTH``) changes, so a disk tier
+#: never serves an older one.
+_STREAMS_REVISION = "unit-pattern-and-degrees-v1"
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,17 @@ class ServingSpec:
                 f"unknown arrival process {self.process!r}; "
                 f"known: {', '.join(ARRIVAL_PROCESSES)}"
             )
+        for name in ("load", "rate_rps", "timeout_us"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ExperimentError(f"{name} must be finite, got {value}")
         if self.rate_rps is None and self.load <= 0:
             raise ExperimentError(
                 f"load must be positive, got {self.load}"
+            )
+        if self.rate_rps is not None and self.rate_rps <= 0:
+            raise ExperimentError(
+                f"rate_rps must be positive, got {self.rate_rps}"
             )
 
     def batching_policy(self) -> BatchingPolicy:
@@ -98,36 +123,68 @@ class ServingRun:
     stats: ServingStats
 
 
+def _master_seed(session: Session, spec: ServingSpec) -> int:
+    """The master seed the spec's streams derive from (as
+    :meth:`Session.rng` resolves it)."""
+    return session.spec.seed if spec.seed is None else spec.seed
+
+
+def _cached_stream(
+    session: Session, key_parts: Tuple, draw: Callable[[], np.ndarray],
+) -> np.ndarray:
+    """``draw()``'s array, drawn once per key in the session's cache.
+
+    Read-only, also after a disk-tier hit, which unpickles a writable
+    copy: every scenario of the stream shares the one array.
+    """
+    stream = session.cache.get_or_compute(
+        STREAMS_NAMESPACE, cache_key(_STREAMS_REVISION, *key_parts), draw,
+    )
+    stream.flags.writeable = False
+    return stream
+
+
 def _unit_pattern(session: Session, spec: ServingSpec) -> np.ndarray:
     """The unit-mean inter-arrival pattern for the spec's process.
 
-    Stream names exclude the load/rate on purpose — see the module
-    docstring's determinism contract.
+    Stream names and keys exclude the load/rate on purpose — see the
+    module docstring's determinism contract.
     """
     stream = f"serving:{spec.dataset}:{spec.process}:arrivals"
-    if spec.process == "poisson":
-        return unit_poisson(
-            spec.num_requests, session.rng(stream, seed=spec.seed),
-        )
-    if spec.process == "mmpp":
-        return unit_mmpp(
-            spec.num_requests,
-            session.rng(stream, seed=spec.seed),
-            burstiness=spec.burstiness,
-        )
-    return unit_trace(spec.num_requests)
+    seed = _master_seed(session, spec)
+    count = spec.num_requests
+
+    def draw() -> np.ndarray:
+        if spec.process == "trace":
+            return unit_trace(count)
+        rng = session.rng(stream, seed=seed)
+        if spec.process == "mmpp":
+            return unit_mmpp(count, rng, burstiness=spec.burstiness)
+        return unit_poisson(count, rng)
+
+    params = (float(spec.burstiness),) if spec.process == "mmpp" else ()
+    return _cached_stream(session, (stream, seed, count, *params), draw)
 
 
 def request_degrees(session: Session, spec: ServingSpec) -> np.ndarray:
     """Seed-vertex degrees of every request (the per-request edge work).
 
     Requests sample ego seeds uniformly from the dataset's vertices; a
-    request's aggregation work is its seed's full neighbourhood.
+    request's aggregation work is its seed's full neighbourhood.  The
+    array is cached and read-only, like the unit pattern.
     """
     graph = session.workload(spec.dataset).graph
-    rng = session.rng(f"serving:{spec.dataset}:requests", seed=spec.seed)
-    seeds = rng.integers(0, graph.num_vertices, spec.num_requests)
-    return np.asarray(graph.degrees, dtype=np.int64)[seeds]
+    stream = f"serving:{spec.dataset}:requests"
+    seed = _master_seed(session, spec)
+
+    def draw() -> np.ndarray:
+        rng = session.rng(stream, seed=seed)
+        seeds = rng.integers(0, graph.num_vertices, spec.num_requests)
+        return np.asarray(graph.degrees, dtype=np.int64)[seeds]
+
+    return _cached_stream(
+        session, (stream, seed, spec.num_requests, graph), draw,
+    )
 
 
 @profile.phase(profile.PHASE_TIMING)

@@ -50,6 +50,14 @@ class TestUnitPatterns:
         b = unit_mmpp(5_000, rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"burstiness": np.nan}, {"burstiness": np.inf},
+        {"phase_length": np.nan}, {"phase_length": np.inf},
+    ])
+    def test_mmpp_rejects_non_finite_parameters(self, kwargs):
+        with pytest.raises(ExperimentError, match="finite"):
+            unit_mmpp(100, rng(), **kwargs)
+
     def test_validation(self):
         with pytest.raises(ExperimentError):
             unit_poisson(0, rng())
@@ -86,6 +94,12 @@ class TestRateScaling:
             arrival_times_ns(np.ones(10), 0.0)
         with pytest.raises(ExperimentError):
             arrival_times_ns(np.array([1.0, -0.5]), 1e6)
+
+    @pytest.mark.parametrize("rate_rps", [np.inf, np.nan, -np.inf])
+    def test_non_finite_rate_raises(self, rate_rps):
+        # An infinite rate would put every arrival at t=0.
+        with pytest.raises(ExperimentError, match="positive and finite"):
+            arrival_times_ns(np.ones(3), rate_rps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gap_raises(self, bad):
