@@ -716,6 +716,7 @@ def bench_backends(quick: bool) -> Dict[str, object]:
         compiled_stage_program,
         replay_stage_times,
     )
+    from repro.hardware.config import DEFAULT_CONFIG
     from repro.stages.latency import StageTimingModel
     from repro.stages.workload import Workload
 
@@ -728,7 +729,7 @@ def bench_backends(quick: bool) -> Dict[str, object]:
         graph=graph, layer_dims=[(128, 128), (128, 64)],
         micro_batch=64, name="bench-backends",
     )
-    timing = StageTimingModel(workload)
+    timing = StageTimingModel(workload, DEFAULT_CONFIG)
     stages = range(len(timing.stages))
     repeats = 3 if quick else 5
 

@@ -31,7 +31,6 @@ from repro.units import format_energy, format_time
 def compare(dataset: str) -> None:
     """Print the six-system comparison for one dataset."""
     session = current_session()
-    config = session.config
     predictor = session.predictor(num_samples=800, seed=0)
     workload = session.workload(dataset, seed=0)
     print(f"\n=== {dataset}: {workload.graph} ===")
@@ -43,7 +42,7 @@ def compare(dataset: str) -> None:
         gopim_vanilla(time_predictor=predictor),
         gopim(time_predictor=predictor),
     )
-    reports = [acc.run(workload, config) for acc in systems]
+    reports = [acc.run(workload) for acc in systems]
     base = reports[0]
     header = (
         f"{'system':<14} {'time':>12} {'energy':>12} "

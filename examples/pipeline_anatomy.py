@@ -43,14 +43,13 @@ def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "cora"
     width = int(sys.argv[2]) if len(sys.argv) > 2 else 72
     session = current_session()
-    config = session.config
     workload = session.workload(dataset, seed=0)
     predictor = session.predictor(num_samples=800, seed=0)
     print(f"{dataset}: {workload.graph}")
 
-    serial_report = serial().run(workload, config)
-    naive_report = naive_pipeline().run(workload, config)
-    gopim_report = gopim(time_predictor=predictor).run(workload, config)
+    serial_report = serial().run(workload)
+    naive_report = naive_pipeline().run(workload)
+    gopim_report = gopim(time_predictor=predictor).run(workload)
 
     show(serial_report, width)
     show(naive_report, width)

@@ -4,10 +4,14 @@
 Runs the full GoPIM flow end-to-end:
 
 1. generate the synthetic ddi stand-in graph (Table III statistics);
-2. train the ML time predictor on generated samples;
+2. train the session's ML time predictor on generated samples;
 3. let GoPIM predict stage times, allocate crossbar replicas
    (Algorithm 1) and build the ISU update plan;
 4. simulate one training epoch and compare against the Serial baseline.
+
+Everything is priced on the current session's chip (``RunSpec()``'s
+256 MB array); run it under ``Session(RunSpec(...)).use()`` to change
+the hardware, scale or seed.
 
 Usage::
 
@@ -23,12 +27,10 @@ from repro.units import format_energy, format_time
 
 
 def main() -> None:
-    session = current_session()
-    config = session.config
     print("Training the execution-time predictor (one-off)...")
-    predictor = session.predictor(num_samples=800, seed=0)
+    current_session().predictor()  # fitted once; GoPIMSystem reads it
 
-    system = GoPIMSystem(config=config, predictor=predictor)
+    system = GoPIMSystem()
     workload = workload_from_dataset("ddi", random_state=0)
     print(f"Workload: {workload.graph}")
 
@@ -44,7 +46,7 @@ def main() -> None:
 
     print("\nSimulating one training epoch...")
     gopim_report = system.simulate(workload)
-    serial_report = serial().run(workload, config)
+    serial_report = serial().run(workload)
 
     speedup = serial_report.total_time_ns / gopim_report.total_time_ns
     saving = serial_report.energy_pj / gopim_report.energy_pj

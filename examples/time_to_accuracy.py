@@ -25,9 +25,7 @@ def main() -> None:
     dataset = sys.argv[1] if len(sys.argv) > 1 else "arxiv"
     epochs = int(sys.argv[2]) if len(sys.argv) > 2 else 25
     target = float(sys.argv[3]) if len(sys.argv) > 3 else 0.7
-    session = current_session()
-    config = session.config
-    graph = session.graph(dataset, seed=0)
+    graph = current_session().graph(dataset, seed=0)
     print(f"{dataset}: {graph}")
     print(f"Training {epochs} epochs per system; "
           f"target test metric {target:.0%}.\n")
@@ -39,7 +37,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for accelerator in (serial(), gopim_vanilla(), gopim()):
-        result = CoSimulation(accelerator, config).run(
+        result = CoSimulation(accelerator).run(
             graph, dataset, epochs=epochs,
         )
         reached = result.time_to_accuracy_ns(target)

@@ -7,7 +7,8 @@ execution-time predictor, the max-heap greedy crossbar allocator, ISU
 (interleaved mapping with adaptive selective updating), and the baseline
 accelerators (Serial, SlimGNN-like, ReGraphX, ReFlip).
 
-Quickstart::
+Quickstart (priced on the current session's chip and predictor; enter
+a ``repro.runtime.Session(RunSpec(...))`` to change the run's settings)::
 
     from repro import GoPIMSystem, workload_from_dataset
 

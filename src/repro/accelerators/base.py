@@ -29,11 +29,11 @@ import numpy as np
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.backends import EpochProgram, resolve_backend
 from repro.errors import ConfigError
-from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
+from repro.hardware.config import HardwareConfig
 from repro.hardware.crossbar import CrossbarStats
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
 from repro.hardware.noc import MeshNoc
-from repro.mapping.selective import UpdatePlan, build_update_plan
+from repro.mapping.selective import build_update_plan
 from repro.perf import cache_key, profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
 from repro.runtime import current_session
@@ -121,9 +121,12 @@ class AcceleratorModel:
     def build_timing_model(
         self,
         workload: Workload,
-        config: HardwareConfig = DEFAULT_CONFIG,
+        config: Optional[HardwareConfig] = None,
     ) -> StageTimingModel:
-        """The timing model this accelerator runs against."""
+        """The timing model this accelerator runs against, on ``config``
+        (default: the current session's hardware)."""
+        if config is None:
+            config = current_session().config
         effective_workload = workload
         if self.prune_graph:
             from repro.graphs.sparsify import sparsify_by_degree
@@ -207,10 +210,10 @@ class AcceleratorModel:
     def _build_problem(
         self,
         timing: StageTimingModel,
-        config: HardwareConfig,
         tables: Optional[Dict[str, Any]] = None,
     ) -> AllocationProblem:
-        """The allocation problem; ``tables`` skips a second lookup."""
+        """The allocation problem on the timing model's hardware;
+        ``tables`` skips a second lookup."""
         workload = timing.workload
         stages = timing.stages
         names = [s.name for s in stages]
@@ -231,11 +234,11 @@ class AcceleratorModel:
         else:
             times = np.maximum(true_times, 1e-3)
         mandatory = int(crossbars.sum())
-        budget = config.total_crossbars - mandatory
+        total = timing.config.total_crossbars
+        budget = total - mandatory
         if budget < 0:
             raise ConfigError(
-                f"workload needs {mandatory} crossbars; budget is "
-                f"{config.total_crossbars}"
+                f"workload needs {mandatory} crossbars; budget is {total}"
             )
         return AllocationProblem(
             stage_names=names,
@@ -258,7 +261,7 @@ class AcceleratorModel:
     def run(
         self,
         workload: Workload,
-        config: HardwareConfig = DEFAULT_CONFIG,
+        config: Optional[HardwareConfig] = None,
         backend=None,
     ) -> AcceleratorReport:
         """Simulate one training epoch and account time + energy.
@@ -272,9 +275,10 @@ class AcceleratorModel:
         accelerator — sweep repeats, sibling ablation variants sharing a
         config — skips both.
 
-        The epoch is priced by a :class:`~repro.backends.SimulationBackend`
-        (``backend`` names one explicitly; the default is the current
-        session's, see :func:`repro.runtime.current_session`).  The
+        The epoch is priced on ``config`` by a
+        :class:`~repro.backends.SimulationBackend` (``backend`` names one
+        explicitly); either left ``None`` is the current session's, see
+        :func:`repro.runtime.current_session`.  The
         allocation plan and the activity-count energy model are
         backend-independent: every engine prices the *same* replica
         assignment, so backends differ only in how operations turn into
@@ -284,7 +288,7 @@ class AcceleratorModel:
         timing = self.build_timing_model(workload, config)
         stages = timing.stages
         tables = self._timing_tables(timing)
-        problem = self._build_problem(timing, config, tables)
+        problem = self._build_problem(timing, tables)
         allocation = self.allocator(problem)
         replicas = allocation.replicas
 
@@ -295,7 +299,7 @@ class AcceleratorModel:
             microbatches_per_batch=self.microbatches_per_batch,
         ))
         pipeline = epoch.pipeline
-        energy = self._energy(timing, tables, pipeline, replicas, config)
+        energy = self._energy(timing, tables, pipeline, replicas)
         epoch.energy = energy
         return AcceleratorReport(
             accelerator=self.name,
@@ -318,8 +322,8 @@ class AcceleratorModel:
         tables: Dict[str, Any],
         pipeline: PipelineResult,
         replicas: np.ndarray,
-        config: HardwareConfig,
     ) -> EnergyBreakdown:
+        config = timing.config
         model = EnergyModel(config)
         noc = MeshNoc(config)
         total = EnergyBreakdown()

@@ -62,7 +62,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.runtime import current_session
 
     session = current_session()
-    config = session.config
     workload = session.workload(args.dataset, seed=args.seed,
                                 micro_batch=args.micro_batch)
     predictor = session.predictor(seed=args.seed)
@@ -75,7 +74,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         systems = [serial(), gopim(time_predictor=predictor)]
     base = None
     for acc in systems:
-        report = acc.run(workload, config)
+        report = acc.run(workload)
         if base is None:
             base = report
         speedup = base.total_time_ns / report.total_time_ns
@@ -99,13 +98,12 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     from repro.runtime import current_session
 
     session = current_session()
-    config = session.config
     workload = session.workload(args.dataset, seed=args.seed)
     acc = (
         serial() if args.serial
         else gopim(time_predictor=session.predictor(seed=args.seed))
     )
-    report = acc.run(workload, config)
+    report = acc.run(workload)
     print(f"{acc.name} on {args.dataset} "
           f"(makespan {format_time(report.total_time_ns)}):")
     print(render_gantt(report.pipeline, report.stage_names,

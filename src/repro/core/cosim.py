@@ -27,7 +27,7 @@ from repro.errors import TrainingError
 from repro.gcn.trainer import make_trainer
 from repro.graphs.datasets import get_spec
 from repro.graphs.graph import Graph
-from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
+from repro.runtime import current_session
 
 
 @dataclass
@@ -69,15 +69,11 @@ class CoSimResult:
 
 
 class CoSimulation:
-    """Couples an :class:`AcceleratorModel` with the GCN trainer."""
+    """Couples an :class:`AcceleratorModel` with the GCN trainer, priced
+    on the current session's hardware and backend."""
 
-    def __init__(
-        self,
-        accelerator: AcceleratorModel,
-        config: Optional[HardwareConfig] = None,
-    ) -> None:
+    def __init__(self, accelerator: AcceleratorModel) -> None:
         self._accelerator = accelerator
-        self._config = DEFAULT_CONFIG if config is None else config
 
     def run(
         self,
@@ -90,16 +86,20 @@ class CoSimulation:
 
         ``dataset`` supplies the Table IV model shape and task type; the
         trainer uses a smaller head internally (graph classes / embedding)
-        but the hardware is priced at the Table IV dimensions.
+        but the hardware is priced at the Table IV dimensions, in the
+        session's micro-batches.
         """
         if epochs < 1:
             raise TrainingError("epochs must be >= 1")
         spec = get_spec(dataset)
         from repro.stages.workload import workload_from_dataset
 
-        workload = workload_from_dataset(dataset, graph=graph)
-        timing = self._accelerator.build_timing_model(workload, self._config)
-        problem = self._accelerator._build_problem(timing, self._config)
+        workload = workload_from_dataset(
+            dataset, graph=graph,
+            micro_batch=current_session().spec.micro_batch,
+        )
+        timing = self._accelerator.build_timing_model(workload)
+        problem = self._accelerator._build_problem(timing)
         allocation = self._accelerator.allocator(problem)
         replicas = allocation.replicas
         plan = timing.update_plan

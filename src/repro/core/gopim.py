@@ -8,7 +8,8 @@ Ties together the four pieces Section IV composes:
    Section VI),
 4. the **intra+inter-batch pipeline** on the ReRAM chip (Section IV).
 
-Typical use::
+Every call prices on the current session's chip and predicts with its
+fitted predictor (:func:`repro.runtime.current_session`).  Typical use::
 
     from repro import GoPIMSystem, workload_from_dataset
 
@@ -25,15 +26,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.accelerators.base import AcceleratorReport
+from repro.accelerators.base import AcceleratorModel, AcceleratorReport
 from repro.accelerators.catalog import gopim
 from repro.allocation.problem import AllocationResult
-from repro.errors import GoPIMError
 from repro.gcn.trainer import TrainingResult, make_trainer
 from repro.graphs.graph import Graph
-from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
 from repro.mapping.selective import UpdatePlan, build_update_plan
-from repro.predictor.predictor import TimePredictor
+from repro.runtime import current_session
 from repro.stages.workload import Workload
 
 
@@ -61,56 +60,35 @@ class GoPIMSystem:
 
     Parameters
     ----------
-    config:
-        Hardware configuration (Table II defaults).
-    predictor:
-        A fitted :class:`TimePredictor`; ``None`` trains one lazily on
-        first use (deterministic, cached on the instance).
     theta:
         Override for the adaptive update threshold.
     """
 
-    def __init__(
-        self,
-        config: Optional[HardwareConfig] = None,
-        predictor: Optional[TimePredictor] = None,
-        theta: Optional[float] = None,
-    ) -> None:
-        self._config = DEFAULT_CONFIG if config is None else config
-        self._predictor = predictor
+    def __init__(self, theta: Optional[float] = None) -> None:
         self._theta = theta
 
-    @property
-    def config(self) -> HardwareConfig:
-        """The hardware configuration."""
-        return self._config
-
-    @property
-    def predictor(self) -> TimePredictor:
-        """The fitted time predictor (trained lazily)."""
-        if self._predictor is None:
-            self._predictor = TimePredictor().fit()
-        elif not self._predictor.is_fitted:
-            raise GoPIMError("provided predictor is not fitted")
-        return self._predictor
+    def _accelerator(self) -> AcceleratorModel:
+        return gopim(
+            time_predictor=current_session().predictor(), theta=self._theta,
+        )
 
     # ------------------------------------------------------------------
     def plan(self, workload: Workload) -> GoPIMPlan:
         """Run the CPU-side pipeline: predict times, allocate, build ISU."""
-        accelerator = gopim(time_predictor=self.predictor, theta=self._theta)
-        timing = accelerator.build_timing_model(workload, self._config)
-        problem = accelerator._build_problem(timing, self._config)
-        allocation = accelerator.allocator(problem)
+        accelerator = self._accelerator()
+        timing = accelerator.build_timing_model(workload)
+        allocation = accelerator.allocator(accelerator._build_problem(timing))
         return GoPIMPlan(
-            predicted_times_ns=self.predictor.predict_stage_times(workload),
+            predicted_times_ns=(
+                accelerator.time_predictor.predict_stage_times(workload)
+            ),
             allocation=allocation,
             update_plan=timing.update_plan,
         )
 
     def simulate(self, workload: Workload) -> AcceleratorReport:
         """Simulate one training epoch on the GoPIM accelerator."""
-        accelerator = gopim(time_predictor=self.predictor, theta=self._theta)
-        return accelerator.run(workload, self._config)
+        return self._accelerator().run(workload)
 
     def train(
         self,
@@ -123,7 +101,7 @@ class GoPIMSystem:
         """Train a GCN with GoPIM's ISU staleness semantics."""
         plan = build_update_plan(
             graph, strategy="isu", theta=self._theta,
-            rows_per_crossbar=self._config.crossbar_rows,
+            rows_per_crossbar=current_session().config.crossbar_rows,
         )
         trainer = make_trainer(
             graph, task, random_state=random_state, **trainer_kwargs,

@@ -21,14 +21,14 @@ sum for throughput-oriented comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.accelerators.base import AcceleratorModel
 from repro.accelerators.catalog import gopim
 from repro.errors import AllocationError
-from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
+from repro.runtime import current_session
 from repro.stages.workload import Workload
 
 
@@ -56,21 +56,15 @@ class ScheduleOutcome:
 
 
 class MultiTenantScheduler:
-    """Splits one chip's crossbar budget across several GCN jobs."""
+    """Splits the current session's chip (its crossbar budget) across
+    several GCN jobs, each run on GoPIM."""
 
-    def __init__(
-        self,
-        config: HardwareConfig = DEFAULT_CONFIG,
-        accelerator_factory=gopim,
-        time_predictor=None,
-    ) -> None:
-        self._config = config
-        self._factory = accelerator_factory
+    def __init__(self, time_predictor=None) -> None:
         self._predictor = time_predictor
 
     # ------------------------------------------------------------------
     def _mandatory(self, accelerator: AcceleratorModel, workload: Workload) -> int:
-        timing = accelerator.build_timing_model(workload, self._config)
+        timing = accelerator.build_timing_model(workload)
         return int(sum(
             timing.crossbars_per_replica(s) for s in timing.stages
         ))
@@ -81,26 +75,23 @@ class MultiTenantScheduler:
         workload: Workload,
         budget: int,
     ) -> float:
-        config = self._config.scaled(
+        chip = current_session().config
+        config = chip.scaled(
             array_capacity_bytes=budget * (
-                self._config.cells_per_crossbar
-                * self._config.bits_per_cell // 8
+                chip.cells_per_crossbar * chip.bits_per_cell // 8
             ),
         )
         return accelerator.run(workload, config).total_time_ns
 
     def _accelerators(self, workloads: Sequence[Workload]) -> List[AcceleratorModel]:
-        return [
-            self._factory(time_predictor=self._predictor)
-            for _ in workloads
-        ]
+        return [gopim(time_predictor=self._predictor) for _ in workloads]
 
     # ------------------------------------------------------------------
     def equal_split(self, workloads: Sequence[Workload]) -> ScheduleOutcome:
         """Give every job the same crossbar share."""
         self._validate(workloads)
         accelerators = self._accelerators(workloads)
-        share = self._config.total_crossbars // len(workloads)
+        share = current_session().config.total_crossbars // len(workloads)
         placements = []
         for workload, accelerator in zip(workloads, accelerators):
             mandatory = self._mandatory(accelerator, workload)
@@ -139,7 +130,7 @@ class MultiTenantScheduler:
             for acc, wl in zip(accelerators, workloads)
         ]
         budgets = list(mandatory)
-        pool = self._config.total_crossbars - sum(mandatory)
+        pool = current_session().config.total_crossbars - sum(mandatory)
         if pool < 0:
             raise AllocationError(
                 "chip cannot hold every job's mandatory footprint"

@@ -42,21 +42,15 @@ ALLOCATORS = (
 )
 
 
-def build_problem(
-    dataset: str,
-    seed: int = 0,
-    scale: float = 1.0,
-) -> AllocationProblem:
+def build_problem(dataset: str, seed: int = 0) -> AllocationProblem:
     """The crossbar-allocation problem one dataset's workload poses.
 
     Priced on the current session's hardware, exactly as an accelerator
     run with full updating and the default timing constants poses it.
     """
-    session = current_session()
-    workload = session.workload(dataset, seed=seed, scale=scale)
+    workload = current_session().workload(dataset, seed=seed)
     model = AcceleratorModel(name="abl-allocator")
-    timing = model.build_timing_model(workload, session.config)
-    return model._build_problem(timing, session.config)
+    return model._build_problem(model.build_timing_model(workload))
 
 
 @experiment(
@@ -70,7 +64,6 @@ def build_problem(
 def run(
     datasets: Sequence[str] = ("ddi", "collab", "products"),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Quality + decision-time comparison of all allocation policies."""
     result = ExperimentResult(
@@ -83,7 +76,7 @@ def run(
         ),
     )
     for dataset in datasets:
-        problem = build_problem(dataset, seed=seed, scale=scale)
+        problem = build_problem(dataset, seed=seed)
         baseline = problem.makespan_ns(
             np.ones(problem.num_stages, dtype=np.int64),
         )

@@ -35,11 +35,10 @@ def run(
     dataset: str = "ddi",
     sizes: Sequence[int] = SIZE_GRID,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """GoPIM speedup/energy vs square crossbar size."""
     session = current_session()
-    workload = session.workload(dataset, seed=seed, scale=scale)
+    workload = session.workload(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-crossbar-size",
         title=f"Crossbar size design-space sweep ({dataset})",

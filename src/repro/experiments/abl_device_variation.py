@@ -24,10 +24,14 @@ SIGMA_GRID = (0.0, 0.01, 0.02, 0.05, 0.1)
 
 
 def mvm_relative_error(sigma: float, seed: int = 0) -> float:
-    """Median relative error of one noisy MVM through the engine."""
+    """Median relative error of one noisy MVM through the engine,
+    programmed on the current session's crossbars."""
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=(128, 32)).astype(np.float32)
-    mapped = MappedMatrix(weights, read_noise_sigma=sigma, random_state=seed)
+    mapped = MappedMatrix(
+        weights, current_session().config,
+        read_noise_sigma=sigma, random_state=seed,
+    )
     x = rng.normal(size=128).astype(np.float32)
     exact = x @ weights
     noisy = mapped.mvm(x)
@@ -48,12 +52,10 @@ def run(
     sigmas: Sequence[float] = SIGMA_GRID,
     epochs: int = 25,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Accuracy and raw MVM error vs device-variation sigma."""
-    session = current_session()
     spec = get_spec(dataset)
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-variation",
         title=f"Device variation: accuracy vs analog noise sigma ({dataset})",

@@ -32,7 +32,6 @@ from repro.mapping.selective import build_update_plan
 def run(
     datasets: Sequence[str] = ("ddi", "cora"),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Lifetime comparison: full vs OSU vs ISU per dataset."""
     session = current_session()
@@ -46,7 +45,7 @@ def run(
         ),
     )
     for dataset in datasets:
-        graph = session.graph(dataset, seed=seed, scale=scale)
+        graph = session.graph(dataset, seed=seed)
         reports = compare_schemes({
             "full": build_update_plan(graph, "full"),
             "OSU": build_update_plan(graph, "osu"),

@@ -29,11 +29,9 @@ def minor_period_sweep(
     dataset: str = "ddi",
     periods: Sequence[int] = (1, 5, 10, 20, 40),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Average write cycles and rows per epoch vs the minor period."""
-    session = current_session()
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-minor-period",
         title=f"ISU minor-update period sweep ({dataset})",
@@ -53,11 +51,9 @@ def scope_count_sweep(
     dataset: str = "proteins",
     scope_counts: Sequence[int] = (1, 2, 8, 64),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Per-crossbar degree balance vs the interleaving scope count K."""
-    session = current_session()
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-scopes",
         title=f"Interleaved-mapping scope count sweep ({dataset})",
@@ -81,12 +77,9 @@ def write_pulse_sweep(
     dataset: str = "ddi",
     pulses: Sequence[int] = (1, 2, 4, 8),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """GoPIM-vs-Vanilla speedup gap vs the write-pulse calibration."""
-    session = current_session()
-    config = session.config
-    workload = session.workload(dataset, seed=seed, scale=scale)
+    workload = current_session().workload(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-write-pulses",
         title=f"Write-pulse calibration sweep ({dataset})",
@@ -101,12 +94,12 @@ def write_pulse_sweep(
         vanilla = AcceleratorModel(
             name="Vanilla", schedule=ScheduleMode.INTRA_INTER,
             allocator=greedy_allocation, timing_params=params,
-        ).run(workload, config)
+        ).run(workload)
         isu = AcceleratorModel(
             name="GoPIM", schedule=ScheduleMode.INTRA_INTER,
             allocator=greedy_allocation, update_strategy="isu",
             timing_params=params,
-        ).run(workload, config)
+        ).run(workload)
         result.rows.append({
             "write pulses": p,
             "Vanilla time (us)": vanilla.total_time_ns / 1e3,
@@ -124,19 +117,16 @@ def write_pulse_sweep(
     backends=("analytic", "trace"),
     order=150,
 )
-def run(
-    seed: int = 0,
-    scale: float = 1.0,
-) -> ExperimentResult:
+def run(seed: int = 0) -> ExperimentResult:
     """All three ISU-design sweeps as one table."""
     combined = ExperimentResult(
         experiment_id="abl-isu",
         title="ISU design-choice ablations (minor period, scopes, pulses)",
     )
     for sub in (
-        minor_period_sweep(seed=seed, scale=scale),
-        scope_count_sweep(seed=seed, scale=scale),
-        write_pulse_sweep(seed=seed, scale=scale),
+        minor_period_sweep(seed=seed),
+        scope_count_sweep(seed=seed),
+        write_pulse_sweep(seed=seed),
     ):
         for row in sub.rows:
             combined.rows.append({"sweep": sub.experiment_id, **row})

@@ -48,14 +48,11 @@ def run(
     dataset: str = "arxiv",
     epochs: int = 25,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Speedups and ISU accuracy impact for both model families."""
     if epochs < 1:
         raise ExperimentError("epochs must be >= 1")
-    session = current_session()
-    config = session.config
-    base = session.workload(dataset, seed=seed, scale=scale)
+    base = current_session().workload(dataset, seed=seed)
     graph = base.graph
     result = ExperimentResult(
         experiment_id="abl-model-family",
@@ -77,8 +74,8 @@ def run(
                             (hidden, graph.num_classes)],
                            random_state=seed)),
     ):
-        base_report = serial().run(workload, config)
-        gopim_report = gopim().run(workload, config)
+        base_report = serial().run(workload)
+        gopim_report = gopim().run(workload)
         # Full-update + ISU replicas share seed/dims/split: each family's
         # pair trains as one stacked fleet with the stale-feature store.
         full_acc, isu_acc = train_with_split(

@@ -36,7 +36,6 @@ MOTIVATION_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
 def run(
     datasets: Sequence[str] = MOTIVATION_DATASETS,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """The motivation profile per dataset."""
     session = current_session()
@@ -51,7 +50,7 @@ def run(
         ),
     )
     for name in datasets:
-        workload = session.workload(name, seed=seed, scale=scale)
+        workload = session.workload(name, seed=seed)
         timing = StageTimingModel(workload, config=session.config)
         ratios = aggregation_combination_ratios(timing)
         profiles = {p.name: p for p in profile_stages(timing)}

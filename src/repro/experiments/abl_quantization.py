@@ -72,9 +72,8 @@ def run(
         "test accuracy": sw_acc,
         "gap vs software": 0.0,
     })
-    session_config = current_session().config
     for bits in weight_bits:
-        config = session_config.scaled(weight_bits=bits)
+        config = current_session().config.scaled(weight_bits=bits)
         hardware = FunctionalGCN(model, config=config, quantize=True)
         hw_logits = hardware.forward(graph, graph.features)
         hw_acc = accuracy(hw_logits[test_idx], labels[test_idx])

@@ -26,18 +26,12 @@ from repro.runtime import current_session, experiment
 def run(
     datasets: Sequence[str] = ("ddi", "cora"),
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Equal vs greedy chip split over a mixed job set."""
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
-    workloads = [
-        session.workload(name, seed=seed, scale=scale) for name in datasets
-    ]
+    workloads = [session.workload(name, seed=seed) for name in datasets]
     scheduler = MultiTenantScheduler(
-        config=config, time_predictor=predictor,
+        time_predictor=session.predictor(seed=seed),
     )
     result = ExperimentResult(
         experiment_id="abl-scheduler",

@@ -33,12 +33,9 @@ def run(
     epochs: int = 20,
     targets: Sequence[float] = (0.5, 0.7),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Time-to-accuracy comparison on one dataset."""
-    session = current_session()
-    config = session.config
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-tta",
         title=f"Hardware time-to-accuracy ({dataset})",
@@ -49,7 +46,7 @@ def run(
         ),
     )
     for accelerator in (serial(), gopim_vanilla(), gopim()):
-        cosim = CoSimulation(accelerator, config)
+        cosim = CoSimulation(accelerator)
         run_result = cosim.run(
             graph, dataset, epochs=epochs, random_state=seed,
         )

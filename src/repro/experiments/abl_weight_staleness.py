@@ -30,11 +30,9 @@ def run(
     delays: Sequence[int] = (0, 1, 2, 4, 8),
     epochs: int = 30,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Accuracy vs gradient-staleness depth."""
-    session = current_session()
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-weight-staleness",
         title=f"Bounded weight staleness from pipelining ({dataset})",

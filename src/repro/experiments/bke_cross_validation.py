@@ -55,7 +55,6 @@ def _ordering(speedups: Dict[str, float]) -> Tuple[str, ...]:
 def _run_group(
     systems: Sequence,
     workload: Workload,
-    config,
 ) -> Dict[str, Dict[str, AcceleratorReport]]:
     """Each backend's reports for one comparison group.
 
@@ -65,7 +64,7 @@ def _run_group(
     """
     return {
         backend: {
-            acc.name: acc.run(workload, config, backend=backend)
+            acc.name: acc.run(workload, backend=backend)
             for acc in systems
         }
         for backend in COMPARE_BACKENDS
@@ -119,15 +118,12 @@ def run(
     ablation_datasets: Sequence[str] = FIG14_DATASETS,
     dimensions: Sequence[int] = FIG17_DIMENSIONS,
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Cross-validate the backends on fig13/fig14/fig17-shaped groups."""
     from repro.accelerators.catalog import reflip, regraphx, slimgnn_like
 
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="bke_cross_validation",
         title="Backend cross-validation: analytic vs trace speedup orderings",
@@ -142,30 +138,30 @@ def run(
 
     # fig13-shaped panel: the full system comparison per dataset.
     for dataset in datasets:
-        workload = session.workload(dataset, seed=seed, scale=scale)
+        workload = session.workload(dataset, seed=seed)
         systems = (
             serial(), slimgnn_like(), regraphx(), reflip(),
             gopim(time_predictor=predictor),
         )
         _emit_rows(
             result, "fig13", dataset,
-            _run_group(systems, workload, config), disagreements,
+            _run_group(systems, workload), disagreements,
         )
 
     # fig14-shaped panel: the technique ablation per dataset.
     for dataset in ablation_datasets:
-        workload = session.workload(dataset, seed=seed, scale=scale)
+        workload = session.workload(dataset, seed=seed)
         systems = (
             serial(), plus_pp(), plus_isu(),
             gopim(time_predictor=predictor),
         )
         _emit_rows(
             result, "fig14", dataset,
-            _run_group(systems, workload, config), disagreements,
+            _run_group(systems, workload), disagreements,
         )
 
     # fig17-shaped panel: Serial vs GoPIM across feature dimensions.
-    base_workload = session.workload("ddi", seed=seed, scale=scale)
+    base_workload = session.workload("ddi", seed=seed)
     for dim in dimensions:
         dims = [(dim, dim) for _ in base_workload.layer_dims]
         workload = Workload(
@@ -177,7 +173,7 @@ def run(
         systems = (serial(), gopim(time_predictor=predictor))
         _emit_rows(
             result, "fig17", f"dim={dim}",
-            _run_group(systems, workload, config), disagreements,
+            _run_group(systems, workload), disagreements,
         )
 
     if disagreements:

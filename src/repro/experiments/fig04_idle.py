@@ -28,11 +28,9 @@ FIG04_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
 def run(
     datasets: Sequence[str] = FIG04_DATASETS,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Reproduce Fig. 4's per-stage idle percentages."""
     session = current_session()
-    config = session.config
     result = ExperimentResult(
         experiment_id="fig04",
         title="Idle time percentage of crossbars per stage (SlimGNN-like pipeline)",
@@ -42,8 +40,8 @@ def run(
         ),
     )
     for name in datasets:
-        workload = session.workload(name, seed=seed, scale=scale)
-        report = slimgnn_like().run(workload, config)
+        workload = session.workload(name, seed=seed)
+        report = slimgnn_like().run(workload)
         idle = report.idle_fractions()
         row = {"dataset": name}
         forward_stages = 2 * workload.num_layers

@@ -29,7 +29,6 @@ def run(
     datasets: Sequence[str] = FIG06_DATASETS,
     seed: int = 0,
     rows_per_crossbar: int = 64,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Reproduce Fig. 6's per-crossbar degree spread."""
     session = current_session()
@@ -43,7 +42,7 @@ def run(
         ),
     )
     for name in datasets:
-        graph = session.graph(name, seed=seed, scale=scale)
+        graph = session.graph(name, seed=seed)
         indexed = index_mapping(graph.num_vertices, rows_per_crossbar)
         interleaved = interleaved_mapping(graph, rows_per_crossbar)
         idx_deg = indexed.average_degree_per_crossbar(graph)

@@ -55,7 +55,6 @@ def toy_cycles() -> dict:
 def run(
     datasets: Sequence[str] = ("ddi", "proteins", "ppa"),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Reproduce Fig. 7's cycle counts, toy and dataset scale."""
     session = current_session()
@@ -77,7 +76,7 @@ def run(
         "ISU cycles": toy["ISU (interleaved mapping)"],
     })
     for name in datasets:
-        graph = session.graph(name, seed=seed, scale=scale)
+        graph = session.graph(name, seed=seed)
         full = build_update_plan(graph, "full")
         osu = build_update_plan(graph, "osu")
         isu = build_update_plan(graph, "isu")

@@ -27,17 +27,11 @@ FIG13_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
 def run_systems(
     dataset: str,
     seed: int = 0,
-    micro_batch: int = 64,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> Dict[str, AcceleratorReport]:
     """All six systems' reports for one dataset."""
     session = current_session()
-    config = session.config
-    workload = session.workload(
-        dataset, seed=seed, micro_batch=micro_batch, scale=scale,
-    )
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    workload = session.workload(dataset, seed=seed)
+    predictor = session.predictor(seed=seed)
     systems = (
         serial(),
         slimgnn_like(),
@@ -46,7 +40,7 @@ def run_systems(
         gopim_vanilla(time_predictor=predictor),
         gopim(time_predictor=predictor),
     )
-    return {acc.name: acc.run(workload, config) for acc in systems}
+    return {acc.name: acc.run(workload) for acc in systems}
 
 
 @experiment(
@@ -60,9 +54,6 @@ def run_systems(
 def run(
     datasets: Sequence[str] = FIG13_DATASETS,
     seed: int = 0,
-    micro_batch: int = 64,
-    scale: float = 1.0,
-    use_predictor: bool = True,
     include_cora: bool = False,
 ) -> ExperimentResult:
     """Reproduce Fig. 13 (a) speedups and (b) energy savings."""
@@ -77,10 +68,7 @@ def run(
     )
     names = list(datasets) + (["cora"] if include_cora else [])
     for dataset in names:
-        reports = run_systems(
-            dataset, seed=seed, micro_batch=micro_batch, scale=scale,
-            use_predictor=use_predictor,
-        )
+        reports = run_systems(dataset, seed=seed)
         base = reports["Serial"]
         for name, report in reports.items():
             result.rows.append({

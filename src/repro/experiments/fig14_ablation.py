@@ -28,13 +28,10 @@ FIG14_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv")
 def run(
     datasets: Sequence[str] = FIG14_DATASETS,
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Reproduce Fig. 14's ablation of GoPIM's techniques."""
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="fig14",
         title="Ablation: +PP, +ISU, and ML-based allocation",
@@ -44,12 +41,12 @@ def run(
         ),
     )
     for dataset in datasets:
-        workload = session.workload(dataset, seed=seed, scale=scale)
+        workload = session.workload(dataset, seed=seed)
         systems = (
             serial(), plus_pp(), plus_isu(),
             gopim(time_predictor=predictor),
         )
-        reports = {acc.name: acc.run(workload, config) for acc in systems}
+        reports = {acc.name: acc.run(workload) for acc in systems}
         base = reports["Serial"]
         for name, report in reports.items():
             result.rows.append({

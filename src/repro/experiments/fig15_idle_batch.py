@@ -28,13 +28,10 @@ def run(
     dataset: str = "ddi",
     micro_batches: Sequence[int] = (32, 64, 128),
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Reproduce Fig. 15's idle-percentage comparison."""
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="fig15",
         title=f"Crossbar idle percentage vs micro-batch size ({dataset})",
@@ -44,11 +41,9 @@ def run(
         ),
     )
     for mb in micro_batches:
-        workload = session.workload(
-            dataset, seed=seed, micro_batch=mb, scale=scale,
-        )
-        naive_report = naive_pipeline().run(workload, config)
-        gopim_report = gopim(time_predictor=predictor).run(workload, config)
+        workload = session.workload(dataset, seed=seed, micro_batch=mb)
+        naive_report = naive_pipeline().run(workload)
+        gopim_report = gopim(time_predictor=predictor).run(workload)
         naive_idle = 100.0 * float(np.mean(naive_report.idle_fractions()))
         gopim_idle = 100.0 * float(np.mean(gopim_report.idle_fractions()))
         result.rows.append({

@@ -25,12 +25,10 @@ def accuracy_vs_theta(
     thetas: Sequence[float] = THETA_GRID,
     epochs: int = 40,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Train with ISU at each theta and record the best test metric."""
-    session = current_session()
     spec = get_spec(dataset)
-    graph = session.graph(dataset, seed=seed, scale=scale)
+    graph = current_session().graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id=f"fig16-{dataset}",
         title=f"Accuracy vs update threshold theta ({dataset})",
@@ -70,8 +68,6 @@ def speedup_vs_batch(
     dataset: str = "ddi",
     batches: Sequence[int] = BATCH_GRID,
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Fig. 16(c): GoPIM speedup grows with the micro-batch size.
 
@@ -81,19 +77,16 @@ def speedup_vs_batch(
     approaches 1, which the paper-scale graphs never reach.
     """
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="fig16c",
         title=f"GoPIM speedup vs micro-batch size ({dataset})",
         notes="Paper: speedup normalised to Serial rises with batch size.",
     )
     for mb in batches:
-        workload = session.workload(
-            dataset, seed=seed, micro_batch=mb, scale=scale,
-        )
-        base = serial().run(workload, config)
-        rep = gopim(time_predictor=predictor).run(workload, config)
+        workload = session.workload(dataset, seed=seed, micro_batch=mb)
+        base = serial().run(workload)
+        rep = gopim(time_predictor=predictor).run(workload)
         result.rows.append({
             "micro-batch": mb,
             "speedup": base.total_time_ns / rep.total_time_ns,
@@ -113,29 +106,20 @@ def speedup_vs_batch(
 def run(
     epochs: int = 40,
     seed: int = 0,
-    scale: float = 1.0,
     thetas: Sequence[float] = THETA_GRID,
     batches: Sequence[int] = BATCH_GRID,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """All three Fig. 16 panels as one result."""
     combined = ExperimentResult(
         experiment_id="fig16",
         title="Sensitivity: update threshold (a/b) and micro-batch size (c)",
     )
-    dense = accuracy_vs_theta(
-        "ddi", thetas=thetas, epochs=epochs, seed=seed, scale=scale,
-    )
-    sparse = accuracy_vs_theta(
-        "cora", thetas=thetas, epochs=epochs, seed=seed, scale=scale,
-    )
+    dense = accuracy_vs_theta("ddi", thetas=thetas, epochs=epochs, seed=seed)
+    sparse = accuracy_vs_theta("cora", thetas=thetas, epochs=epochs, seed=seed)
     for row in dense.rows:
         combined.rows.append({"panel": "a (ddi, dense)", **row})
     for row in sparse.rows:
         combined.rows.append({"panel": "b (Cora, sparse)", **row})
-    for row in speedup_vs_batch(
-        "ddi", batches=batches, seed=seed, scale=scale,
-        use_predictor=use_predictor,
-    ).rows:
+    for row in speedup_vs_batch("ddi", batches=batches, seed=seed).rows:
         combined.rows.append({"panel": "c (batch size)", **row})
     return combined

@@ -30,13 +30,10 @@ DIMENSION_GRID = (256, 512, 1024, 2048)
 def run(
     dimensions: Sequence[int] = DIMENSION_GRID,
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Reproduce both Fig. 17 panels."""
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
+    predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="fig17",
         title="Scalability: feature dimension sweep and the products dataset",
@@ -45,7 +42,7 @@ def run(
             "replica); products reaches 5.9x speedup / 1.8x energy saving."
         ),
     )
-    base_workload = session.workload("ddi", seed=seed, scale=scale)
+    base_workload = session.workload("ddi", seed=seed)
     for dim in dimensions:
         dims = [(dim, dim) for _ in base_workload.layer_dims]
         workload = Workload(
@@ -54,8 +51,8 @@ def run(
             micro_batch=base_workload.micro_batch,
             name=f"ddi-d{dim}",
         )
-        base = serial().run(workload, config)
-        rep = gopim(time_predictor=predictor).run(workload, config)
+        base = serial().run(workload)
+        rep = gopim(time_predictor=predictor).run(workload)
         result.rows.append({
             "panel": "a (dimension)",
             "config": f"dim={dim}",
@@ -63,9 +60,9 @@ def run(
             "energy saving": base.energy_pj / rep.energy_pj,
         })
 
-    products = session.workload("products", seed=seed, scale=scale)
-    base = serial().run(products, config)
-    rep = gopim(time_predictor=predictor).run(products, config)
+    products = session.workload("products", seed=seed)
+    base = serial().run(products)
+    rep = gopim(time_predictor=predictor).run(products)
     result.rows.append({
         "panel": "b (products)",
         "config": "products",

@@ -31,7 +31,6 @@ def run(
     datasets: Sequence[str] = TAB05_DATASETS,
     epochs: int = 40,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Reproduce Table V's accuracy comparison."""
     session = current_session()
@@ -45,7 +44,7 @@ def run(
     )
     for dataset in datasets:
         spec = get_spec(dataset)
-        graph = session.graph(dataset, seed=seed, scale=scale)
+        graph = session.graph(dataset, seed=seed)
         plan = build_update_plan(graph, "isu")
         # Vanilla + ISU share everything but the update plan: one
         # batched group of two replicas per dataset.

@@ -25,14 +25,11 @@ from repro.runtime import current_session, experiment
 def run(
     dataset: str = "ddi",
     seed: int = 0,
-    scale: float = 1.0,
-    use_predictor: bool = True,
 ) -> ExperimentResult:
     """Reproduce Table VI's allocation detail."""
     session = current_session()
-    config = session.config
-    predictor = session.predictor(seed=seed) if use_predictor else None
-    workload = session.workload(dataset, seed=seed, scale=scale)
+    predictor = session.predictor(seed=seed)
+    workload = session.workload(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="tab06",
         title=f"Crossbar allocation detail ({dataset})",
@@ -43,7 +40,7 @@ def run(
         ),
     )
     for acc in (serial(), gopim(time_predictor=predictor)):
-        report = acc.run(workload, config)
+        report = acc.run(workload)
         crossbars_per_replica = (
             report.allocation.problem.crossbars_per_replica
         )

@@ -28,11 +28,9 @@ from repro.runtime import current_session, experiment
 def run(
     datasets: Sequence[str] = ("ddi", "collab", "ppa", "proteins", "arxiv"),
     seed: int = 0,
-    scale: float = 1.0,
 ) -> ExperimentResult:
     """Reproduce Table VII's ML vs profiling comparison."""
     session = current_session()
-    config = session.config
     predictor = session.predictor(seed=seed)
     result = ExperimentResult(
         experiment_id="tab07",
@@ -44,17 +42,17 @@ def run(
         ),
     )
     for dataset in datasets:
-        workload = session.workload(dataset, seed=seed, scale=scale)
-        base = serial().run(workload, config)
-        ml_report = gopim(time_predictor=predictor).run(workload, config)
+        workload = session.workload(dataset, seed=seed)
+        base = serial().run(workload)
+        ml_report = gopim(time_predictor=predictor).run(workload)
         # Profiling route: exact stage times via a measured serial epoch.
         profiled = profile_stage_times(
-            gopim().build_timing_model(workload, config),
+            gopim().build_timing_model(workload),
         )
         prof_acc = gopim()
         prof_acc.name = "GoPIM (profiling)"
         prof_acc.predicted_times = profiled.stage_times_ns
-        prof_report = prof_acc.run(workload, config)
+        prof_report = prof_acc.run(workload)
         ml_speedup = base.total_time_ns / ml_report.total_time_ns
         prof_speedup = base.total_time_ns / prof_report.total_time_ns
         result.rows.append({

@@ -19,11 +19,8 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.errors import PredictorError
-from repro.predictor.dataset import PredictorDataset, generate_dataset
-from repro.predictor.features import (
-    NUM_FEATURES,
-    stage_features_with_kind,
-)
+from repro.predictor.dataset import PredictorDataset
+from repro.predictor.features import stage_features_with_kind
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.regressors import Regressor, root_mean_squared_error
 from repro.stages.workload import Workload
@@ -115,10 +112,9 @@ class TimePredictor:
         return self._fitted
 
     @profile.phase(profile.PHASE_PREDICTOR)
-    def fit(self, dataset: Optional[PredictorDataset] = None) -> "TimePredictor":
-        """Train on a generated dataset (2,200 samples by default)."""
-        if dataset is None:
-            dataset = generate_dataset()
+    def fit(self, dataset: PredictorDataset) -> "TimePredictor":
+        """Train on a generated dataset
+        (:func:`~repro.predictor.dataset.generate_dataset`)."""
         self._model.fit(dataset.features, dataset.targets)
         self._fitted = True
         return self

@@ -130,9 +130,9 @@ class Session:
         dataset: Optional[str] = None,
         seed: Optional[int] = None,
         micro_batch: Optional[int] = None,
-        scale: Optional[float] = None,
     ) -> "Workload":
-        """Cached Table IV workload (spec defaults, per-call overrides)."""
+        """Cached Table IV workload at the spec's scale (the other spec
+        defaults take per-call overrides)."""
         from repro.stages.workload import workload_from_dataset
 
         name = dataset if dataset is not None else self.spec.dataset
@@ -146,8 +146,8 @@ class Session:
         micro_batch = (
             self.spec.micro_batch if micro_batch is None else micro_batch
         )
-        scale = self.spec.scale if scale is None else scale
-        key = cache_key(name, seed, micro_batch, float(scale))
+        scale = self.spec.scale
+        key = cache_key(name, seed, micro_batch, scale)
 
         def build() -> "Workload":
             with self.use():
@@ -158,14 +158,9 @@ class Session:
 
         return self.cache.get_or_compute("workloads", key, build)
 
-    def graph(
-        self,
-        dataset: Optional[str] = None,
-        seed: Optional[int] = None,
-        scale: Optional[float] = None,
-    ):
+    def graph(self, dataset: Optional[str] = None, seed: Optional[int] = None):
         """The cached workload's graph (the per-dataset loop shorthand)."""
-        return self.workload(dataset, seed=seed, scale=scale).graph
+        return self.workload(dataset, seed=seed).graph
 
     def predictor(
         self,

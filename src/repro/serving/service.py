@@ -96,6 +96,10 @@ class ServingSpec:
             raise ExperimentError(
                 f"rate_rps must be positive, got {self.rate_rps}"
             )
+        if self.timeout_us < 0:
+            raise ExperimentError(
+                f"timeout_us must be >= 0, got {self.timeout_us}"
+            )
 
     def batching_policy(self) -> BatchingPolicy:
         """The resolved batch-formation rule."""

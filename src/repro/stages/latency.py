@@ -40,7 +40,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
+from repro.hardware.config import HardwareConfig
 from repro.mapping.selective import UpdatePlan, build_update_plan
 from repro.mapping.tiling import plan_tiling
 from repro.stages.stage import StageKind, StageSpec
@@ -169,7 +169,7 @@ class StageTimingModel:
     def __init__(
         self,
         workload: Workload,
-        config: HardwareConfig = DEFAULT_CONFIG,
+        config: HardwareConfig,
         params: TimingParams = TimingParams(),
         update_plan: Optional[UpdatePlan] = None,
     ) -> None:

@@ -6,17 +6,12 @@ import pytest
 from repro.accelerators import gopim, gopim_vanilla, serial
 from repro.core import CoSimResult, CoSimulation
 from repro.errors import TrainingError
-from repro.runtime import current_session
+from repro.runtime import RunSpec, Session
 
 
 @pytest.fixture(scope="module")
 def arxiv_graph():
-    return current_session().graph("arxiv", seed=0, scale=0.5)
-
-
-@pytest.fixture(scope="module")
-def config():
-    return current_session().config
+    return Session(RunSpec(scale=0.5)).graph("arxiv", seed=0)
 
 
 def test_cosim_result_accounting():
@@ -32,16 +27,16 @@ def test_cosim_result_accounting():
     assert result.best_test_metric == 0.9
 
 
-def test_cosim_runs_and_learns(arxiv_graph, config):
-    cosim = CoSimulation(gopim(), config)
+def test_cosim_runs_and_learns(arxiv_graph):
+    cosim = CoSimulation(gopim())
     result = cosim.run(arxiv_graph, "arxiv", epochs=12)
     assert len(result.epoch_times_ns) == 12
     assert result.best_test_metric > 0.5
     assert result.total_time_ns > 0
 
 
-def test_minor_refresh_epochs_cost_more(arxiv_graph, config):
-    cosim = CoSimulation(gopim(), config)
+def test_minor_refresh_epochs_cost_more(arxiv_graph):
+    cosim = CoSimulation(gopim())
     result = cosim.run(arxiv_graph, "arxiv", epochs=3)
     # Epoch 0 is a full refresh round; epochs 1-2 write only the
     # important set, so they must be cheaper.
@@ -51,12 +46,12 @@ def test_minor_refresh_epochs_cost_more(arxiv_graph, config):
     )
 
 
-def test_gopim_beats_vanilla_time_to_accuracy(arxiv_graph, config):
+def test_gopim_beats_vanilla_time_to_accuracy(arxiv_graph):
     epochs = 12
-    gopim_run = CoSimulation(gopim(), config).run(
+    gopim_run = CoSimulation(gopim()).run(
         arxiv_graph, "arxiv", epochs=epochs,
     )
-    vanilla_run = CoSimulation(gopim_vanilla(), config).run(
+    vanilla_run = CoSimulation(gopim_vanilla()).run(
         arxiv_graph, "arxiv", epochs=epochs,
     )
     target = 0.5
@@ -66,23 +61,21 @@ def test_gopim_beats_vanilla_time_to_accuracy(arxiv_graph, config):
     assert t_gopim < t_vanilla
 
 
-def test_serial_epochs_uniform_cost(arxiv_graph, config):
-    result = CoSimulation(serial(), config).run(
+def test_serial_epochs_uniform_cost(arxiv_graph):
+    result = CoSimulation(serial()).run(
         arxiv_graph, "arxiv", epochs=3,
     )
     # Full updating every epoch: identical per-epoch hardware time.
     assert result.epoch_times_ns[0] == pytest.approx(result.epoch_times_ns[1])
 
 
-def test_epochs_validation(arxiv_graph, config):
+def test_epochs_validation(arxiv_graph):
     with pytest.raises(TrainingError):
-        CoSimulation(gopim(), config).run(arxiv_graph, "arxiv", epochs=0)
+        CoSimulation(gopim()).run(arxiv_graph, "arxiv", epochs=0)
 
 
 @pytest.mark.parametrize("make_accelerator", [gopim, serial])
-def test_epoch_tables_match_scalar_reference(
-    arxiv_graph, config, make_accelerator,
-):
+def test_epoch_tables_match_scalar_reference(arxiv_graph, make_accelerator):
     # The co-simulator's per-phase epoch table (the analytic backend with
     # the write phase pinned) must reproduce the per-micro-batch scalar
     # loop exactly, for both epoch phases (minor refresh and
@@ -92,10 +85,9 @@ def test_epoch_tables_match_scalar_reference(
     from tests.oracles.cosim import epoch_times_reference
 
     accelerator = make_accelerator()
-    cosim = CoSimulation(accelerator, config)
     workload = workload_from_dataset("arxiv", graph=arxiv_graph)
-    timing = accelerator.build_timing_model(workload, cosim._config)
-    problem = accelerator._build_problem(timing, cosim._config)
+    timing = accelerator.build_timing_model(workload)
+    problem = accelerator._build_problem(timing)
     replicas = np.asarray(
         accelerator.allocator(problem).replicas, dtype=np.int64,
     )

@@ -1,24 +1,20 @@
-"""GoPIMSystem facade."""
+"""GoPIMSystem facade: plans and prices on the current session."""
 
 import numpy as np
 import pytest
 
+from repro.accelerators import gopim
 from repro.core.gopim import GoPIMSystem
-from repro.errors import GoPIMError
-from repro.predictor.dataset import generate_dataset
-from repro.predictor.predictor import PerKindRegressor, TimePredictor
-from repro.predictor.regressors import LinearRegressor
+from repro.runtime import RunSpec, Session
 
-
-@pytest.fixture(scope="module")
-def fast_predictor():
-    ds = generate_dataset(num_samples=300, random_state=0)
-    return TimePredictor(PerKindRegressor(LinearRegressor)).fit(ds)
+#: A 4 MiB array: small enough that the budget binds the allocation.
+SMALL_CHIP = Session(RunSpec(array_bytes=4 * 1024 ** 2))
 
 
 @pytest.fixture
-def system(fast_predictor, small_config):
-    return GoPIMSystem(config=small_config, predictor=fast_predictor)
+def system():
+    with SMALL_CHIP.use():
+        yield GoPIMSystem()
 
 
 def test_plan_structure(system, small_workload):
@@ -38,11 +34,9 @@ def test_adaptive_theta_in_plan(system, small_workload):
     assert plan.theta == 0.5
 
 
-def test_theta_override(fast_predictor, small_config, small_workload):
-    system = GoPIMSystem(
-        config=small_config, predictor=fast_predictor, theta=0.75,
-    )
-    assert system.plan(small_workload).theta == 0.75
+def test_theta_override(small_workload):
+    with SMALL_CHIP.use():
+        assert GoPIMSystem(theta=0.75).plan(small_workload).theta == 0.75
 
 
 def test_simulate(system, small_workload):
@@ -56,9 +50,23 @@ def test_train(system, small_graph):
     assert len(result.test_metrics) == 5
 
 
-def test_unfitted_predictor_rejected(small_config):
-    system = GoPIMSystem(
-        config=small_config, predictor=TimePredictor(),
+def test_plans_on_the_session_chip_and_predictor(system, small_workload):
+    # The facade takes no config or predictor: both come from the
+    # session it runs in, so it matches GoPIM priced on that session's
+    # config with that session's fitted predictor, and not the default
+    # session's larger chip.
+    predictor = SMALL_CHIP.predictor()
+    plan = system.plan(small_workload)
+    assert plan.predicted_times_ns == predictor.predict_stage_times(
+        small_workload,
     )
-    with pytest.raises(GoPIMError):
-        _ = system.predictor
+    expected = gopim(time_predictor=predictor).run(
+        small_workload, SMALL_CHIP.config,
+    )
+    report = system.simulate(small_workload)
+    assert report.total_time_ns == expected.total_time_ns
+    assert report.energy_pj == expected.energy_pj
+    np.testing.assert_array_equal(plan.replicas, expected.replicas)
+    with Session().use():
+        default_chip = GoPIMSystem().plan(small_workload)
+    assert not np.array_equal(default_chip.replicas, plan.replicas)

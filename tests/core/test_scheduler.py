@@ -18,7 +18,7 @@ def workloads():
 
 @pytest.fixture(scope="module")
 def scheduler():
-    return MultiTenantScheduler(config=current_session().config)
+    return MultiTenantScheduler()
 
 
 def test_equal_split_structure(scheduler, workloads):

@@ -1,13 +1,16 @@
 """Ablation experiments: allocator quality/time, ISU design choices."""
 
-import numpy as np
 import pytest
 
 from repro.experiments import abl_allocator, abl_crossbar_size, abl_isu_design
+from repro.runtime import RunSpec, Session
+
+HALF = Session(RunSpec(scale=0.5))
 
 
 def test_allocator_quality_order():
-    result = abl_allocator.run(datasets=("ddi",), scale=0.5)
+    with HALF.use():
+        result = abl_allocator.run(datasets=("ddi",))
     rows = {r["policy"]: r for r in result.rows}
     greedy = rows["greedy (Algorithm 1)"]
     optimal = rows["exhaustive (DP stand-in)"]
@@ -20,7 +23,8 @@ def test_allocator_quality_order():
 
 
 def test_allocator_decision_time_gap():
-    result = abl_allocator.run(datasets=("ddi",), scale=0.5)
+    with HALF.use():
+        result = abl_allocator.run(datasets=("ddi",))
     rows = {r["policy"]: r for r in result.rows}
     # The paper's overhead story: greedy decides much faster than the
     # DP-style optimiser.
@@ -29,7 +33,8 @@ def test_allocator_decision_time_gap():
 
 
 def test_minor_period_tradeoff():
-    result = abl_isu_design.minor_period_sweep(scale=0.5)
+    with HALF.use():
+        result = abl_isu_design.minor_period_sweep()
     cycles = result.column("avg write cycles")
     rows_written = result.column("rows written / epoch")
     # Longer periods strictly reduce both write metrics.
@@ -38,14 +43,16 @@ def test_minor_period_tradeoff():
 
 
 def test_scope_count_improves_balance():
-    result = abl_isu_design.scope_count_sweep(scale=0.5)
+    with HALF.use():
+        result = abl_isu_design.scope_count_sweep()
     by_k = {r["scopes K"]: r for r in result.rows}
     # Full stratification (K = 64) beats random dealing (K = 1).
     assert by_k[64]["per-crossbar degree std"] < by_k[1]["per-crossbar degree std"]
 
 
 def test_write_pulse_gap_grows():
-    result = abl_isu_design.write_pulse_sweep(pulses=(1, 8), scale=0.5)
+    with HALF.use():
+        result = abl_isu_design.write_pulse_sweep(pulses=(1, 8))
     gains = result.column("ISU gain")
     assert gains[1] > gains[0] > 1.0
 
@@ -56,12 +63,11 @@ def test_allocator_problem_is_priced_on_the_session_hardware():
     # charge twice the crossbars against the session's budget.
     from repro.hardware.config import DEFAULT_CONFIG
     from repro.mapping.tiling import plan_tiling
-    from repro.runtime import RunSpec, Session
 
-    session = Session(RunSpec(hardware={"crossbar_rows": 128}))
+    session = Session(RunSpec(scale=0.5, hardware={"crossbar_rows": 128}))
     with session.use():
-        problem = abl_allocator.build_problem("ddi", scale=0.5)
-    stages = session.workload("ddi", scale=0.5).stage_chain()
+        problem = abl_allocator.build_problem("ddi")
+    stages = session.workload("ddi").stage_chain()
 
     def tiled(config):
         return [
@@ -80,14 +86,14 @@ def test_crossbar_size_sweep_is_priced_on_the_session_hardware():
     # Each swept size replaces only the crossbar geometry of the
     # session's config, so a run override (slower row writes) and the
     # run's array capacity both reach the rows.
-    from repro.runtime import RunSpec, Session
-
     def rows(spec):
         with Session(spec).use():
-            return abl_crossbar_size.run(scale=0.5).rows
+            return abl_crossbar_size.run().rows
 
-    default = rows(RunSpec())
-    slow_writes = rows(RunSpec(hardware={"write_latency_ns": 200.0}))
+    default = rows(RunSpec(scale=0.5))
+    slow_writes = rows(
+        RunSpec(scale=0.5, hardware={"write_latency_ns": 200.0}),
+    )
     assert [r["crossbar"] for r in slow_writes] == [
         r["crossbar"] for r in default
     ]

@@ -1,6 +1,10 @@
-"""Per-experiment smoke + shape checks (fast parameterisations)."""
+"""Per-experiment smoke + shape checks (fast parameterisations).
 
-import numpy as np
+The quarter-scale checks run under a ``RunSpec(scale=0.25)`` session:
+experiments take their workload scale from the session, not a
+parameter.
+"""
+
 import pytest
 
 from repro.experiments import fig04_idle, fig05_example, fig06_degree
@@ -8,6 +12,9 @@ from repro.experiments import fig07_osu, fig13_overall, fig14_ablation
 from repro.experiments import fig15_idle_batch, fig16_sensitivity
 from repro.experiments import fig17_scalability, tab05_accuracy
 from repro.experiments import tab06_replicas, tab07_ml_vs_profiling
+from repro.runtime import RunSpec, Session
+
+QUARTER = Session(RunSpec(scale=0.25))
 
 
 def test_fig05_matches_paper_exactly():
@@ -19,8 +26,9 @@ def test_fig05_matches_paper_exactly():
     assert improvements[2] == pytest.approx(69.2, abs=0.1)
 
 
-def test_fig04_co_stages_idle(small_config):
-    result = fig04_idle.run(datasets=("ddi",), scale=0.25)
+def test_fig04_co_stages_idle():
+    with QUARTER.use():
+        result = fig04_idle.run(datasets=("ddi",))
     row = result.rows[0]
     co_idle = row["XBS1 (CO1)"]
     ag_idle = row["XBS2 (AG1)"]
@@ -44,16 +52,16 @@ def test_fig07_toy_matches_paper():
 
 
 def test_fig07_dataset_scale():
-    result = fig07_osu.run(datasets=("ddi",), scale=0.25)
+    with QUARTER.use():
+        result = fig07_osu.run(datasets=("ddi",))
     row = result.rows[1]
     assert row["ISU cycles"] < row["full update cycles"]
     assert row["OSU cycles"] > row["ISU cycles"]
 
 
-def test_fig13_shapes(monkeypatch):
-    result = fig13_overall.run(
-        datasets=("ddi",), scale=0.25, use_predictor=False,
-    )
+def test_fig13_shapes():
+    with QUARTER.use():
+        result = fig13_overall.run(datasets=("ddi",))
     by_system = {r["system"]: r for r in result.rows}
     assert by_system["Serial"]["speedup"] == pytest.approx(1.0)
     assert by_system["GoPIM"]["speedup"] == max(
@@ -64,9 +72,8 @@ def test_fig13_shapes(monkeypatch):
 
 
 def test_fig14_monotone_ablation():
-    result = fig14_ablation.run(
-        datasets=("ddi",), scale=0.25, use_predictor=False,
-    )
+    with QUARTER.use():
+        result = fig14_ablation.run(datasets=("ddi",))
     speedups = {r["variant"]: r["speedup"] for r in result.rows}
     assert speedups["Serial"] == pytest.approx(1.0)
     assert speedups["+PP"] > 1.0
@@ -75,9 +82,8 @@ def test_fig14_monotone_ablation():
 
 
 def test_fig15_idle_reduction():
-    result = fig15_idle_batch.run(
-        micro_batches=(32,), scale=0.25, use_predictor=False,
-    )
+    with QUARTER.use():
+        result = fig15_idle_batch.run(micro_batches=(32,))
     row = result.rows[0]
     assert row["GoPIM avg idle %"] < row["Naive avg idle %"]
     assert row["reduction (points)"] > 0
@@ -86,17 +92,14 @@ def test_fig15_idle_reduction():
 def test_fig16c_speedup_grows_with_batch():
     # The paper's rising trend holds while the epoch still contains many
     # micro-batches; at our scaled-down N that means the small-b regime.
-    result = fig16_sensitivity.speedup_vs_batch(
-        batches=(16, 32), use_predictor=False,
-    )
+    result = fig16_sensitivity.speedup_vs_batch(batches=(16, 32))
     speedups = result.column("speedup")
     assert speedups[1] > speedups[0]
 
 
 def test_fig17_dimension_sweep():
-    result = fig17_scalability.run(
-        dimensions=(256, 1024), scale=0.25, use_predictor=False,
-    )
+    with QUARTER.use():
+        result = fig17_scalability.run(dimensions=(256, 1024))
     dim_rows = [r for r in result.rows if r["panel"] == "a (dimension)"]
     assert all(r["speedup"] > 1.0 for r in dim_rows)
     products = [r for r in result.rows if r["panel"] == "b (products)"][0]
@@ -107,14 +110,16 @@ def test_fig17_dimension_sweep():
 def test_tab05_small_accuracy_delta():
     # ISU converges slower in the earliest epochs (staleness), so the
     # comparison needs enough epochs to be past the transient.
-    result = tab05_accuracy.run(datasets=("arxiv",), epochs=30, scale=0.25)
+    with QUARTER.use():
+        result = tab05_accuracy.run(datasets=("arxiv",), epochs=30)
     row = result.rows[0]
     assert abs(row["impact (points)"]) < 12.0
     assert row["theta"] in (0.5, 0.8)
 
 
 def test_tab06_structure():
-    result = tab06_replicas.run(scale=0.25, use_predictor=False)
+    with QUARTER.use():
+        result = tab06_replicas.run()
     serial_row = next(r for r in result.rows if r["method"] == "Serial")
     gopim_row = next(r for r in result.rows if r["method"] == "GoPIM")
     assert gopim_row["total crossbars"] > serial_row["total crossbars"]
@@ -126,7 +131,8 @@ def test_tab06_structure():
 
 
 def test_tab07_ml_close_to_profiling():
-    result = tab07_ml_vs_profiling.run(datasets=("ddi",), scale=0.25)
+    with QUARTER.use():
+        result = tab07_ml_vs_profiling.run(datasets=("ddi",))
     row = result.rows[0]
     assert row["difference %"] < 50.0
     assert row["profiling overhead (ms)"] > 0

@@ -11,10 +11,14 @@ from repro.experiments import (
     abl_scheduler,
     abl_weight_staleness,
 )
+from repro.runtime import RunSpec, Session
+
+HALF = Session(RunSpec(scale=0.5))
 
 
 def test_motivation_profile_rows():
-    result = abl_motivation.run(datasets=("collab",), scale=0.5)
+    with HALF.use():
+        result = abl_motivation.run(datasets=("collab",))
     row = result.rows[0]
     assert row["AG:CO ratio (max layer)"] >= row["AG:CO ratio (min layer)"]
     assert 0.0 < row["update share of AG"] < 1.0
@@ -25,14 +29,14 @@ def test_motivation_profile_rows():
 def test_motivation_profile_is_priced_on_the_session_hardware():
     # Slower row writes must raise the update share of AG time: the
     # profile is priced on the session's config, not the default one.
-    from repro.runtime import RunSpec, Session
-
     def row(spec):
         with Session(spec).use():
-            return abl_motivation.run(datasets=("collab",), scale=0.5).rows[0]
+            return abl_motivation.run(datasets=("collab",)).rows[0]
 
-    default = row(RunSpec())
-    slow_writes = row(RunSpec(hardware={"write_latency_ns": 200.0}))
+    default = row(RunSpec(scale=0.5))
+    slow_writes = row(
+        RunSpec(scale=0.5, hardware={"write_latency_ns": 200.0}),
+    )
     assert slow_writes["update share of AG"] > default["update share of AG"]
     assert (
         slow_writes["update share (replicated)"]
@@ -45,7 +49,8 @@ def test_motivation_profile_is_priced_on_the_session_hardware():
 
 
 def test_endurance_rows_per_scheme():
-    result = abl_endurance.run(datasets=("cora",), scale=0.5)
+    with HALF.use():
+        result = abl_endurance.run(datasets=("cora",))
     schemes = [r["scheme"] for r in result.rows]
     assert schemes == ["full", "OSU", "ISU", "ISU+leveling"]
     # Cora is sparse -> theta 0.8 -> fewer spared rows than dense, but
@@ -71,7 +76,6 @@ def test_predictor_samples_are_priced_on_the_session_hardware():
     import numpy as np
 
     from repro.predictor.dataset import generate_dataset
-    from repro.runtime import RunSpec, Session
 
     default = Session(RunSpec())
     slow = Session(RunSpec(hardware={"write_latency_ns": 200.0}))
@@ -88,10 +92,27 @@ def test_predictor_samples_are_priced_on_the_session_hardware():
     assert quick_rows(slow) != quick_rows(default)
     # Session.predictor fits under its own session even when called
     # outside any ``use()`` block.
-    workload = default.workload("cora", scale=0.5)
+    workload = HALF.workload("cora")
     assert (
         slow.predictor(num_samples=200).predict_stage_times(workload)
         != default.predictor(num_samples=200).predict_stage_times(workload)
+    )
+
+
+def test_variation_mvm_error_is_measured_on_the_session_crossbars():
+    # 128-row crossbars tile the 128x32 test matrix in one row tile
+    # instead of two, so the noisy MVM's error moves with the session's
+    # hardware, while the default session's value stays unchanged.
+    from repro.experiments.abl_device_variation import mvm_relative_error
+
+    def error(spec):
+        with Session(spec).use():
+            return mvm_relative_error(0.05)
+
+    default = error(RunSpec())
+    assert default == pytest.approx(0.0332435, abs=1e-7)
+    assert error(RunSpec(hardware={"crossbar_rows": 128})) == pytest.approx(
+        0.0291881, abs=1e-7,
     )
 
 
@@ -110,9 +131,8 @@ def test_weight_staleness_validation():
 
 
 def test_scheduler_experiment_rows():
-    result = abl_scheduler.run(
-        datasets=("cora", "ddi"), scale=0.5, use_predictor=False,
-    )
+    with HALF.use():
+        result = abl_scheduler.run(datasets=("cora", "ddi"))
     policies = {r["policy"] for r in result.rows}
     assert policies == {"equal-split", "greedy-split"}
     completions = [

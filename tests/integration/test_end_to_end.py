@@ -26,24 +26,23 @@ def predictor():
     return TimePredictor(PerKindRegressor(LinearRegressor)).fit(ds)
 
 
-def test_full_gopim_flow_on_cora(predictor):
-    config = experiment_config()
-    system = GoPIMSystem(config=config, predictor=predictor)
+def test_full_gopim_flow_on_cora():
+    system = GoPIMSystem()
     workload = workload_from_dataset("cora", random_state=0)
 
     plan = system.plan(workload)
     assert plan.theta == 0.8  # Cora is sparse
     report = system.simulate(workload)
-    base = serial().run(workload, config)
+    base = serial().run(workload)
     assert base.total_time_ns / report.total_time_ns > 10.0
     assert base.energy_pj / report.energy_pj > 1.0
 
 
-def test_timing_model_agrees_with_pipeline_sim(predictor):
+def test_timing_model_agrees_with_pipeline_sim():
     # Eq. (6) with heterogeneous per-micro-batch times equals the
     # event-driven simulation the accelerators run.
     workload = workload_from_dataset("cora", random_state=0)
-    timing = StageTimingModel(workload)
+    timing = StageTimingModel(workload, experiment_config())
     times = timing.stage_time_matrix()
     result = simulate_pipeline(times, ScheduleMode.INTRA_INTER)
     # Sanity: uniformised closed form brackets the heterogeneous makespan.
@@ -81,9 +80,8 @@ def test_crossbar_functional_mvm_matches_gcn_combination():
     np.testing.assert_allclose(out, x @ weights, rtol=1e-3, atol=1e-3)
 
 
-def test_gopim_trains_with_acceptable_accuracy(predictor):
-    config = experiment_config()
-    system = GoPIMSystem(config=config, predictor=predictor)
+def test_gopim_trains_with_acceptable_accuracy():
+    system = GoPIMSystem()
     graph = load_dataset("arxiv", random_state=0, scale=0.5)
     full = system.train(graph, task="node", epochs=12)
     assert full.best_test_metric > 0.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictorError
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.predictor.features import (
     FEATURE_NAMES,
     NUM_FEATURES,
@@ -42,7 +43,7 @@ def test_all_kinds_have_codes():
 
 
 def test_stage_samples_targets_are_log_times(small_workload):
-    timing = StageTimingModel(small_workload)
+    timing = StageTimingModel(small_workload, DEFAULT_CONFIG)
     features, targets, names = stage_samples(timing)
     assert features.shape == (8, NUM_FEATURES + 1)
     for name, log_t in zip(names, targets):

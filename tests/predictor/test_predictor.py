@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictorError
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.predictor.dataset import generate_dataset
 from repro.predictor.predictor import PerKindRegressor, TimePredictor
 from repro.predictor.regressors import LinearRegressor
@@ -65,7 +66,7 @@ def test_predict_before_fit():
 def test_predictions_positive_and_reasonable(fitted_predictor):
     workload = workload_from_dataset("cora", random_state=0)
     times = fitted_predictor.predict_stage_times(workload)
-    truth = StageTimingModel(workload).no_replica_times()
+    truth = StageTimingModel(workload, DEFAULT_CONFIG).no_replica_times()
     assert set(times) == set(truth)
     for name in truth:
         assert times[name] > 0

@@ -11,12 +11,13 @@ from repro.predictor.evaluate import (
     sweep_mlp_depth,
     sweep_mlp_width,
 )
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.predictor.profiler import profile_stage_times
 from repro.stages.latency import StageTimingModel
 
 
 def test_profile_returns_exact_times(small_workload):
-    timing = StageTimingModel(small_workload)
+    timing = StageTimingModel(small_workload, DEFAULT_CONFIG)
     result = profile_stage_times(timing)
     truth = timing.no_replica_times()
     for name, value in result.stage_times_ns.items():
@@ -27,7 +28,7 @@ def test_profile_returns_exact_times(small_workload):
 
 
 def test_profile_epochs_scale_overhead(small_workload):
-    timing = StageTimingModel(small_workload)
+    timing = StageTimingModel(small_workload, DEFAULT_CONFIG)
     one = profile_stage_times(timing, epochs=1)
     three = profile_stage_times(timing, epochs=3)
     assert three.overhead_ns == pytest.approx(3 * one.overhead_ns)

@@ -269,3 +269,32 @@ class TestRunContext:
         assert [_rows_bytes(r) for r in parallel] == [
             _rows_bytes(r) for r in serial
         ]
+
+
+class TestRunSettings:
+    """An experiment's workload scale and micro-batch come from the
+    session's spec: changing either moves the rows it prices."""
+
+    @staticmethod
+    def _rows(spec, experiment_id, **kwargs):
+        from repro.experiments.registry import run_experiment
+
+        return _rows_bytes(
+            run_experiment(experiment_id, session=Session(spec), **kwargs),
+        )
+
+    @pytest.mark.parametrize("experiment_id", ["fig04", "tab06"])
+    def test_spec_scale_reaches_the_rows(self, experiment_id):
+        assert self._rows(RunSpec(scale=0.5), experiment_id) != self._rows(
+            RunSpec(), experiment_id,
+        )
+
+    @pytest.mark.parametrize("experiment_id, kwargs", [
+        ("fig13", {"datasets": ("ddi",)}),
+        ("abl-tta", {"epochs": 2}),
+    ])
+    def test_spec_micro_batch_reaches_the_rows(self, experiment_id, kwargs):
+        spec = RunSpec(micro_batch=32)
+        assert self._rows(spec, experiment_id, **kwargs) != self._rows(
+            RunSpec(), experiment_id, **kwargs,
+        )

@@ -16,7 +16,13 @@ def test_non_finite_values_raise(field, value):
         ServingSpec(**{field: value})
 
 
-@pytest.mark.parametrize("rate_rps", [0.0, -1.0])
-def test_non_positive_rate_raises(rate_rps):
-    with pytest.raises(ExperimentError, match="rate_rps must be positive"):
-        ServingSpec(rate_rps=rate_rps)
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("rate_rps", 0.0, "rate_rps must be positive", id="0.0"),
+    pytest.param("rate_rps", -1.0, "rate_rps must be positive", id="-1.0"),
+    pytest.param(
+        "timeout_us", -5.0, "timeout_us must be >= 0", id="timeout_us=-5.0",
+    ),
+])
+def test_non_positive_rate_raises(field, value, message):
+    with pytest.raises(ExperimentError, match=message):
+        ServingSpec(**{field: value})

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.stages.analysis import (
     aggregation_combination_ratios,
     profile_stages,
@@ -12,7 +13,7 @@ from repro.stages.latency import StageTimingModel
 
 @pytest.fixture
 def timing(small_workload):
-    return StageTimingModel(small_workload)
+    return StageTimingModel(small_workload, DEFAULT_CONFIG)
 
 
 def test_profiles_cover_all_stages(timing, small_workload):

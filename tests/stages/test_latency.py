@@ -18,7 +18,7 @@ from tests.oracles.stages import (
 
 @pytest.fixture
 def timing(small_workload):
-    return StageTimingModel(small_workload)
+    return StageTimingModel(small_workload, DEFAULT_CONFIG)
 
 
 def _stage(timing, name):
@@ -90,9 +90,11 @@ def test_writes_not_reduced_by_replicas(timing):
 
 
 def test_isu_reduces_write_time(small_workload):
-    full = StageTimingModel(small_workload)
+    full = StageTimingModel(small_workload, DEFAULT_CONFIG)
     isu_plan = build_update_plan(small_workload.graph, "isu", theta=0.5)
-    isu = StageTimingModel(small_workload, update_plan=isu_plan)
+    isu = StageTimingModel(
+        small_workload, DEFAULT_CONFIG, update_plan=isu_plan,
+    )
     ag1_full = _stage(full, "AG1")
     ag1_isu = _stage(isu, "AG1")
     total_full = full.write_times_ns(ag1_full).sum()
@@ -107,7 +109,8 @@ def test_gc_and_lc_write_free(timing):
 
 def test_reload_penalty_only_for_edge_stages(small_workload):
     reflip = StageTimingModel(
-        small_workload, params=TimingParams(reload_penalty=1.0),
+        small_workload, DEFAULT_CONFIG,
+        params=TimingParams(reload_penalty=1.0),
     )
     ag1 = _stage(reflip, "AG1")
     co1 = _stage(reflip, "CO1")
@@ -120,9 +123,10 @@ def test_reload_penalty_only_for_edge_stages(small_workload):
 
 
 def test_intrinsic_edge_parallelism(small_workload):
-    plain = StageTimingModel(small_workload)
+    plain = StageTimingModel(small_workload, DEFAULT_CONFIG)
     fast = StageTimingModel(
-        small_workload, params=TimingParams(intrinsic_edge_parallelism=8),
+        small_workload, DEFAULT_CONFIG,
+        params=TimingParams(intrinsic_edge_parallelism=8),
     )
     ag1 = _stage(plain, "AG1")
     np.testing.assert_allclose(

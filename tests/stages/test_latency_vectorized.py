@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import dc_sbm_graph
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.mapping.selective import build_update_plan
 from repro.predictor.profiler import profile_stage_times
 from repro.stages.latency import StageTimingModel, TimingParams
@@ -47,7 +48,9 @@ def _timing_model(strategy: str, reload_penalty: float = 0.0,
         reload_penalty=reload_penalty,
         intrinsic_edge_parallelism=edge_parallelism,
     )
-    return StageTimingModel(workload, params=params, update_plan=plan)
+    return StageTimingModel(
+        workload, DEFAULT_CONFIG, params=params, update_plan=plan,
+    )
 
 
 def _assert_vectors_match_oracle(timing, replicas):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.allocation.greedy import greedy_allocation
 from repro.allocation.problem import AllocationProblem
 from repro.graphs.generators import dc_sbm_graph
+from repro.hardware.config import DEFAULT_CONFIG
 from repro.hardware.energy import EnergyBreakdown
 from repro.mapping.selective import build_update_plan
 from repro.pipeline.simulator import ScheduleMode, simulate_pipeline
@@ -80,7 +81,7 @@ def test_greedy_monotone_in_budget(seed, budget, extra):
 def test_compute_time_monotone_in_replicas(replicas, more):
     graph = dc_sbm_graph(96, 2, 6.0, random_state=0, feature_dim=8)
     workload = Workload(graph, [(8, 8)], micro_batch=16)
-    timing = StageTimingModel(workload)
+    timing = StageTimingModel(workload, DEFAULT_CONFIG)
     for stage in timing.stages:
         t1 = timing.compute_times_ns(stage, replicas)
         t2 = timing.compute_times_ns(stage, replicas + more)

@@ -1,14 +1,23 @@
-"""``src/`` ships no bit-identity oracles.
+"""AST and signature checks on the shape of ``src/``.
 
-An AST scan over every module under ``src/repro``: no function or method
-there is named ``*_reference``.  Oracles live in ``tests/oracles/``,
-next to the tests that use them.
+* ``src/`` ships no bit-identity oracles: no function or method under
+  ``src/repro`` is named ``*_reference``.  Oracles live in
+  ``tests/oracles/``, next to the tests that use them.
+* Run settings come from the session.  An experiment declares only the
+  parameters it sweeps: the workload scale, micro-batch, time predictor
+  and hardware are read from ``current_session()`` (its ``RunSpec``).
+  Nothing above the hardware primitives falls back to the unscaled
+  ``DEFAULT_CONFIG``, by name or by leaving out a primitive's config.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -20,18 +29,186 @@ ALLOWED_REFERENCES = {
     "repro/allocation/greedy.py::greedy_allocation_reference",
 }
 
+#: Run settings an experiment reads from its session's ``RunSpec``.
+SESSION_SETTINGS = {"scale", "micro_batch", "use_predictor"}
+
+#: Packages that price on the session's hardware, never the default.
+SESSION_PRICED = (
+    "experiments", "accelerators", "core", "stages", "predictor", "serving",
+)
+
+
+def _modules(*packages: str):
+    roots = [SRC / package for package in packages] or [SRC]
+    files = sorted(path for root in roots for path in root.rglob("*.py"))
+    assert files, f"no sources under {roots}"
+    return [
+        (path.relative_to(SRC.parent).as_posix(), ast.parse(path.read_text()))
+        for path in files
+    ]
+
+
+def _functions(tree):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
 
 def test_no_reference_oracles_in_src():
-    files = sorted(SRC.rglob("*.py"))
-    assert files, f"no sources under {SRC}"
     found = {
-        f"{path.relative_to(SRC.parent).as_posix()}::{node.name}"
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.endswith("_reference")
+        f"{name}::{node.name}"
+        for name, tree in _modules()
+        for node in _functions(tree)
+        if node.name.endswith("_reference")
     }
     assert found - ALLOWED_REFERENCES == set(), (
         "oracles belong in tests/oracles/, not src/:\n"
         + "\n".join(sorted(found - ALLOWED_REFERENCES))
     )
+
+
+def test_experiments_take_no_run_settings():
+    found = {
+        f"{name}::{node.name}({arg.arg})"
+        for name, tree in _modules("experiments")
+        for node in _functions(tree)
+        for arg in (
+            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+        )
+        if arg.arg in SESSION_SETTINGS
+    }
+    assert not found, (
+        "read these from current_session().spec, not a parameter:\n"
+        + "\n".join(sorted(found))
+    )
+
+
+def _is_session_config(node) -> bool:
+    """``session.config`` or ``current_session().config``."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "config"):
+        return False
+    owner = node.value
+    if isinstance(owner, ast.Call):
+        owner = owner.func
+    return isinstance(owner, ast.Name) and owner.id in (
+        "session", "current_session",
+    )
+
+
+def test_experiments_do_not_copy_the_session_config():
+    # ``config = session.config`` only re-declares what every pricing
+    # call already reads from the session when given no config.
+    found = {
+        f"{name}:{node.lineno}"
+        for name, tree in _modules("experiments")
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and _is_session_config(node.value)
+    }
+    assert not found, "\n".join(sorted(found))
+
+
+def test_no_default_config_above_the_hardware_primitives():
+    found = {
+        f"{name}:{node.lineno}"
+        for name, tree in _modules(*SESSION_PRICED)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "DEFAULT_CONFIG")
+        or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_CONFIG")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name == "DEFAULT_CONFIG" for alias in node.names)
+        )
+    }
+    assert not found, (
+        "price on current_session().config, not DEFAULT_CONFIG:\n"
+        + "\n".join(sorted(found))
+    )
+
+
+def _default_config_primitives():
+    """Name -> (position, name) of the config parameter of every ``src``
+    callable whose config defaults to ``DEFAULT_CONFIG``."""
+    import pkgutil
+
+    import repro
+    from repro.hardware.config import DEFAULT_CONFIG
+
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            defined_here = getattr(obj, "__module__", None) == info.name
+            if not (defined_here and callable(obj)):
+                continue
+            try:
+                params = list(_parameters(obj).values())
+            except (TypeError, ValueError):
+                continue
+            for position, param in enumerate(params):
+                if param.default is DEFAULT_CONFIG:
+                    found[name] = (position, param.name)
+    return found
+
+
+def test_no_call_falls_back_to_the_default_config():
+    # A primitive called without its config prices on DEFAULT_CONFIG as
+    # surely as naming it would.
+    primitives = _default_config_primitives()
+    assert "MappedMatrix" in primitives and "plan_tiling" in primitives
+    found = set()
+    for name, tree in _modules(*SESSION_PRICED):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = getattr(func, "id", getattr(func, "attr", None))
+            if callee not in primitives:
+                continue
+            position, keyword = primitives[callee]
+            passed = len(node.args) > position or any(
+                kw.arg in (keyword, None) for kw in node.keywords
+            ) or any(isinstance(arg, ast.Starred) for arg in node.args)
+            if not passed:
+                found.add(f"{name}:{node.lineno} {callee}")
+    assert not found, (
+        "pass the session's config (current_session().config):\n"
+        + "\n".join(sorted(found))
+    )
+
+
+def _parameters(fn):
+    return inspect.signature(fn).parameters
+
+
+#: Callables that read these settings from the session, not a parameter.
+SESSION_READERS = {
+    "repro.runtime.session:Session.workload": {"scale"},
+    "repro.runtime.session:Session.graph": {"scale"},
+    "repro.core.cosim:CoSimulation": {"config"},
+    "repro.core.gopim:GoPIMSystem": {"config", "predictor"},
+    "repro.core.scheduler:MultiTenantScheduler": {
+        "config", "accelerator_factory",
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(SESSION_READERS))
+def test_facades_take_their_settings_from_the_session(target):
+    module, _, qualname = target.partition(":")
+    owner = importlib.import_module(module)
+    for part in qualname.split("."):
+        owner = getattr(owner, part)
+    assert not SESSION_READERS[target] & set(_parameters(owner))
+
+
+def test_timing_config_and_predictor_dataset_are_required():
+    from repro.predictor.predictor import TimePredictor
+    from repro.stages.latency import StageTimingModel
+
+    empty = inspect.Parameter.empty
+    assert _parameters(StageTimingModel)["config"].default is empty
+    assert _parameters(TimePredictor.fit)["dataset"].default is empty
