@@ -34,7 +34,7 @@ from repro.hardware.crossbar import CrossbarStats
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
 from repro.hardware.noc import MeshNoc
 from repro.mapping.selective import build_update_plan
-from repro.perf import cache_key, profile
+from repro.perf import profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
 from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel, TimingParams
@@ -156,26 +156,15 @@ class AcceleratorModel:
         """Allocator inputs and energy inputs per stage, content-memoised.
 
         Pure function of (graph, model shape, micro-batch, hardware
-        config, timing params, update plan) — many experiments evaluate
-        the same combination, so the tables go through ``repro.perf``.
+        config, timing params, update plan), the content the timing
+        model's :meth:`~StageTimingModel.content_fingerprint` digests.
+        Many experiments evaluate the same combination, so the tables go
+        through ``repro.perf``.
         Beside the allocator's per-stage arrays, ``"activity"`` holds
         each stage's :meth:`~StageTimingModel.stage_activity_totals`,
         which no replica assignment changes.  Readers never mutate them.
         """
-        workload = timing.workload
-        plan = timing.update_plan
-        key = cache_key(
-            _TABLES_REVISION,
-            workload.graph,
-            tuple(workload.layer_dims),
-            workload.micro_batch,
-            timing.config,
-            timing.params,
-            plan.mapping.crossbar_of,
-            plan.important,
-            float(plan.theta),
-            plan.minor_period,
-        )
+        key = f"{_TABLES_REVISION}:{timing.content_fingerprint()}"
 
         def compute() -> Dict[str, Any]:
             stages = timing.stages
@@ -328,10 +317,11 @@ class AcceleratorModel:
         noc = MeshNoc(config)
         total = EnergyBreakdown()
         makespan = pipeline.total_time_ns
-        for i, stage in enumerate(timing.stages):
-            pool_size = int(replicas[i]) * timing.crossbars_per_replica(stage)
+        for i, (per_replica, act) in enumerate(
+            zip(tables["crossbars"].tolist(), tables["activity"])
+        ):
+            pool_size = int(replicas[i]) * per_replica
             stats = CrossbarStats()
-            act = tables["activity"][i]
             stats.mvm_reads = act.mvm_row_streams
             # Replica copies refresh round-robin (one copy per update
             # round) rather than all at once — replicas then serve
@@ -349,7 +339,7 @@ class AcceleratorModel:
             busy_pool_ns = float(pipeline.stage_busy_ns[i])
             stats.busy_ns = stats.mvm_reads * config.mvm_latency_ns
             total.merge(model.crossbar_activity_energy(
-                stats, crossbars_active=timing.crossbars_per_replica(stage),
+                stats, crossbars_active=per_replica,
             ))
             idle_ns = max(0.0, makespan - busy_pool_ns) * pool_size
             total.merge(model.idle_energy(idle_ns))

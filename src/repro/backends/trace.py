@@ -52,7 +52,6 @@ import numpy as np
 
 from repro.backends.protocol import EpochProgram, SimulationBackend
 from repro.perf import profile
-from repro.perf.cache import cache_key
 from repro.runtime import current_session
 from repro.stages.latency import (
     StageTimingModel,
@@ -120,7 +119,10 @@ def compile_stage_program(
     """Lower one stage's epoch to its instruction stream (uncached).
 
     Deterministic: equal lowering inputs produce byte-equal record
-    arrays, ordered by (opcode block, micro-batch).
+    arrays, ordered by (opcode block, micro-batch).  Each opcode block
+    holds one record per micro-batch, so no micro-batch has two records
+    of one opcode; :func:`replay_stage_times` relies on this for
+    ``RELOAD``, whose per-micro-batch sum it adds after the write mix.
     """
     stage = timing.stages[stage_index]
     cfg = timing.config
@@ -174,44 +176,17 @@ def compile_stage_program(
     return np.concatenate(blocks) if blocks else np.empty(0, TRACE_DTYPE)
 
 
-def _program_key_base(timing: StageTimingModel) -> str:
-    """The stage-independent half of the program key, computed once.
-
-    Hashing the graph and update plan dominates a warm lookup, so the
-    digest is memoised on the timing-model instance — sound because
-    every key input is fixed at the model's construction.
-    """
-    base = getattr(timing, "_trace_key_base", None)
-    if base is None:
-        workload = timing.workload
-        plan = timing.update_plan
-        base = cache_key(
-            "trace-program",
-            _PROGRAM_REVISION,
-            workload.graph,
-            tuple(workload.layer_dims),
-            workload.micro_batch,
-            timing.config,
-            timing.params,
-            plan.mapping.crossbar_of,
-            plan.important,
-            float(plan.theta),
-            plan.minor_period,
-        )
-        timing._trace_key_base = base
-    return base
-
-
 def program_cache_key(timing: StageTimingModel, stage_index: int) -> str:
     """Content key of one stage's compiled program.
 
     Mirrors the analytic path's timing-table key: the program is a pure
     function of (graph, model shape, micro-batch, hardware config,
-    calibration params, update plan) plus the stage position — and is
-    replica-independent, so accelerators differing only in allocation
-    share it.
+    calibration params, update plan) — the timing model's
+    :meth:`~StageTimingModel.content_fingerprint`, computed once per
+    model — plus the stage position, and is replica-independent, so
+    accelerators differing only in allocation share it.
     """
-    return f"{_program_key_base(timing)}:s{stage_index}"
+    return f"{_PROGRAM_REVISION}:{timing.content_fingerprint()}:s{stage_index}"
 
 
 def _program_entry(
@@ -236,6 +211,11 @@ def compiled_stage_program(
     return _program_entry(timing, stage_index)[0]
 
 
+#: Replay bin of each opcode: compute, partial write, full write, reload.
+_OPCODE_BIN = np.zeros(max(OPCODE_NAMES) + 1, dtype=np.int64)
+_OPCODE_BIN[[OP_WRITE_PARTIAL, OP_WRITE_FULL, OP_RELOAD]] = (1, 2, 3)
+
+
 def replay_stage_times(
     records: np.ndarray,
     timing: StageTimingModel,
@@ -250,6 +230,13 @@ def replay_stage_times(
     write/reload records serialise on top, with the two write phases
     mixed by the update plan's minor period unless ``full_round`` pins
     one.
+
+    One ``bincount`` over (opcode class x micro-batch) bins sums every
+    record, each bin from 0.0 in stream order.  Reloads add after the
+    write mix, which equals adding each ``RELOAD`` record in turn
+    because a compiled program holds at most one per micro-batch (see
+    :func:`compile_stage_program`; ``tests/oracles/trace.py`` keeps the
+    record-by-record loop).
     """
     stage = timing.stages[stage_index]
     workload = timing.workload
@@ -260,37 +247,23 @@ def replay_stage_times(
         timing.params.intrinsic_edge_parallelism,
     )
 
-    times = np.zeros(num_mbs)
-    compute = records[records["dep"] == 0]
-    if compute.size:
-        mb = compute["mb"]
-        critical = np.ceil(compute["count"] / lanes[mb])
-        np.add.at(
-            times, mb, critical * compute["tile"] * compute["unit_ns"],
-        )
-
-    partial = np.zeros(num_mbs)
-    full = np.zeros(num_mbs)
-    for opcode, dest in ((OP_WRITE_PARTIAL, partial), (OP_WRITE_FULL, full)):
-        rows = records[records["opcode"] == opcode]
-        if rows.size:
-            np.add.at(
-                dest, rows["mb"],
-                rows["count"] * rows["tile"] * rows["unit_ns"],
-            )
+    mb = records["mb"]
+    count = records["count"]
+    opcode_bin = _OPCODE_BIN[records["opcode"]]
+    occupancy = np.where(
+        opcode_bin == 0, np.ceil(count / lanes[mb]), count,
+    )
+    compute, partial, full, reload = np.bincount(
+        opcode_bin * num_mbs + mb,
+        weights=occupancy * records["tile"] * records["unit_ns"],
+        minlength=4 * num_mbs,
+    ).reshape(4, num_mbs)
     if full_round is None:
         period = timing.update_plan.minor_period
-        times += ((period - 1) * partial + full) / period
+        times = compute + ((period - 1) * partial + full) / period
     else:
-        times += full if full_round else partial
-
-    reload = records[records["opcode"] == OP_RELOAD]
-    if reload.size:
-        np.add.at(
-            times, reload["mb"],
-            reload["count"] * reload["tile"] * reload["unit_ns"],
-        )
-    return times
+        times = compute + (full if full_round else partial)
+    return times + reload
 
 
 def program_stats(records: np.ndarray) -> Dict[str, float]:

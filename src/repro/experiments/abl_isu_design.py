@@ -53,7 +53,8 @@ def scope_count_sweep(
     seed: int = 0,
 ) -> ExperimentResult:
     """Per-crossbar degree balance vs the interleaving scope count K."""
-    graph = current_session().graph(dataset, seed=seed)
+    session = current_session()
+    graph = session.graph(dataset, seed=seed)
     result = ExperimentResult(
         experiment_id="abl-scopes",
         title=f"Interleaved-mapping scope count sweep ({dataset})",
@@ -63,7 +64,9 @@ def scope_count_sweep(
         ),
     )
     for k in scope_counts:
-        mapping = interleaved_mapping(graph, 64, num_scopes=k)
+        mapping = interleaved_mapping(
+            graph, session.config.crossbar_rows, num_scopes=k,
+        )
         means = mapping.average_degree_per_crossbar(graph)
         result.rows.append({
             "scopes K": k,

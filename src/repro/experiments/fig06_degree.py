@@ -28,10 +28,11 @@ FIG06_DATASETS = ("ddi", "collab", "ppa", "proteins", "arxiv", "products")
 def run(
     datasets: Sequence[str] = FIG06_DATASETS,
     seed: int = 0,
-    rows_per_crossbar: int = 64,
 ) -> ExperimentResult:
-    """Reproduce Fig. 6's per-crossbar degree spread."""
+    """Reproduce Fig. 6's per-crossbar degree spread on the session's
+    crossbars."""
     session = current_session()
+    rows = session.config.crossbar_rows
     result = ExperimentResult(
         experiment_id="fig06",
         title="Average degree of vertices mapped on each crossbar",
@@ -43,8 +44,8 @@ def run(
     )
     for name in datasets:
         graph = session.graph(name, seed=seed)
-        indexed = index_mapping(graph.num_vertices, rows_per_crossbar)
-        interleaved = interleaved_mapping(graph, rows_per_crossbar)
+        indexed = index_mapping(graph.num_vertices, rows)
+        interleaved = interleaved_mapping(graph, rows)
         idx_deg = indexed.average_degree_per_crossbar(graph)
         int_deg = interleaved.average_degree_per_crossbar(graph)
         result.rows.append({

@@ -53,7 +53,7 @@ def rows_written_per_epoch(plan: UpdatePlan) -> np.ndarray:
     Important vertices are written every epoch; the rest once per minor
     period.
     """
-    n = plan.graph.num_vertices
+    n = plan.mapping.num_vertices
     rates = np.full(n, 1.0 / plan.minor_period)
     rates[plan.important] = 1.0
     return rates

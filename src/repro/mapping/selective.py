@@ -22,6 +22,7 @@ every epoch, the rest every ``minor_period`` (20) epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.mapping.vertex_map import (
     index_mapping,
     interleaved_mapping,
 )
-from repro.perf import profile
+from repro.perf import cache_key, profile
 
 DENSE_DEGREE_THRESHOLD = 8.0
 DENSE_THETA = 0.5
@@ -55,10 +56,11 @@ class UpdatePlan:
 
     ``important`` vertices are written every epoch; the rest every
     ``minor_period`` epochs.  ``mapping`` determines the per-crossbar write
-    distribution and hence the serial write-cycle count.
+    distribution and hence the serial write-cycle count.  The plan holds
+    no reference to its graph: :func:`build_update_plan` memoises it on
+    the graph, and a back-reference would make that memo a cycle.
     """
 
-    graph: Graph
     mapping: VertexMapping
     important: np.ndarray  # sorted vertex ids updated every epoch
     theta: float
@@ -69,8 +71,18 @@ class UpdatePlan:
             raise MappingError("theta must be in [0, 1]")
         if self.minor_period < 1:
             raise MappingError("minor_period must be >= 1")
-        if self.mapping.num_vertices != self.graph.num_vertices:
-            raise MappingError("mapping does not cover the graph")
+
+    def content_fingerprint(self) -> str:
+        """Digest of what the plan prices: the crossbar of every vertex,
+        the important set, theta and the minor period (computed once)."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return cache_key(
+            self.mapping.crossbar_of, self.important, float(self.theta),
+            self.minor_period,
+        )
 
     @property
     def num_important(self) -> int:
@@ -84,7 +96,7 @@ class UpdatePlan:
     def vertices_updated_at(self, epoch: int) -> np.ndarray:
         """Vertex ids written during ``epoch``."""
         if self.is_update_epoch_for_minor(epoch):
-            return np.arange(self.graph.num_vertices, dtype=np.int64)
+            return np.arange(self.mapping.num_vertices, dtype=np.int64)
         return self.important
 
     def write_cycles_at(self, epoch: int) -> int:
@@ -114,7 +126,7 @@ class UpdatePlan:
 
     def rows_written_per_epoch(self) -> float:
         """Average total rows written per epoch (drives write energy)."""
-        n = self.graph.num_vertices
+        n = self.mapping.num_vertices
         k = self.num_important
         period = self.minor_period
         return (n + (period - 1) * k) / period
@@ -125,7 +137,7 @@ def build_update_plan(
     graph: Graph,
     strategy: str = "isu",
     theta: Optional[float] = None,
-    rows_per_crossbar: int = 64,
+    rows_per_crossbar: Optional[int] = None,
     minor_period: int = MINOR_UPDATE_PERIOD,
     selective: bool = True,
 ) -> UpdatePlan:
@@ -139,31 +151,55 @@ def build_update_plan(
         vertex updates every epoch, the Serial/ReGraphX behaviour).
     theta:
         Update threshold; defaults to the adaptive rule.
+    rows_per_crossbar:
+        Wordlines per crossbar; defaults to the current session's
+        ``crossbar_rows``.
     selective:
         When ``False``, selection is disabled regardless of theta (all
         vertices are important).
+
+    The plan is memoised on ``graph`` per (strategy, rows, resolved
+    theta, minor period), as
+    :func:`~repro.graphs.sparsify.sparsify_by_degree` memoises its
+    prunes: equal arguments return the same instance, whose
+    ``crossbar_of``, ``wordline_of`` and ``important`` are read-only.
     """
     strategy = strategy.lower()
     if strategy not in ("isu", "osu", "full"):
         raise MappingError(f"unknown update strategy {strategy!r}")
     if theta is not None and not 0.0 <= theta <= 1.0:
         raise MappingError(f"theta must be in [0, 1], got {theta}")
-    if strategy == "full":
-        selective = False
+    if rows_per_crossbar is None:
+        # Imported here: the run context sits above the mapping layer.
+        from repro.runtime.session import current_session
 
-    if strategy == "isu":
-        mapping = interleaved_mapping(graph, rows_per_crossbar)
-    else:
-        mapping = index_mapping(graph.num_vertices, rows_per_crossbar)
-
-    effective_theta = theta if theta is not None else adaptive_theta(graph)
-    if not selective:
+        rows_per_crossbar = current_session().config.crossbar_rows
+    if strategy == "full" or not selective:
         effective_theta = 1.0
-    important = np.sort(top_degree_vertices(graph, effective_theta))
-    return UpdatePlan(
-        graph=graph,
-        mapping=mapping,
-        important=important,
-        theta=effective_theta,
-        minor_period=minor_period,
+    else:
+        effective_theta = float(
+            theta if theta is not None else adaptive_theta(graph)
+        )
+
+    def build() -> UpdatePlan:
+        if strategy == "isu":
+            mapping = interleaved_mapping(graph, rows_per_crossbar)
+        else:
+            mapping = index_mapping(graph.num_vertices, rows_per_crossbar)
+        if mapping.num_vertices != graph.num_vertices:
+            raise MappingError("mapping does not cover the graph")
+        important = np.sort(top_degree_vertices(graph, effective_theta))
+        for array in (mapping.crossbar_of, mapping.wordline_of, important):
+            array.flags.writeable = False
+        return UpdatePlan(
+            mapping=mapping,
+            important=important,
+            theta=effective_theta,
+            minor_period=minor_period,
+        )
+
+    return graph.cached(
+        ("update-plan", strategy, rows_per_crossbar, effective_theta,
+         minor_period),
+        build,
     )

@@ -11,7 +11,7 @@ time) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -90,6 +90,21 @@ def random_workload(
     return Workload(graph=graph, layer_dims=dims, micro_batch=micro_batch)
 
 
+def samples_config_key(config: HardwareConfig) -> Tuple:
+    """The part of ``config`` a predictor sample reads, as a key part.
+
+    Every field but ``array_capacity_bytes``: a sample is a no-replica
+    stage time, and the array budget only sizes the allocator's replica
+    pool.  Sessions that differ only in their budget therefore share one
+    generated dataset and one fitted predictor.
+    """
+    return tuple(
+        (field.name, getattr(config, field.name))
+        for field in fields(config)
+        if field.name != "array_capacity_bytes"
+    )
+
+
 def generate_dataset(
     num_samples: int = 2200,
     random_state: RandomState = 0,
@@ -109,7 +124,8 @@ def generate_dataset(
     if isinstance(random_state, (int, np.integer)):
         # Seeded generation is deterministic: memoise the whole dataset.
         key = cache_key(
-            num_samples, int(random_state), float(noise_sigma), config,
+            num_samples, int(random_state), float(noise_sigma),
+            samples_config_key(config),
         )
         return current_session().cache.get_or_compute(
             "predictor-datasets", key,

@@ -100,6 +100,8 @@ class TimePredictor:
             default_head_factory,
         )
         self._fitted = False
+        # (feature-row bytes, stage names) -> predicted stage times.
+        self._predictions: Dict[tuple, Dict[str, float]] = {}
 
     @property
     def model(self) -> Regressor:
@@ -117,15 +119,35 @@ class TimePredictor:
         (:func:`~repro.predictor.dataset.generate_dataset`)."""
         self._model.fit(dataset.features, dataset.targets)
         self._fitted = True
+        self._predictions = {}
         return self
 
     def predict_stage_times(self, workload: Workload) -> Dict[str, float]:
-        """Stage name -> predicted no-replica time in ns."""
+        """Stage name -> predicted no-replica time in ns.
+
+        Memoised per (stacked kind-tagged feature rows, stage names): a
+        workload whose features were predicted before reads the stored
+        times.  A miss predicts one row at a time, as every caller always
+        has, so no BLAS call changes shape.
+        """
         if not self._fitted:
             raise PredictorError("TimePredictor.predict before fit")
-        times: Dict[str, float] = {}
-        for stage in workload.stage_chain():
-            features = stage_features_with_kind(workload, stage)
-            log_time = float(self._model.predict(features[None, :])[0])
-            times[stage.name] = float(10.0 ** log_time)
-        return times
+        stages = workload.stage_chain()
+        rows = np.stack([
+            stage_features_with_kind(workload, stage) for stage in stages
+        ])
+        key = (rows.tobytes(), tuple(stage.name for stage in stages))
+        times = self._predictions.get(key)
+        if times is None:
+            times = {}
+            for stage, features in zip(stages, rows):
+                log_time = float(self._model.predict(features[None, :])[0])
+                times[stage.name] = float(10.0 ** log_time)
+            self._predictions[key] = times
+        return dict(times)
+
+    def __getstate__(self) -> dict:
+        # Memoised predictions rebuild on demand: never pickle them.
+        state = self.__dict__.copy()
+        state["_predictions"] = {}
+        return state

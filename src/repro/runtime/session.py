@@ -168,12 +168,17 @@ class Session:
         seed: Optional[int] = None,
     ) -> "TimePredictor":
         """Cached fitted TimePredictor, trained on samples priced on this
-        session's hardware (deterministic per (samples, seed, config))."""
-        from repro.predictor.dataset import generate_dataset
+        session's hardware.  Deterministic per (samples, seed, the config
+        fields a sample reads): sessions that differ only in their array
+        budget share one predictor."""
+        from repro.predictor.dataset import (
+            generate_dataset,
+            samples_config_key,
+        )
         from repro.predictor.predictor import TimePredictor
 
         seed = self.spec.seed if seed is None else seed
-        key = cache_key(num_samples, seed, self.config)
+        key = cache_key(num_samples, seed, samples_config_key(self.config))
 
         def fit() -> "TimePredictor":
             with self.use():

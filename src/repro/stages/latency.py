@@ -45,7 +45,7 @@ from repro.mapping.selective import UpdatePlan, build_update_plan
 from repro.mapping.tiling import plan_tiling
 from repro.stages.stage import StageKind, StageSpec
 from repro.stages.workload import Workload
-from repro.perf import profile
+from repro.perf import cache_key, profile
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,7 @@ class StageTimingModel:
         self._stages = workload.stage_chain()
         # Lazily built vectors shared by the whole-epoch methods.
         self._vector_cache: Dict[str, np.ndarray] = {}
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     @property
@@ -211,6 +212,26 @@ class StageTimingModel:
     def stages(self):
         """The 4L stage chain."""
         return list(self._stages)
+
+    def content_fingerprint(self) -> str:
+        """Digest of every input the model's outputs read, computed once.
+
+        The graph, model shape, micro-batch, hardware config, calibration
+        params and update plan are all fixed at construction; the
+        accelerator's timing-table key and the trace backend's program
+        keys are both built from this one digest.
+        """
+        if self._fingerprint is None:
+            workload = self._workload
+            self._fingerprint = cache_key(
+                workload.graph,
+                tuple(workload.layer_dims),
+                workload.micro_batch,
+                self._config,
+                self._params,
+                self._plan,
+            )
+        return self._fingerprint
 
     # ------------------------------------------------------------------
     # Structure
@@ -239,20 +260,6 @@ class StageTimingModel:
     # Whole-epoch latency vectors (one entry per micro-batch); their
     # per-micro-batch oracle is tests/oracles/stages.py.
     # ------------------------------------------------------------------
-    def _mb_sizes(self) -> np.ndarray:
-        sizes = self._vector_cache.get("sizes")
-        if sizes is None:
-            sizes = self._workload.microbatch_sizes()
-            self._vector_cache["sizes"] = sizes
-        return sizes
-
-    def _mb_edges(self) -> np.ndarray:
-        edges = self._vector_cache.get("edges")
-        if edges is None:
-            edges = self._workload.microbatch_edge_counts()
-            self._vector_cache["edges"] = edges
-        return edges
-
     def _write_row_maxima(self) -> tuple:
         """Busiest-crossbar row counts for every micro-batch at once.
 
@@ -301,8 +308,8 @@ class StageTimingModel:
             raise PipelineError("replicas must be >= 1")
         cfg = self._config
         edge_stage = stage.kind.is_edge_proportional
-        sizes = self._mb_sizes().astype(np.float64)
-        edges = self._mb_edges()
+        sizes = self._workload.microbatch_sizes().astype(np.float64)
+        edges = self._workload.microbatch_edge_counts()
         lanes = effective_lanes(
             edge_stage, replicas, sizes, edges,
             self._params.intrinsic_edge_parallelism,
@@ -371,7 +378,7 @@ class StageTimingModel:
         ):
             return np.zeros(num_mbs)
         return (
-            self._mb_edges()
+            self._workload.microbatch_edge_counts()
             * self._params.reload_penalty
             * self._config.row_write_latency_ns
         )
@@ -412,13 +419,13 @@ class StageTimingModel:
     def stage_activity_totals(self, stage: StageSpec) -> StageActivity:
         """Whole-epoch event counts of ``stage`` (energy input), one pass."""
         cfg = self._config
-        sizes = self._mb_sizes()
+        sizes = self._workload.microbatch_sizes()
         col_tiles = self._col_tiles(stage.mapped_cols)
         value_bytes = max(1, cfg.input_bits // 8)
         pulses = self._params.write_pulses
 
         if stage.kind.is_edge_proportional:
-            edges = self._mb_edges()
+            edges = self._workload.microbatch_edge_counts()
             streams = int(edges.sum())
             buffer_bytes = float(
                 (edges * value_bytes
@@ -449,7 +456,7 @@ class StageTimingModel:
                 rows * pulses * col_tiles / num_mbs
             ))
         if self._params.reload_penalty > 0 and stage.kind.is_edge_proportional:
-            edges = self._mb_edges()
+            edges = self._workload.microbatch_edge_counts()
             rows_written += int(
                 np.round(edges * self._params.reload_penalty * pulses
                          * col_tiles).astype(np.int64).sum()

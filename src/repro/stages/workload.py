@@ -51,9 +51,37 @@ class Workload:
             raise PipelineError("need at least one layer")
         if not self.name:
             self.name = self.graph.name
-        self._degree_prefix = np.concatenate(
+        self._build_geometry()
+
+    def _build_geometry(self) -> None:
+        """The degree prefix and micro-batch geometry, built once, read-only.
+
+        Every pricing path (timing tables, trace compile and replay)
+        reads these; none of them is pickled (see ``__getstate__``).
+        """
+        prefix = np.concatenate(
             [[0], np.cumsum(self.graph.degrees, dtype=np.int64)]
         )
+        bounds = np.minimum(
+            np.arange(self.num_microbatches + 1, dtype=np.int64)
+            * self.micro_batch,
+            self.num_vertices,
+        )
+        sizes = np.diff(bounds)
+        edges = np.diff(prefix[bounds])
+        for array in (prefix, bounds, sizes, edges):
+            array.flags.writeable = False
+        self._degree_prefix = prefix
+        self._geometry = (bounds, sizes, edges)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_degree_prefix"], state["_geometry"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_geometry()
 
     # ------------------------------------------------------------------
     @property
@@ -83,16 +111,15 @@ class Workload:
     # ------------------------------------------------------------------
     def microbatch_boundaries(self) -> np.ndarray:
         """Vertex-id boundaries of every micro-batch: length ``num_mbs + 1``."""
-        bounds = np.arange(self.num_microbatches + 1, dtype=np.int64)
-        return np.minimum(bounds * self.micro_batch, self.num_vertices)
+        return self._geometry[0]
 
     def microbatch_sizes(self) -> np.ndarray:
         """Vertices per micro-batch for all micro-batches at once."""
-        return np.diff(self.microbatch_boundaries())
+        return self._geometry[1]
 
     def microbatch_edge_counts(self) -> np.ndarray:
         """Degree sums per micro-batch for all micro-batches at once."""
-        return np.diff(self._degree_prefix[self.microbatch_boundaries()])
+        return self._geometry[2]
 
     def average_microbatch_edges(self) -> float:
         """Mean degree-sum per micro-batch."""

@@ -1,10 +1,16 @@
-"""Selective updating: OSU vs ISU write cycles, adaptive theta, schedules."""
+"""Selective updating: OSU vs ISU write cycles, adaptive theta, schedules,
+and the update-plan memo on the graph."""
+
+import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import MappingError
 from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import (
     DENSE_THETA,
     SPARSE_THETA,
@@ -12,6 +18,8 @@ from repro.mapping.selective import (
     adaptive_theta,
     build_update_plan,
 )
+from repro.runtime import RunSpec, Session
+from tests.oracles.cache_key import cache_key_reference
 
 
 def test_adaptive_theta_matches_paper(small_graph, tiny_graph):
@@ -92,3 +100,88 @@ def test_plan_mapping_consistency(small_graph):
     assert isu.mapping.strategy == "interleaved"
     osu = build_update_plan(small_graph, "osu")
     assert osu.mapping.strategy == "index"
+
+
+# ----------------------------------------------------------------------
+# The memo on the graph
+# ----------------------------------------------------------------------
+def _assert_same_plan(plan, other):
+    mapping, expected = plan.mapping, other.mapping
+    assert mapping.crossbar_of.tobytes() == expected.crossbar_of.tobytes()
+    assert mapping.wordline_of.tobytes() == expected.wordline_of.tobytes()
+    assert mapping.num_crossbars == expected.num_crossbars
+    assert mapping.rows_per_crossbar == expected.rows_per_crossbar
+    assert mapping.strategy == expected.strategy
+    assert plan.important.tobytes() == other.important.tobytes()
+    assert plan.theta == other.theta
+    assert plan.minor_period == other.minor_period
+
+
+def test_equal_arguments_return_the_same_plan(small_graph):
+    plan = build_update_plan(small_graph, "isu")
+    assert build_update_plan(small_graph, "ISU") is plan
+    # The key holds resolved values: the session's rows, the adaptive theta.
+    assert build_update_plan(small_graph, "isu", rows_per_crossbar=64) is plan
+    theta = adaptive_theta(small_graph)
+    assert build_update_plan(small_graph, "isu", theta=theta) is plan
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"strategy": "osu"},
+    {"strategy": "full"},
+    {"theta": 0.3},
+    {"rows_per_crossbar": 32},
+    {"minor_period": 5},
+    {"selective": False},
+])
+def test_every_argument_reaches_the_memo_key(small_graph, kwargs):
+    kwargs = {"strategy": "isu", **kwargs}
+    plan = build_update_plan(small_graph, **kwargs)
+    assert plan is not build_update_plan(small_graph, "isu")
+    # A pickled graph carries no memo, so this build is uncached.
+    fresh = pickle.loads(pickle.dumps(small_graph))
+    _assert_same_plan(plan, build_update_plan(fresh, **kwargs))
+
+
+def test_rows_default_to_the_session_crossbars(small_graph):
+    with Session(RunSpec(hardware={"crossbar_rows": 128})).use():
+        plan = build_update_plan(small_graph, "isu")
+    assert plan.mapping.rows_per_crossbar == 128
+    assert plan is build_update_plan(small_graph, "isu", rows_per_crossbar=128)
+    assert plan is not build_update_plan(small_graph, "isu")
+
+
+@pytest.mark.parametrize("strategy", ["isu", "osu", "full"])
+def test_plan_arrays_are_read_only(small_graph, strategy):
+    plan = build_update_plan(small_graph, strategy)
+    for array in (
+        plan.mapping.crossbar_of, plan.mapping.wordline_of, plan.important,
+    ):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("strategy", ["isu", "osu", "full"])
+def test_fingerprint_matches_the_memo_free_encoder(small_graph, strategy):
+    plan = build_update_plan(small_graph, strategy, minor_period=7)
+    assert plan.content_fingerprint() == cache_key_reference(
+        plan.mapping.crossbar_of, plan.important, float(plan.theta),
+        plan.minor_period,
+    )
+
+
+def test_the_memo_keeps_no_reference_cycle():
+    # A plan that pointed back at its graph would keep every dead graph
+    # alive until a full collection.
+    graph = dc_sbm_graph(
+        num_vertices=300, num_communities=3, avg_degree=6.0,
+        random_state=11,
+    )
+    alive = weakref.ref(graph)
+    gc.disable()
+    try:
+        build_update_plan(graph, "isu")
+        del graph
+        assert alive() is None
+    finally:
+        gc.enable()

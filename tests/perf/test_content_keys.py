@@ -30,7 +30,7 @@ from repro.runtime import RunSpec, Session
 from tests.oracles.cache_key import cache_key_reference
 
 REPO = Path(__file__).resolve().parents[2]
-SWEEP_IDS = ("fig13", "fig14", "abl-crossbar-size")
+SWEEP_IDS = ("fig13", "fig14", "abl-crossbar-size", "tab07")
 BACKENDS = ("analytic", "trace")
 
 

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictorError
+from repro.perf.cache import ArtifactCache
 from repro.predictor.dataset import (
     PredictorDataset,
     generate_dataset,
     random_workload,
 )
 from repro.predictor.features import NUM_FEATURES
+from repro.runtime import RunSpec, Session
 
 
 def test_generate_dataset_shape():
@@ -68,3 +70,16 @@ def test_generate_validation():
         generate_dataset(num_samples=0)
     with pytest.raises(PredictorError):
         generate_dataset(num_samples=10, noise_sigma=-1.0)
+
+
+def test_samples_do_not_read_the_array_budget():
+    # What lets the dataset and predictor keys leave the budget out.
+    datasets = []
+    for budget in (4 * 1024 ** 2, 16 * 1024 ** 3):
+        session = Session(RunSpec(array_bytes=budget), cache=ArtifactCache())
+        with session.use():
+            datasets.append(generate_dataset(num_samples=800, random_state=0))
+    small, large = datasets
+    assert small.features.tobytes() == large.features.tobytes()
+    assert small.targets.tobytes() == large.targets.tobytes()
+    assert small.stage_names == large.stage_names

@@ -152,6 +152,14 @@ class TestDeterminism:
         assert prov["experiment_id"] == "fig06"
 
 
+def test_array_budget_alone_refits_no_predictor():
+    first = Session().predictor()
+    misses = get_cache().stats.misses
+    second = Session(RunSpec(array_bytes=4 * 1024 ** 2)).predictor()
+    assert second is first
+    assert get_cache().stats.misses == misses
+
+
 class TestIsolatedCache:
     """A session built with its own cache keeps every artifact there."""
 
@@ -272,8 +280,9 @@ class TestRunContext:
 
 
 class TestRunSettings:
-    """An experiment's workload scale and micro-batch come from the
-    session's spec: changing either moves the rows it prices."""
+    """An experiment's workload scale, micro-batch and crossbar geometry
+    come from the session's spec: changing one moves the rows it
+    prices."""
 
     @staticmethod
     def _rows(spec, experiment_id, **kwargs):
@@ -298,3 +307,20 @@ class TestRunSettings:
         assert self._rows(spec, experiment_id, **kwargs) != self._rows(
             RunSpec(), experiment_id, **kwargs,
         )
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["fig06", "fig07", "abl-endurance"],
+    )
+    def test_spec_crossbar_rows_reach_the_rows(self, experiment_id):
+        # Per-crossbar degrees, write cycles and wordline wear all depend
+        # on how many vertices share a crossbar.
+        from repro.experiments.registry import run_all
+
+        def quick_rows(spec):
+            result = run_all(
+                only=[experiment_id], quick=True, session=Session(spec),
+            )[0]
+            return _rows_bytes(result)
+
+        spec = RunSpec(hardware={"crossbar_rows": 128})
+        assert quick_rows(spec) != quick_rows(RunSpec())

@@ -1,5 +1,7 @@
 """Workload: micro-batch partitioning, degree prefix sums, Table IV configs."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,40 @@ def test_workload_from_dataset_reuses_graph(small_graph):
     wl = workload_from_dataset("ddi", graph=small_graph)
     assert wl.graph is small_graph
     assert wl.layer_dims[0][0] == get_spec("ddi").in_channels
+
+
+def _geometry(workload):
+    return (
+        workload.microbatch_boundaries(),
+        workload.microbatch_sizes(),
+        workload.microbatch_edge_counts(),
+    )
+
+
+def test_geometry_is_built_once_and_read_only(small_graph):
+    wl = Workload(small_graph, [(16, 8)], micro_batch=48)
+    assert wl.num_vertices % wl.micro_batch != 0
+    for array, again in zip(_geometry(wl), _geometry(wl)):
+        assert array is again
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_geometry_matches_the_formula_on_a_ragged_partition(small_graph):
+    wl = Workload(small_graph, [(16, 8)], micro_batch=48)
+    n, b = wl.num_vertices, wl.micro_batch
+    bounds = np.minimum(np.arange(-(-n // b) + 1, dtype=np.int64) * b, n)
+    prefix = np.concatenate([[0], np.cumsum(small_graph.degrees)])
+    expected = (bounds, np.diff(bounds), np.diff(prefix[bounds]))
+    for array, want in zip(_geometry(wl), expected):
+        assert array.dtype == np.int64
+        np.testing.assert_array_equal(array, want)
+
+
+def test_geometry_is_rebuilt_not_pickled(small_workload):
+    state = small_workload.__getstate__()
+    assert not any(isinstance(v, np.ndarray) for v in state.values())
+    clone = pickle.loads(pickle.dumps(small_workload, protocol=4))
+    for array, original in zip(_geometry(clone), _geometry(small_workload)):
+        assert not array.flags.writeable
+        np.testing.assert_array_equal(array, original)

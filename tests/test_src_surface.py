@@ -7,7 +7,8 @@
   parameters it sweeps: the workload scale, micro-batch, time predictor
   and hardware are read from ``current_session()`` (its ``RunSpec``).
   Nothing above the hardware primitives falls back to the unscaled
-  ``DEFAULT_CONFIG``, by name or by leaving out a primitive's config.
+  ``DEFAULT_CONFIG``, by name or by leaving out a primitive's config,
+  nor to the vertex mappings' default crossbar rows.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ ALLOWED_REFERENCES = {
     "repro/allocation/greedy.py::greedy_allocation_reference",
 }
 
-#: Run settings an experiment reads from its session's ``RunSpec``.
-SESSION_SETTINGS = {"scale", "micro_batch", "use_predictor"}
+#: Run settings an experiment reads from its session's ``RunSpec``
+#: (``rows_per_crossbar``: its hardware's ``crossbar_rows``).
+SESSION_SETTINGS = {
+    "scale", "micro_batch", "use_predictor", "rows_per_crossbar",
+}
 
 #: Packages that price on the session's hardware, never the default.
 SESSION_PRICED = (
@@ -154,11 +158,11 @@ def _default_config_primitives():
     return found
 
 
-def test_no_call_falls_back_to_the_default_config():
-    # A primitive called without its config prices on DEFAULT_CONFIG as
-    # surely as naming it would.
-    primitives = _default_config_primitives()
-    assert "MappedMatrix" in primitives and "plan_tiling" in primitives
+def _calls_leaving_out(primitives, literals_count=True):
+    """``file:line callee`` of every session-priced call that leaves out
+    the argument ``primitives`` maps its callee's name to, as
+    ``(position, keyword)``; with ``literals_count=False`` a literal
+    passed for it is left out too."""
     found = set()
     for name, tree in _modules(*SESSION_PRICED):
         for node in ast.walk(tree):
@@ -169,13 +173,48 @@ def test_no_call_falls_back_to_the_default_config():
             if callee not in primitives:
                 continue
             position, keyword = primitives[callee]
-            passed = len(node.args) > position or any(
-                kw.arg in (keyword, None) for kw in node.keywords
-            ) or any(isinstance(arg, ast.Starred) for arg in node.args)
+            values = [kw.value for kw in node.keywords if kw.arg == keyword]
+            if len(node.args) > position:
+                values.append(node.args[position])
+            passed = any(
+                literals_count or not isinstance(value, ast.Constant)
+                for value in values
+            ) or any(kw.arg is None for kw in node.keywords) or any(
+                isinstance(arg, ast.Starred) for arg in node.args
+            )
             if not passed:
                 found.add(f"{name}:{node.lineno} {callee}")
+    return found
+
+
+def test_no_call_falls_back_to_the_default_config():
+    # A primitive called without its config prices on DEFAULT_CONFIG as
+    # surely as naming it would.
+    primitives = _default_config_primitives()
+    assert "MappedMatrix" in primitives and "plan_tiling" in primitives
+    found = _calls_leaving_out(primitives)
     assert not found, (
         "pass the session's config (current_session().config):\n"
+        + "\n".join(sorted(found))
+    )
+
+
+def test_no_mapping_call_fixes_the_crossbar_rows():
+    # The vertex mappings default to 64-row crossbars, whatever the
+    # session's hardware, and a literal fixes them as surely;
+    # build_update_plan defaults to the session's.
+    from repro.mapping import vertex_map
+
+    primitives = {
+        fn.__name__: (
+            list(_parameters(fn)).index("rows_per_crossbar"),
+            "rows_per_crossbar",
+        )
+        for fn in (vertex_map.index_mapping, vertex_map.interleaved_mapping)
+    }
+    found = _calls_leaving_out(primitives, literals_count=False)
+    assert not found, (
+        "pass the session's current_session().config.crossbar_rows:\n"
         + "\n".join(sorted(found))
     )
 
