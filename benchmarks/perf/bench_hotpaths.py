@@ -40,10 +40,10 @@ speedups) to ``BENCH_hotpaths.json`` at the repo root:
   nanoseconds make the two *byte*-identical — asserted like the other
   fast paths.  Target: >= 10x.
 * **backends** — the trace backend's compile-once economics: cold
-  stage-chain lowering vs the memoised ArtifactCache lookup (>= 5x,
-  hard in ``--quick``), scoreboard replay throughput in instruction
-  records per second, and the warm whole-epoch ``stage_time_matrix``
-  wall ratio of trace vs analytic.
+  whole-chain lowering vs the memoised epoch-program ArtifactCache
+  lookup (>= 5x, hard in ``--quick``), epoch replay throughput in
+  instruction records per second, and the warm whole-epoch
+  ``stage_time_matrix`` wall ratio of trace vs analytic.
 * **sweep** — the end-to-end quick experiment sweep through ``run_all``,
   serial vs ``jobs=N`` (forked workers, longest-job-first scheduling),
   with content-keyed caches warm in both runs so the delta is
@@ -696,24 +696,24 @@ def bench_backends(quick: bool) -> Dict[str, object]:
     """Trace-backend economics: compile cold vs memoised warm, replay rate.
 
     The trace backend's contract is *compile once, replay everywhere*:
-    lowering a stage to its instruction stream pays the busiest-crossbar
+    lowering an epoch to its instruction stream pays the busiest-crossbar
     write-histogram pass, while a warm replay is a handful of vector ops
     over the memoised records.  Times three things on a 4096-vertex
     workload:
 
-    * cold compile (uncached ``compile_stage_program``, whole stage
-      chain) vs the memoised warm lookup (``compiled_stage_program``
+    * cold compile (uncached ``compile_epoch_program``, whole stage
+      chain) vs the memoised warm lookup (``compiled_epoch_program``
       hitting the in-memory ArtifactCache) — the section ``speedup``,
       hard-guarded >= 5x in ``--quick``;
-    * replay throughput in instruction records per second across a
-      replica sweep;
+    * replay throughput in instruction records per second: one epoch
+      replay per count of a replica sweep;
     * the whole-epoch ``stage_time_matrix`` wall ratio, analytic vs
       trace (both warm) — what ``--backend trace`` costs end to end.
     """
     from repro.backends import EpochProgram, get_backend
     from repro.backends.trace import (
-        compile_stage_program,
-        compiled_stage_program,
+        compile_epoch_program,
+        compiled_epoch_program,
         replay_stage_times,
     )
     from repro.hardware.config import DEFAULT_CONFIG
@@ -730,36 +730,35 @@ def bench_backends(quick: bool) -> Dict[str, object]:
         micro_batch=64, name="bench-backends",
     )
     timing = StageTimingModel(workload, DEFAULT_CONFIG)
-    stages = range(len(timing.stages))
     repeats = 3 if quick else 5
 
-    cold_s = best_of(
-        lambda: [compile_stage_program(timing, i) for i in stages],
-        repeats,
-    )
-    warm_s = best_of(
-        lambda: [compiled_stage_program(timing, i) for i in stages],
-        repeats,
-    )
+    cold_s = best_of(lambda: compile_epoch_program(timing), repeats)
+    warm_s = best_of(lambda: compiled_epoch_program(timing), repeats)
 
-    programs = [compiled_stage_program(timing, i) for i in stages]
-    records = sum(p.size for p in programs)
-    replica_grid = (1, 2, 4, 8)
+    program = compiled_epoch_program(timing)
+    records = program.size
+    replica_vectors = [
+        np.full(len(timing.stages), replicas) for replicas in (1, 2, 4, 8)
+    ]
 
     def replay_all() -> None:
-        for replicas in replica_grid:
-            for i in stages:
-                replay_stage_times(programs[i], timing, i, replicas)
+        for replicas in replica_vectors:
+            replay_stage_times(program, timing, replicas)
 
     replay_s = best_of(replay_all, repeats)
-    replayed = records * len(replica_grid)
+    replayed = records * len(replica_vectors)
 
-    program = EpochProgram(timing=timing)
     analytic_s = best_of(
-        lambda: get_backend("analytic").stage_time_matrix(program), repeats,
+        lambda: get_backend("analytic").stage_time_matrix(
+            EpochProgram(timing=timing),
+        ),
+        repeats,
     )
     trace_s = best_of(
-        lambda: get_backend("trace").stage_time_matrix(program), repeats,
+        lambda: get_backend("trace").stage_time_matrix(
+            EpochProgram(timing=timing),
+        ),
+        repeats,
     )
 
     return {
@@ -832,7 +831,7 @@ def main(argv=None) -> int:
         # quick guard therefore only pins "batched never loses".
         ("training", 1.5, 1.05),
         # Compile-once must pay for itself: the memoised warm lookup
-        # must beat a cold stage-chain compile >= 5x even in quick mode
+        # must beat a cold whole-chain compile >= 5x even in quick mode
         # (it skips the write-histogram pass entirely).
         ("backends", 5.0, 5.0),
     ):

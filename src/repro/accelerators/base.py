@@ -17,12 +17,19 @@ Energy accounting (matching Fig. 13b/14b's structure):
   not busy — the term pipelining and replica balancing attack;
 * static chip power (controller, weight computer) integrates over the
   makespan.
+
+What no replica count changes is computed once per timing model and
+kept in its ``"timing-tables"`` artifact (:class:`EnergyConstants`): the
+crossbar read, write, peripheral and off-chip totals, each stage's
+buffer energy and handoff bytes, and the leakage and static powers.  A
+run adds only what its replicas and schedule decide: each pool's idle
+leakage and NoC handoff, and static energy over its makespan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +39,7 @@ from repro.errors import ConfigError
 from repro.hardware.config import HardwareConfig
 from repro.hardware.crossbar import CrossbarStats
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
-from repro.hardware.noc import MeshNoc
+from repro.hardware.noc import MeshNoc, handoff_hops
 from repro.mapping.selective import build_update_plan
 from repro.perf import profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
@@ -45,7 +52,87 @@ AllocatorFn = Callable[[AllocationProblem], AllocationResult]
 #: Layout revision of the ``"timing-tables"`` artifact, part of its key:
 #: bump it whenever the artifact's contents change, so a disk tier
 #: written by older code is never read back.
-_TABLES_REVISION = "stage-activity-v1"
+_TABLES_REVISION = "stage-energy-constants-v2"
+
+
+@dataclass(frozen=True)
+class EnergyConstants:
+    """The replica-independent part of one timing model's epoch energy.
+
+    The crossbar read, write, peripheral and off-chip fields are the
+    stage terms summed in stage order from 0.0, as the per-run
+    accounting used to add them.  ``buffer_pj`` and ``handoff_bytes``
+    stay per stage: a run adds each stage's buffer energy, then that
+    stage's NoC handoff, whose hop count depends on its pool size.
+    """
+
+    crossbar_read_pj: float
+    crossbar_write_pj: float
+    peripheral_pj: float
+    offchip_pj: float
+    buffer_pj: Tuple[float, ...]
+    handoff_bytes: Tuple[float, ...]
+    idle_power_mw: float      # per reserved-but-idle crossbar
+    static_power_mw: float
+    crossbars_per_tile: int
+    mesh_hops: float          # the mesh's average hop count
+    hop_pj_per_byte: float
+
+    @classmethod
+    def of(
+        cls,
+        timing: StageTimingModel,
+        crossbars: np.ndarray,
+    ) -> "EnergyConstants":
+        """Price every stage's activity totals on ``timing``'s chip.
+
+        ``crossbars`` is each stage's crossbars per replica.  The
+        :class:`EnergyModel` and :class:`MeshNoc` argument checks run
+        here, on the constants.
+        """
+        config = timing.config
+        model = EnergyModel(config)
+        noc = MeshNoc(config)
+        dynamic = EnergyBreakdown()
+        buffer_pj = []
+        handoff_bytes = []
+        for per_replica, stage in zip(crossbars.tolist(), timing.stages):
+            act = timing.stage_activity_totals(stage)
+            # Replica copies refresh round-robin (one copy per update
+            # round) rather than all at once — replicas then serve
+            # bounded-stale features, consistent with ISU's staleness
+            # budget — so write energy does not scale with the replica
+            # count.  ADC/DAC peripherals draw power while converting,
+            # i.e. during MVM activations: the crossbar-busy integral is
+            # the logical activation count times the MVM latency,
+            # invariant to how many replicas or intrinsically-parallel
+            # tiles spread the work.  Write rounds are charged per event.
+            stats = CrossbarStats(
+                mvm_reads=act.mvm_row_streams,
+                row_writes=act.rows_written,
+                busy_ns=act.mvm_row_streams * config.mvm_latency_ns,
+            )
+            dynamic.merge(model.crossbar_activity_energy(
+                stats, crossbars_active=per_replica,
+            ))
+            dynamic.merge(model.offchip_energy(act.offchip_bytes))
+            buffer_pj.append(model.buffer_energy(act.buffer_bytes).buffer_pj)
+            # The handoff's bytes, out of the smallest (one-replica) pool.
+            noc.stage_handoff_cost(act.buffer_bytes, per_replica)
+            handoff_bytes.append(act.buffer_bytes)
+        return cls(
+            crossbar_read_pj=dynamic.crossbar_read_pj,
+            crossbar_write_pj=dynamic.crossbar_write_pj,
+            peripheral_pj=dynamic.peripheral_pj,
+            offchip_pj=dynamic.offchip_pj,
+            buffer_pj=tuple(buffer_pj),
+            handoff_bytes=tuple(handoff_bytes),
+            idle_power_mw=model.idle_power_mw,
+            static_power_mw=model.static_power_mw,
+            crossbars_per_tile=config.crossbars_per_tile,
+            mesh_hops=noc.average_hops(),
+            hop_pj_per_byte=noc.config.hop_energy_pj_per_byte,
+        )
 
 
 @dataclass
@@ -160,9 +247,10 @@ class AcceleratorModel:
         model's :meth:`~StageTimingModel.content_fingerprint` digests.
         Many experiments evaluate the same combination, so the tables go
         through ``repro.perf``.
-        Beside the allocator's per-stage arrays, ``"activity"`` holds
-        each stage's :meth:`~StageTimingModel.stage_activity_totals`,
-        which no replica assignment changes.  Readers never mutate them.
+        Beside the allocator's per-stage arrays, ``"energy"`` holds the
+        :class:`EnergyConstants` priced from each stage's
+        :meth:`~StageTimingModel.stage_activity_totals`, which no
+        replica assignment changes.  Readers never mutate them.
         """
         key = f"{_TABLES_REVISION}:{timing.content_fingerprint()}"
 
@@ -187,9 +275,7 @@ class AcceleratorModel:
                 "caps": caps,
                 "floors": floors,
                 "mean_times": means,
-                "activity": tuple(
-                    timing.stage_activity_totals(s) for s in stages
-                ),
+                "energy": EnergyConstants.of(timing, crossbars),
             }
 
         return current_session().cache.get_or_compute(
@@ -280,15 +366,16 @@ class AcceleratorModel:
         problem = self._build_problem(timing, tables)
         allocation = self.allocator(problem)
         replicas = allocation.replicas
+        replica_vector = np.asarray(replicas, dtype=np.int64)
 
         epoch = engine.simulate_epoch(EpochProgram(
             timing=timing,
-            replicas=np.asarray(replicas, dtype=np.int64),
+            replicas=replica_vector,
             schedule=self.schedule,
             microbatches_per_batch=self.microbatches_per_batch,
         ))
         pipeline = epoch.pipeline
-        energy = self._energy(timing, tables, pipeline, replicas)
+        energy = self._energy(tables, pipeline, replica_vector)
         epoch.energy = energy
         return AcceleratorReport(
             accelerator=self.name,
@@ -305,49 +392,45 @@ class AcceleratorModel:
             backend=epoch.backend,
         )
 
+    @staticmethod
     def _energy(
-        self,
-        timing: StageTimingModel,
         tables: Dict[str, Any],
         pipeline: PipelineResult,
         replicas: np.ndarray,
     ) -> EnergyBreakdown:
-        config = timing.config
-        model = EnergyModel(config)
-        noc = MeshNoc(config)
-        total = EnergyBreakdown()
+        """One run's energy: the timing model's :class:`EnergyConstants`
+        plus what this run's replicas and schedule decide.
+
+        Each field adds its stage terms in stage order from 0.0, so the
+        breakdown is bit-identical to merging one breakdown per stage
+        term (``tests/oracles/energy.py`` keeps that loop).
+        """
+        constants = tables["energy"]
         makespan = pipeline.total_time_ns
-        for i, (per_replica, act) in enumerate(
-            zip(tables["crossbars"].tolist(), tables["activity"])
+        idle_pj = 0.0
+        buffer_pj = 0.0
+        for per_replica, copies, busy_ns, stage_buffer_pj, handoff in zip(
+            tables["crossbars"].tolist(), replicas.tolist(),
+            pipeline.stage_busy_ns.tolist(), constants.buffer_pj,
+            constants.handoff_bytes,
         ):
-            pool_size = int(replicas[i]) * per_replica
-            stats = CrossbarStats()
-            stats.mvm_reads = act.mvm_row_streams
-            # Replica copies refresh round-robin (one copy per update
-            # round) rather than all at once — replicas then serve
-            # bounded-stale features, consistent with ISU's staleness
-            # budget — so write energy does not scale with the replica
-            # count.
-            stats.row_writes = act.rows_written
-            buffer_bytes = act.buffer_bytes
-            offchip_bytes = act.offchip_bytes
-            # ADC/DAC peripherals draw power while converting, i.e. during
-            # MVM activations.  The crossbar-busy integral is the logical
-            # activation count times the MVM latency — invariant to how
-            # many replicas or intrinsically-parallel tiles spread the
-            # work.  Write rounds are charged per event instead.
-            busy_pool_ns = float(pipeline.stage_busy_ns[i])
-            stats.busy_ns = stats.mvm_reads * config.mvm_latency_ns
-            total.merge(model.crossbar_activity_energy(
-                stats, crossbars_active=per_replica,
-            ))
-            idle_ns = max(0.0, makespan - busy_pool_ns) * pool_size
-            total.merge(model.idle_energy(idle_ns))
-            total.merge(model.buffer_energy(buffer_bytes))
-            total.merge(model.offchip_energy(offchip_bytes))
+            pool = copies * per_replica
+            idle_pj += (
+                max(0.0, makespan - busy_ns) * pool * constants.idle_power_mw
+            )
+            buffer_pj += stage_buffer_pj
             # Inter-tile handoff of this stage's outputs (adders + bus,
             # Fig. 8); latency overlaps with compute, energy does not.
-            _, noc_pj = noc.stage_handoff_cost(buffer_bytes, pool_size)
-            total.merge(EnergyBreakdown(buffer_pj=noc_pj))
-        total.merge(model.static_energy(makespan))
-        return total
+            hops = handoff_hops(
+                pool, constants.crossbars_per_tile, constants.mesh_hops,
+            )
+            buffer_pj += handoff * hops * constants.hop_pj_per_byte
+        return EnergyBreakdown(
+            crossbar_read_pj=constants.crossbar_read_pj,
+            crossbar_write_pj=constants.crossbar_write_pj,
+            peripheral_pj=constants.peripheral_pj,
+            buffer_pj=buffer_pj,
+            offchip_pj=constants.offchip_pj,
+            idle_leakage_pj=idle_pj,
+            static_pj=makespan * constants.static_power_mw,
+        )

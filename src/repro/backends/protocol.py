@@ -13,9 +13,10 @@ coexist.  This module is that contract for the reproduction:
 * a :class:`SimulationBackend` turns programs into :class:`EpochTiming`
   records — the ``(stages, microbatches)`` latency matrix, the scheduled
   :class:`~repro.pipeline.simulator.PipelineResult`, and backend
-  statistics.  Energy stays activity-count-based and backend-independent
-  (:meth:`AcceleratorModel._energy` charges the same event counts under
-  either engine, integrating idle leakage over the backend's makespan);
+  statistics, built only when read.  Energy stays activity-count-based
+  and backend-independent (:meth:`AcceleratorModel._energy` charges the
+  same event counts under either engine, integrating idle leakage over
+  the backend's makespan);
 * :mod:`repro.backends` maps each engine's name to its instance.  The
   run's :class:`~repro.runtime.RunSpec` names the engine, so consumers
   deep in the call tree (accelerator models, the serving cost model, the
@@ -29,12 +30,14 @@ suite pins this).
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
+from repro.errors import PipelineError
 from repro.pipeline.simulator import (
     PipelineResult,
     ScheduleMode,
@@ -56,8 +59,11 @@ class EpochProgram:
         MVM activations, adjacency scan reads, busiest-crossbar update
         rows, reload rows) every backend derives its numbers from.
     replicas:
-        Per-stage replica assignment (the allocator's output); ``None``
-        means one replica everywhere.
+        Per-stage replica assignment (the allocator's output): one count
+        per stage, or one count for every stage; ``None`` means one
+        replica everywhere.  A count below 1, or a vector whose length
+        is not the stage count, raises :class:`~repro.errors.PipelineError`
+        here, before any backend prices the program.
     schedule:
         Pipeline regime for :func:`simulate_pipeline`.
     microbatches_per_batch:
@@ -74,6 +80,23 @@ class EpochProgram:
     schedule: ScheduleMode = ScheduleMode.INTRA_INTER
     microbatches_per_batch: Optional[int] = None
     full_round: Optional[bool] = None
+    _lowered: Dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False,
+    )
+
+    def __post_init__(self) -> None:
+        if self.replicas is None:
+            return
+        replicas = np.asarray(self.replicas, dtype=np.int64)
+        if replicas.ndim > 1 or (
+            replicas.ndim == 1 and replicas.size != self.num_stages
+        ):
+            raise PipelineError(
+                f"replicas must be one count per stage ({self.num_stages}),"
+                f" got shape {replicas.shape}"
+            )
+        if np.any(replicas < 1):
+            raise PipelineError("replicas must be >= 1")
 
     @property
     def num_stages(self) -> int:
@@ -93,6 +116,19 @@ class EpochProgram:
             np.asarray(self.replicas, dtype=np.int64), (self.num_stages,)
         )
 
+    def lowered(self, backend: str, build: Callable[[], Any]) -> Any:
+        """What ``backend`` lowered this program to, built on first use.
+
+        A backend that prices an epoch and accounts for it from one
+        artifact (the trace backend's compiled epoch) fetches it once
+        per program, not once per question.
+        """
+        try:
+            return self._lowered[backend]
+        except KeyError:
+            value = self._lowered[backend] = build()
+            return value
+
 
 @dataclass
 class EpochTiming:
@@ -102,15 +138,22 @@ class EpochTiming:
     pipeline schedule was built from; ``stats`` carries backend-specific
     accounting (the trace backend reports instruction counts, which the
     conformance suite checks conserve the workload's operation totals).
-    The optional ``energy`` slot is filled by the accelerator model's
-    activity-count energy accounting, which is backend-independent.
+    ``build_stats`` makes it on the first read of ``stats``, so an epoch
+    nobody asks about costs no accounting.  The optional ``energy`` slot
+    is filled by the accelerator model's activity-count energy
+    accounting, which is backend-independent.
     """
 
     backend: str
     times_ns: np.ndarray
     pipeline: PipelineResult
-    stats: Dict[str, Any] = field(default_factory=dict)
+    build_stats: Callable[[], Dict[str, Any]] = field(default=dict, repr=False)
     energy: Optional[Any] = None  # EnergyBreakdown, attached by callers
+
+    @functools.cached_property
+    def stats(self) -> Dict[str, Any]:
+        """Backend-specific accounting, built on first read."""
+        return self.build_stats()
 
     @property
     def total_time_ns(self) -> float:
@@ -148,7 +191,8 @@ class SimulationBackend(ABC):
         """Integer-ns ``(stages, batches)`` serving service-time matrix."""
 
     def epoch_stats(self, program: EpochProgram) -> Dict[str, Any]:
-        """Backend-specific accounting attached to :class:`EpochTiming`."""
+        """Backend-specific accounting of :class:`EpochTiming`, a dict the
+        caller owns."""
         return {}
 
     # ------------------------------------------------------------------
@@ -163,5 +207,5 @@ class SimulationBackend(ABC):
             backend=self.name,
             times_ns=times,
             pipeline=pipeline,
-            stats=self.epoch_stats(program),
+            build_stats=functools.partial(self.epoch_stats, program),
         )

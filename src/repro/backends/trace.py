@@ -2,9 +2,9 @@
 
 PIMSIM-NN's argument is that PIM numbers should come from an explicit
 instruction stream, not a closed-form average.  This backend lowers one
-GCN epoch to exactly that: per (stage, micro-batch), a structured-array
-record stream of ``(opcode, tile, operand-shape/count, dependency)``
-entries —
+GCN epoch to exactly that: a structured-array record stream of
+``(stage, opcode, micro-batch, tile, operand-shape/count, dependency)``
+entries, one opcode block per (stage, opcode) —
 
 ========  ===========================================================
 opcode    meaning
@@ -22,26 +22,30 @@ opcode    meaning
           fractional: ``edges x reload_penalty``)
 ========  ===========================================================
 
-Compilation is replica-independent — the stream describes *work*, not
-its distribution — so one compiled program per ``(graph, model shape,
-micro-batch, config, params, update plan, stage)`` is memoised through
-the content-keyed :class:`~repro.perf.cache.ArtifactCache`
-(``"trace_programs"`` namespace) and shared by every accelerator that
-prices the same workload.  Each entry holds the record stream and its
-:func:`program_stats` op totals, so pricing and accounting share one
-lookup.  Compilation touches no RNG stream
-(tests/backends/test_trace_backend.py asserts this).
+The compiled *epoch* is the unit: every stage's stream, in (stage,
+opcode block, micro-batch) order.  Compilation is replica-independent —
+the stream describes *work*, not its distribution — so one compiled
+epoch per ``(graph, model shape, micro-batch, config, params, update
+plan)`` is memoised through the content-keyed
+:class:`~repro.perf.cache.ArtifactCache` (``"trace_programs"``
+namespace) and shared by every accelerator that prices the same
+workload.  Each entry holds the records and every stage's
+:func:`program_stats` op totals, so pricing an epoch is one lookup and
+its accounting reads the same entry (only when someone asks for it).
+Compilation touches no RNG stream (tests/backends/test_trace_backend.py
+asserts this).
 
 Replay is a vectorized scoreboard: each compute record's ``count``
-streams are dealt round-robin over the stage's ``lanes`` (replicas x
+streams are dealt round-robin over its stage's ``lanes`` (replicas x
 intrinsic edge parallelism, capped at the available work items), so the
 critical lane executes ``ceil(count / lanes)`` streams of ``tile``
 serialised activations — the *discrete* occupancy the analytic model's
 ``work / lanes`` division averages away.  Serialised write/reload
 records add on top, mixed over the update plan's minor period (or pinned
-to one phase for the co-simulation).  Trace latencies are therefore
-entrywise >= analytic ones, equal exactly when the lane count divides
-the work — the cross-validation experiment quantifies the gap.
+to one phase for the co-simulation).  One ``bincount`` prices the whole
+epoch.  Trace latencies are therefore entrywise >= analytic ones, equal
+exactly when the lane count divides the work — the cross-validation
+experiment quantifies the gap.
 """
 
 from __future__ import annotations
@@ -60,11 +64,13 @@ from repro.stages.latency import (
 )
 from repro.stages.stage import StageKind
 
-#: Instruction-record layout.  ``count`` is float64 because reload rows
-#: scale by the (possibly fractional) reload penalty; compute counts are
-#: integral.  ``dep`` orders the stream: 0 = lane-parallel compute,
-#: 1 = serialised update phase (retires after the compute wave).
+#: Instruction-record layout.  ``stage`` is the record's position in the
+#: stage chain.  ``count`` is float64 because reload rows scale by the
+#: (possibly fractional) reload penalty; compute counts are integral.
+#: ``dep`` orders the stream: 0 = lane-parallel compute, 1 = serialised
+#: update phase (retires after the compute wave).
 TRACE_DTYPE = np.dtype([
+    ("stage", np.int32),
     ("opcode", np.uint8),
     ("mb", np.int32),
     ("tile", np.int32),
@@ -91,10 +97,11 @@ CACHE_NAMESPACE = "trace_programs"
 #: Layout revision of a ``"trace_programs"`` entry, part of its key:
 #: bump it whenever the entry's contents change, so a disk tier written
 #: by older code is never read back.
-_PROGRAM_REVISION = "records-and-op-totals-v1"
+_PROGRAM_REVISION = "epoch-records-and-stage-op-totals-v2"
 
 
 def _records(
+    stage_index: int,
     opcode: int,
     mbs: np.ndarray,
     tile,
@@ -103,6 +110,7 @@ def _records(
     dep: int,
 ) -> np.ndarray:
     out = np.empty(mbs.size, dtype=TRACE_DTYPE)
+    out["stage"] = stage_index
     out["opcode"] = opcode
     out["mb"] = mbs
     out["tile"] = tile
@@ -134,81 +142,79 @@ def compile_stage_program(
     per_row = cfg.row_write_latency_ns * params.write_pulses
     factor = stage_cost_factor(stage, cfg, params)
 
+    def block(opcode, tile, count, unit_ns, dep):
+        return _records(stage_index, opcode, mbs, tile, count, unit_ns, dep)
+
     blocks = []
     if stage.kind.is_edge_proportional:
         edges = workload.microbatch_edge_counts()
-        blocks.append(_records(
-            OP_MVM, mbs, 1, edges, cfg.mvm_latency_ns, 0,
-        ))
-        blocks.append(_records(
-            OP_SCAN, mbs, factor, sizes, cfg.read_latency_ns, 0,
-        ))
+        blocks.append(block(OP_MVM, 1, edges, cfg.mvm_latency_ns, 0))
+        blocks.append(block(OP_SCAN, factor, sizes, cfg.read_latency_ns, 0))
         if params.reload_penalty > 0.0:
-            blocks.append(_records(
-                OP_RELOAD, mbs, 1, edges * params.reload_penalty,
+            blocks.append(block(
+                OP_RELOAD, 1, edges * params.reload_penalty,
                 cfg.row_write_latency_ns, 1,
             ))
     else:
-        blocks.append(_records(
-            OP_MVM, mbs, factor, sizes, cfg.mvm_latency_ns, 0,
-        ))
+        blocks.append(block(OP_MVM, factor, sizes, cfg.mvm_latency_ns, 0))
 
     if stage.kind is StageKind.AGGREGATION:
         partial, full = timing._write_row_maxima()
-        blocks.append(_records(
-            OP_WRITE_PARTIAL, mbs, 1, partial, per_row, 1,
-        ))
-        blocks.append(_records(
-            OP_WRITE_FULL, mbs, 1, full, per_row, 1,
-        ))
+        blocks.append(block(OP_WRITE_PARTIAL, 1, partial, per_row, 1))
+        blocks.append(block(OP_WRITE_FULL, 1, full, per_row, 1))
     elif stage.kind is StageKind.COMBINATION:
         # The once-per-epoch weight rewrite, amortised over micro-batches
         # via the unit latency; identical in both epoch phases.
         rows = min(cfg.crossbar_rows, stage.mapped_rows)
         amortised = per_row / num_mbs
-        blocks.append(_records(
-            OP_WRITE_PARTIAL, mbs, 1, rows, amortised, 1,
-        ))
-        blocks.append(_records(
-            OP_WRITE_FULL, mbs, 1, rows, amortised, 1,
-        ))
+        blocks.append(block(OP_WRITE_PARTIAL, 1, rows, amortised, 1))
+        blocks.append(block(OP_WRITE_FULL, 1, rows, amortised, 1))
 
     return np.concatenate(blocks) if blocks else np.empty(0, TRACE_DTYPE)
 
 
-def program_cache_key(timing: StageTimingModel, stage_index: int) -> str:
-    """Content key of one stage's compiled program.
+def compile_epoch_program(timing: StageTimingModel) -> np.ndarray:
+    """Lower the whole epoch (uncached): every stage's program in stage
+    order, so records run in (stage, opcode block, micro-batch) order."""
+    return np.concatenate([
+        compile_stage_program(timing, index)
+        for index in range(len(timing.stages))
+    ])
+
+
+def program_cache_key(timing: StageTimingModel) -> str:
+    """Content key of one compiled epoch.
 
     Mirrors the analytic path's timing-table key: the program is a pure
     function of (graph, model shape, micro-batch, hardware config,
     calibration params, update plan) — the timing model's
     :meth:`~StageTimingModel.content_fingerprint`, computed once per
-    model — plus the stage position, and is replica-independent, so
-    accelerators differing only in allocation share it.
+    model — and is replica-independent, so accelerators differing only
+    in allocation share it.
     """
-    return f"{_PROGRAM_REVISION}:{timing.content_fingerprint()}:s{stage_index}"
+    return f"{_PROGRAM_REVISION}:{timing.content_fingerprint()}"
 
 
 def _program_entry(
     timing: StageTimingModel,
-    stage_index: int,
-) -> Tuple[np.ndarray, Dict[str, float]]:
-    """The memoised ``(records, op totals)`` pair of one stage."""
-    def compile_entry() -> Tuple[np.ndarray, Dict[str, float]]:
-        records = compile_stage_program(timing, stage_index)
-        return records, program_stats(records)
+) -> Tuple[np.ndarray, Tuple[Dict[str, float], ...]]:
+    """The memoised ``(records, per-stage op totals)`` pair of an epoch."""
+    def compile_entry():
+        records = compile_epoch_program(timing)
+        stage_of = records["stage"]
+        return records, tuple(
+            program_stats(records[stage_of == index])
+            for index in range(len(timing.stages))
+        )
 
     return current_session().cache.get_or_compute(
-        CACHE_NAMESPACE, program_cache_key(timing, stage_index), compile_entry,
+        CACHE_NAMESPACE, program_cache_key(timing), compile_entry,
     )
 
 
-def compiled_stage_program(
-    timing: StageTimingModel,
-    stage_index: int,
-) -> np.ndarray:
-    """The memoised compiled program (ArtifactCache two-tier lookup)."""
-    return _program_entry(timing, stage_index)[0]
+def compiled_epoch_program(timing: StageTimingModel) -> np.ndarray:
+    """The memoised compiled epoch (ArtifactCache two-tier lookup)."""
+    return _program_entry(timing)[0]
 
 
 #: Replay bin of each opcode: compute, partial write, full write, reload.
@@ -219,45 +225,50 @@ _OPCODE_BIN[[OP_WRITE_PARTIAL, OP_WRITE_FULL, OP_RELOAD]] = (1, 2, 3)
 def replay_stage_times(
     records: np.ndarray,
     timing: StageTimingModel,
-    stage_index: int,
-    replicas: int,
+    replicas: np.ndarray,
     full_round=None,
 ) -> np.ndarray:
-    """Scoreboard replay: per-micro-batch latency vector for one stage.
+    """Scoreboard replay of a compiled epoch: the stage-time matrix.
 
-    Compute records deal their streams round-robin over the stage's
-    lanes (critical-lane time ``ceil(count / lanes) * tile * unit``);
-    write/reload records serialise on top, with the two write phases
-    mixed by the update plan's minor period unless ``full_round`` pins
-    one.
+    ``replicas`` holds one count per stage.  Compute records deal their
+    streams round-robin over their stage's lanes (critical-lane time
+    ``ceil(count / lanes) * tile * unit``); write/reload records
+    serialise on top, with the two write phases mixed by the update
+    plan's minor period unless ``full_round`` pins one.
 
-    One ``bincount`` over (opcode class x micro-batch) bins sums every
-    record, each bin from 0.0 in stream order.  Reloads add after the
-    write mix, which equals adding each ``RELOAD`` record in turn
-    because a compiled program holds at most one per micro-batch (see
-    :func:`compile_stage_program`; ``tests/oracles/trace.py`` keeps the
-    record-by-record loop).
+    One ``bincount`` over (opcode class x stage x micro-batch) bins sums
+    every record, each bin from 0.0 in stream order.  Reloads add after
+    the write mix, which equals adding each ``RELOAD`` record in turn
+    because a compiled epoch holds at most one per (stage, micro-batch)
+    (see :func:`compile_stage_program`; ``tests/oracles/trace.py`` keeps
+    the record-by-record loop for one stage).
     """
-    stage = timing.stages[stage_index]
     workload = timing.workload
     num_mbs = workload.num_microbatches
-    lanes = effective_lanes(
-        stage.kind.is_edge_proportional, replicas,
-        workload.microbatch_sizes(), workload.microbatch_edge_counts(),
-        timing.params.intrinsic_edge_parallelism,
+    column = np.asarray(replicas, dtype=np.int64)[:, None]
+    sizes = workload.microbatch_sizes()
+    edges = workload.microbatch_edge_counts()
+    parallelism = timing.params.intrinsic_edge_parallelism
+    edge_rows = np.array([
+        stage.kind.is_edge_proportional for stage in timing.stages
+    ])
+    lanes = np.where(
+        edge_rows[:, None],
+        effective_lanes(True, column, sizes, edges, parallelism),
+        effective_lanes(False, column, sizes, edges, parallelism),
     )
 
-    mb = records["mb"]
+    cell = records["stage"] * num_mbs + records["mb"]
     count = records["count"]
     opcode_bin = _OPCODE_BIN[records["opcode"]]
     occupancy = np.where(
-        opcode_bin == 0, np.ceil(count / lanes[mb]), count,
+        opcode_bin == 0, np.ceil(count / lanes.ravel()[cell]), count,
     )
     compute, partial, full, reload = np.bincount(
-        opcode_bin * num_mbs + mb,
+        opcode_bin * lanes.size + cell,
         weights=occupancy * records["tile"] * records["unit_ns"],
-        minlength=4 * num_mbs,
-    ).reshape(4, num_mbs)
+        minlength=4 * lanes.size,
+    ).reshape((4,) + lanes.shape)
     if full_round is None:
         period = timing.update_plan.minor_period
         times = compute + ((period - 1) * partial + full) / period
@@ -283,22 +294,23 @@ def program_stats(records: np.ndarray) -> Dict[str, float]:
 
 
 class TraceBackend(SimulationBackend):
-    """Compile-once / replay-per-tile instruction-level engine."""
+    """Compile-once / replay-per-epoch instruction-level engine."""
 
     name = "trace"
 
+    def _entry(self, program: EpochProgram):
+        """The program's compiled epoch, looked up once per program."""
+        return program.lowered(
+            self.name, lambda: _program_entry(program.timing),
+        )
+
     @profile.phase(profile.PHASE_TIMING)
     def stage_time_matrix(self, program: EpochProgram) -> np.ndarray:
-        timing = program.timing
-        replicas = program.replica_vector()
-        return np.stack([
-            replay_stage_times(
-                compiled_stage_program(timing, i),
-                timing, i, int(replicas[i]),
-                full_round=program.full_round,
-            )
-            for i in range(len(timing.stages))
-        ])
+        records, _ = self._entry(program)
+        return replay_stage_times(
+            records, program.timing, program.replica_vector(),
+            full_round=program.full_round,
+        )
 
     def service_times_ns(
         self,
@@ -336,12 +348,12 @@ class TraceBackend(SimulationBackend):
         return np.rint(out).astype(np.int64)
 
     def epoch_stats(self, program: EpochProgram) -> Dict[str, Any]:
-        timing = program.timing
+        _, stage_totals = self._entry(program)
         per_stage = {}
         totals: Dict[str, float] = {}
-        for i, stage in enumerate(timing.stages):
+        for stage, cached in zip(program.timing.stages, stage_totals):
             # A copy: callers own their stats, the cached totals stay put.
-            stats = dict(_program_entry(timing, i)[1])
+            stats = dict(cached)
             per_stage[stage.name] = stats
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0) + value

@@ -124,6 +124,27 @@ class EnergyModel:
             peripheral_pj=peripheral_pj,
         )
 
+    @property
+    def idle_power_mw(self) -> float:
+        """Leakage power of one reserved-but-idle crossbar (and its
+        peripherals)."""
+        return (
+            (self._crossbar_active_mw + self._peripheral_mw)
+            * self._config.idle_power_fraction
+        )
+
+    @property
+    def static_power_mw(self) -> float:
+        """Always-on chip infrastructure power (controller, weight
+        computer, activation module)."""
+        power_mw = 0.0
+        for key in ("central_controller", "weight_computer",
+                    "activation_module"):
+            spec = self._config.components.get(key)
+            if spec is not None:
+                power_mw += spec.total_power_mw
+        return power_mw
+
     def idle_energy(
         self,
         idle_crossbar_ns: float,
@@ -131,11 +152,9 @@ class EnergyModel:
         """Leakage for ``idle_crossbar_ns`` crossbar-nanoseconds of idling."""
         if idle_crossbar_ns < 0:
             raise ConfigError("idle time must be >= 0")
-        leak_mw = (
-            (self._crossbar_active_mw + self._peripheral_mw)
-            * self._config.idle_power_fraction
+        return EnergyBreakdown(
+            idle_leakage_pj=idle_crossbar_ns * self.idle_power_mw,
         )
-        return EnergyBreakdown(idle_leakage_pj=idle_crossbar_ns * leak_mw)
 
     def buffer_energy(self, bytes_moved: float) -> EnergyBreakdown:
         """On-chip global-buffer traffic energy."""
@@ -157,13 +176,7 @@ class EnergyModel:
         """Always-on chip infrastructure (controller, weight computer)."""
         if duration_ns < 0:
             raise ConfigError("duration must be >= 0")
-        power_mw = 0.0
-        for key in ("central_controller", "weight_computer",
-                    "activation_module"):
-            spec = self._config.components.get(key)
-            if spec is not None:
-                power_mw += spec.total_power_mw
-        return EnergyBreakdown(static_pj=duration_ns * power_mw)
+        return EnergyBreakdown(static_pj=duration_ns * self.static_power_mw)
 
 
 def area_report(config: HardwareConfig = DEFAULT_CONFIG) -> Dict[str, float]:

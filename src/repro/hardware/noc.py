@@ -41,6 +41,20 @@ class NocConfig:
             raise ConfigError("link bandwidth must be positive")
 
 
+def handoff_hops(
+    crossbars_involved: int,
+    crossbars_per_tile: int,
+    mesh_hops: float,
+) -> float:
+    """Hop distance of a stage handoff out of a ``crossbars_involved`` pool.
+
+    The pool's tiles form a square footprint whose side is the distance;
+    it is capped at the mesh's average hop count ``mesh_hops``.
+    """
+    tiles = max(1, crossbars_involved // crossbars_per_tile)
+    return min(float(max(1, math.isqrt(tiles))), mesh_hops)
+
+
 class MeshNoc:
     """A 2-D mesh over the chip's tiles."""
 
@@ -101,11 +115,10 @@ class MeshNoc:
         """
         if crossbars_involved < 1:
             raise ConfigError("crossbars_involved must be >= 1")
-        tiles = max(
-            1, crossbars_involved // self._hardware.crossbars_per_tile,
+        hops = handoff_hops(
+            crossbars_involved, self._hardware.crossbars_per_tile,
+            self.average_hops(),
         )
-        footprint_side = max(1, int(math.isqrt(tiles)))
-        hops = min(float(footprint_side), self.average_hops())
         return (
             self.transfer_latency_ns(num_bytes, hops),
             self.transfer_energy_pj(num_bytes, hops),

@@ -26,6 +26,7 @@ the test suite checks against the closed form kept in
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +49,8 @@ class PipelineResult:
     """Outcome of one pipeline simulation.
 
     ``starts``/``ends`` are ``(num_stages, num_microbatches)`` matrices of
-    absolute times; ``stage_busy_ns`` sums each stage row.
+    absolute times; ``stage_busy_ns`` sums each stage row, once per
+    result (the idle fractions and the energy accounting all read it).
     """
 
     starts: np.ndarray
@@ -70,10 +72,12 @@ class PipelineResult:
         """Makespan of the whole schedule."""
         return float(self.ends.max()) if self.ends.size else 0.0
 
-    @property
+    @functools.cached_property
     def stage_busy_ns(self) -> np.ndarray:
-        """Total busy time per stage."""
-        return (self.ends - self.starts).sum(axis=1)
+        """Total busy time per stage (read-only: every reader shares it)."""
+        busy = (self.ends - self.starts).sum(axis=1)
+        busy.flags.writeable = False
+        return busy
 
     def idle_fraction(self, stage_index: int) -> float:
         """Idle share of the makespan for one stage's crossbar pool.
@@ -87,10 +91,11 @@ class PipelineResult:
         return max(0.0, 1.0 - busy / total)
 
     def idle_fractions(self) -> np.ndarray:
-        """Idle fraction per stage."""
-        return np.array([
-            self.idle_fraction(i) for i in range(self.num_stages)
-        ])
+        """Idle fraction per stage (:meth:`idle_fraction` for each)."""
+        total = self.total_time_ns
+        if total <= 0:
+            return np.zeros(self.num_stages)
+        return np.maximum(0.0, 1.0 - self.stage_busy_ns / total)
 
 
 def _validate_times(times_ns: np.ndarray) -> np.ndarray:

@@ -119,6 +119,8 @@ def effective_lanes(
 
     AG/GC: replicas x intrinsic edge parallelism, capped at the batch's
     edge count.  CO/LC: replicas, capped at the batch's vertex count.
+    ``replicas`` broadcasts against the batches, so a ``(stages, 1)``
+    column gives a ``(stages, batches)`` table.
     """
     if edge_stage:
         lanes = np.minimum(

@@ -19,13 +19,21 @@ from repro.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.errors import ConfigError, ExperimentError
+from repro.errors import ConfigError, ExperimentError, PipelineError
 from repro.graphs.generators import dc_sbm_graph
 from repro.runtime import RunSpec, Session, current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import Workload
 
 BACKENDS = ("analytic", "trace")
+#: Replica assignments no backend may price, for an n-stage chain.
+INVALID_REPLICAS = {
+    "zero": lambda n: 0,
+    "negative": lambda n: -3,
+    "a zero stage": lambda n: np.r_[np.ones(n - 1, dtype=np.int64), 0],
+    "three counts": lambda n: np.full(3, 2, dtype=np.int64),
+    "a matrix": lambda n: np.ones((1, n), dtype=np.int64),
+}
 
 
 @pytest.fixture
@@ -143,6 +151,24 @@ class TestConformance:
         )
         assert isinstance(epoch.stats, dict)
         assert epoch.energy is None  # attached by AcceleratorModel only
+
+    @pytest.mark.parametrize("invalid", sorted(INVALID_REPLICAS))
+    def test_invalid_replicas_rejected(self, name, timing, invalid):
+        replicas = INVALID_REPLICAS[invalid](len(timing.stages))
+        with pytest.raises(PipelineError, match="replicas must be"):
+            get_backend(name).stage_time_matrix(
+                EpochProgram(timing=timing, replicas=replicas),
+            )
+
+    def test_one_count_prices_every_stage(self, name, timing):
+        engine = get_backend(name)
+        scalar = engine.stage_time_matrix(
+            EpochProgram(timing=timing, replicas=3),
+        )
+        vector = engine.stage_time_matrix(EpochProgram(
+            timing=timing, replicas=np.full(len(timing.stages), 3),
+        ))
+        assert scalar.tobytes() == vector.tobytes()
 
     def test_accelerator_energy_non_negative(
         self, name, small_workload, small_config,

@@ -3,29 +3,36 @@
 The compiled instruction stream is a pure function of the lowering
 inputs (deterministic, RNG-silent, cacheable) and must *conserve* the
 workload's operation counts: the trace can redistribute work over lanes
-but never invent or drop activations.
+but never invent or drop activations.  A warm accelerator run looks its
+compiled epoch up once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.backends import EpochProgram, get_backend
+from repro.accelerators.catalog import gopim
+from repro.backends import EpochProgram, SimulationBackend, get_backend
 from repro.backends.trace import (
+    CACHE_NAMESPACE,
     OP_MVM,
     OP_RELOAD,
     OP_SCAN,
     OP_WRITE_FULL,
     OP_WRITE_PARTIAL,
     TRACE_DTYPE,
+    compile_epoch_program,
     compile_stage_program,
-    compiled_stage_program,
+    compiled_epoch_program,
     program_cache_key,
     program_stats,
     replay_stage_times,
 )
 from repro.perf.cache import ArtifactCache
+from repro.runtime import RunSpec, Session
 from repro.stages.latency import StageTimingModel
 from repro.stages.stage import StageKind
 
@@ -45,20 +52,26 @@ def test_compile_is_deterministic(timing):
         assert first.tobytes() == second.tobytes()
 
 
-def test_cache_key_distinguishes_stages_not_replicas(timing):
-    keys = {
-        program_cache_key(timing, i) for i in range(len(timing.stages))
-    }
-    assert len(keys) == len(timing.stages)
+def test_cache_key_is_one_per_epoch_not_per_replica(timing):
+    # One key per timing model; the stage column tells stages apart.
+    records = compile_epoch_program(timing)
+    assert set(records["stage"].tolist()) == set(range(len(timing.stages)))
+    for index in range(len(timing.stages)):
+        assert records[records["stage"] == index].tobytes() == (
+            compile_stage_program(timing, index).tobytes()
+        )
     # No replica term anywhere: the key is the same whatever allocation
     # later replays the program (checked structurally — the key inputs
     # are lowering inputs only).
-    assert program_cache_key(timing, 0) == program_cache_key(timing, 0)
+    again = StageTimingModel(
+        timing.workload, timing.config, update_plan=timing.update_plan,
+    )
+    assert program_cache_key(again) == program_cache_key(timing)
 
 
 def test_program_round_trips_through_disk_cache(timing, tmp_path):
-    program = compile_stage_program(timing, 0)
-    key = program_cache_key(timing, 0)
+    program = compile_epoch_program(timing)
+    key = program_cache_key(timing)
     writer = ArtifactCache(disk_dir=str(tmp_path))
     writer.get_or_compute("trace_programs", key, lambda: program)
     reader = ArtifactCache(disk_dir=str(tmp_path))
@@ -73,19 +86,20 @@ def test_program_round_trips_through_disk_cache(timing, tmp_path):
 def test_memoised_compile_hits_in_memory_cache(timing):
     from repro.perf.cache import get_cache
 
-    first = compiled_stage_program(timing, 1)
+    first = compiled_epoch_program(timing)
     before = get_cache().stats.memory_hits
-    second = compiled_stage_program(timing, 1)
+    second = compiled_epoch_program(timing)
     assert get_cache().stats.memory_hits == before + 1
     assert second.tobytes() == first.tobytes()
 
 
 def test_compile_and_replay_touch_no_rng(timing):
     state = np.random.get_state()
-    for index in range(len(timing.stages)):
-        records = compile_stage_program(timing, index)
-        replay_stage_times(records, timing, index, replicas=3)
-    TRACE.simulate_epoch(EpochProgram(timing=timing))
+    replay_stage_times(
+        compile_epoch_program(timing), timing,
+        np.full(len(timing.stages), 3),
+    )
+    TRACE.simulate_epoch(EpochProgram(timing=timing)).stats
     after = np.random.get_state()
     assert state[0] == after[0]
     np.testing.assert_array_equal(state[1], after[1])
@@ -150,10 +164,13 @@ def test_epoch_stats_aggregate_per_stage(timing):
 
 def test_replay_monotone_in_lanes(timing):
     # More replicas can only shrink (or keep) each micro-batch latency.
-    records = compile_stage_program(timing, 0)
-    previous = replay_stage_times(records, timing, 0, replicas=1)
+    records = compile_epoch_program(timing)
+    stages = len(timing.stages)
+    previous = replay_stage_times(records, timing, np.ones(stages))
     for replicas in (2, 4, 8):
-        current = replay_stage_times(records, timing, 0, replicas=replicas)
+        current = replay_stage_times(
+            records, timing, np.full(stages, replicas),
+        )
         assert np.all(current <= previous)
         previous = current
 
@@ -189,5 +206,58 @@ def test_reload_records_only_with_penalty(small_workload, small_config):
         assert not np.any(none["opcode"] == OP_RELOAD)
         if stage.kind.is_edge_proportional:
             assert np.any(some["opcode"] == OP_RELOAD)
-            assert program_cache_key(penalised, index) != \
-                program_cache_key(plain, index)
+    assert program_cache_key(penalised) != program_cache_key(plain)
+
+
+class LookupCountingCache(ArtifactCache):
+    """An isolated cache that counts lookups per namespace."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = Counter()
+
+    def get_or_compute(self, namespace, key, compute):
+        self.lookups[namespace] += 1
+        return super().get_or_compute(namespace, key, compute)
+
+    def get(self, namespace, key, default=None):
+        self.lookups[namespace] += 1
+        return super().get(namespace, key, default)
+
+
+def test_a_warm_run_looks_its_tables_and_epoch_up_once(
+    small_workload, small_config, monkeypatch,
+):
+    cache = LookupCountingCache()
+    epochs = []
+    simulate = SimulationBackend.simulate_epoch
+
+    def recorded(self, program):
+        epochs.append(simulate(self, program))
+        return epochs[-1]
+
+    monkeypatch.setattr(SimulationBackend, "simulate_epoch", recorded)
+    with Session(RunSpec(backend="trace"), cache=cache).use():
+        gopim().run(small_workload, small_config)
+        cache.lookups.clear()
+        gopim().run(small_workload, small_config)
+        warm = dict(cache.lookups)
+        assert warm["timing-tables"] == 1
+        assert warm[CACHE_NAMESPACE] == 1
+
+        # The stats come from the entry the run already fetched, as the
+        # caller's own copy.
+        stats = epochs[-1].stats
+        assert dict(cache.lookups) == warm
+        assert epochs[-1].stats is stats
+        stats["instructions"] = -1
+        for entry in stats["stages"].values():
+            entry["instructions"] = -1
+        gopim().run(small_workload, small_config)
+        again = epochs[-1].stats
+        timing = gopim().build_timing_model(small_workload, small_config)
+    assert again["instructions"] == compile_epoch_program(timing).size
+    for index, stage in enumerate(timing.stages):
+        assert again["stages"][stage.name] == program_stats(
+            compile_stage_program(timing, index),
+        )

@@ -1,11 +1,14 @@
-"""Trace replay against its record-by-record oracle, byte for byte.
+"""Epoch replay against its record-by-record oracle, byte for byte.
 
-:func:`repro.backends.trace.replay_stage_times` sums a stage program in
-one ``bincount`` and adds the reload bin after the write mix; the loop
-in ``tests/oracles/trace.py`` adds record by record.  They agree only
-while a compiled program holds at most one record per (opcode,
-micro-batch), so that invariant is checked here too, on every program
-the accel-trace experiments compile.
+:func:`repro.backends.trace.replay_stage_times` prices a compiled epoch
+in one ``bincount`` over (opcode class x stage x micro-batch) bins and
+adds the reload bin after the write mix; the loop in
+``tests/oracles/trace.py`` adds one stage's records one by one.  Every
+row of an epoch replay must equal the oracle on that stage's records.
+They agree only while a compiled epoch holds at most one record per
+(stage, opcode, micro-batch), in (stage, opcode block, micro-batch)
+order, so that layout is checked here too, on every epoch the
+accel-trace experiments compile.
 """
 
 from __future__ import annotations
@@ -34,26 +37,25 @@ PENALISED = TimingParams(reload_penalty=0.37, intrinsic_edge_parallelism=4)
 
 @pytest.fixture(scope="module")
 def programs():
-    """``(timing, stage index)`` of every program the trace experiments
-    compile, plus the same workloads and plans under ``PENALISED``."""
+    """The timing model of every epoch the trace experiments compile,
+    plus the same workloads and plans under ``PENALISED``."""
     from repro.experiments.registry import run_all
 
     seen = {}
-    compiled = trace.compiled_stage_program
+    entry = trace._program_entry
 
-    def recorded(timing, stage_index):
-        key = trace.program_cache_key(timing, stage_index)
-        seen.setdefault(key, (timing, stage_index))
-        return compiled(timing, stage_index)
+    def recorded(timing):
+        seen.setdefault(trace.program_cache_key(timing), timing)
+        return entry(timing)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trace, "compiled_stage_program", recorded)
+        patch.setattr(trace, "_program_entry", recorded)
         run_all(
             only=TRACE_IDS, quick=True,
             session=Session(RunSpec(backend="trace")),
         )
     timings = {
-        timing.content_fingerprint(): timing for timing, _ in seen.values()
+        timing.content_fingerprint(): timing for timing in seen.values()
     }
     penalised = [
         StageTimingModel(
@@ -62,42 +64,71 @@ def programs():
         )
         for timing in timings.values()
     ]
-    return list(seen.values()) + [
-        (timing, index)
-        for timing in penalised
-        for index in range(len(timing.stages))
-    ]
+    return list(seen.values()) + penalised
 
 
 def test_the_sweep_compiles_every_record_kind(programs):
     opcodes = set()
-    for timing, index in programs:
-        opcodes.update(trace.compile_stage_program(timing, index)["opcode"])
+    for timing in programs:
+        opcodes.update(trace.compile_epoch_program(timing)["opcode"])
     assert opcodes == set(trace.OPCODE_NAMES)
 
 
 def test_one_record_per_opcode_and_microbatch(programs):
-    for timing, index in programs:
-        records = trace.compile_stage_program(timing, index)
-        pairs = (
-            records["opcode"].astype(np.int64)
-            * timing.workload.num_microbatches + records["mb"]
-        )
+    # Blocks of one record per micro-batch, in micro-batch order, one
+    # block per (stage, opcode), stages in chain order.
+    for timing in programs:
+        records = trace.compile_epoch_program(timing)
+        num_mbs = timing.workload.num_microbatches
+        assert records.size % num_mbs == 0
+        blocks = records.reshape(-1, num_mbs)
+        assert np.all(blocks["mb"] == np.arange(num_mbs))
+        for column in ("stage", "opcode"):
+            assert np.all(blocks[column] == blocks[column][:, :1])
+        stages = blocks["stage"][:, 0].astype(np.int64)
+        assert np.all(np.diff(stages) >= 0)
+        assert set(stages.tolist()) == set(range(len(timing.stages)))
+        pairs = stages * 256 + blocks["opcode"][:, 0]
         assert np.unique(pairs).size == pairs.size
 
 
+def mixed_vectors(num_stages):
+    """Per-stage replica vectors that give every stage every count."""
+    return [
+        np.array([
+            REPLICAS[(stage + shift) % len(REPLICAS)]
+            for stage in range(num_stages)
+        ])
+        for shift in range(len(REPLICAS))
+    ]
+
+
 def test_replay_is_byte_identical_to_the_oracle(programs):
-    for timing, index in programs:
-        records = trace.compile_stage_program(timing, index)
-        for replicas in REPLICAS:
-            for full_round in PHASES:
+    for timing in programs:
+        records = trace.compile_epoch_program(timing)
+        num_stages = len(timing.stages)
+        for full_round in PHASES:
+            oracle = {
+                (index, replicas): replay_stage_times_reference(
+                    records[records["stage"] == index], timing, index,
+                    replicas, full_round=full_round,
+                )
+                for index in range(num_stages)
+                for replicas in REPLICAS
+            }
+            vectors = [
+                np.full(num_stages, replicas) for replicas in REPLICAS
+            ] + mixed_vectors(num_stages)
+            for vector in vectors:
                 fast = trace.replay_stage_times(
-                    records, timing, index, replicas, full_round=full_round,
+                    records, timing, vector, full_round=full_round,
                 )
-                slow = replay_stage_times_reference(
-                    records, timing, index, replicas, full_round=full_round,
+                assert fast.dtype == np.float64
+                assert fast.shape == (
+                    num_stages, timing.workload.num_microbatches,
                 )
-                assert fast.dtype == slow.dtype
-                assert fast.tobytes() == slow.tobytes(), (
-                    timing.workload.name, index, replicas, full_round,
-                )
+                for index, row in enumerate(fast):
+                    slow = oracle[index, int(vector[index])]
+                    assert row.tobytes() == slow.tobytes(), (
+                        timing.workload.name, index, vector, full_round,
+                    )

@@ -1,10 +1,11 @@
 """Oracle for trace replay: masked record copies and ``np.add.at``.
 
 :func:`repro.backends.trace.replay_stage_times` sums every record of a
-stage program in one ``bincount`` over (opcode class x micro-batch)
-bins.  The loop here selects the compute, write and reload records with
-boolean masks and adds them record by record, as the trace backend did
-before; the two must agree bit for bit on every compiled program.
+compiled epoch in one ``bincount`` over (opcode class x stage x
+micro-batch) bins.  The loop here prices one stage: it selects the
+compute, write and reload records of that stage's program with boolean
+masks and adds them record by record, as the trace backend did before;
+each row of an epoch replay must equal it bit for bit.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.lib.recfunctions import drop_fields
 
 import repro
 from repro.accelerators.base import AcceleratorModel
@@ -41,6 +42,13 @@ def run(experiment_ids, backend):
     return run_all(only=list(experiment_ids), quick=True, session=session)
 
 
+#: The revision parts both namespaces' keys carried in the previous
+#: layout: per-stage activity totals in the tables, one program entry
+#: per stage.
+PREVIOUS_TABLES_REVISION = "stage-activity-v1"
+PREVIOUS_PROGRAM_REVISION = "records-and-op-totals-v1"
+
+
 def parent_parts(timing):
     """The key parts both namespaces hashed before their revisions."""
     workload = timing.workload
@@ -57,8 +65,7 @@ def cached_artifacts(timings):
     return [
         pickle.dumps((
             AcceleratorModel._timing_tables(timing),
-            [trace._program_entry(timing, i)
-             for i in range(len(timing.stages))],
+            trace._program_entry(timing),
         ))
         for timing in timings
     ]
@@ -122,21 +129,29 @@ def test_readers_never_mutate_cached_artifacts(sweep):
 def test_parent_format_entries_are_never_read(sweep, monkeypatch):
     disk = sweep["disk"]
     # Replace both namespaces' entries with what the previous layout
-    # wrote under the previous keys: tables without the activity totals,
-    # bare record arrays.
+    # wrote under the previous keys: tables with per-stage activity
+    # totals and no energy constants, one program entry per stage whose
+    # records have no stage column.
     monkeypatch.setattr(cache_module, "_default_cache", ArtifactCache(""))
     planted = {}
-    for key, timing in sweep["timings"].items():
-        tables = AcceleratorModel._timing_tables(timing)
-        planted["timing-tables", key] = {
-            name: value for name, value in tables.items()
-            if name != "activity"
-        }
-        base = cache_key("trace-program", *parent_parts(timing))
+    for timing in sweep["timings"].values():
+        fingerprint = timing.content_fingerprint()
+        tables = dict(AcceleratorModel._timing_tables(timing))
+        del tables["energy"]
+        tables["activity"] = tuple(
+            timing.stage_activity_totals(stage) for stage in timing.stages
+        )
+        key = f"{PREVIOUS_TABLES_REVISION}:{fingerprint}"
+        planted["timing-tables", key] = tables
         for index in range(len(timing.stages)):
-            planted[trace.CACHE_NAMESPACE, f"{base}:s{index}"] = (
-                trace.compile_stage_program(timing, index)
+            records = drop_fields(
+                trace.compile_stage_program(timing, index), "stage",
+                usemask=False,
             )
+            planted[
+                trace.CACHE_NAMESPACE,
+                f"{PREVIOUS_PROGRAM_REVISION}:{fingerprint}:s{index}",
+            ] = (records, trace.program_stats(records))
     for namespace in ("timing-tables", trace.CACHE_NAMESPACE):
         shutil.rmtree(disk / namespace)
         (disk / namespace).mkdir()

@@ -123,3 +123,17 @@ def test_heterogeneous_times_bottleneck():
     times[1, 2] = 10.0
     result = simulate_pipeline(times, ScheduleMode.INTRA_INTER)
     assert result.total_time_ns == pytest.approx(1 + 2 * 1 + 10.0 + 2 * 1)
+
+
+def test_stage_busy_is_summed_once_and_shared_read_only():
+    times = np.array([[1.0, 2.0, 3.0], [4.0, 0.5, 0.25]])
+    result = simulate_pipeline(times, mode=ScheduleMode.SERIAL)
+    busy = result.stage_busy_ns
+    assert result.stage_busy_ns is busy
+    np.testing.assert_array_equal(busy, times.sum(axis=1))
+    with pytest.raises(ValueError):
+        busy[0] = 0.0
+    # The vector form equals the per-stage one, bit for bit.
+    assert result.idle_fractions().tolist() == [
+        result.idle_fraction(i) for i in range(result.num_stages)
+    ]
