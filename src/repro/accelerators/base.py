@@ -28,7 +28,7 @@ leakage and NoC handoff, and static energy over its makespan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +44,11 @@ from repro.mapping.selective import build_update_plan
 from repro.perf import profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
 from repro.runtime import current_session
-from repro.stages.latency import StageTimingModel, TimingParams
+from repro.stages.latency import (
+    DEFAULT_TIMING_PARAMS,
+    StageTimingModel,
+    TimingParams,
+)
 from repro.stages.workload import Workload
 
 AllocatorFn = Callable[[AllocationProblem], AllocationResult]
@@ -183,12 +187,17 @@ class AcceleratorModel:
     update_strategy:
         ``"full"`` / ``"osu"`` / ``"isu"`` vertex updating.
     timing_params:
-        Latency-model constants (ReFlip overrides ``reload_penalty``).
+        Latency-model constants (ReFlip overrides ``reload_penalty``);
+        the default is the shared
+        :data:`~repro.stages.latency.DEFAULT_TIMING_PARAMS`.
     predicted_times:
         Optional stage-name -> predicted-time map fed to the allocator
         instead of the true model times (GoPIM's ML predictor path).
     prune_graph:
         SlimGNN-like input-subgraph pruning applied to AG/GC edge work.
+    theta:
+        Update / pruning threshold; ``None`` is the adaptive rule
+        (:func:`~repro.mapping.selective.adaptive_theta`).
     microbatches_per_batch:
         Batch granularity for INTRA_BATCH pipeline drains.
     """
@@ -197,7 +206,7 @@ class AcceleratorModel:
     schedule: ScheduleMode = ScheduleMode.INTRA_INTER
     allocator: AllocatorFn = _serial_allocator
     update_strategy: str = "full"
-    timing_params: TimingParams = field(default_factory=TimingParams)
+    timing_params: TimingParams = DEFAULT_TIMING_PARAMS
     predicted_times: Optional[Dict[str, float]] = None
     time_predictor: Optional[object] = None  # repro.predictor.TimePredictor
     prune_graph: bool = False
@@ -211,7 +220,12 @@ class AcceleratorModel:
         config: Optional[HardwareConfig] = None,
     ) -> StageTimingModel:
         """The timing model this accelerator runs against, on ``config``
-        (default: the current session's hardware)."""
+        (default: the current session's hardware).
+
+        A pruning design point prices the workload on its pruned graph;
+        that workload is memoised on ``workload`` per theta (it holds no
+        reference back), so a warm run builds no stage chain.
+        """
         if config is None:
             config = current_session().config
         effective_workload = workload
@@ -219,13 +233,18 @@ class AcceleratorModel:
             from repro.graphs.sparsify import sparsify_by_degree
             from repro.mapping.selective import adaptive_theta
 
-            theta = self.theta or adaptive_theta(workload.graph)
-            pruned = sparsify_by_degree(workload.graph, theta)
-            effective_workload = Workload(
-                graph=pruned,
-                layer_dims=workload.layer_dims,
-                micro_batch=workload.micro_batch,
-                name=workload.name,
+            theta = (
+                self.theta if self.theta is not None
+                else adaptive_theta(workload.graph)
+            )
+            effective_workload = workload.cached(
+                ("pruned", float(theta)),
+                lambda: Workload(
+                    graph=sparsify_by_degree(workload.graph, theta),
+                    layer_dims=workload.layer_dims,
+                    micro_batch=workload.micro_batch,
+                    name=workload.name,
+                ),
             )
         plan = build_update_plan(
             effective_workload.graph,

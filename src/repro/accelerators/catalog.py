@@ -21,6 +21,12 @@ content-keyed ``"allocation"`` cache: any two ``run()`` calls that
 arrive at the same stage times, costs, caps, and budget — sweep
 repeats, replicate seeds, variants differing only downstream of the
 allocator — pay for one search between them.
+
+Every factory prices with one of two module-level calibrations:
+:data:`~repro.stages.latency.DEFAULT_TIMING_PARAMS` (the model's
+default) or :data:`REFLIP_TIMING_PARAMS`.  A fresh design point per
+call therefore shares its constants' remembered key encoding with every
+other, and a warm run's timing-model key walks no dataclass.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ from repro.stages.latency import TimingParams
 # engages several feature row-tiles concurrently without explicit replicas.
 REFLIP_RELOAD_PENALTY = 1.0
 REFLIP_EDGE_PARALLELISM = 16
+REFLIP_TIMING_PARAMS = TimingParams(
+    reload_penalty=REFLIP_RELOAD_PENALTY,
+    intrinsic_edge_parallelism=REFLIP_EDGE_PARALLELISM,
+)
 
 
 def serial() -> AcceleratorModel:
@@ -49,7 +59,11 @@ def serial() -> AcceleratorModel:
 
 
 def slimgnn_like(theta: Optional[float] = None) -> AcceleratorModel:
-    """SlimGNN minus weight pruning: uniform replicas + input pruning."""
+    """SlimGNN minus weight pruning: uniform replicas + input pruning.
+
+    ``theta`` is the kept (important) vertex fraction; ``None`` is the
+    adaptive rule, and 0.0 keeps no edge.
+    """
     return AcceleratorModel(
         name="SlimGNN-like",
         schedule=ScheduleMode.INTRA_BATCH,
@@ -74,10 +88,7 @@ def reflip() -> AcceleratorModel:
         name="ReFlip",
         schedule=ScheduleMode.INTRA_BATCH,
         allocator=combination_only_allocation,
-        timing_params=TimingParams(
-            reload_penalty=REFLIP_RELOAD_PENALTY,
-            intrinsic_edge_parallelism=REFLIP_EDGE_PARALLELISM,
-        ),
+        timing_params=REFLIP_TIMING_PARAMS,
     )
 
 

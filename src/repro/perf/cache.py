@@ -42,7 +42,7 @@ import pickle
 import tempfile
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -161,11 +161,16 @@ def cache_key(*parts: Any) -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters (in-process and on-disk tallied separately)."""
+    """Hit/miss counters (in-process and on-disk tallied separately).
+
+    ``corrupt`` counts, per namespace, the disk entries that failed to
+    unpickle; each of them also counts as a miss.
+    """
 
     memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
+    corrupt: Dict[str, int] = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
@@ -258,15 +263,26 @@ class ArtifactCache:
     ) -> Any:
         """The disk tier's artifact, promoted to memory, or ``_MISSING``.
 
-        A corrupt or partial file reads as a miss.
+        An entry that fails to unpickle for any reason (a partial or
+        garbage file, a class renamed or a module removed since it was
+        written) reads as a miss, is counted in ``stats.corrupt`` under
+        its namespace, and is overwritten once the caller recomputes it.
         """
-        if path is None or not path.exists():
+        if path is None:
             return _MISSING
         try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError):
+            handle = open(path, "rb")
+        except OSError:  # absent, or evicted since: a plain miss
             return _MISSING
+        with handle:
+            try:
+                value = pickle.load(handle)
+            except Exception:
+                namespace = mem_key[0]
+                with self._lock:
+                    corrupt = self.stats.corrupt
+                    corrupt[namespace] = corrupt.get(namespace, 0) + 1
+                return _MISSING
         try:
             # Refresh recency so LRU eviction spares live entries.
             os.utime(path)

@@ -14,7 +14,7 @@ skip the 1688-second profiling runs of prior work.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -92,8 +92,32 @@ def default_head_factory() -> Regressor:
     )
 
 
+def _feature_rows(workload: Workload) -> Tuple[tuple, np.ndarray]:
+    """The workload's stacked kind-tagged feature rows and the memo key
+    they form, (row bytes, stage names).
+
+    Both depend on the workload alone, so they are built once and kept
+    on it (:meth:`Workload.cached`); the rows are read-only.
+    """
+    def build() -> Tuple[tuple, np.ndarray]:
+        stages = workload.stage_chain()
+        rows = np.stack([
+            stage_features_with_kind(workload, stage) for stage in stages
+        ])
+        rows.flags.writeable = False
+        return (rows.tobytes(), tuple(stage.name for stage in stages)), rows
+
+    return workload.cached("predictor-rows", build)
+
+
 class TimePredictor:
-    """Predicts per-stage no-replica execution times for GCN workloads."""
+    """Predicts per-stage no-replica execution times for GCN workloads.
+
+    Predictions are memoised on the predictor per feature content (see
+    :meth:`predict_stage_times`); the feature rows that key them are
+    memoised on each workload, so a repeat prediction builds no features.
+    Neither memo is pickled.
+    """
 
     def __init__(self, model: Optional[Regressor] = None) -> None:
         self._model = model if model is not None else PerKindRegressor(
@@ -127,20 +151,17 @@ class TimePredictor:
 
         Memoised per (stacked kind-tagged feature rows, stage names): a
         workload whose features were predicted before reads the stored
-        times.  A miss predicts one row at a time, as every caller always
-        has, so no BLAS call changes shape.
+        times.  The rows and key are built once per workload, so a hit
+        stacks nothing.  A miss predicts one row at a time, as every
+        caller always has, so no BLAS call changes shape.
         """
         if not self._fitted:
             raise PredictorError("TimePredictor.predict before fit")
-        stages = workload.stage_chain()
-        rows = np.stack([
-            stage_features_with_kind(workload, stage) for stage in stages
-        ])
-        key = (rows.tobytes(), tuple(stage.name for stage in stages))
+        key, rows = _feature_rows(workload)
         times = self._predictions.get(key)
         if times is None:
             times = {}
-            for stage, features in zip(stages, rows):
+            for stage, features in zip(workload.stage_chain(), rows):
                 log_time = float(self._model.predict(features[None, :])[0])
                 times[stage.name] = float(10.0 ** log_time)
             self._predictions[key] = times

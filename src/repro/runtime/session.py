@@ -85,6 +85,9 @@ class Session:
         self.spec = spec if spec is not None else RunSpec()
         self.config = self.spec.resolve_config()
         self._cache = cache
+        # (samples, seed and their types) -> "predictors" key: the key
+        # walks every config field, and the config is fixed.
+        self._predictor_keys: Dict[tuple, str] = {}
 
     def __repr__(self) -> str:
         return f"Session(spec_hash={self.spec.spec_hash()[:12]})"
@@ -170,7 +173,8 @@ class Session:
         """Cached fitted TimePredictor, trained on samples priced on this
         session's hardware.  Deterministic per (samples, seed, the config
         fields a sample reads): sessions that differ only in their array
-        budget share one predictor."""
+        budget share one predictor.  The key is built once per (samples,
+        seed) and kept on the session."""
         from repro.predictor.dataset import (
             generate_dataset,
             samples_config_key,
@@ -178,7 +182,14 @@ class Session:
         from repro.predictor.predictor import TimePredictor
 
         seed = self.spec.seed if seed is None else seed
-        key = cache_key(num_samples, seed, samples_config_key(self.config))
+        # Equal numbers of other types (1 and 1.0, 1 and True) encode
+        # differently, so the types are part of the memo's key.
+        memo = (num_samples, seed, type(num_samples), type(seed))
+        key = self._predictor_keys.get(memo)
+        if key is None:
+            key = self._predictor_keys[memo] = cache_key(
+                num_samples, seed, samples_config_key(self.config),
+            )
 
         def fit() -> "TimePredictor":
             with self.use():

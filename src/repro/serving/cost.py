@@ -34,7 +34,11 @@ from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.errors import ConfigError
 from repro.mapping.tiling import plan_tiling
 from repro.runtime.session import Session
-from repro.stages.latency import TimingParams, stage_cost_factor
+from repro.stages.latency import (
+    DEFAULT_TIMING_PARAMS,
+    TimingParams,
+    stage_cost_factor,
+)
 
 #: Pipeline depth the per-replica allocator balances for.  Serving keeps
 #: a replica's stage pipeline continuously fed under load, so the
@@ -121,7 +125,7 @@ def build_serving_system(
     dataset: str,
     num_servers: int = 4,
     max_batch: int = 64,
-    params: TimingParams = TimingParams(),
+    params: TimingParams = DEFAULT_TIMING_PARAMS,
     memoize_allocation: bool = True,
 ) -> ServingCostModel:
     """Provision serving replicas on the session's chip for a dataset.

@@ -35,7 +35,7 @@ All latencies are nanoseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -78,6 +78,13 @@ class TimingParams:
             raise PipelineError("reload_penalty must be >= 0")
         if self.intrinsic_edge_parallelism < 1:
             raise PipelineError("intrinsic_edge_parallelism must be >= 1")
+
+
+#: The calibration every design point but ReFlip prices with.  One shared
+#: instance: :func:`~repro.perf.cache.cache_key` remembers a frozen
+#: dataclass's encoding per instance, so every timing model's key reads
+#: these bytes instead of walking a fresh ``TimingParams()``.
+DEFAULT_TIMING_PARAMS = TimingParams()
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ class StageTimingModel:
         self,
         workload: Workload,
         config: HardwareConfig,
-        params: TimingParams = TimingParams(),
+        params: TimingParams = DEFAULT_TIMING_PARAMS,
         update_plan: Optional[UpdatePlan] = None,
     ) -> None:
         self._workload = workload
@@ -184,7 +191,7 @@ class StageTimingModel:
                 rows_per_crossbar=config.crossbar_rows,
             )
         self._plan = update_plan
-        self._stages = workload.stage_chain()
+        self._stages = workload.stage_chain()  # the workload's, shared
         # Lazily built vectors shared by the whole-epoch methods.
         self._vector_cache: Dict[str, np.ndarray] = {}
         self._fingerprint: Optional[str] = None
@@ -211,9 +218,9 @@ class StageTimingModel:
         return self._plan
 
     @property
-    def stages(self):
-        """The 4L stage chain."""
-        return list(self._stages)
+    def stages(self) -> Tuple[StageSpec, ...]:
+        """The 4L stage chain (the workload's read-only tuple)."""
+        return self._stages
 
     def content_fingerprint(self) -> str:
         """Digest of every input the model's outputs read, computed once.
@@ -221,7 +228,12 @@ class StageTimingModel:
         The graph, model shape, micro-batch, hardware config, calibration
         params and update plan are all fixed at construction; the
         accelerator's timing-table key and the trace backend's program
-        keys are both built from this one digest.
+        keys are both built from this one digest.  It stays cheap on a
+        warm run: the graph and plan digests are memoised on them, and
+        the session's config and the shared calibration constants
+        (:data:`DEFAULT_TIMING_PARAMS`, the catalog's ReFlip params) have
+        their encodings remembered by ``cache_key``, so no dataclass is
+        walked field by field.
         """
         if self._fingerprint is None:
             workload = self._workload

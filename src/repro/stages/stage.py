@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from repro.errors import PipelineError
@@ -54,6 +55,9 @@ class StageSpec:
     input_dim:
         Length of one input vector streamed into the crossbars (feature
         dim for CO/LC; number of vertices for AG/GC adjacency rows).
+
+    :attr:`name` is formatted on first read and kept on the instance:
+    every priced run reads each stage's name several times.
     """
 
     kind: StageKind
@@ -63,7 +67,7 @@ class StageSpec:
     mapped_cols: int
     input_dim: int
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Short id like ``"AG2"`` used throughout the paper's figures."""
         return f"{self.kind.value}{self.layer}"

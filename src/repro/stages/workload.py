@@ -10,8 +10,10 @@ real (id/degree-correlated) graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Tuple, TypeVar,
+)
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from repro.graphs.graph import Graph
 from repro.stages.stage import StageSpec, build_stage_chain
 
 DEFAULT_MICRO_BATCH = 64
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -37,6 +41,14 @@ class Workload:
         Vertices per micro-batch (the paper's default is 64).
     name:
         Report label; defaults to the graph's name.
+
+    The stage chain, the degree prefix and the micro-batch geometry are
+    built once at construction and are read-only; :meth:`cached` keeps
+    what later layers derive from the job alone (SlimGNN-like's pruned
+    workloads, the predictor's feature rows).  None of them is pickled:
+    an unpickled workload rebuilds the chain and geometry, and its memo
+    store starts empty.  The fields are not meant to change after
+    construction.
     """
 
     graph: Graph
@@ -51,10 +63,11 @@ class Workload:
             raise PipelineError("need at least one layer")
         if not self.name:
             self.name = self.graph.name
-        self._build_geometry()
+        self._build_fixed()
 
-    def _build_geometry(self) -> None:
-        """The degree prefix and micro-batch geometry, built once, read-only.
+    def _build_fixed(self) -> None:
+        """The degree prefix, micro-batch geometry and stage chain, built
+        once, read-only, and an empty memo store.
 
         Every pricing path (timing tables, trace compile and replay)
         reads these; none of them is pickled (see ``__getstate__``).
@@ -73,15 +86,35 @@ class Workload:
             array.flags.writeable = False
         self._degree_prefix = prefix
         self._geometry = (bounds, sizes, edges)
+        self._stages = tuple(
+            build_stage_chain(self.num_vertices, self.layer_dims)
+        )
+        self._lazy: Dict[Hashable, Any] = {}
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_degree_prefix"], state["_geometry"]
+        for name in ("_degree_prefix", "_geometry", "_stages", "_lazy"):
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._build_geometry()
+        self._build_fixed()
+
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, computed once per ``key`` for this workload.
+
+        Like :meth:`Graph.cached <repro.graphs.graph.Graph.cached>`, the
+        store is per instance and never pickled.  A value must not refer
+        back to this workload: the memo would then be a reference cycle,
+        and a dropped workload would wait for a full garbage collection
+        (so timing models, which hold their workload, are never kept
+        here).
+        """
+        value = self._lazy.get(key)
+        if value is None:
+            value = self._lazy[key] = build()
+        return value
 
     # ------------------------------------------------------------------
     @property
@@ -104,9 +137,9 @@ class Workload:
         """Micro-batches per epoch (contiguous vertex ranges)."""
         return -(-self.num_vertices // self.micro_batch)
 
-    def stage_chain(self) -> List[StageSpec]:
-        """The 4L stage chain for this workload."""
-        return build_stage_chain(self.num_vertices, self.layer_dims)
+    def stage_chain(self) -> Tuple[StageSpec, ...]:
+        """The 4L stage chain for this workload (built once, shared)."""
+        return self._stages
 
     # ------------------------------------------------------------------
     def microbatch_boundaries(self) -> np.ndarray:

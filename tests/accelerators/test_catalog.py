@@ -14,6 +14,8 @@ from repro.accelerators.catalog import (
     serial,
     slimgnn_like,
 )
+from repro.graphs.sparsify import sparsify_by_degree
+from repro.mapping.selective import adaptive_theta
 from repro.pipeline.simulator import ScheduleMode
 
 
@@ -70,6 +72,26 @@ def test_slimgnn_reduces_ag_work(small_workload, small_config):
         pruned_timing.workload.graph.num_edges
         < small_workload.graph.num_edges
     )
+
+
+def test_slimgnn_prunes_at_the_theta_it_is_given(small_workload, small_config):
+    # theta = 0.0 keeps no important vertex, hence no edge; only None
+    # asks for the adaptive theta.
+    graph = small_workload.graph
+    adaptive = adaptive_theta(graph)
+    timing = slimgnn_like(theta=0.0).build_timing_model(
+        small_workload, small_config,
+    )
+    assert timing.workload.graph.num_edges == 0
+    assert timing.workload.graph is sparsify_by_degree(graph, 0.0)
+    times = {
+        theta: slimgnn_like(theta=theta).run(
+            small_workload, small_config,
+        ).total_time_ns
+        for theta in (None, adaptive, 0.0)
+    }
+    assert times[None] == times[adaptive]
+    assert times[0.0] != times[None]
 
 
 def test_gopim_reserves_more_crossbars_than_serial(small_workload, small_config):

@@ -9,6 +9,7 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -252,6 +253,89 @@ class TestArtifactCache:
         cache.get_or_compute("ns", "k", lambda: 1)
         cache.clear(disk=True)
         assert not list(tmp_path.rglob("*.pkl"))
+
+
+STALE_MODULE = "repro_test_stale_artifacts"
+
+
+def _stale(kind, monkeypatch):
+    """Pickled bytes that no longer load in the way ``kind`` names."""
+    module = types.ModuleType(STALE_MODULE)
+
+    class Artifact:
+        pass
+
+    Artifact.__module__ = STALE_MODULE
+    Artifact.__qualname__ = Artifact.__name__ = "Artifact"
+    module.Artifact = Artifact
+    monkeypatch.setitem(sys.modules, STALE_MODULE, module)
+    blob = pickle.dumps(Artifact(), protocol=pickle.HIGHEST_PROTOCOL)
+    if kind == "renamed-class":
+        del module.Artifact
+    elif kind == "missing-module":
+        monkeypatch.delitem(sys.modules, STALE_MODULE)
+    else:  # truncated
+        blob = blob[: len(blob) // 2]
+    return blob
+
+
+class TestStaleDiskEntries:
+    """An entry that fails to unpickle is a counted miss, recomputed and
+    overwritten, whatever the failure."""
+
+    KINDS = ("renamed-class", "missing-module", "truncated")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_get_or_compute_recomputes_and_overwrites(
+        self, kind, tmp_path, monkeypatch,
+    ):
+        (tmp_path / "ns").mkdir()
+        (tmp_path / "ns" / "k.pkl").write_bytes(_stale(kind, monkeypatch))
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        assert cache.get_or_compute("ns", "k", lambda: [2]) == [2]
+        assert cache.stats.misses == 1
+        assert cache.stats.disk_hits == 0
+        assert cache.stats.corrupt == {"ns": 1}
+        # The recomputed value replaced the stale file.
+        reader = ArtifactCache(disk_dir=str(tmp_path))
+        assert reader.get_or_compute(
+            "ns", "k", lambda: pytest.fail("should hit disk"),
+        ) == [2]
+        assert reader.stats.disk_hits == 1
+        assert reader.stats.corrupt == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_get_reads_a_miss_and_put_overwrites(
+        self, kind, tmp_path, monkeypatch,
+    ):
+        (tmp_path / "ns").mkdir()
+        (tmp_path / "ns" / "k.pkl").write_bytes(_stale(kind, monkeypatch))
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        assert cache.get("ns", "k", "absent") == "absent"
+        assert (cache.stats.misses, cache.stats.corrupt) == (1, {"ns": 1})
+        cache.put("ns", "k", [3])
+        assert ArtifactCache(disk_dir=str(tmp_path)).get("ns", "k") == [3]
+
+    def test_counted_per_namespace_and_reset_by_clear(
+        self, tmp_path, monkeypatch,
+    ):
+        for namespace in ("a", "a2", "b"):
+            (tmp_path / namespace).mkdir()
+        (tmp_path / "a" / "k1.pkl").write_bytes(b"not a pickle")
+        (tmp_path / "a" / "k2.pkl").write_bytes(
+            _stale("truncated", monkeypatch),
+        )
+        (tmp_path / "b" / "k1.pkl").write_bytes(
+            _stale("missing-module", monkeypatch),
+        )
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        for namespace, key in (("a", "k1"), ("a", "k2"), ("b", "k1")):
+            cache.get_or_compute(namespace, key, lambda: 0)
+        cache.get_or_compute("a2", "absent", lambda: 0)  # a plain miss
+        assert cache.stats.corrupt == {"a": 2, "b": 1}
+        assert cache.stats.misses == 4
+        cache.clear()
+        assert cache.stats.corrupt == {}
 
 
 class TestDefaultCacheAndDecorator:

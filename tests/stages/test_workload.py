@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.graphs.datasets import get_spec
+from repro.stages.stage import build_stage_chain
 from repro.stages.workload import Workload, workload_from_dataset
 from tests.oracles.stages import microbatch_range
 
@@ -116,3 +117,25 @@ def test_geometry_is_rebuilt_not_pickled(small_workload):
     for array, original in zip(_geometry(clone), _geometry(small_workload)):
         assert not array.flags.writeable
         np.testing.assert_array_equal(array, original)
+
+
+def test_stage_chain_is_built_once_and_shared(small_workload):
+    chain = small_workload.stage_chain()
+    assert isinstance(chain, tuple)
+    assert small_workload.stage_chain() is chain
+    assert chain == tuple(build_stage_chain(
+        small_workload.num_vertices, small_workload.layer_dims,
+    ))
+    # A stage formats its name once.
+    assert chain[1].name == "AG1"
+    assert chain[1].name is chain[1].name
+
+
+def test_chain_and_memos_are_rebuilt_not_pickled(small_workload):
+    small_workload.cached("memo", lambda: [1])
+    assert small_workload.cached("memo", lambda: [2]) == [1]
+    state = small_workload.__getstate__()
+    assert not {"_stages", "_lazy"} & set(state)
+    clone = pickle.loads(pickle.dumps(small_workload, protocol=4))
+    assert clone.stage_chain() == small_workload.stage_chain()
+    assert clone.cached("memo", lambda: [2]) == [2]
