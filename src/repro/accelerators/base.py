@@ -8,28 +8,18 @@ reload penalty, SlimGNN's input pruning).  ``run`` produces an
 :class:`AcceleratorReport` with the makespan, a full energy breakdown, the
 per-stage idle fractions, and the replica assignment.
 
-Energy accounting (matching Fig. 13b/14b's structure):
-
-* dynamic MVM/write energy comes from per-(stage, micro-batch) activity
-  counts — nearly schedule-independent, except ISU cuts write events and
-  ReFlip adds reload writes;
-* idle leakage charges every reserved crossbar for the time its pool is
-  not busy — the term pipelining and replica balancing attack;
-* static chip power (controller, weight computer) integrates over the
-  makespan.
-
-What no replica count changes is computed once per timing model and
-kept in its ``"timing-tables"`` artifact (:class:`EnergyConstants`): the
-crossbar read, write, peripheral and off-chip totals, each stage's
-buffer energy and handoff bytes, and the leakage and static powers.  A
-run adds only what its replicas and schedule decide: each pool's idle
-leakage and NoC handoff, and static energy over its makespan.
+Energy is priced by :mod:`repro.hardware.energy` from per-stage activity
+counts (matching Fig. 13b/14b's structure).  What no replica count
+changes, :class:`~repro.hardware.energy.EnergyConstants`, is priced once
+per timing model and kept in its ``"timing-tables"`` artifact; a run
+adds only what its replicas and schedule decide: each pool's idle
+leakage and mesh handoff, and static energy over its makespan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -37,9 +27,7 @@ from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.backends import EpochProgram, resolve_backend
 from repro.errors import ConfigError
 from repro.hardware.config import HardwareConfig
-from repro.hardware.crossbar import CrossbarStats
-from repro.hardware.energy import EnergyBreakdown, EnergyModel
-from repro.hardware.noc import MeshNoc, handoff_hops
+from repro.hardware.energy import EnergyBreakdown, EnergyConstants, run_energy
 from repro.mapping.selective import build_update_plan
 from repro.perf import profile
 from repro.pipeline.simulator import PipelineResult, ScheduleMode
@@ -53,90 +41,13 @@ from repro.stages.workload import Workload
 
 AllocatorFn = Callable[[AllocationProblem], AllocationResult]
 
+#: Batch granularity of INTRA_BATCH pipeline drains.
+MICROBATCHES_PER_BATCH = 4
+
 #: Layout revision of the ``"timing-tables"`` artifact, part of its key:
 #: bump it whenever the artifact's contents change, so a disk tier
 #: written by older code is never read back.
-_TABLES_REVISION = "stage-energy-constants-v2"
-
-
-@dataclass(frozen=True)
-class EnergyConstants:
-    """The replica-independent part of one timing model's epoch energy.
-
-    The crossbar read, write, peripheral and off-chip fields are the
-    stage terms summed in stage order from 0.0, as the per-run
-    accounting used to add them.  ``buffer_pj`` and ``handoff_bytes``
-    stay per stage: a run adds each stage's buffer energy, then that
-    stage's NoC handoff, whose hop count depends on its pool size.
-    """
-
-    crossbar_read_pj: float
-    crossbar_write_pj: float
-    peripheral_pj: float
-    offchip_pj: float
-    buffer_pj: Tuple[float, ...]
-    handoff_bytes: Tuple[float, ...]
-    idle_power_mw: float      # per reserved-but-idle crossbar
-    static_power_mw: float
-    crossbars_per_tile: int
-    mesh_hops: float          # the mesh's average hop count
-    hop_pj_per_byte: float
-
-    @classmethod
-    def of(
-        cls,
-        timing: StageTimingModel,
-        crossbars: np.ndarray,
-    ) -> "EnergyConstants":
-        """Price every stage's activity totals on ``timing``'s chip.
-
-        ``crossbars`` is each stage's crossbars per replica.  The
-        :class:`EnergyModel` and :class:`MeshNoc` argument checks run
-        here, on the constants.
-        """
-        config = timing.config
-        model = EnergyModel(config)
-        noc = MeshNoc(config)
-        dynamic = EnergyBreakdown()
-        buffer_pj = []
-        handoff_bytes = []
-        for per_replica, stage in zip(crossbars.tolist(), timing.stages):
-            act = timing.stage_activity_totals(stage)
-            # Replica copies refresh round-robin (one copy per update
-            # round) rather than all at once — replicas then serve
-            # bounded-stale features, consistent with ISU's staleness
-            # budget — so write energy does not scale with the replica
-            # count.  ADC/DAC peripherals draw power while converting,
-            # i.e. during MVM activations: the crossbar-busy integral is
-            # the logical activation count times the MVM latency,
-            # invariant to how many replicas or intrinsically-parallel
-            # tiles spread the work.  Write rounds are charged per event.
-            stats = CrossbarStats(
-                mvm_reads=act.mvm_row_streams,
-                row_writes=act.rows_written,
-                busy_ns=act.mvm_row_streams * config.mvm_latency_ns,
-            )
-            dynamic.merge(model.crossbar_activity_energy(
-                stats, crossbars_active=per_replica,
-            ))
-            dynamic.merge(model.offchip_energy(act.offchip_bytes))
-            buffer_pj.append(model.buffer_energy(act.buffer_bytes).buffer_pj)
-            # The handoff's bytes, out of the smallest (one-replica) pool.
-            noc.stage_handoff_cost(act.buffer_bytes, per_replica)
-            handoff_bytes.append(act.buffer_bytes)
-        return cls(
-            crossbar_read_pj=dynamic.crossbar_read_pj,
-            crossbar_write_pj=dynamic.crossbar_write_pj,
-            peripheral_pj=dynamic.peripheral_pj,
-            offchip_pj=dynamic.offchip_pj,
-            buffer_pj=tuple(buffer_pj),
-            handoff_bytes=tuple(handoff_bytes),
-            idle_power_mw=model.idle_power_mw,
-            static_power_mw=model.static_power_mw,
-            crossbars_per_tile=config.crossbars_per_tile,
-            mesh_hops=noc.average_hops(),
-            hop_pj_per_byte=noc.config.hop_energy_pj_per_byte,
-        )
+_TABLES_REVISION = "hardware-energy-constants-v3"
 
 
 @dataclass
@@ -198,8 +109,6 @@ class AcceleratorModel:
     theta:
         Update / pruning threshold; ``None`` is the adaptive rule
         (:func:`~repro.mapping.selective.adaptive_theta`).
-    microbatches_per_batch:
-        Batch granularity for INTRA_BATCH pipeline drains.
     """
 
     name: str
@@ -210,7 +119,6 @@ class AcceleratorModel:
     predicted_times: Optional[Dict[str, float]] = None
     time_predictor: Optional[object] = None  # repro.predictor.TimePredictor
     prune_graph: bool = False
-    microbatches_per_batch: int = 4
     theta: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -265,36 +173,38 @@ class AcceleratorModel:
         config, timing params, update plan), the content the timing
         model's :meth:`~StageTimingModel.content_fingerprint` digests.
         Many experiments evaluate the same combination, so the tables go
-        through ``repro.perf``.
-        Beside the allocator's per-stage arrays, ``"energy"`` holds the
-        :class:`EnergyConstants` priced from each stage's
+        through ``repro.perf``.  One pass over the stages gathers each
+        stage's crossbars per replica, replica cap, latency floor (its
+        replica-independent update writes and reloads) and mean time at
+        one replica; ``"energy"`` holds the :class:`EnergyConstants`
+        priced from the stages'
         :meth:`~StageTimingModel.stage_activity_totals`, which no
         replica assignment changes.  Readers never mutate them.
         """
         key = f"{_TABLES_REVISION}:{timing.content_fingerprint()}"
 
         def compute() -> Dict[str, Any]:
-            stages = timing.stages
-            crossbars = np.array(
-                [timing.crossbars_per_replica(s) for s in stages],
-                dtype=np.int64,
-            )
-            caps = np.array(
-                [timing.max_useful_replicas(s) for s in stages],
-                dtype=np.int64,
-            )
-            floors = np.array(
-                [AcceleratorModel._floor(timing, s) for s in stages],
-            )
-            means = np.array(
-                [timing.mean_stage_time_ns(s, 1) for s in stages],
-            )
+            num_mbs = timing.workload.num_microbatches
+            crossbars, caps, floors, means, activities = [], [], [], [], []
+            for stage in timing.stages:
+                write = timing.write_times_ns(stage)
+                reload = timing.reload_times_ns(stage)
+                compute_ns = timing.compute_times_ns(stage, 1)
+                crossbars.append(timing.crossbars_per_replica(stage))
+                caps.append(timing.max_useful_replicas(stage))
+                floors.append(float((write + reload).sum() / num_mbs))
+                means.append(float(
+                    (compute_ns + write + reload).sum() / num_mbs
+                ))
+                activities.append(timing.stage_activity_totals(stage))
             return {
-                "crossbars": crossbars,
-                "caps": caps,
-                "floors": floors,
-                "mean_times": means,
-                "energy": EnergyConstants.of(timing, crossbars),
+                "crossbars": np.array(crossbars, dtype=np.int64),
+                "caps": np.array(caps, dtype=np.int64),
+                "floors": np.array(floors),
+                "mean_times": np.array(means),
+                "energy": EnergyConstants.of(
+                    timing.config, crossbars, activities,
+                ),
             }
 
         return current_session().cache.get_or_compute(
@@ -344,12 +254,6 @@ class AcceleratorModel:
             fixed_floors_ns=floors,
         )
 
-    @staticmethod
-    def _floor(timing: StageTimingModel, stage) -> float:
-        """Replica-independent latency floor (update writes + reloads)."""
-        floors = timing.write_times_ns(stage) + timing.reload_times_ns(stage)
-        return float(floors.sum() / timing.workload.num_microbatches)
-
     # ------------------------------------------------------------------
     @profile.phase(profile.PHASE_ACCELERATOR)
     def run(
@@ -391,10 +295,12 @@ class AcceleratorModel:
             timing=timing,
             replicas=replica_vector,
             schedule=self.schedule,
-            microbatches_per_batch=self.microbatches_per_batch,
+            microbatches_per_batch=MICROBATCHES_PER_BATCH,
         ))
         pipeline = epoch.pipeline
-        energy = self._energy(tables, pipeline, replica_vector)
+        energy = run_energy(
+            tables["energy"], tables["crossbars"], replica_vector, pipeline,
+        )
         epoch.energy = energy
         return AcceleratorReport(
             accelerator=self.name,
@@ -409,47 +315,4 @@ class AcceleratorModel:
                 (replicas * problem.crossbars_per_replica).sum()
             ),
             backend=epoch.backend,
-        )
-
-    @staticmethod
-    def _energy(
-        tables: Dict[str, Any],
-        pipeline: PipelineResult,
-        replicas: np.ndarray,
-    ) -> EnergyBreakdown:
-        """One run's energy: the timing model's :class:`EnergyConstants`
-        plus what this run's replicas and schedule decide.
-
-        Each field adds its stage terms in stage order from 0.0, so the
-        breakdown is bit-identical to merging one breakdown per stage
-        term (``tests/oracles/energy.py`` keeps that loop).
-        """
-        constants = tables["energy"]
-        makespan = pipeline.total_time_ns
-        idle_pj = 0.0
-        buffer_pj = 0.0
-        for per_replica, copies, busy_ns, stage_buffer_pj, handoff in zip(
-            tables["crossbars"].tolist(), replicas.tolist(),
-            pipeline.stage_busy_ns.tolist(), constants.buffer_pj,
-            constants.handoff_bytes,
-        ):
-            pool = copies * per_replica
-            idle_pj += (
-                max(0.0, makespan - busy_ns) * pool * constants.idle_power_mw
-            )
-            buffer_pj += stage_buffer_pj
-            # Inter-tile handoff of this stage's outputs (adders + bus,
-            # Fig. 8); latency overlaps with compute, energy does not.
-            hops = handoff_hops(
-                pool, constants.crossbars_per_tile, constants.mesh_hops,
-            )
-            buffer_pj += handoff * hops * constants.hop_pj_per_byte
-        return EnergyBreakdown(
-            crossbar_read_pj=constants.crossbar_read_pj,
-            crossbar_write_pj=constants.crossbar_write_pj,
-            peripheral_pj=constants.peripheral_pj,
-            buffer_pj=buffer_pj,
-            offchip_pj=constants.offchip_pj,
-            idle_leakage_pj=idle_pj,
-            static_pj=makespan * constants.static_power_mw,
         )

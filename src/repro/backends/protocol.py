@@ -14,9 +14,9 @@ coexist.  This module is that contract for the reproduction:
   records — the ``(stages, microbatches)`` latency matrix, the scheduled
   :class:`~repro.pipeline.simulator.PipelineResult`, and backend
   statistics, built only when read.  Energy stays activity-count-based
-  and backend-independent (:meth:`AcceleratorModel._energy` charges the
-  same event counts under either engine, integrating idle leakage over
-  the backend's makespan);
+  and backend-independent (:func:`repro.hardware.energy.run_energy`
+  charges the same event counts under either engine, integrating idle
+  leakage over the backend's makespan);
 * :mod:`repro.backends` maps each engine's name to its instance.  The
   run's :class:`~repro.runtime.RunSpec` names the engine, so consumers
   deep in the call tree (accelerator models, the serving cost model, the

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.accelerators.base import AcceleratorModel
+from repro.accelerators.base import MICROBATCHES_PER_BATCH, AcceleratorModel
 from repro.backends import EpochProgram, resolve_backend
 from repro.errors import TrainingError
 from repro.gcn.trainer import make_trainer
@@ -116,9 +116,7 @@ class CoSimulation:
                 timing=timing,
                 replicas=np.asarray(replicas, dtype=np.int64),
                 schedule=self._accelerator.schedule,
-                microbatches_per_batch=(
-                    self._accelerator.microbatches_per_batch
-                ),
+                microbatches_per_batch=MICROBATCHES_PER_BATCH,
                 full_round=full_round,
             ))
             makespans[full_round] = epoch.total_time_ns

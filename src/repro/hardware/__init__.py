@@ -8,9 +8,9 @@ Layers:
 * :mod:`~repro.hardware.engine` — matrices programmed onto crossbar grids;
 * :mod:`~repro.hardware.functional_gcn` — value-accurate GCN inference
   on those grids;
-* :mod:`~repro.hardware.energy` — per-component energy attribution;
-* :mod:`~repro.hardware.endurance` — ReRAM write wear and array lifetime;
-* :mod:`~repro.hardware.noc` — mesh NoC transfer latency and energy.
+* :mod:`~repro.hardware.energy` — the energy law: per-component
+  attribution, including the mesh handoff between stages;
+* :mod:`~repro.hardware.endurance` — ReRAM write wear and array lifetime.
 """
 
 from repro.hardware.config import (
@@ -19,7 +19,7 @@ from repro.hardware.config import (
     HardwareConfig,
 )
 from repro.hardware.crossbar import Crossbar, CrossbarStats, quantize_symmetric
-from repro.hardware.energy import EnergyBreakdown, EnergyModel, area_report
+from repro.hardware.energy import EnergyBreakdown, area_report
 from repro.hardware.endurance import (
     RERAM_ENDURANCE_WRITES,
     SRAM_ENDURANCE_WRITES,
@@ -29,7 +29,6 @@ from repro.hardware.endurance import (
 )
 from repro.hardware.engine import MappedMatrix
 from repro.hardware.functional_gcn import FunctionalGCN
-from repro.hardware.noc import MeshNoc, NocConfig
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -39,11 +38,8 @@ __all__ = [
     "CrossbarStats",
     "quantize_symmetric",
     "EnergyBreakdown",
-    "EnergyModel",
     "area_report",
     "MappedMatrix",
-    "MeshNoc",
-    "NocConfig",
     "RERAM_ENDURANCE_WRITES",
     "SRAM_ENDURANCE_WRITES",
     "LifetimeReport",

@@ -1,26 +1,42 @@
-"""Energy model (CACTI / NVSim style, per Section VII-A of the paper).
+"""The energy law (CACTI / NVSim style, per Section VII-A of the paper).
 
-Energy is attributed three ways:
+One accelerator run's energy is attributed to seven categories:
 
-* **dynamic crossbar energy** — per MVM read and per row write, using the
-  event counts accumulated in :class:`~repro.hardware.crossbar.CrossbarStats`;
-* **peripheral busy energy** — ADC/DAC/S&H/S+A/buffer power integrated over
-  the time their pool was busy;
-* **idle leakage** — reserved-but-idle crossbar pools leak at
+* **crossbar reads and writes**: every crossbar of one replica reads
+  its rows for ``input_cycles`` bit-serial passes per MVM activation;
+  each programmed row costs one write event;
+* **peripheral busy energy**: each crossbar's share of its PE's
+  ADC/DAC/S&H/S+A/register power, over the MVM latency of every
+  activation;
+* **buffer and off-chip traffic**, per byte moved, plus each stage's
+  handoff over the 2-D mesh of tiles (the adders and pipeline bus of
+  Fig. 8).  The pipeline overlaps that traffic with compute (Section
+  III-A), so the mesh is charged as energy only;
+* **idle leakage**: reserved-but-idle crossbar pools leak at
   ``idle_power_fraction`` of active power; this is why shorter pipelines
-  save energy even though GoPIM activates more components (Fig. 14b).
+  save energy even though GoPIM activates more components (Fig. 14b);
+* **static power**: the chip's controller, weight computer and
+  activation module, over the makespan.
 
-All quantities are picojoules; 1 mW x 1 ns = 1 pJ (see :mod:`repro.units`).
+What no replica count changes is priced once per timing model
+(:meth:`EnergyConstants.of`); :func:`run_energy` adds what a run's
+replicas and schedule decide.  All quantities are picojoules;
+1 mW x 1 ns = 1 pJ (see :mod:`repro.units`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+import math
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
-from repro.errors import ConfigError
+import numpy as np
+
 from repro.hardware.config import DEFAULT_CONFIG, HardwareConfig
-from repro.hardware.crossbar import CrossbarStats
+
+#: Mesh transfer energy per byte per hop (a common ReRAM-accelerator
+#: NoC assumption).
+HOP_ENERGY_PJ_PER_BYTE = 0.1
 
 
 @dataclass
@@ -69,114 +85,169 @@ class EnergyBreakdown:
         }
 
 
-# Peripheral power charged per *busy* crossbar, derived from the PE-level
-# Table II entries: each crossbar's share of its PE's ADC/DAC/S&H/S+A and
-# register power.
-def _peripheral_power_per_crossbar_mw(config: HardwareConfig) -> float:
-    per_pe = 0.0
-    for key in ("adc", "dac", "sample_hold", "input_register",
-                "output_register", "shift_add"):
+#: PE-level Table II components whose power a busy crossbar shares
+#: with the other crossbars of its PE.
+_PERIPHERALS = (
+    "adc", "dac", "sample_hold", "input_register", "output_register",
+    "shift_add",
+)
+#: Always-on chip infrastructure.
+_CHIP_UNITS = ("central_controller", "weight_computer", "activation_module")
+
+
+def _power_mw(config: HardwareConfig, keys) -> float:
+    power_mw = 0.0
+    for key in keys:
         spec = config.components.get(key)
         if spec is not None:
-            per_pe += spec.total_power_mw
-    return per_pe / config.crossbars_per_pe
+            power_mw += spec.total_power_mw
+    return power_mw
 
 
-class EnergyModel:
-    """Computes :class:`EnergyBreakdown` objects from activity records."""
+def handoff_hops(
+    crossbars_involved: int,
+    crossbars_per_tile: int,
+    mesh_hops: float,
+) -> float:
+    """Hop distance of a stage handoff out of a ``crossbars_involved`` pool.
 
-    def __init__(self, config: HardwareConfig = DEFAULT_CONFIG) -> None:
-        self._config = config
-        self._peripheral_mw = _peripheral_power_per_crossbar_mw(config)
-        self._crossbar_active_mw = config.components["crossbar"].power_mw
+    The pool's tiles form a square footprint whose side is the distance
+    (bigger pools reach further); it is capped at the mesh's average hop
+    count ``mesh_hops``.
+    """
+    tiles = max(1, crossbars_involved // crossbars_per_tile)
+    return min(float(max(1, math.isqrt(tiles))), mesh_hops)
 
-    @property
-    def config(self) -> HardwareConfig:
-        """The hardware configuration."""
-        return self._config
 
-    def crossbar_activity_energy(
-        self,
-        stats: CrossbarStats,
-        crossbars_active: int = 1,
-    ) -> EnergyBreakdown:
-        """Energy of one pool's recorded activity.
+@dataclass(frozen=True)
+class EnergyConstants:
+    """The replica-independent part of one timing model's epoch energy.
 
-        ``stats`` carries per-replica event counts; ``crossbars_active`` is
-        how many crossbars fire per event (a replica spans several
-        crossbars, all active together during an MVM).
+    The crossbar read, write, peripheral and off-chip fields are the
+    stage terms summed in stage order from 0.0.  ``buffer_pj`` and
+    ``handoff_bytes`` stay per stage: a run adds each stage's buffer
+    energy, then that stage's mesh handoff, whose hop count depends on
+    its pool size.
+    """
+
+    crossbar_read_pj: float
+    crossbar_write_pj: float
+    peripheral_pj: float
+    offchip_pj: float
+    buffer_pj: Tuple[float, ...]
+    handoff_bytes: Tuple[float, ...]
+    idle_power_mw: float      # per reserved-but-idle crossbar
+    static_power_mw: float    # always-on chip infrastructure
+    crossbars_per_tile: int
+    mesh_hops: float          # the mesh's average hop count
+
+    @classmethod
+    def of(
+        cls,
+        config: HardwareConfig,
+        crossbars: Sequence[int],
+        activities: Sequence,
+    ) -> "EnergyConstants":
+        """Price every stage's activity totals on ``config``.
+
+        ``crossbars`` is each stage's crossbars per replica and
+        ``activities`` its whole-epoch
+        :class:`~repro.stages.latency.StageActivity` totals.
+
+        Replica copies refresh round-robin (one copy per update round)
+        rather than all at once, so replicas serve bounded-stale
+        features, consistent with ISU's staleness budget, and write
+        energy does not scale with the replica count.  ADC/DAC
+        peripherals draw power while converting, i.e. during MVM
+        activations: the busy integral is the logical activation count
+        times the MVM latency, invariant to how many replicas or
+        intrinsically-parallel tiles spread the work.  An idle crossbar
+        and its peripherals leak ``idle_power_fraction`` of their
+        active power.  The tiles sit on an ``n x n`` mesh,
+        ``n = isqrt(tiles_per_chip)``, whose mean Manhattan distance
+        between two tiles is ``2 (n^2 - 1) / (3n)``.
         """
-        if crossbars_active < 0:
-            raise ConfigError("crossbars_active must be >= 0")
-        cfg = self._config
-        read_pj = (
-            stats.mvm_reads * crossbars_active
-            * cfg.crossbar_read_energy_pj * cfg.input_cycles
-            * cfg.crossbar_rows
+        peripheral_mw = (
+            _power_mw(config, _PERIPHERALS) / config.crossbars_per_pe
         )
-        write_pj = stats.row_writes * cfg.crossbar_write_energy_pj
-        peripheral_pj = (
-            stats.busy_ns * self._peripheral_mw * crossbars_active
-        )
-        return EnergyBreakdown(
+        side = max(1, math.isqrt(config.tiles_per_chip))
+        read_pj = write_pj = busy_pj = offchip_pj = 0.0
+        for per_replica, act in zip(crossbars, activities):
+            streams = act.mvm_row_streams
+            read_pj += (
+                streams * per_replica * config.crossbar_read_energy_pj
+                * config.input_cycles * config.crossbar_rows
+            )
+            write_pj += act.rows_written * config.crossbar_write_energy_pj
+            busy_pj += (
+                streams * config.mvm_latency_ns * peripheral_mw * per_replica
+            )
+            offchip_pj += (
+                act.offchip_bytes * config.offchip_access_energy_pj_per_byte
+            )
+        return cls(
             crossbar_read_pj=read_pj,
             crossbar_write_pj=write_pj,
-            peripheral_pj=peripheral_pj,
+            peripheral_pj=busy_pj,
+            offchip_pj=offchip_pj,
+            buffer_pj=tuple(
+                act.buffer_bytes * config.buffer_access_energy_pj_per_byte
+                for act in activities
+            ),
+            handoff_bytes=tuple(act.buffer_bytes for act in activities),
+            idle_power_mw=(
+                (config.components["crossbar"].power_mw + peripheral_mw)
+                * config.idle_power_fraction
+            ),
+            static_power_mw=_power_mw(config, _CHIP_UNITS),
+            crossbars_per_tile=config.crossbars_per_tile,
+            mesh_hops=2.0 * (side * side - 1) / (3.0 * side),
         )
 
-    @property
-    def idle_power_mw(self) -> float:
-        """Leakage power of one reserved-but-idle crossbar (and its
-        peripherals)."""
-        return (
-            (self._crossbar_active_mw + self._peripheral_mw)
-            * self._config.idle_power_fraction
+
+def run_energy(
+    constants: EnergyConstants,
+    crossbars: np.ndarray,
+    replicas: np.ndarray,
+    pipeline,
+) -> EnergyBreakdown:
+    """One run's energy: ``constants`` plus what the run's replicas and
+    schedule decide.
+
+    ``crossbars`` and ``replicas`` are each stage's crossbars per
+    replica and replica count; ``pipeline`` is the run's
+    :class:`~repro.pipeline.simulator.PipelineResult`.  Each pool leaks
+    over the part of the makespan it is not busy, and each stage's
+    handoff travels further out of a larger pool.  Each field adds its
+    stage terms in stage order from 0.0 (``tests/oracles/energy.py``
+    merges one breakdown per term instead).
+    """
+    makespan = pipeline.total_time_ns
+    idle_pj = 0.0
+    buffer_pj = 0.0
+    for per_replica, copies, busy_ns, stage_buffer_pj, handoff in zip(
+        crossbars.tolist(), replicas.tolist(),
+        pipeline.stage_busy_ns.tolist(), constants.buffer_pj,
+        constants.handoff_bytes,
+    ):
+        pool = copies * per_replica
+        idle_pj += (
+            max(0.0, makespan - busy_ns) * pool * constants.idle_power_mw
         )
-
-    @property
-    def static_power_mw(self) -> float:
-        """Always-on chip infrastructure power (controller, weight
-        computer, activation module)."""
-        power_mw = 0.0
-        for key in ("central_controller", "weight_computer",
-                    "activation_module"):
-            spec = self._config.components.get(key)
-            if spec is not None:
-                power_mw += spec.total_power_mw
-        return power_mw
-
-    def idle_energy(
-        self,
-        idle_crossbar_ns: float,
-    ) -> EnergyBreakdown:
-        """Leakage for ``idle_crossbar_ns`` crossbar-nanoseconds of idling."""
-        if idle_crossbar_ns < 0:
-            raise ConfigError("idle time must be >= 0")
-        return EnergyBreakdown(
-            idle_leakage_pj=idle_crossbar_ns * self.idle_power_mw,
+        buffer_pj += stage_buffer_pj
+        hops = handoff_hops(
+            pool, constants.crossbars_per_tile, constants.mesh_hops,
         )
-
-    def buffer_energy(self, bytes_moved: float) -> EnergyBreakdown:
-        """On-chip global-buffer traffic energy."""
-        if bytes_moved < 0:
-            raise ConfigError("bytes_moved must be >= 0")
-        return EnergyBreakdown(
-            buffer_pj=bytes_moved * self._config.buffer_access_energy_pj_per_byte
-        )
-
-    def offchip_energy(self, bytes_moved: float) -> EnergyBreakdown:
-        """Off-chip memory traffic energy."""
-        if bytes_moved < 0:
-            raise ConfigError("bytes_moved must be >= 0")
-        return EnergyBreakdown(
-            offchip_pj=bytes_moved * self._config.offchip_access_energy_pj_per_byte
-        )
-
-    def static_energy(self, duration_ns: float) -> EnergyBreakdown:
-        """Always-on chip infrastructure (controller, weight computer)."""
-        if duration_ns < 0:
-            raise ConfigError("duration must be >= 0")
-        return EnergyBreakdown(static_pj=duration_ns * self.static_power_mw)
+        buffer_pj += handoff * hops * HOP_ENERGY_PJ_PER_BYTE
+    return EnergyBreakdown(
+        crossbar_read_pj=constants.crossbar_read_pj,
+        crossbar_write_pj=constants.crossbar_write_pj,
+        peripheral_pj=constants.peripheral_pj,
+        buffer_pj=buffer_pj,
+        offchip_pj=constants.offchip_pj,
+        idle_leakage_pj=idle_pj,
+        static_pj=makespan * constants.static_power_mw,
+    )
 
 
 def area_report(config: HardwareConfig = DEFAULT_CONFIG) -> Dict[str, float]:

@@ -24,7 +24,7 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -34,11 +34,7 @@ from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.errors import ConfigError
 from repro.mapping.tiling import plan_tiling
 from repro.runtime.session import Session
-from repro.stages.latency import (
-    DEFAULT_TIMING_PARAMS,
-    TimingParams,
-    stage_cost_factor,
-)
+from repro.stages.latency import DEFAULT_TIMING_PARAMS, stage_cost_factor
 
 #: Pipeline depth the per-replica allocator balances for.  Serving keeps
 #: a replica's stage pipeline continuously fed under load, so the
@@ -125,8 +121,6 @@ def build_serving_system(
     dataset: str,
     num_servers: int = 4,
     max_batch: int = 64,
-    params: TimingParams = DEFAULT_TIMING_PARAMS,
-    memoize_allocation: bool = True,
 ) -> ServingCostModel:
     """Provision serving replicas on the session's chip for a dataset.
 
@@ -136,16 +130,17 @@ def build_serving_system(
     the full batch size the batching policy targets.
 
     The allocator problem is a pure function of (config, dataset shape,
-    servers, batch), so by default its search is memoised through the
+    servers, batch), so its search is memoised through the
     content-keyed ``"allocation"`` cache and repeated builds — tail-
     latency sweeps re-provision per policy point — skip straight to the
-    replica vector.  ``memoize_allocation=False`` forces a cold search.
+    replica vector.
     """
     if num_servers < 1:
         raise ConfigError(f"num_servers must be >= 1, got {num_servers}")
     if max_batch < 1:
         raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
     config = session.config
+    params = DEFAULT_TIMING_PARAMS
     workload = session.workload(dataset)
     forward = workload.stage_chain()[: 2 * workload.num_layers]
     mean_degree = float(workload.graph.degrees.mean())
@@ -167,22 +162,19 @@ def build_serving_system(
     servers = min(num_servers, fitting)
     per_server_budget = config.total_crossbars // servers - mandatory
 
-    # The training side's per-stage latency-law constants.
+    # The training side's per-stage latency-law constants, at one
+    # replica per stage until the allocator decides.
     is_edge = np.array(
         [s.kind.is_edge_proportional for s in forward], dtype=bool,
     )
-    factor = np.array(
-        [stage_cost_factor(s, config, params) for s in forward],
-        dtype=np.float64,
-    )
-
-    # Allocator inputs: one full batch's per-stage time at 1 replica.
-    batch_edges = max(1, round(max_batch * mean_degree))
-    base = ServingCostModel(
+    system = ServingCostModel(
         dataset=dataset,
         stage_names=[s.name for s in forward],
         is_edge_stage=is_edge,
-        stage_factor=factor,
+        stage_factor=np.array(
+            [stage_cost_factor(s, config, params) for s in forward],
+            dtype=np.float64,
+        ),
         replicas=np.ones(len(forward), dtype=np.int64),
         crossbars_per_replica=crossbars,
         num_servers=servers,
@@ -193,14 +185,16 @@ def build_serving_system(
         intrinsic_edge_parallelism=params.intrinsic_edge_parallelism,
         allocation=None,
     )
-    # Allocator inputs stay analytic whatever the session's backend:
-    # provisioning is part of the planner, and keeping the replica split
+    # Allocator inputs: one full batch's per-stage time at 1 replica.
+    # They stay analytic whatever the session's backend: provisioning is
+    # part of the planner, and keeping the replica split
     # backend-independent means every backend prices the *same* system
     # (mirrors AcceleratorModel, whose allocation tables are analytic).
     from repro.backends import get_backend
 
+    batch_edges = max(1, round(max_batch * mean_degree))
     times = get_backend("analytic").service_times_ns(
-        base,
+        system,
         np.array([max_batch], dtype=np.int64),
         np.array([batch_edges], dtype=np.int64),
     )[:, 0].astype(np.float64)
@@ -209,27 +203,16 @@ def build_serving_system(
         np.maximum(1, batch_edges),
         max_batch,
     ).astype(np.int64)
-    problem = AllocationProblem(
-        stage_names=list(base.stage_names),
+    allocation = greedy_allocation(AllocationProblem(
+        stage_names=list(system.stage_names),
         times_ns=np.maximum(times, 1e-3),
         crossbars_per_replica=crossbars,
         budget=per_server_budget,
         replica_caps=caps,
         num_microbatches=ALLOC_PIPELINE_DEPTH,
-    )
-    allocation = greedy_allocation(problem, memoize=memoize_allocation)
-    return ServingCostModel(
-        dataset=dataset,
-        stage_names=base.stage_names,
-        is_edge_stage=is_edge,
-        stage_factor=factor,
+    ))
+    return replace(
+        system,
         replicas=np.asarray(allocation.replicas, dtype=np.int64),
-        crossbars_per_replica=crossbars,
-        num_servers=servers,
-        max_batch=max_batch,
-        mean_degree=mean_degree,
-        mvm_latency_ns=config.mvm_latency_ns,
-        read_latency_ns=config.read_latency_ns,
-        intrinsic_edge_parallelism=params.intrinsic_edge_parallelism,
         allocation=allocation,
     )

@@ -92,8 +92,7 @@ class StageActivity:
     """Event counts for one (stage, micro-batch) execution — energy input."""
 
     mvm_row_streams: int = 0      # logical input rows streamed (x row tiles)
-    crossbars_per_stream: int = 0  # column tiles active per stream
-    rows_written: int = 0          # total feature/weight rows programmed
+    rows_written: int = 0         # total feature/weight rows programmed
     buffer_bytes: float = 0.0
     offchip_bytes: float = 0.0
 
@@ -478,7 +477,6 @@ class StageTimingModel:
 
         return StageActivity(
             mvm_row_streams=streams,
-            crossbars_per_stream=col_tiles,
             rows_written=rows_written,
             buffer_bytes=buffer_bytes,
             offchip_bytes=buffer_bytes * 0.5,

@@ -1,11 +1,35 @@
-"""Energy model: per-category attribution, merging, area report."""
+"""The energy law: per-category attribution, merging, area report."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.errors import ConfigError
 from repro.hardware.config import DEFAULT_CONFIG
-from repro.hardware.crossbar import CrossbarStats
-from repro.hardware.energy import EnergyBreakdown, EnergyModel, area_report
+from repro.hardware.energy import (
+    EnergyBreakdown,
+    EnergyConstants,
+    area_report,
+    run_energy,
+)
+from repro.stages.latency import StageActivity
+
+
+def constants_of(per_replica=1, **activity):
+    """One stage's constants on the default chip."""
+    return EnergyConstants.of(
+        DEFAULT_CONFIG, [per_replica], [StageActivity(**activity)],
+    )
+
+
+def one_stage_run(constants, makespan=0.0, busy=0.0, replicas=1):
+    """A one-replica-per-crossbar run of one stage: its energy."""
+    pipeline = SimpleNamespace(
+        total_time_ns=makespan, stage_busy_ns=np.array([busy]),
+    )
+    return run_energy(
+        constants, np.array([1]), np.array([replicas]), pipeline,
+    )
 
 
 def test_breakdown_total_and_merge():
@@ -19,65 +43,61 @@ def test_breakdown_total_and_merge():
 
 
 def test_crossbar_activity_energy_scaling():
-    model = EnergyModel()
-    stats = CrossbarStats(mvm_reads=10, row_writes=5, busy_ns=100.0)
-    one = model.crossbar_activity_energy(stats, crossbars_active=1)
-    two = model.crossbar_activity_energy(stats, crossbars_active=2)
-    # Reads and peripherals scale with active crossbars; writes are counted
-    # as row events and do not.
+    activity = dict(mvm_row_streams=10, rows_written=5)
+    one = constants_of(1, **activity)
+    two = constants_of(2, **activity)
+    # Reads and peripherals scale with crossbars per replica; writes are
+    # counted as row events and do not.
+    assert one.crossbar_read_pj > 0 and one.peripheral_pj > 0
     assert two.crossbar_read_pj == pytest.approx(2 * one.crossbar_read_pj)
     assert two.peripheral_pj == pytest.approx(2 * one.peripheral_pj)
     assert two.crossbar_write_pj == pytest.approx(one.crossbar_write_pj)
 
 
 def test_write_energy_per_row():
-    model = EnergyModel()
-    stats = CrossbarStats(row_writes=7)
-    out = model.crossbar_activity_energy(stats)
+    out = constants_of(rows_written=7)
     assert out.crossbar_write_pj == pytest.approx(
         7 * DEFAULT_CONFIG.crossbar_write_energy_pj,
     )
 
 
 def test_idle_energy_proportional():
-    model = EnergyModel()
-    one = model.idle_energy(1000.0)
-    two = model.idle_energy(2000.0)
-    assert two.idle_leakage_pj == pytest.approx(2 * one.idle_leakage_pj)
-    assert one.idle_leakage_pj > 0
-    with pytest.raises(ConfigError):
-        model.idle_energy(-1.0)
+    constants = constants_of()
+    crossbar = DEFAULT_CONFIG.components["crossbar"].power_mw
+    assert constants.idle_power_mw > (
+        crossbar * DEFAULT_CONFIG.idle_power_fraction
+    )
+    one = one_stage_run(constants, makespan=1000.0).idle_leakage_pj
+    assert one == pytest.approx(1000.0 * constants.idle_power_mw)
+    assert one_stage_run(
+        constants, makespan=2000.0,
+    ).idle_leakage_pj == pytest.approx(2 * one)
+    # Only the idle part of the makespan leaks, over the whole pool.
+    assert one_stage_run(
+        constants, makespan=2000.0, busy=1000.0, replicas=3,
+    ).idle_leakage_pj == pytest.approx(3 * one)
 
 
 def test_traffic_energies():
-    model = EnergyModel()
-    assert model.buffer_energy(100.0).buffer_pj == pytest.approx(
+    constants = constants_of(buffer_bytes=100.0, offchip_bytes=100.0)
+    assert constants.buffer_pj[0] == pytest.approx(
         100.0 * DEFAULT_CONFIG.buffer_access_energy_pj_per_byte,
     )
-    assert model.offchip_energy(100.0).offchip_pj == pytest.approx(
+    assert constants.offchip_pj == pytest.approx(
         100.0 * DEFAULT_CONFIG.offchip_access_energy_pj_per_byte,
     )
-    with pytest.raises(ConfigError):
-        model.buffer_energy(-1.0)
 
 
 def test_static_energy_uses_chip_components():
-    model = EnergyModel()
-    out = model.static_energy(1000.0)
     expected_power = (
         DEFAULT_CONFIG.components["central_controller"].total_power_mw
         + DEFAULT_CONFIG.components["weight_computer"].total_power_mw
         + DEFAULT_CONFIG.components["activation_module"].total_power_mw
     )
+    constants = constants_of()
+    assert constants.static_power_mw == pytest.approx(expected_power)
+    out = one_stage_run(constants, makespan=1000.0)
     assert out.static_pj == pytest.approx(1000.0 * expected_power)
-
-
-def test_negative_inputs_rejected():
-    model = EnergyModel()
-    with pytest.raises(ConfigError):
-        model.crossbar_activity_energy(CrossbarStats(), crossbars_active=-1)
-    with pytest.raises(ConfigError):
-        model.static_energy(-5.0)
 
 
 def test_area_report_structure():

@@ -200,7 +200,6 @@ def stage_activity_reference(
 
     return StageActivity(
         mvm_row_streams=streams,
-        crossbars_per_stream=col_tiles,
         rows_written=rows_written,
         buffer_bytes=buffer_bytes,
         offchip_bytes=buffer_bytes * 0.5,
