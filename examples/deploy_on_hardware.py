@@ -42,9 +42,7 @@ def main() -> None:
         feature_dim=12, feature_noise=4.0, intra_ratio=0.7,
     )
     print(f"graph: {graph}")
-    trainer = NodeClassificationTrainer(
-        graph, hidden_dim=16, num_layers=2, random_state=0,
-    )
+    trainer = NodeClassificationTrainer(graph, hidden_dim=16, random_state=0)
     print(f"training {epochs} epochs in software...")
     history = trainer.train(epochs=epochs)
     print(f"  software best accuracy: {history.best_test_metric:.1%}")

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.allocation.baselines import serial_allocation
 from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.backends import EpochProgram, resolve_backend
 from repro.errors import ConfigError
@@ -75,14 +76,6 @@ class AcceleratorReport:
         return self.pipeline.idle_fractions()
 
 
-def _serial_allocator(problem: AllocationProblem) -> AllocationResult:
-    return AllocationResult(
-        problem=problem,
-        replicas=np.ones(problem.num_stages, dtype=np.int64),
-        strategy="serial",
-    )
-
-
 @dataclass
 class AcceleratorModel:
     """One accelerator design point.
@@ -113,7 +106,7 @@ class AcceleratorModel:
 
     name: str
     schedule: ScheduleMode = ScheduleMode.INTRA_INTER
-    allocator: AllocatorFn = _serial_allocator
+    allocator: AllocatorFn = serial_allocation
     update_strategy: str = "full"
     timing_params: TimingParams = DEFAULT_TIMING_PARAMS
     predicted_times: Optional[Dict[str, float]] = None
@@ -301,7 +294,6 @@ class AcceleratorModel:
         energy = run_energy(
             tables["energy"], tables["crossbars"], replica_vector, pipeline,
         )
-        epoch.energy = energy
         return AcceleratorReport(
             accelerator=self.name,
             workload=workload.name,

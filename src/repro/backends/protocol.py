@@ -139,16 +139,13 @@ class EpochTiming:
     accounting (the trace backend reports instruction counts, which the
     conformance suite checks conserve the workload's operation totals).
     ``build_stats`` makes it on the first read of ``stats``, so an epoch
-    nobody asks about costs no accounting.  The optional ``energy`` slot
-    is filled by the accelerator model's activity-count energy
-    accounting, which is backend-independent.
+    nobody asks about costs no accounting.
     """
 
     backend: str
     times_ns: np.ndarray
     pipeline: PipelineResult
     build_stats: Callable[[], Dict[str, Any]] = field(default=dict, repr=False)
-    energy: Optional[Any] = None  # EnergyBreakdown, attached by callers
 
     @functools.cached_property
     def stats(self) -> Dict[str, Any]:

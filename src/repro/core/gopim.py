@@ -96,14 +96,11 @@ class GoPIMSystem:
         task: str,
         epochs: int = 60,
         random_state: int = 0,
-        **trainer_kwargs,
     ) -> TrainingResult:
         """Train a GCN with GoPIM's ISU staleness semantics."""
         plan = build_update_plan(
             graph, strategy="isu", theta=self._theta,
             rows_per_crossbar=current_session().config.crossbar_rows,
         )
-        trainer = make_trainer(
-            graph, task, random_state=random_state, **trainer_kwargs,
-        )
+        trainer = make_trainer(graph, task, random_state=random_state)
         return trainer.train(epochs=epochs, update_plan=plan)

@@ -48,7 +48,7 @@ def run(
         feature_dim=12, feature_noise=4.0, intra_ratio=0.7,
     )
     trainer = NodeClassificationTrainer(
-        graph, hidden_dim=16, num_layers=2, random_state=seed,
+        graph, hidden_dim=16, random_state=seed,
     )
     trainer.train(epochs=epochs)
     model = trainer.model

@@ -2,10 +2,10 @@
 
 The ablation/table experiments (tab05, fig16, abl-model-family,
 abl-weight-staleness, ...) train fleets of *small* models that differ
-only in seed, staleness schedule, or one hyperparameter.  This module
-stacks R such runs into one extra leading tensor dimension — weights
-``[R, in, out]``, activations ``[R, V, d]`` — and advances all R
-replicas with one batched forward/backward/Adam step per epoch.  A
+only in seed and staleness schedule.  This module stacks R such runs
+into one extra leading tensor dimension — weights ``[R, in, out]``,
+activations ``[R, V, d]`` — and advances all R replicas with one
+batched forward/backward/Adam step per epoch.  A
 single run is a fleet of one: :class:`~repro.gcn.trainer.NodeClassificationTrainer`
 and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine,
 :func:`train_split_replicas` (the ablation split harness) trains
@@ -30,19 +30,22 @@ on, each covered by ``tests/gcn/test_batched_equivalence.py``:
   blocking than the serial 1-D reduce, so ``picked[r].mean()`` matches
   where ``picked.mean(axis=-1)[r]`` does not);
 * each replica's model is built with the replica's seed, so its weight
-  init and its ``_rng`` (the model stream: dropout masks, analog noise)
-  are the serial ones; the trainer stream (split + negative sampling)
-  is ``np.random.default_rng(seed)``; both are drawn in the serial
-  order, so stream positions coincide after every ``train`` call;
+  init and its ``_rng`` (the model stream: analog noise) are the serial
+  ones; the trainer stream (split + negative sampling) is
+  ``np.random.default_rng(seed)``; both are drawn in the serial order,
+  so stream positions coincide after every ``train`` call;
 * staleness batches via a per-replica refresh mask: plan-less replicas
   carry an all-ones mask row, and multiplying a float32 gradient by 1.0
   is bitwise the identity, so mixed vanilla/ISU groups stay eligible.
 
+Every run trains one configuration: two GCN layers ``HIDDEN_DIM`` wide
+(node runs may narrow it), ``EMBEDDING_DIM``-wide link embeddings, the
+task's test fraction and :class:`~repro.gcn.optim.Adam`'s fixed step.
 Groups must agree on everything *except* seed, update plan, and (for the
-split path) gradient delay: same graph object, task, dims, epochs,
-learning rate, dropout, noise sigma, and eval cadence.  Model, Adam,
-stale-store and RNG state persist across ``train`` calls, so a caller
-may drive an engine one epoch at a time (the co-simulator does).
+split path) gradient delay: same graph object, task, epochs and noise
+sigma.  Model, Adam, stale-store and RNG state persist across ``train``
+calls, so a caller may drive an engine one epoch at a time (the
+co-simulator does).
 """
 
 from __future__ import annotations
@@ -65,23 +68,19 @@ from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
 from repro.perf import profile
 
-NODE_TEST_FRACTION = 0.3  # NodeClassificationTrainer default
-LINK_TEST_FRACTION = 0.2  # LinkPredictionTrainer default
+HIDDEN_DIM = 64  # width of every hidden GCN layer
+EMBEDDING_DIM = 64  # width of the link task's vertex embeddings
+NODE_TEST_FRACTION = 0.3  # share of vertices held out for node runs
+LINK_TEST_FRACTION = 0.2  # share of edges held out for link runs
 
 
 @dataclass
 class TrainingResult:
-    """Loss/metric history of one training run.
-
-    ``losses`` has one entry per epoch; the metric lists have one entry
-    per *evaluated* epoch (``eval_epochs`` records which — every epoch
-    under the default ``eval_every=1`` cadence).
-    """
+    """Loss/metric history of one training run, one entry per epoch."""
 
     losses: List[float] = field(default_factory=list)
     train_metrics: List[float] = field(default_factory=list)
     test_metrics: List[float] = field(default_factory=list)
-    eval_epochs: List[int] = field(default_factory=list)
 
     @property
     def final_test_metric(self) -> float:
@@ -92,7 +91,7 @@ class TrainingResult:
 
     @property
     def best_test_metric(self) -> float:
-        """Best evaluated-epoch metric (what the paper tables report)."""
+        """Best epoch metric (what the paper tables report)."""
         if not self.test_metrics:
             raise TrainingError("no epochs recorded")
         return max(self.test_metrics)
@@ -110,39 +109,19 @@ def _split_indices(
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-def _validate_schedule(epochs: int, start_epoch: int, eval_every: int) -> None:
+def _validate_schedule(epochs: int, start_epoch: int) -> None:
     if epochs < 1:
         raise TrainingError("epochs must be >= 1")
     if start_epoch < 0:
         raise TrainingError("start_epoch must be >= 0")
-    if eval_every < 1:
-        raise TrainingError("eval_every must be >= 1")
-
-
-def _layer_dims(
-    d_in: int,
-    hidden_dim: int,
-    d_out: int,
-    num_layers: int,
-) -> List[Tuple[int, int]]:
-    """``num_layers`` chained ``(d_in, d_out)`` pairs, ``hidden_dim``
-    wide except the last layer's output."""
-    dims: List[Tuple[int, int]] = []
-    for layer in range(num_layers):
-        width = d_out if layer == num_layers - 1 else hidden_dim
-        dims.append((d_in, width))
-        d_in = width
-    return dims
 
 
 @dataclass(frozen=True, eq=False)
 class ReplicaSpec:
     """One training run, described for replica batching.
 
-    Field defaults mirror the single-run trainers'.  ``test_fraction=None``
-    resolves to the task default (0.3 node / 0.2 link).  Replicas group
-    together when they agree on every field except ``random_state`` and
-    ``update_plan``.
+    Replicas group together when they agree on every field except
+    ``random_state`` and ``update_plan``.
     """
 
     graph: Graph
@@ -150,31 +129,12 @@ class ReplicaSpec:
     epochs: int
     random_state: int = 0
     update_plan: Optional[UpdatePlan] = None
-    hidden_dim: int = 64
-    embedding_dim: int = 64
-    num_layers: int = 2
-    learning_rate: float = 0.01
-    dropout: float = 0.0
-    test_fraction: Optional[float] = None
     analog_noise_sigma: float = 0.0
-    start_epoch: int = 0
-    eval_every: int = 1
-
-    def resolved_test_fraction(self) -> float:
-        """The task-default split fraction unless overridden."""
-        if self.test_fraction is not None:
-            return self.test_fraction
-        if self.task == "link":
-            return LINK_TEST_FRACTION
-        return NODE_TEST_FRACTION
 
     def group_key(self) -> Tuple:
         """Replicas sharing this key may train in one batched group."""
         return (
-            id(self.graph), self.task, self.epochs, self.hidden_dim,
-            self.embedding_dim, self.num_layers, self.learning_rate,
-            self.dropout, self.resolved_test_fraction(),
-            self.analog_noise_sigma, self.start_epoch, self.eval_every,
+            id(self.graph), self.task, self.epochs, self.analog_noise_sigma,
         )
 
 
@@ -247,8 +207,8 @@ class _StackedModel:
     ``[R, ...]`` model.
 
     Subclasses mirror one family's forward/backward operation for
-    operation; per-replica randomness (dropout, analog noise) draws from
-    each replica's own ``model`` stream in the serial order.
+    operation; per-replica randomness (analog noise) draws from each
+    replica's own ``model`` stream in the serial order.
     """
 
     def __init__(
@@ -258,10 +218,8 @@ class _StackedModel:
         model_rngs: List[np.random.Generator],
     ) -> None:
         self._dims = first.layer_dims
-        self._dropout = first.dropout
         self.params = params
         self._rngs = model_rngs
-        self._dropout_scratch: Dict[Tuple[int, ...], np.ndarray] = {}
 
     @property
     def num_layers(self) -> int:
@@ -270,7 +228,7 @@ class _StackedModel:
     @staticmethod
     def signature(model) -> Tuple:
         """The hyperparameters every replica of one stacked model shares."""
-        return (model.layer_dims, model.dropout)
+        return (model.layer_dims,)
 
     @classmethod
     def from_models(cls, models: Sequence) -> "_StackedModel":
@@ -286,8 +244,8 @@ class _StackedModel:
             for model in models
         ):
             raise TrainingError(
-                "a stacked fleet needs one model family with equal dims, "
-                "dropout and noise"
+                "a stacked fleet needs one model family with equal dims "
+                "and noise"
             )
         params = {
             name: np.stack([m.params[name] for m in models])
@@ -302,22 +260,6 @@ class _StackedModel:
             model.params = {
                 key: val[r].copy() for key, val in self.params.items()
             }
-
-    def _dropout_keep(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """``[R, *shape]`` inverted-dropout masks, one draw per replica
-        stream (a float64 scratch draw consumes the stream as a fresh
-        ``rng.random(shape)`` does)."""
-        scratch = self._dropout_scratch.get(shape)
-        if scratch is None:
-            scratch = np.empty(shape, dtype=np.float64)
-            self._dropout_scratch[shape] = scratch
-        keeps = []
-        for rng in self._rngs:
-            rng.random(out=scratch)
-            keep = (scratch >= self._dropout).astype(np.float32)
-            keep /= (1.0 - self._dropout)
-            keeps.append(keep)
-        return np.stack(keeps)
 
 
 class _StackedGCN(_StackedModel):
@@ -336,7 +278,7 @@ class _StackedGCN(_StackedModel):
 
     @staticmethod
     def signature(model: GCN) -> Tuple:
-        return (model.layer_dims, model.dropout, model.analog_noise_sigma)
+        return (model.layer_dims, model.analog_noise_sigma)
 
     # ------------------------------------------------------------------
     def forward(
@@ -345,14 +287,13 @@ class _StackedGCN(_StackedModel):
         features: np.ndarray,
         store: Optional[_BatchedStore] = None,
         masks: Optional[np.ndarray] = None,
-        training: bool = False,
         params: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, dict]:
         """Batched forward; ``masks`` is the ``[R, V]`` refresh mask
         (None = every replica refreshes fully this round)."""
         if params is None:
             params = self.params
-        cache: dict = {"inputs": [], "masks": [], "fresh": [], "dropout": []}
+        cache: dict = {"inputs": [], "masks": [], "fresh": []}
         hidden: np.ndarray = features  # [V, d0] shared, then [R, V, d]
         for i in range(self.num_layers):
             cache["inputs"].append(hidden)
@@ -380,16 +321,9 @@ class _StackedGCN(_StackedModel):
                 mask = aggregated > 0
                 hidden = aggregated * mask
                 cache["masks"].append(mask)
-                if training and self._dropout > 0:
-                    keep = self._dropout_keep(hidden.shape[1:])
-                    hidden = hidden * keep
-                    cache["dropout"].append(keep)
-                else:
-                    cache["dropout"].append(None)
             else:
                 hidden = aggregated
                 cache["masks"].append(None)
-                cache["dropout"].append(None)
         return hidden, cache
 
     def backward(
@@ -405,9 +339,6 @@ class _StackedGCN(_StackedModel):
         grads: Dict[str, np.ndarray] = {}
         grad = np.asarray(grad_output, dtype=np.float32)
         for i in range(self.num_layers - 1, -1, -1):
-            keep = cache["dropout"][i]
-            if keep is not None:
-                grad = grad * keep
             mask = cache["masks"][i]
             if mask is not None:
                 grad = grad * mask
@@ -442,14 +373,12 @@ class _StackedSAGE(_StackedModel):
         features: np.ndarray,
         store: Optional[_BatchedStore] = None,
         masks: Optional[np.ndarray] = None,
-        training: bool = False,
         params: Optional[Dict[str, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, dict]:
         """Batched forward; arguments as :meth:`_StackedGCN.forward`."""
         if params is None:
             params = self.params
-        cache: dict = {"inputs": [], "aggregated": [], "fresh": [],
-                       "masks": [], "dropout": []}
+        cache: dict = {"inputs": [], "aggregated": [], "fresh": [], "masks": []}
         hidden: np.ndarray = features  # [V, d0] shared, then [R, V, d]
         for i in range(self.num_layers):
             cache["inputs"].append(hidden)
@@ -475,15 +404,8 @@ class _StackedSAGE(_StackedModel):
                 mask = out > 0
                 out = out * mask
                 cache["masks"].append(mask)
-                if training and self._dropout > 0:
-                    keep = self._dropout_keep(out.shape[1:])
-                    out = out * keep
-                    cache["dropout"].append(keep)
-                else:
-                    cache["dropout"].append(None)
             else:
                 cache["masks"].append(None)
-                cache["dropout"].append(None)
             hidden = out
         return hidden, cache
 
@@ -501,9 +423,6 @@ class _StackedSAGE(_StackedModel):
         grads: Dict[str, np.ndarray] = {}
         grad = np.asarray(grad_output, dtype=np.float32)
         for i in range(self.num_layers - 1, -1, -1):
-            keep = cache["dropout"][i]
-            if keep is not None:
-                grad = grad * keep
             mask = cache["masks"][i]
             if mask is not None:
                 grad = grad * mask
@@ -668,39 +587,34 @@ class BatchedNodeTrainer:
     """R node-classification runs, one batched pass per epoch.
 
     Replica ``r`` is the run ``NodeClassificationTrainer(graph,
-    random_state=random_states[r], ...)`` would train; the other
-    hyperparameters are shared by the fleet.  ``models`` holds each
-    replica's :class:`~repro.gcn.model.GCN`, updated after every
-    :meth:`train` call.
+    hidden_dim, random_state=random_states[r])`` would train, with the
+    fleet's analog noise.  ``models`` holds each replica's
+    :class:`~repro.gcn.model.GCN`, updated after every :meth:`train`
+    call.
     """
 
     def __init__(
         self,
         graph: Graph,
         random_states: Sequence[int],
-        hidden_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = NODE_TEST_FRACTION,
+        hidden_dim: int = HIDDEN_DIM,
         analog_noise_sigma: float = 0.0,
     ) -> None:
         if graph.features is None or graph.labels is None:
             raise TrainingError("node task needs features and labels")
         self._graph = graph
         self._rngs = [np.random.default_rng(seed) for seed in random_states]
-        dims = _layer_dims(
-            graph.feature_dim, hidden_dim, graph.num_classes, num_layers,
-        )
+        dims = [
+            (graph.feature_dim, hidden_dim), (hidden_dim, graph.num_classes),
+        ]
         self.models = [
-            GCN(dims, dropout=dropout, random_state=seed,
-                analog_noise_sigma=analog_noise_sigma)
+            GCN(dims, random_state=seed, analog_noise_sigma=analog_noise_sigma)
             for seed in random_states
         ]
         self._stacked = _StackedGCN.from_models(self.models)
-        self._optimizer = Adam(learning_rate=learning_rate)
+        self._optimizer = Adam()
         splits = [
-            _split_indices(graph.num_vertices, test_fraction, rng)
+            _split_indices(graph.num_vertices, NODE_TEST_FRACTION, rng)
             for rng in self._rngs
         ]
         self.train_idx = np.stack([s[0] for s in splits])
@@ -708,7 +622,7 @@ class BatchedNodeTrainer:
         labels = graph.labels
         self._train_labels = np.stack([labels[idx] for idx in self.train_idx])
         self._test_labels = np.stack([labels[idx] for idx in self.test_idx])
-        self._store = _BatchedStore(num_layers)
+        self._store = _BatchedStore(self._stacked.num_layers)
 
     @profile.phase(profile.PHASE_TRAINING_BATCHED)
     def train(
@@ -716,26 +630,20 @@ class BatchedNodeTrainer:
         epochs: int,
         update_plans: Sequence[Optional[UpdatePlan]],
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> List[TrainingResult]:
         """Train every replica ``epochs`` epochs; ``update_plans[r]``
         (None = full updates) is replica ``r``'s staleness schedule.
 
         ``start_epoch`` offsets the plans' epoch phase so a caller driving
         the loop one epoch at a time keeps the ISU minor-refresh cadence.
-        ``eval_every`` strides metric evaluation (the final epoch is
-        always evaluated); losses are recorded every epoch.
+        Every epoch is evaluated; without analog noise the eval forward
+        would reproduce the training logits, so they are reused.
         """
-        _validate_schedule(epochs, start_epoch, eval_every)
+        _validate_schedule(epochs, start_epoch)
         num_replicas = len(self.models)
         if len(update_plans) != num_replicas:
             raise TrainingError("need one update plan per replica")
-        first = self.models[0]
-        if first.analog_noise_sigma > 0:
-            eval_every = 1  # eval forwards draw RNG; keep streams fixed
-        reuse_logits = (
-            first.dropout == 0.0 and first.analog_noise_sigma == 0.0
-        )
+        reuse_logits = self.models[0].analog_noise_sigma == 0.0
         model = self._stacked
         graph = self._graph
         features = graph.features
@@ -743,13 +651,11 @@ class BatchedNodeTrainer:
         train_labels, test_labels = self._train_labels, self._test_labels
         replica_rows = np.arange(num_replicas)[:, None]
         grad_buffer: Optional[np.ndarray] = None
-        last_epoch = start_epoch + epochs - 1
         no_updates = np.zeros((num_replicas, graph.num_vertices), dtype=bool)
         for epoch in range(start_epoch, start_epoch + epochs):
             masks = _epoch_masks(update_plans, graph.num_vertices, epoch)
             logits, cache = model.forward(
                 graph, features, store=self._store, masks=masks,
-                training=True,
             )
             picked = logits[replica_rows, self.train_idx]
             losses, grad_logits = _cross_entropy_replicas(
@@ -765,18 +671,11 @@ class BatchedNodeTrainer:
 
             for r, loss in enumerate(losses):
                 results[r].losses.append(loss)
-            evaluate = (
-                (epoch - start_epoch + 1) % eval_every == 0
-                or epoch == last_epoch
-            )
-            if not evaluate:
-                continue
             if reuse_logits:
                 eval_logits = logits
             else:
                 eval_logits, _ = model.forward(
                     graph, features, store=self._store, masks=no_updates,
-                    training=False,
                 )
             train_metrics = _accuracy_replicas(
                 eval_logits[replica_rows, self.train_idx], train_labels,
@@ -785,7 +684,6 @@ class BatchedNodeTrainer:
                 eval_logits[replica_rows, self.test_idx], test_labels,
             )
             for r in range(num_replicas):
-                results[r].eval_epochs.append(epoch)
                 results[r].train_metrics.append(train_metrics[r])
                 results[r].test_metrics.append(test_metrics[r])
         model.write_back(self.models)
@@ -799,7 +697,7 @@ class BatchedLinkTrainer:
     """R link-prediction runs, one batched pass per epoch.
 
     Replica ``r`` is the run ``LinkPredictionTrainer(graph,
-    random_state=random_states[r], ...)`` would train, as in
+    random_state=random_states[r])`` would train, as in
     :class:`BatchedNodeTrainer`.  When every replica shares a seed (the
     tab05/fig16 shape) the edge
     split and the per-epoch negative draws coincide, so the fused
@@ -811,28 +709,19 @@ class BatchedLinkTrainer:
         self,
         graph: Graph,
         random_states: Sequence[int],
-        hidden_dim: int = 64,
-        embedding_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = LINK_TEST_FRACTION,
         analog_noise_sigma: float = 0.0,
     ) -> None:
         if graph.features is None:
             raise TrainingError("link task needs vertex features")
         self._graph = graph
         self._rngs = [np.random.default_rng(seed) for seed in random_states]
-        dims = _layer_dims(
-            graph.feature_dim, hidden_dim, embedding_dim, num_layers,
-        )
+        dims = [(graph.feature_dim, HIDDEN_DIM), (HIDDEN_DIM, EMBEDDING_DIM)]
         self.models = [
-            GCN(dims, dropout=dropout, random_state=seed,
-                analog_noise_sigma=analog_noise_sigma)
+            GCN(dims, random_state=seed, analog_noise_sigma=analog_noise_sigma)
             for seed in random_states
         ]
         self._stacked = _StackedGCN.from_models(self.models)
-        self._optimizer = Adam(learning_rate=learning_rate)
+        self._optimizer = Adam()
         edges = graph.edge_list()
         if edges.shape[0] < 4:
             raise TrainingError("graph too small for a link split")
@@ -841,7 +730,7 @@ class BatchedLinkTrainer:
         self.test_neg: List[np.ndarray] = []
         for rng in self._rngs:
             train_rows, test_rows = _split_indices(
-                edges.shape[0], test_fraction, rng,
+                edges.shape[0], LINK_TEST_FRACTION, rng,
             )
             self.train_pos.append(edges[train_rows])
             self.test_pos.append(edges[test_rows])
@@ -850,7 +739,6 @@ class BatchedLinkTrainer:
                 axis=1,
             ))
         self._shared_seed = len(set(random_states)) == 1
-        dim = embedding_dim
         capacity = max(
             max(p.shape[0] for p in self.train_pos),
             max(
@@ -858,7 +746,7 @@ class BatchedLinkTrainer:
                 for tp, tn in zip(self.test_pos, self.test_neg)
             ),
         )
-        self._buffers = _EdgeScoreBuffers(capacity, dim)
+        self._buffers = _EdgeScoreBuffers(capacity, EMBEDDING_DIM)
         # Contiguous index columns for the fixed edge sets.
         self._pos_idx = [
             (np.ascontiguousarray(p[:, 0]), np.ascontiguousarray(p[:, 1]))
@@ -885,8 +773,10 @@ class BatchedLinkTrainer:
         )
         self._log_buf = np.empty(num_edges, dtype=np.float64)
         self._data_buf = np.empty(4 * num_edges, dtype=np.float64)
-        self._emb64_buf = np.empty((graph.num_vertices, dim), dtype=np.float64)
-        self._store = _BatchedStore(num_layers)
+        self._emb64_buf = np.empty(
+            (graph.num_vertices, EMBEDDING_DIM), dtype=np.float64,
+        )
+        self._store = _BatchedStore(self._stacked.num_layers)
 
     def _sample_negative_columns(
         self, rng: np.random.Generator, count: int,
@@ -906,34 +796,26 @@ class BatchedLinkTrainer:
         epochs: int,
         update_plans: Sequence[Optional[UpdatePlan]],
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> List[TrainingResult]:
-        """Train every replica; the schedule arguments are
-        :meth:`BatchedNodeTrainer.train`'s."""
-        _validate_schedule(epochs, start_epoch, eval_every)
+        """Train every replica; the schedule arguments and the eval
+        reuse are :meth:`BatchedNodeTrainer.train`'s."""
+        _validate_schedule(epochs, start_epoch)
         num_replicas = len(self.models)
         if len(update_plans) != num_replicas:
             raise TrainingError("need one update plan per replica")
-        first = self.models[0]
-        if first.analog_noise_sigma > 0:
-            eval_every = 1
-        reuse_embeddings = (
-            first.dropout == 0.0 and first.analog_noise_sigma == 0.0
-        )
+        reuse_embeddings = self.models[0].analog_noise_sigma == 0.0
         model = self._stacked
         graph = self._graph
         features = graph.features
         num_vertices = graph.num_vertices
         results = [TrainingResult() for _ in range(num_replicas)]
         buffers = self._buffers
-        last_epoch = start_epoch + epochs - 1
         no_updates = np.zeros((num_replicas, num_vertices), dtype=bool)
         grad_emb: Optional[np.ndarray] = None
         for epoch in range(start_epoch, start_epoch + epochs):
             masks = _epoch_masks(update_plans, num_vertices, epoch)
             embeddings, cache = model.forward(
                 graph, features, store=self._store, masks=masks,
-                training=True,
             )
             neg_idx = [
                 self._sample_negative_columns(
@@ -989,12 +871,6 @@ class BatchedLinkTrainer:
 
             for r, loss in enumerate(losses):
                 results[r].losses.append(loss)
-            evaluate = (
-                (epoch - start_epoch + 1) % eval_every == 0
-                or epoch == last_epoch
-            )
-            if not evaluate:
-                continue
             if reuse_embeddings:
                 eval_emb = embeddings
                 train_pos_scores = [scores[r] for r in range(num_replicas)]
@@ -1003,8 +879,7 @@ class BatchedLinkTrainer:
                 ]
             else:
                 eval_emb, _ = model.forward(
-                    graph, features, store=self._store,
-                    masks=no_updates, training=False,
+                    graph, features, store=self._store, masks=no_updates,
                 )
                 train_pos_scores = [
                     buffers.scores(eval_emb[r], *self._pos_idx[r])
@@ -1017,7 +892,6 @@ class BatchedLinkTrainer:
             for r in range(num_replicas):
                 cat0, cat1, num_test_pos = self._test_idx[r]
                 test_scores = buffers.scores(eval_emb[r], cat0, cat1)
-                results[r].eval_epochs.append(epoch)
                 results[r].train_metrics.append(
                     _edge_accuracy(
                         train_pos_scores[r], train_neg_scores[r],
@@ -1057,25 +931,15 @@ def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
     for positions in groups.values():
         group = [specs[p] for p in positions]
         first = group[0]
-        kwargs = dict(
-            hidden_dim=first.hidden_dim,
-            num_layers=first.num_layers,
-            learning_rate=first.learning_rate,
-            dropout=first.dropout,
-            test_fraction=first.resolved_test_fraction(),
-            analog_noise_sigma=first.analog_noise_sigma,
-        )
         seeds = [spec.random_state for spec in group]
-        if first.task == "link":
-            trainer = BatchedLinkTrainer(
-                first.graph, seeds, embedding_dim=first.embedding_dim,
-                **kwargs,
-            )
-        else:
-            trainer = BatchedNodeTrainer(first.graph, seeds, **kwargs)
+        engine = (
+            BatchedLinkTrainer if first.task == "link" else BatchedNodeTrainer
+        )
+        trainer = engine(
+            first.graph, seeds, analog_noise_sigma=first.analog_noise_sigma,
+        )
         group_results = trainer.train(
             first.epochs, [spec.update_plan for spec in group],
-            start_epoch=first.start_epoch, eval_every=first.eval_every,
         )
         for position, result in zip(positions, group_results):
             results[position] = result
@@ -1085,16 +949,14 @@ def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
 # ----------------------------------------------------------------------
 # Split harness (abl-model-family, abl-weight-staleness)
 # ----------------------------------------------------------------------
-SPLIT_LEARNING_RATE = 0.01  # the harness's Adam step size
-
 _STACKED_FAMILIES = {GCN: _StackedGCN, GraphSAGE: _StackedSAGE}
 
 
 def infer(model, graph: Graph, features: np.ndarray) -> np.ndarray:
     """``model``'s eval-forward output (logits or embeddings), ``[V, d]``.
 
-    Runs the model's stacked family as a fleet of one: no stale store,
-    no dropout; analog noise, if any, draws from the model's stream as a
+    Runs the model's stacked family as a fleet of one with no stale
+    store; analog noise, if any, draws from the model's stream as a
     training eval forward does.
     """
     features = np.asarray(features, dtype=np.float32)
@@ -1124,8 +986,8 @@ def train_split_replicas(
 
     Trains R >= 1 pre-constructed models of one family (all
     :class:`~repro.gcn.model.GCN` or all
-    :class:`~repro.gcn.sage.GraphSAGE`, with equal dims, dropout and
-    noise) on one vertex split as one stacked model: full-graph forward,
+    :class:`~repro.gcn.sage.GraphSAGE`, with equal dims and noise) on
+    one vertex split as one stacked model: full-graph forward,
     CE on the train vertices, Adam on live params, greedy best-of-epochs
     test accuracy.  ``update_plans`` (one optional
     :class:`~repro.mapping.selective.UpdatePlan` per model) turns the
@@ -1161,7 +1023,7 @@ def train_split_replicas(
     if models[0].layer_dims[0][0] != graph.feature_dim:
         raise TrainingError("model input dim must equal the feature dim")
     stacked = family.from_models(models)
-    optimizer = Adam(learning_rate=SPLIT_LEARNING_RATE)
+    optimizer = Adam()
     store = _BatchedStore(stacked.num_layers) if use_store else None
     labels = graph.labels
     train_labels = np.stack([labels[train_idx]] * num_replicas)
@@ -1196,7 +1058,7 @@ def train_split_replicas(
         )
         logits, cache = stacked.forward(
             graph, graph.features, store=store, masks=masks,
-            training=True, params=stale_params,
+            params=stale_params,
         )
         picked = logits[:, train_idx]
         _, grad_logits = _cross_entropy_replicas(picked, train_labels)
@@ -1212,7 +1074,7 @@ def train_split_replicas(
 
         eval_logits, _ = stacked.forward(
             graph, graph.features, store=store,
-            masks=no_updates if use_store else None, training=False,
+            masks=no_updates if use_store else None,
         )
         test_accs = _accuracy_replicas(
             eval_logits[:, test_idx],

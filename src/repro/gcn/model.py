@@ -1,4 +1,4 @@
-"""The GCN model: layer dims, hyperparameters, weights and model stream.
+"""The GCN model: layer dims, analog noise, weights and model stream.
 
 Each layer computes ``H_l = act( A_hat @ C_l )`` with
 ``C_l = H_{l-1} @ W_l`` (Combination then Aggregation, Eq. 1–2 of the
@@ -9,13 +9,13 @@ stale rows as constants (no gradient flows through them) — matching what
 the hardware computes.
 
 :class:`GCN` holds what a run is built from: validated layer dims, the
-dropout and analog-noise settings, the initial weights and the model RNG
-stream (``_rng``, past the weight-init draws) that dropout masks and
-analog noise draw from.  The passes live in one place,
-:mod:`repro.gcn.batched`, which stacks R models into one ``[R, ...]``
-model (``_StackedGCN``) for training and :func:`~repro.gcn.batched.infer`
-(a fleet of one) for inference; the serial forward/backward it matches
-bit for bit is an oracle in ``tests/oracles/gnn.py``.
+analog-noise setting, the initial weights and the model RNG stream
+(``_rng``, past the weight-init draws) that analog noise draws from.
+The passes live in one place, :mod:`repro.gcn.batched`, which stacks R
+models into one ``[R, ...]`` model (``_StackedGCN``) for training and
+:func:`~repro.gcn.batched.infer` (a fleet of one) for inference; the
+serial forward/backward it matches bit for bit is an oracle in
+``tests/oracles/gnn.py``.
 """
 
 from __future__ import annotations
@@ -30,16 +30,14 @@ Params = Dict[str, np.ndarray]
 
 
 class GCN:
-    """A multi-layer GCN's dims, hyperparameters, weights and model stream.
+    """A multi-layer GCN's dims, analog noise, weights and model stream.
 
     Parameters
     ----------
     layer_dims:
         Per-layer ``(d_in, d_out)``; consecutive dims must chain.
-    dropout:
-        Drop probability applied to hidden activations during training.
     random_state:
-        Seed for weight init, dropout masks, and analog noise.
+        Seed for weight init and analog noise.
     analog_noise_sigma:
         Relative Gaussian noise applied to every aggregation output,
         modelling ReRAM conductance variation and ADC error (the
@@ -49,7 +47,6 @@ class GCN:
     def __init__(
         self,
         layer_dims: Sequence[Tuple[int, int]],
-        dropout: float = 0.0,
         random_state: int = 0,
         analog_noise_sigma: float = 0.0,
     ) -> None:
@@ -58,12 +55,9 @@ class GCN:
         for (_, prev_out), (next_in, _) in zip(layer_dims[:-1], layer_dims[1:]):
             if prev_out != next_in:
                 raise TrainingError("layer dimensions do not chain")
-        if not 0.0 <= dropout < 1.0:
-            raise TrainingError("dropout must be in [0, 1)")
         if analog_noise_sigma < 0:
             raise TrainingError("analog_noise_sigma must be >= 0")
         self._dims = [tuple(d) for d in layer_dims]
-        self._dropout = dropout
         self._analog_noise = analog_noise_sigma
         self._rng = np.random.default_rng(random_state)
         self.params: Params = {}
@@ -77,11 +71,6 @@ class GCN:
     def num_layers(self) -> int:
         """Model depth L."""
         return len(self._dims)
-
-    @property
-    def dropout(self) -> float:
-        """Hidden-activation drop probability."""
-        return self._dropout
 
     @property
     def analog_noise_sigma(self) -> float:

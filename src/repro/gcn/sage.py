@@ -12,7 +12,7 @@ Staleness applies to the aggregation source exactly as in
 :class:`repro.gcn.model.GCN`: non-updated vertices contribute their
 crossbar-resident (stale) rows, and the backward pass treats those rows
 as constants.  As for the GCN, :class:`GraphSAGE` holds the dims,
-dropout, weights and model stream; the pass that runs is
+weights and model stream; the pass that runs is
 ``_StackedSAGE`` in :mod:`repro.gcn.batched`, and the serial
 forward/backward it mirrors is an oracle in ``tests/oracles/gnn.py``.
 """
@@ -29,13 +29,12 @@ Params = Dict[str, np.ndarray]
 
 
 class GraphSAGE:
-    """A mean-aggregator GraphSAGE's dims, dropout, weights and model
-    stream (two weight matrices per layer: ``W{i}_self``, ``W{i}_neigh``)."""
+    """A mean-aggregator GraphSAGE's dims, weights and model stream (two
+    weight matrices per layer: ``W{i}_self``, ``W{i}_neigh``)."""
 
     def __init__(
         self,
         layer_dims: Sequence[Tuple[int, int]],
-        dropout: float = 0.0,
         random_state: int = 0,
     ) -> None:
         if not layer_dims:
@@ -43,10 +42,7 @@ class GraphSAGE:
         for (_, prev_out), (next_in, _) in zip(layer_dims[:-1], layer_dims[1:]):
             if prev_out != next_in:
                 raise TrainingError("layer dimensions do not chain")
-        if not 0.0 <= dropout < 1.0:
-            raise TrainingError("dropout must be in [0, 1)")
         self._dims = [tuple(d) for d in layer_dims]
-        self._dropout = dropout
         self._rng = np.random.default_rng(random_state)
         self.params: Params = {}
         for i, (d_in, d_out) in enumerate(self._dims):
@@ -55,11 +51,6 @@ class GraphSAGE:
                 self.params[f"W{i}_{role}"] = self._rng.normal(
                     0.0, scale, size=(d_in, d_out),
                 ).astype(np.float32)
-
-    @property
-    def dropout(self) -> float:
-        """Hidden-activation drop probability."""
-        return self._dropout
 
     @property
     def layer_dims(self) -> List[Tuple[int, int]]:

@@ -8,14 +8,14 @@ staleness semantics the hardware implements: important vertices refresh on
 crossbars every epoch, the rest every ``minor_period`` epochs.
 
 Each trainer is a fleet of one on the replica-batched engine
-(:mod:`repro.gcn.batched`), which owns the only training loop.  ``model``
-is the run's :class:`~repro.gcn.model.GCN`, holding the trained weights
-after every :meth:`train` call; model, optimizer, stale-store and RNG state
-carry over between calls, so the co-simulator can train one epoch at a
-time.  ``train`` skips the eval forward when it would reproduce the
-training output (no dropout, no analog noise) and strides metric
-evaluation with ``eval_every``; the evaluate-every-epoch serial loops it
-matches bit for bit are kept as oracles in ``tests/oracles/trainers.py``.
+(:mod:`repro.gcn.batched`), which owns the only training loop and its one
+configuration.  ``model`` is the run's :class:`~repro.gcn.model.GCN`,
+holding the trained weights after every :meth:`train` call; model,
+optimizer, stale-store and RNG state carry over between calls, so the
+co-simulator can train one epoch at a time.  ``train`` evaluates every
+epoch, reusing the training output as the eval forward it reproduces;
+the serial loops it matches bit for bit are kept as oracles in
+``tests/oracles/trainers.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Optional
 
 from repro.errors import TrainingError
 from repro.gcn.batched import (
-    LINK_TEST_FRACTION,
-    NODE_TEST_FRACTION,
+    HIDDEN_DIM,
     BatchedLinkTrainer,
     BatchedNodeTrainer,
     TrainingResult,
@@ -40,19 +39,11 @@ class NodeClassificationTrainer:
     def __init__(
         self,
         graph: Graph,
-        hidden_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = NODE_TEST_FRACTION,
+        hidden_dim: int = HIDDEN_DIM,
         random_state: int = 0,
-        analog_noise_sigma: float = 0.0,
     ) -> None:
         self._engine = BatchedNodeTrainer(
             graph, [random_state], hidden_dim=hidden_dim,
-            num_layers=num_layers, learning_rate=learning_rate,
-            dropout=dropout, test_fraction=test_fraction,
-            analog_noise_sigma=analog_noise_sigma,
         )
         self.model = self._engine.models[0]
         self.train_idx = self._engine.train_idx[0]
@@ -63,20 +54,15 @@ class NodeClassificationTrainer:
         epochs: int = 60,
         update_plan: Optional[UpdatePlan] = None,
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> TrainingResult:
         """Run training; with a plan, apply its per-epoch update schedule.
 
         ``start_epoch`` offsets the plan's epoch phase so callers driving
         the loop one epoch at a time (the co-simulator) keep the ISU
-        minor-refresh cadence.  ``eval_every`` strides metric evaluation
-        (the final epoch is always evaluated; analog noise forces every
-        epoch, since eval forwards draw from the model's RNG stream);
-        losses are recorded every epoch regardless.
+        minor-refresh cadence.
         """
         [result] = self._engine.train(
             epochs, [update_plan], start_epoch=start_epoch,
-            eval_every=eval_every,
         )
         return result
 
@@ -84,25 +70,8 @@ class NodeClassificationTrainer:
 class LinkPredictionTrainer:
     """Link prediction with a dot-product decoder and negative sampling."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        hidden_dim: int = 64,
-        embedding_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = LINK_TEST_FRACTION,
-        random_state: int = 0,
-        analog_noise_sigma: float = 0.0,
-    ) -> None:
-        self._engine = BatchedLinkTrainer(
-            graph, [random_state], hidden_dim=hidden_dim,
-            embedding_dim=embedding_dim, num_layers=num_layers,
-            learning_rate=learning_rate, dropout=dropout,
-            test_fraction=test_fraction,
-            analog_noise_sigma=analog_noise_sigma,
-        )
+    def __init__(self, graph: Graph, random_state: int = 0) -> None:
+        self._engine = BatchedLinkTrainer(graph, [random_state])
         self.model = self._engine.models[0]
         self.train_pos = self._engine.train_pos[0]
         self.test_pos = self._engine.test_pos[0]
@@ -113,33 +82,19 @@ class LinkPredictionTrainer:
         epochs: int = 60,
         update_plan: Optional[UpdatePlan] = None,
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> TrainingResult:
-        """Run training; with a plan, apply its per-epoch update schedule.
-
-        ``start_epoch`` and ``eval_every`` work as in
-        :meth:`NodeClassificationTrainer.train`.
-        """
+        """Run training; arguments as
+        :meth:`NodeClassificationTrainer.train`."""
         [result] = self._engine.train(
             epochs, [update_plan], start_epoch=start_epoch,
-            eval_every=eval_every,
         )
         return result
 
 
-def make_trainer(
-    graph: Graph,
-    task: str,
-    random_state: int = 0,
-    **kwargs,
-):
+def make_trainer(graph: Graph, task: str, random_state: int = 0):
     """Factory: ``"node"`` or ``"link"`` trainer for a graph."""
     if task == "node":
-        return NodeClassificationTrainer(
-            graph, random_state=random_state, **kwargs,
-        )
+        return NodeClassificationTrainer(graph, random_state=random_state)
     if task == "link":
-        return LinkPredictionTrainer(
-            graph, random_state=random_state, **kwargs,
-        )
+        return LinkPredictionTrainer(graph, random_state=random_state)
     raise TrainingError(f"unknown task {task!r}")

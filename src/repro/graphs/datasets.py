@@ -51,10 +51,8 @@ class DatasetSpec:
     sim_vertices: int
     sim_avg_degree: float
     num_communities: int
-    # Table IV model architecture / training parameters.
+    # Table IV model architecture.
     num_layers: int
-    learning_rate: float
-    dropout: float
     in_channels: int
     hidden_channels: int
     out_channels: int
@@ -79,7 +77,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=4267, paper_edges=1334889, paper_avg_degree=500.5,
         feature_dim=256, sim_vertices=1024, sim_avg_degree=64.0,
         num_communities=8,
-        num_layers=2, learning_rate=0.005, dropout=0.5,
+        num_layers=2,
         in_channels=256, hidden_channels=256, out_channels=256,
     ),
     "collab": DatasetSpec(
@@ -87,7 +85,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=235868, paper_edges=1285465, paper_avg_degree=8.2,
         feature_dim=128, sim_vertices=2048, sim_avg_degree=8.2,
         num_communities=16,
-        num_layers=3, learning_rate=0.001, dropout=0.0,
+        num_layers=3,
         in_channels=128, hidden_channels=256, out_channels=256,
     ),
     "ppa": DatasetSpec(
@@ -95,7 +93,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=576289, paper_edges=30326273, paper_avg_degree=73.7,
         feature_dim=58, sim_vertices=3072, sim_avg_degree=36.0,
         num_communities=16,
-        num_layers=3, learning_rate=0.01, dropout=0.0,
+        num_layers=3,
         in_channels=58, hidden_channels=256, out_channels=256,
     ),
     "proteins": DatasetSpec(
@@ -103,7 +101,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=132534, paper_edges=39561252, paper_avg_degree=597.0,
         feature_dim=8, sim_vertices=1536, sim_avg_degree=72.0,
         num_communities=8,
-        num_layers=3, learning_rate=0.01, dropout=0.0,
+        num_layers=3,
         in_channels=8, hidden_channels=256, out_channels=112,
     ),
     "arxiv": DatasetSpec(
@@ -111,7 +109,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=169343, paper_edges=1166243, paper_avg_degree=13.7,
         feature_dim=128, sim_vertices=1792, sim_avg_degree=13.7,
         num_communities=16,
-        num_layers=3, learning_rate=0.01, dropout=0.5,
+        num_layers=3,
         in_channels=128, hidden_channels=256, out_channels=40,
     ),
     "products": DatasetSpec(
@@ -119,7 +117,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=2449029, paper_edges=61859140, paper_avg_degree=50.5,
         feature_dim=100, sim_vertices=4096, sim_avg_degree=28.0,
         num_communities=24,
-        num_layers=3, learning_rate=0.01, dropout=0.5,
+        num_layers=3,
         in_channels=100, hidden_channels=256, out_channels=47,
     ),
     "cora": DatasetSpec(
@@ -127,7 +125,7 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
         paper_vertices=2708, paper_edges=10556, paper_avg_degree=3.9,
         feature_dim=256, sim_vertices=678, sim_avg_degree=3.9,
         num_communities=7,
-        num_layers=3, learning_rate=0.005, dropout=0.5,
+        num_layers=3,
         in_channels=256, hidden_channels=256, out_channels=256,
     ),
 }

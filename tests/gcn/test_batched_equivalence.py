@@ -3,14 +3,14 @@
 ``train_replicas`` stacks R compatible runs into one ``[R, ...]`` tensor
 pass; its contract is *exact* equality with training each
 :class:`~repro.gcn.batched.ReplicaSpec` on the serial trainer loops kept
-in ``tests/oracles/trainers.py`` — losses, train/test metric histories,
-and eval epochs, not approximately but bitwise (``==`` on the float
-lists).  These tests sweep the dimensions a group may vary in (seed,
-update plan) and the knobs it must carry through unchanged (dropout,
-analog noise, strided eval), plus groups of one, the co-simulator's
-one-epoch-per-call pattern, input validation, ordering, and the split
-harness (``train_with_split``, GCN and GraphSAGE fleets) against its
-serial oracle in ``tests/oracles/split_harness.py``.
+in ``tests/oracles/trainers.py`` — losses and train/test metric
+histories, not approximately but bitwise (``==`` on the float lists).
+These tests sweep the dimensions a group may vary in (seed, update
+plan) and the one setting it must carry through unchanged (analog
+noise), plus groups of one, the co-simulator's one-epoch-per-call
+pattern, input validation, ordering, and the split harness
+(``train_with_split``, GCN and GraphSAGE fleets) against its serial
+oracle in ``tests/oracles/split_harness.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from repro.errors import TrainingError
 from repro.experiments.harness import train_with_split
 from repro.gcn.batched import ReplicaSpec, train_replicas
-from repro.gcn.batched import _layer_dims as _engine_layer_dims
 from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.gcn.trainer import make_trainer
@@ -46,24 +45,15 @@ def plan(graph):
 def _serial(spec: ReplicaSpec):
     trainer = make_oracle(
         spec.graph, spec.task, random_state=spec.random_state,
-        hidden_dim=spec.hidden_dim, num_layers=spec.num_layers,
-        learning_rate=spec.learning_rate, dropout=spec.dropout,
-        test_fraction=spec.resolved_test_fraction(),
         analog_noise_sigma=spec.analog_noise_sigma,
-        **({"embedding_dim": spec.embedding_dim}
-           if spec.task == "link" else {}),
     )
-    return trainer.train(
-        epochs=spec.epochs, update_plan=spec.update_plan,
-        start_epoch=spec.start_epoch, eval_every=spec.eval_every,
-    )
+    return trainer.train(epochs=spec.epochs, update_plan=spec.update_plan)
 
 
 def _assert_same_result(fast, ref):
     assert fast.losses == ref.losses
     assert fast.train_metrics == ref.train_metrics
     assert fast.test_metrics == ref.test_metrics
-    assert fast.eval_epochs == ref.eval_epochs
 
 
 def _assert_identical(specs):
@@ -103,23 +93,12 @@ def test_mixed_seeds_and_plans(graph, plan, task):
 
 
 @pytest.mark.parametrize("task", ["node", "link"])
-def test_dropout_and_analog_noise(graph, task):
+def test_analog_noise(graph, task):
     # Per-epoch model randomness must come off the same stream draws.
     _assert_identical([
         ReplicaSpec(
             graph=graph, task=task, epochs=4, random_state=s,
-            dropout=0.3, analog_noise_sigma=0.02,
-        )
-        for s in range(3)
-    ])
-
-
-@pytest.mark.parametrize("task", ["node", "link"])
-def test_strided_eval(graph, task):
-    _assert_identical([
-        ReplicaSpec(
-            graph=graph, task=task, epochs=7, random_state=s,
-            eval_every=3,
+            analog_noise_sigma=0.02,
         )
         for s in range(3)
     ])
@@ -154,11 +133,8 @@ def test_cosim_call_pattern_matches_oracle(graph, plan, task, with_plan):
     # carried by start_epoch; model, Adam, store and RNG state must
     # persist across calls exactly as the serial loop's do.
     update_plan = plan if with_plan else None
-    kwargs = dict(hidden_dim=24, random_state=3)
-    if task == "link":
-        kwargs["embedding_dim"] = 16
-    trainer = make_trainer(graph, task, **kwargs)
-    oracle = make_oracle(graph, task, **kwargs)
+    trainer = make_trainer(graph, task, random_state=3)
+    oracle = make_oracle(graph, task, random_state=3)
     for epoch in range(8):
         fast = trainer.train(
             epochs=1, update_plan=update_plan, start_epoch=epoch,
@@ -178,12 +154,9 @@ def test_cosim_call_pattern_matches_oracle(graph, plan, task, with_plan):
 
 @pytest.mark.parametrize("task", ["node", "link"])
 @pytest.mark.parametrize("replicas", [1, 2])
-@pytest.mark.parametrize("bad", [
-    {"dropout": 1.0},
-    {"dropout": -0.1},
-    {"analog_noise_sigma": -0.1},
-    {"num_layers": 0},
-], ids=["dropout=1.0", "dropout=-0.1", "sigma=-0.1", "num_layers=0"])
+@pytest.mark.parametrize(
+    "bad", [{"analog_noise_sigma": -0.1}], ids=["sigma=-0.1"],
+)
 def test_invalid_spec_rejected_at_any_group_size(graph, task, replicas, bad):
     # Validation must not depend on how many replicas share the spec.
     specs = [
@@ -205,9 +178,9 @@ def test_unknown_task_rejected(graph):
 # Split harness (the ablation loop) vs its serial oracle
 # ----------------------------------------------------------------------
 def _layer_dims(graph, num_layers=2):
-    return _engine_layer_dims(
-        graph.feature_dim, 24, graph.num_classes, num_layers,
-    )
+    """``num_layers`` chained layers, 24 wide up to the class logits."""
+    widths = [graph.feature_dim] + [24] * (num_layers - 1)
+    return list(zip(widths, widths[1:] + [graph.num_classes]))
 
 
 def _fleet(family, graph, seeds, num_layers=2, **kwargs):
@@ -262,21 +235,12 @@ def test_split_model_family_shape(graph, plan, family):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("family", [GCN, GraphSAGE], ids=["GCN", "SAGE"])
-def test_split_dropout_draws_serial_masks(graph, plan, family, seed):
-    _assert_split_matches_oracle(
-        _fleet(family, graph, [seed, seed + 1], dropout=0.3), graph, 6,
-        update_plans=[plan, None],
-    )
-
-
-def test_split_gcn_noise_dropout_and_delays(graph):
+def test_split_gcn_noise_and_delays(graph):
     _assert_split_matches_oracle(
         _fleet(GCN, graph, range(3), analog_noise_sigma=0.02), graph, 4,
     )
     _assert_split_matches_oracle(
-        _fleet(GCN, graph, range(3), dropout=0.3, analog_noise_sigma=0.02),
+        _fleet(GCN, graph, range(3), analog_noise_sigma=0.02),
         graph, 6, param_delays=[0, 2, 1],
     )
 
@@ -289,13 +253,13 @@ def test_split_fleet_of_one(graph, plan, family, schedule):
     if schedule.get("update_plans") == "plan":
         schedule = {"update_plans": [plan]}
     _assert_split_matches_oracle(
-        _fleet(family, graph, [5], dropout=0.2), graph, 6, **schedule,
+        _fleet(family, graph, [5]), graph, 6, **schedule,
     )
 
 
 def test_split_sage_three_layers(graph, plan):
     _assert_split_matches_oracle(
-        _fleet(GraphSAGE, graph, range(2), num_layers=3, dropout=0.3),
+        _fleet(GraphSAGE, graph, range(2), num_layers=3),
         graph, 6, update_plans=[plan, plan],
     )
 

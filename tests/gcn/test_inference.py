@@ -32,9 +32,7 @@ def _quantization_graph(seed: int):
 @pytest.mark.parametrize("seed", range(5))
 def test_trained_gcn_matches_serial_forward(seed):
     graph = _quantization_graph(seed)
-    trainer = NodeClassificationTrainer(
-        graph, hidden_dim=16, num_layers=2, random_state=seed,
-    )
+    trainer = NodeClassificationTrainer(graph, hidden_dim=16, random_state=seed)
     trainer.train(epochs=10)
     expected, _ = gcn_forward_reference(trainer.model, graph, graph.features)
     assert np.array_equal(infer(trainer.model, graph, graph.features),

@@ -32,8 +32,6 @@ def test_layer_dims_must_chain():
         GCN([(4, 8), (9, 2)])
     with pytest.raises(TrainingError):
         GCN([])
-    with pytest.raises(TrainingError):
-        GCN([(4, 4)], dropout=1.0)
 
 
 def test_feature_shape_checked(small_graph):
@@ -72,21 +70,6 @@ def test_backward_gradcheck(tiny_graph):
             w[i, j] = orig
             numeric = (up - down) / (2 * eps)
             assert grads[key][i, j] == pytest.approx(numeric, abs=2e-2)
-
-
-def test_dropout_only_in_training(small_graph):
-    model = GCN([(16, 8), (8, 4)], dropout=0.5, random_state=0)
-    features = small_graph.features
-    eval_a, _ = gcn_forward_reference(model, small_graph, features)
-    eval_b, _ = gcn_forward_reference(model, small_graph, features)
-    np.testing.assert_allclose(eval_a, eval_b)
-    train_a, _ = gcn_forward_reference(
-        model, small_graph, features, training=True,
-    )
-    train_b, _ = gcn_forward_reference(
-        model, small_graph, features, training=True,
-    )
-    assert not np.allclose(train_a, train_b)
 
 
 def test_stale_store_first_refresh_is_full():

@@ -22,7 +22,7 @@ def community_graph():
 
 def test_node_training_learns(community_graph):
     trainer = NodeClassificationTrainer(
-        community_graph, hidden_dim=32, num_layers=2, random_state=0,
+        community_graph, hidden_dim=32, random_state=0,
     )
     result = trainer.train(epochs=25)
     assert result.best_test_metric > 0.6  # 3 classes, chance = 0.33
@@ -52,9 +52,7 @@ def test_node_trainer_requires_labels(small_graph):
 
 
 def test_link_training_learns(community_graph):
-    trainer = LinkPredictionTrainer(
-        community_graph, hidden_dim=24, embedding_dim=16, random_state=0,
-    )
+    trainer = LinkPredictionTrainer(community_graph, random_state=0)
     result = trainer.train(epochs=20)
     assert result.best_test_metric > 0.6  # balanced accuracy, chance 0.5
 

@@ -15,8 +15,8 @@ for bit (``tests/gcn/test_batched_equivalence.py``, and through the
 serial trainers in ``tests/oracles/trainers.py`` and
 ``tests/oracles/split_harness.py``).  The passes take the model built by
 :class:`repro.gcn.model.GCN` or :class:`repro.gcn.sage.GraphSAGE`, read
-its ``params`` and draw dropout masks and analog noise from its ``_rng``
-(the model stream) in the serial order.
+its ``params`` and draw analog noise from its ``_rng`` (the model
+stream) in the serial order.
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ def gcn_forward_reference(
     features: np.ndarray,
     store: Optional[StaleFeatureStore] = None,
     updated: Optional[np.ndarray] = None,
-    training: bool = False,
 ) -> Tuple[np.ndarray, dict]:
     """Forward pass; returns (output embeddings/logits, cache).
 
@@ -122,8 +121,7 @@ def gcn_forward_reference(
     then reads the resident (possibly stale) matrix.
     """
     features = _checked_features(model, graph, features)
-    cache: dict = {"inputs": [], "combined": [], "masks": [],
-                   "fresh": [], "dropout": []}
+    cache: dict = {"inputs": [], "combined": [], "masks": [], "fresh": []}
     hidden = features
     for i in range(model.num_layers):
         cache["inputs"].append(hidden)
@@ -145,7 +143,7 @@ def gcn_forward_reference(
         aggregated = graph.normalized_adjacency_matmul(effective)
         if model.analog_noise_sigma > 0:
             # Analog MVM error: the hardware is noisy at train AND
-            # eval time, so noise applies regardless of `training`.
+            # eval time.
             aggregated = aggregated * model._rng.normal(
                 1.0, model.analog_noise_sigma, size=aggregated.shape,
             ).astype(np.float32)
@@ -153,19 +151,9 @@ def gcn_forward_reference(
             mask = aggregated > 0
             hidden = aggregated * mask
             cache["masks"].append(mask)
-            if training and model.dropout > 0:
-                keep = (
-                    model._rng.random(hidden.shape) >= model.dropout
-                ).astype(np.float32)
-                keep /= (1.0 - model.dropout)
-                hidden = hidden * keep
-                cache["dropout"].append(keep)
-            else:
-                cache["dropout"].append(None)
         else:
             hidden = aggregated
             cache["masks"].append(None)
-            cache["dropout"].append(None)
     return hidden, cache
 
 
@@ -184,9 +172,6 @@ def gcn_backward_reference(
     grads: Params = {}
     grad = np.asarray(grad_output, dtype=np.float32)
     for i in range(model.num_layers - 1, -1, -1):
-        keep = cache["dropout"][i]
-        if keep is not None:
-            grad = grad * keep
         mask = cache["masks"][i]
         if mask is not None:
             grad = grad * mask
@@ -207,7 +192,6 @@ def sage_forward_reference(
     features: np.ndarray,
     store: Optional[StaleFeatureStore] = None,
     updated: Optional[np.ndarray] = None,
-    training: bool = False,
 ) -> Tuple[np.ndarray, dict]:
     """Forward pass; returns (output, cache) like the GCN's.
 
@@ -216,8 +200,7 @@ def sage_forward_reference(
     """
     features = _checked_features(model, graph, features)
     num_layers = len(model.layer_dims)
-    cache: dict = {"inputs": [], "aggregated": [], "fresh": [],
-                   "masks": [], "dropout": []}
+    cache: dict = {"inputs": [], "aggregated": [], "fresh": [], "masks": []}
     hidden = features
     for i in range(num_layers):
         cache["inputs"].append(hidden)
@@ -243,17 +226,8 @@ def sage_forward_reference(
             mask = out > 0
             out = out * mask
             cache["masks"].append(mask)
-            if training and model.dropout > 0:
-                keep = (
-                    model._rng.random(out.shape) >= model.dropout
-                ).astype(np.float32) / (1.0 - model.dropout)
-                out = out * keep
-                cache["dropout"].append(keep)
-            else:
-                cache["dropout"].append(None)
         else:
             cache["masks"].append(None)
-            cache["dropout"].append(None)
         hidden = out
     return hidden, cache
 
@@ -268,9 +242,6 @@ def sage_backward_reference(
     grads: Params = {}
     grad = np.asarray(grad_output, dtype=np.float32)
     for i in range(len(model.layer_dims) - 1, -1, -1):
-        keep = cache["dropout"][i]
-        if keep is not None:
-            grad = grad * keep
         mask = cache["masks"][i]
         if mask is not None:
             grad = grad * mask

@@ -27,15 +27,11 @@ from tests.oracles.gnn import PASSES, StaleFeatureStore, cross_entropy_loss
 EpochKwargs = Union[None, Mapping[str, Any], Callable[[int], Mapping[str, Any]]]
 
 
-def split_vertices(
-    num_vertices: int,
-    seed: int,
-    train_fraction: float = 0.7,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic sorted train/test vertex split (the ablation split)."""
+def split_vertices(num_vertices: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic sorted 70/30 train/test vertex split (the ablation split)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(num_vertices)
-    cut = int(train_fraction * num_vertices)
+    cut = int(0.7 * num_vertices)
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
@@ -53,8 +49,6 @@ def train_with_split(
     epochs: int,
     seed: int,
     *,
-    learning_rate: float = 0.01,
-    train_fraction: float = 0.7,
     forward_kwargs: EpochKwargs = None,
     eval_kwargs: EpochKwargs = None,
     forward_params: Optional[Callable[[int], Dict[str, np.ndarray]]] = None,
@@ -74,11 +68,9 @@ def train_with_split(
     if graph.labels is None:
         raise TrainingError("needs a labelled graph")
 
-    train_idx, test_idx = split_vertices(
-        graph.num_vertices, seed, train_fraction,
-    )
+    train_idx, test_idx = split_vertices(graph.num_vertices, seed)
     forward, backward = PASSES[type(model)]
-    optimizer = Adam(learning_rate=learning_rate)
+    optimizer = Adam()
     best = 0.0
     for epoch in range(epochs):
         stale = None if forward_params is None else forward_params(epoch)
@@ -86,7 +78,7 @@ def train_with_split(
         if stale is not None:
             model.params = stale
         logits, cache = forward(
-            model, graph, graph.features, training=True,
+            model, graph, graph.features,
             **_resolve_kwargs(forward_kwargs, epoch),
         )
         _, grad_logits = cross_entropy_loss(

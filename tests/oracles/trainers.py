@@ -1,8 +1,12 @@
 """Oracles for the node-classification and link-prediction trainers.
 
 The serial training loops as they were before the replica-batched engine
-(:mod:`repro.gcn.batched`) became the only trainer: ``train`` (strided
-eval, logits reuse) and ``train_reference`` (evaluate every epoch).
+(:mod:`repro.gcn.batched`) became the only trainer, at the one
+configuration every run trains: two GCN layers 64 wide (64-wide link
+embeddings), a 30% (node) or 20% (link) test split and
+:class:`~repro.gcn.optim.Adam`.  ``train`` reuses the training output as
+the eval output when analog noise is off; ``train_reference`` runs the
+eval forward every epoch.
 :class:`repro.gcn.trainer.NodeClassificationTrainer` and
 :class:`repro.gcn.trainer.LinkPredictionTrainer` (fleets of one) and every
 replica of :func:`repro.gcn.batched.train_replicas` must reproduce them bit
@@ -11,7 +15,7 @@ for bit: losses, metrics, final weights and RNG stream positions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -44,31 +48,19 @@ class NodeClassificationTrainer:
     def __init__(
         self,
         graph: Graph,
-        hidden_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = 0.3,
         random_state: int = 0,
         analog_noise_sigma: float = 0.0,
     ) -> None:
         if graph.features is None or graph.labels is None:
             raise TrainingError("node task needs features and labels")
-        if num_layers < 1:
-            raise TrainingError("num_layers must be >= 1")
         self._graph = graph
         self._rng = np.random.default_rng(random_state)
-        dims: List[Tuple[int, int]] = []
-        d_in = graph.feature_dim
-        for layer in range(num_layers):
-            d_out = graph.num_classes if layer == num_layers - 1 else hidden_dim
-            dims.append((d_in, d_out))
-            d_in = d_out
-        self.model = GCN(dims, dropout=dropout, random_state=random_state,
+        dims = [(graph.feature_dim, 64), (64, graph.num_classes)]
+        self.model = GCN(dims, random_state=random_state,
                          analog_noise_sigma=analog_noise_sigma)
-        self._optimizer = Adam(learning_rate=learning_rate)
+        self._optimizer = Adam()
         self.train_idx, self.test_idx = _split_indices(
-            graph.num_vertices, test_fraction, self._rng,
+            graph.num_vertices, 0.3, self._rng,
         )
         self._store = StaleFeatureStore(self.model.num_layers)
         self._grad_buffer: Optional[np.ndarray] = None
@@ -78,29 +70,43 @@ class NodeClassificationTrainer:
         epochs: int = 60,
         update_plan: Optional[UpdatePlan] = None,
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> TrainingResult:
         """Run training; with a plan, apply its per-epoch update schedule.
 
         ``start_epoch`` offsets the plan's epoch phase so callers driving
         the loop one epoch at a time (the co-simulator) keep the ISU
-        minor-refresh cadence.  ``eval_every`` strides metric evaluation
-        (the final epoch is always evaluated); losses are recorded every
-        epoch regardless and match :meth:`train_reference` exactly.
+        minor-refresh cadence.  Without analog noise the training logits
+        are the eval logits: eval runs with an empty update set, so it
+        reads the resident (stale) combination outputs the training
+        forward just wrote.
         """
-        _validate_schedule(epochs, start_epoch, eval_every)
-        if self.model.analog_noise_sigma > 0:
-            eval_every = 1  # eval forwards draw RNG; keep the stream fixed
-        reuse_logits = (
-            self.model.dropout == 0.0
-            and self.model.analog_noise_sigma == 0.0
+        return self._loop(
+            epochs, update_plan, start_epoch,
+            reuse_logits=self.model.analog_noise_sigma == 0.0,
         )
+
+    def train_reference(
+        self,
+        epochs: int = 60,
+        update_plan: Optional[UpdatePlan] = None,
+        start_epoch: int = 0,
+    ) -> TrainingResult:
+        """The original loop, with an eval forward every epoch."""
+        return self._loop(epochs, update_plan, start_epoch, reuse_logits=False)
+
+    def _loop(
+        self,
+        epochs: int,
+        update_plan: Optional[UpdatePlan],
+        start_epoch: int,
+        reuse_logits: bool,
+    ) -> TrainingResult:
+        _validate_schedule(epochs, start_epoch)
         graph = self._graph
         features = graph.features
         labels = graph.labels
         store = self._store
         result = TrainingResult()
-        last_epoch = start_epoch + epochs - 1
         for epoch in range(start_epoch, start_epoch + epochs):
             updated = (
                 None if update_plan is None
@@ -108,7 +114,6 @@ class NodeClassificationTrainer:
             )
             logits, cache = gcn_forward_reference(
                 self.model, graph, features, store=store, updated=updated,
-                training=True,
             )
             loss, grad_logits = cross_entropy_loss(
                 logits[self.train_idx], labels[self.train_idx],
@@ -128,70 +133,13 @@ class NodeClassificationTrainer:
             self._optimizer.step(self.model.params, grads)
 
             result.losses.append(loss)
-            evaluate = (
-                (epoch - start_epoch + 1) % eval_every == 0
-                or epoch == last_epoch
-            )
-            if not evaluate:
-                continue
             if reuse_logits:
-                # Eval runs with an empty update set, so it reads the
-                # resident (stale) combination outputs the training
-                # forward just wrote: without dropout or analog noise the
-                # eval output *is* the training logits, bit for bit.
                 eval_logits = logits
             else:
                 eval_logits, _ = gcn_forward_reference(
                     self.model, graph, features, store=store,
-                    updated=_NO_UPDATES, training=False,
+                    updated=_NO_UPDATES,
                 )
-            result.eval_epochs.append(epoch)
-            result.train_metrics.append(
-                accuracy(eval_logits[self.train_idx], labels[self.train_idx])
-            )
-            result.test_metrics.append(
-                accuracy(eval_logits[self.test_idx], labels[self.test_idx])
-            )
-        return result
-
-    def train_reference(
-        self,
-        epochs: int = 60,
-        update_plan: Optional[UpdatePlan] = None,
-        start_epoch: int = 0,
-    ) -> TrainingResult:
-        """The original evaluate-every-epoch loop (equivalence oracle)."""
-        _validate_schedule(epochs, start_epoch, eval_every=1)
-        graph = self._graph
-        features = graph.features
-        labels = graph.labels
-        store = self._store
-        result = TrainingResult()
-        for epoch in range(start_epoch, start_epoch + epochs):
-            updated = (
-                None if update_plan is None
-                else update_plan.vertices_updated_at(epoch)
-            )
-            logits, cache = gcn_forward_reference(
-                self.model, graph, features, store=store, updated=updated,
-                training=True,
-            )
-            loss, grad_logits = cross_entropy_loss(
-                logits[self.train_idx], labels[self.train_idx],
-            )
-            grad_full = np.zeros_like(logits)
-            grad_full[self.train_idx] = grad_logits
-            grads = gcn_backward_reference(
-                self.model, graph, cache, grad_full,
-            )
-            self._optimizer.step(self.model.params, grads)
-
-            eval_logits, _ = gcn_forward_reference(
-                self.model, graph, features, store=store,
-                updated=np.array([], dtype=np.int64), training=False,
-            )
-            result.losses.append(loss)
-            result.eval_epochs.append(epoch)
             result.train_metrics.append(
                 accuracy(eval_logits[self.train_idx], labels[self.train_idx])
             )
@@ -207,12 +155,6 @@ class LinkPredictionTrainer:
     def __init__(
         self,
         graph: Graph,
-        hidden_dim: int = 64,
-        embedding_dim: int = 64,
-        num_layers: int = 2,
-        learning_rate: float = 0.01,
-        dropout: float = 0.0,
-        test_fraction: float = 0.2,
         random_state: int = 0,
         analog_noise_sigma: float = 0.0,
     ) -> None:
@@ -220,21 +162,16 @@ class LinkPredictionTrainer:
             raise TrainingError("link task needs vertex features")
         self._graph = graph
         self._rng = np.random.default_rng(random_state)
-        dims: List[Tuple[int, int]] = []
-        d_in = graph.feature_dim
-        for layer in range(num_layers):
-            d_out = embedding_dim if layer == num_layers - 1 else hidden_dim
-            dims.append((d_in, d_out))
-            d_in = d_out
-        self.model = GCN(dims, dropout=dropout, random_state=random_state,
+        dims = [(graph.feature_dim, 64), (64, 64)]
+        self.model = GCN(dims, random_state=random_state,
                          analog_noise_sigma=analog_noise_sigma)
-        self._optimizer = Adam(learning_rate=learning_rate)
+        self._optimizer = Adam()
 
         edges = graph.edge_list()
         if edges.shape[0] < 4:
             raise TrainingError("graph too small for a link split")
         train_rows, test_rows = _split_indices(
-            edges.shape[0], test_fraction, self._rng,
+            edges.shape[0], 0.2, self._rng,
         )
         self.train_pos = edges[train_rows]
         self.test_pos = edges[test_rows]
@@ -253,64 +190,13 @@ class LinkPredictionTrainer:
         epochs: int = 60,
         update_plan: Optional[UpdatePlan] = None,
         start_epoch: int = 0,
-        eval_every: int = 1,
     ) -> TrainingResult:
-        """Run training; with a plan, apply its per-epoch update schedule.
-
-        ``start_epoch`` offsets the plan's epoch phase (see the node
-        trainer's docstring); ``eval_every`` strides metric evaluation
-        exactly as there.
-        """
-        _validate_schedule(epochs, start_epoch, eval_every)
-        if self.model.analog_noise_sigma > 0:
-            eval_every = 1  # eval forwards draw RNG; keep the stream fixed
-        reuse_embeddings = (
-            self.model.dropout == 0.0
-            and self.model.analog_noise_sigma == 0.0
+        """Run training; arguments and the eval reuse are the node
+        trainer's."""
+        return self._loop(
+            epochs, update_plan, start_epoch,
+            reuse_embeddings=self.model.analog_noise_sigma == 0.0,
         )
-        graph = self._graph
-        features = graph.features
-        store = self._store
-        result = TrainingResult()
-        last_epoch = start_epoch + epochs - 1
-        for epoch in range(start_epoch, start_epoch + epochs):
-            updated = (
-                None if update_plan is None
-                else update_plan.vertices_updated_at(epoch)
-            )
-            embeddings, cache = gcn_forward_reference(
-                self.model, graph, features, store=store, updated=updated,
-                training=True,
-            )
-            neg = self._sample_negatives(self.train_pos.shape[0])
-            loss, grad_emb = link_bce_loss(embeddings, self.train_pos, neg)
-            grads = gcn_backward_reference(
-                self.model, graph, cache, grad_emb,
-            )
-            self._optimizer.step(self.model.params, grads)
-
-            result.losses.append(loss)
-            evaluate = (
-                (epoch - start_epoch + 1) % eval_every == 0
-                or epoch == last_epoch
-            )
-            if not evaluate:
-                continue
-            if reuse_embeddings:
-                eval_emb = embeddings
-            else:
-                eval_emb, _ = gcn_forward_reference(
-                    self.model, graph, features, store=store,
-                    updated=_NO_UPDATES, training=False,
-                )
-            result.eval_epochs.append(epoch)
-            result.train_metrics.append(
-                link_accuracy(eval_emb, self.train_pos, neg)
-            )
-            result.test_metrics.append(
-                link_accuracy(eval_emb, self.test_pos, self.test_neg)
-            )
-        return result
 
     def train_reference(
         self,
@@ -318,8 +204,19 @@ class LinkPredictionTrainer:
         update_plan: Optional[UpdatePlan] = None,
         start_epoch: int = 0,
     ) -> TrainingResult:
-        """The original evaluate-every-epoch loop (equivalence oracle)."""
-        _validate_schedule(epochs, start_epoch, eval_every=1)
+        """The original loop, with an eval forward every epoch."""
+        return self._loop(
+            epochs, update_plan, start_epoch, reuse_embeddings=False,
+        )
+
+    def _loop(
+        self,
+        epochs: int,
+        update_plan: Optional[UpdatePlan],
+        start_epoch: int,
+        reuse_embeddings: bool,
+    ) -> TrainingResult:
+        _validate_schedule(epochs, start_epoch)
         graph = self._graph
         features = graph.features
         store = self._store
@@ -331,7 +228,6 @@ class LinkPredictionTrainer:
             )
             embeddings, cache = gcn_forward_reference(
                 self.model, graph, features, store=store, updated=updated,
-                training=True,
             )
             neg = self._sample_negatives(self.train_pos.shape[0])
             loss, grad_emb = link_bce_loss(embeddings, self.train_pos, neg)
@@ -340,12 +236,14 @@ class LinkPredictionTrainer:
             )
             self._optimizer.step(self.model.params, grads)
 
-            eval_emb, _ = gcn_forward_reference(
-                self.model, graph, features, store=store,
-                updated=np.array([], dtype=np.int64), training=False,
-            )
             result.losses.append(loss)
-            result.eval_epochs.append(epoch)
+            if reuse_embeddings:
+                eval_emb = embeddings
+            else:
+                eval_emb, _ = gcn_forward_reference(
+                    self.model, graph, features, store=store,
+                    updated=_NO_UPDATES,
+                )
             result.train_metrics.append(
                 link_accuracy(eval_emb, self.train_pos, neg)
             )
@@ -359,15 +257,13 @@ def make_trainer(
     graph: Graph,
     task: str,
     random_state: int = 0,
-    **kwargs,
+    analog_noise_sigma: float = 0.0,
 ):
     """Factory: ``"node"`` or ``"link"`` oracle trainer for a graph."""
     if task == "node":
         return NodeClassificationTrainer(
-            graph, random_state=random_state, **kwargs,
+            graph, random_state, analog_noise_sigma,
         )
     if task == "link":
-        return LinkPredictionTrainer(
-            graph, random_state=random_state, **kwargs,
-        )
+        return LinkPredictionTrainer(graph, random_state, analog_noise_sigma)
     raise TrainingError(f"unknown task {task!r}")

@@ -9,6 +9,9 @@
   Nothing above the hardware primitives falls back to the unscaled
   ``DEFAULT_CONFIG``, by name or by leaving out a primitive's config,
   nor to the vertex mappings' default crossbar rows.
+* The GNN trainers train one configuration.  Their signatures hold
+  only what some run sets; every other hyperparameter is a module
+  constant (``repro.gcn.batched``, ``repro.gcn.optim``).
 """
 
 from __future__ import annotations
@@ -251,3 +254,52 @@ def test_timing_config_and_predictor_dataset_are_required():
     empty = inspect.Parameter.empty
     assert _parameters(StageTimingModel)["config"].default is empty
     assert _parameters(TimePredictor.fit)["dataset"].default is empty
+
+
+#: Each training entry point's parameters: only what some run sets.
+TRAINING_SURFACE = {
+    "repro.gcn.batched:ReplicaSpec": [
+        "graph", "task", "epochs", "random_state", "update_plan",
+        "analog_noise_sigma",
+    ],
+    "repro.gcn.batched:BatchedNodeTrainer": [
+        "graph", "random_states", "hidden_dim", "analog_noise_sigma",
+    ],
+    "repro.gcn.batched:BatchedNodeTrainer.train": [
+        "epochs", "update_plans", "start_epoch",
+    ],
+    "repro.gcn.batched:BatchedLinkTrainer": [
+        "graph", "random_states", "analog_noise_sigma",
+    ],
+    "repro.gcn.batched:BatchedLinkTrainer.train": [
+        "epochs", "update_plans", "start_epoch",
+    ],
+    "repro.gcn.trainer:NodeClassificationTrainer": [
+        "graph", "hidden_dim", "random_state",
+    ],
+    "repro.gcn.trainer:NodeClassificationTrainer.train": [
+        "epochs", "update_plan", "start_epoch",
+    ],
+    "repro.gcn.trainer:LinkPredictionTrainer": ["graph", "random_state"],
+    "repro.gcn.trainer:LinkPredictionTrainer.train": [
+        "epochs", "update_plan", "start_epoch",
+    ],
+    "repro.gcn.trainer:make_trainer": ["graph", "task", "random_state"],
+    "repro.core.gopim:GoPIMSystem.train": [
+        "graph", "task", "epochs", "random_state",
+    ],
+    "repro.gcn.optim:Adam": [],
+    "repro.gcn.model:GCN": ["layer_dims", "random_state", "analog_noise_sigma"],
+    "repro.gcn.sage:GraphSAGE": ["layer_dims", "random_state"],
+}
+
+
+def test_the_trainers_take_only_what_a_run_sets():
+    found = {}
+    for target in TRAINING_SURFACE:
+        module, _, qualname = target.partition(":")
+        owner = importlib.import_module(module)
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        found[target] = [name for name in _parameters(owner) if name != "self"]
+    assert found == TRAINING_SURFACE
