@@ -535,10 +535,14 @@ def bench_training(quick: bool) -> Dict[str, object]:
     ``speedup`` is the R=4 fleet's — the group size the quick sweep
     actually trains (fig16/tab05 build R=4 groups); R=1 records the
     stacked path's singleton overhead and R=16 how the win fades once
-    the stacked state outgrows the cache.
+    the stacked state outgrows the cache.  Each batched fleet trains in
+    a session with its own empty cache, so every repeat times training,
+    not a ``"training"`` memo hit.
     """
     from repro.gcn.batched import ReplicaSpec, train_replicas
     from repro.mapping.selective import build_update_plan
+    from repro.perf.cache import ArtifactCache
+    from repro.runtime import Session
     from tests.oracles.trainers import LinkPredictionTrainer
 
     num_vertices = 1024
@@ -564,13 +568,14 @@ def bench_training(quick: bool) -> Dict[str, object]:
         ]
 
     def batched_fleet(R: int):
-        return train_replicas([
-            ReplicaSpec(
-                graph=graph, task="link", epochs=epochs, random_state=0,
-                update_plan=plan,
-            )
-            for plan in fleet_plans(R)
-        ])
+        with Session(cache=ArtifactCache()).use():
+            return train_replicas([
+                ReplicaSpec(
+                    graph=graph, task="link", epochs=epochs, random_state=0,
+                    update_plan=plan,
+                )
+                for plan in fleet_plans(R)
+            ])
 
     fleets: Dict[str, Dict[str, float]] = {}
     headline = None

@@ -11,7 +11,9 @@ and :class:`~repro.gcn.trainer.LinkPredictionTrainer` wrap an R=1 engine,
 :func:`train_split_replicas` (the ablation split harness) trains
 GCN and GraphSAGE fleets of any size, and :func:`infer` runs one
 model's eval forward.  The stacked models here are the only GNN
-forward/backward in ``src/``.
+forward/backward in ``src/``.  :func:`train_replicas` keeps each
+replica's result in the session's artifact cache (``"training"``), so a
+replica trains once per cache.
 
 **Bit-identity contract.**  Every replica reproduces the serial passes
 kept as oracles in ``tests/oracles/gnn.py`` and the serial loops built
@@ -62,16 +64,24 @@ from repro.gcn.losses import (
     softmax,
 )
 from repro.gcn.model import GCN
-from repro.gcn.optim import Adam
+from repro.gcn.optim import BETA1, BETA2, EPS, LEARNING_RATE, Adam
 from repro.gcn.sage import GraphSAGE
 from repro.graphs.graph import Graph
 from repro.mapping.selective import UpdatePlan
 from repro.perf import profile
+from repro.perf.cache import cache_key
 
 HIDDEN_DIM = 64  # width of every hidden GCN layer
 EMBEDDING_DIM = 64  # width of the link task's vertex embeddings
 NODE_TEST_FRACTION = 0.3  # share of vertices held out for node runs
 LINK_TEST_FRACTION = 0.2  # share of edges held out for link runs
+
+TRAINING_NAMESPACE = "training"
+# Part of every "training" key: bump it with any change to the code a
+# training run executes, so a disk tier written by older code is never
+# read back (tests/perf/test_revisioned_layouts.py pins it beside a
+# digest of that code).
+_TRAINING_REVISION = "one-configuration-v1"
 
 
 @dataclass
@@ -95,6 +105,13 @@ class TrainingResult:
         if not self.test_metrics:
             raise TrainingError("no epochs recorded")
         return max(self.test_metrics)
+
+    def copy(self) -> "TrainingResult":
+        """A result with its own lists."""
+        return TrainingResult(
+            list(self.losses), list(self.train_metrics),
+            list(self.test_metrics),
+        )
 
 
 def _split_indices(
@@ -135,6 +152,22 @@ class ReplicaSpec:
         """Replicas sharing this key may train in one batched group."""
         return (
             id(self.graph), self.task, self.epochs, self.analog_noise_sigma,
+        )
+
+    def content_key(self) -> str:
+        """The run's ``"training"`` cache key: what its result depends on.
+
+        Unlike :meth:`group_key` it names content, not objects: a graph
+        or plan built apart with equal content keys equally.  It holds
+        every module constant a run reads, and the revision of the code
+        that runs.
+        """
+        return cache_key(
+            _TRAINING_REVISION, self.graph, self.task, self.epochs,
+            self.random_state, self.update_plan,
+            float(self.analog_noise_sigma),
+            HIDDEN_DIM, EMBEDDING_DIM, NODE_TEST_FRACTION,
+            LINK_TEST_FRACTION, LEARNING_RATE, BETA1, BETA2, EPS,
         )
 
 
@@ -914,20 +947,33 @@ class BatchedLinkTrainer:
 # Public API
 # ----------------------------------------------------------------------
 def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
-    """Train every replica, batching compatible groups.
+    """Train every replica the session's cache does not hold yet.
 
-    Replicas sharing a :meth:`ReplicaSpec.group_key` train together in
-    one stacked pass; a group of one is a fleet of one.  Results come
-    back in input order and are bit-identical to training each spec on
-    its own.
+    Each result is kept in ``current_session().cache`` under the
+    ``"training"`` namespace, keyed by :meth:`ReplicaSpec.content_key`,
+    and a hit comes back as a copy.  The misses sharing a
+    :meth:`ReplicaSpec.group_key` train together in one stacked pass; a
+    group of one is a fleet of one.  Results come back in input order
+    and are bit-identical to training each spec on its own, so which
+    fleet trained a replica never shows in its result, hit or miss.
     """
+    # Imported here: the runtime layer imports the hardware package,
+    # whose functional engine imports this package.
+    from repro.runtime import current_session
+
     for spec in specs:
         if spec.task not in ("node", "link"):
             raise TrainingError(f"unknown task {spec.task!r}")
+    cache = current_session().cache
+    keys = [spec.content_key() for spec in specs]
+    results: List[Optional[TrainingResult]] = [None] * len(specs)
     groups: Dict[Tuple, List[int]] = {}
     for position, spec in enumerate(specs):
-        groups.setdefault(spec.group_key(), []).append(position)
-    results: List[Optional[TrainingResult]] = [None] * len(specs)
+        hit = cache.get(TRAINING_NAMESPACE, keys[position])
+        if hit is None:
+            groups.setdefault(spec.group_key(), []).append(position)
+        else:
+            results[position] = hit.copy()
     for positions in groups.values():
         group = [specs[p] for p in positions]
         first = group[0]
@@ -942,6 +988,7 @@ def train_replicas(specs: Sequence[ReplicaSpec]) -> List[TrainingResult]:
             first.epochs, [spec.update_plan for spec in group],
         )
         for position, result in zip(positions, group_results):
+            cache.put(TRAINING_NAMESPACE, keys[position], result.copy())
             results[position] = result
     return results
 
@@ -997,6 +1044,14 @@ def train_split_replicas(
     Each replica is bit-identical to the serial loop kept in
     ``tests/oracles/split_harness.py``, and each model holds its final
     weights afterwards.
+
+    A GCN fleet with the store on and no analog noise reuses the
+    training logits as its eval logits: the eval forward refreshes no
+    rows, so each layer would aggregate the resident rows the training
+    forward just wrote, whatever weights (live or delayed) it multiplies
+    by.  GraphSAGE's self path reads the live weights, a store-less
+    eval reads fresh rows and a noisy one draws noise, so those run the
+    eval forward.
     """
     if epochs < 1:
         raise TrainingError("epochs must be >= 1")
@@ -1025,6 +1080,10 @@ def train_split_replicas(
     stacked = family.from_models(models)
     optimizer = Adam()
     store = _BatchedStore(stacked.num_layers) if use_store else None
+    reuse_logits = (
+        use_store and family is _StackedGCN
+        and models[0].analog_noise_sigma == 0.0
+    )
     labels = graph.labels
     train_labels = np.stack([labels[train_idx]] * num_replicas)
     test_labels = labels[test_idx]
@@ -1072,10 +1131,13 @@ def train_split_replicas(
         )
         optimizer.step(stacked.params, grads)
 
-        eval_logits, _ = stacked.forward(
-            graph, graph.features, store=store,
-            masks=no_updates if use_store else None,
-        )
+        if reuse_logits:
+            eval_logits = logits
+        else:
+            eval_logits, _ = stacked.forward(
+                graph, graph.features, store=store,
+                masks=no_updates if use_store else None,
+            )
         test_accs = _accuracy_replicas(
             eval_logits[:, test_idx],
             np.stack([test_labels] * num_replicas),

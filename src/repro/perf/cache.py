@@ -163,19 +163,39 @@ def cache_key(*parts: Any) -> str:
 class CacheStats:
     """Hit/miss counters (in-process and on-disk tallied separately).
 
-    ``corrupt`` counts, per namespace, the disk entries that failed to
-    unpickle; each of them also counts as a miss.
+    ``namespace_hits`` and ``namespace_misses`` split the same hits and
+    misses per namespace.  ``corrupt`` counts, per namespace, the disk
+    entries that failed to unpickle; each of them also counts as a miss.
     """
 
     memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
+    namespace_hits: Dict[str, int] = field(default_factory=dict)
+    namespace_misses: Dict[str, int] = field(default_factory=dict)
     corrupt: Dict[str, int] = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
         """Total hits from either tier."""
         return self.memory_hits + self.disk_hits
+
+    def count_hit(self, namespace: str, disk: bool) -> None:
+        """Tally one hit from the memory or the disk tier."""
+        if disk:
+            self.disk_hits += 1
+        else:
+            self.memory_hits += 1
+        _bump(self.namespace_hits, namespace)
+
+    def count_miss(self, namespace: str) -> None:
+        """Tally one miss."""
+        self.misses += 1
+        _bump(self.namespace_misses, namespace)
+
+
+def _bump(counts: Dict[str, int], namespace: str) -> None:
+    counts[namespace] = counts.get(namespace, 0) + 1
 
 
 _MISSING = object()
@@ -222,7 +242,7 @@ class ArtifactCache:
         mem_key = (namespace, key)
         with self._lock:
             if mem_key in self._memory:
-                self.stats.memory_hits += 1
+                self.stats.count_hit(namespace, disk=False)
                 return self._memory[mem_key]
         path = self._disk_path(namespace, key)
         value = self._read_disk(path, mem_key)
@@ -231,7 +251,7 @@ class ArtifactCache:
 
         value = compute()
         with self._lock:
-            self.stats.misses += 1
+            self.stats.count_miss(namespace)
             self._memory[mem_key] = value
         if path is not None:
             self._write_disk(path, value)
@@ -249,13 +269,13 @@ class ArtifactCache:
         mem_key = (namespace, key)
         with self._lock:
             if mem_key in self._memory:
-                self.stats.memory_hits += 1
+                self.stats.count_hit(namespace, disk=False)
                 return self._memory[mem_key]
         value = self._read_disk(self._disk_path(namespace, key), mem_key)
         if value is not _MISSING:
             return value
         with self._lock:
-            self.stats.misses += 1
+            self.stats.count_miss(namespace)
         return default
 
     def _read_disk(
@@ -278,10 +298,8 @@ class ArtifactCache:
             try:
                 value = pickle.load(handle)
             except Exception:
-                namespace = mem_key[0]
                 with self._lock:
-                    corrupt = self.stats.corrupt
-                    corrupt[namespace] = corrupt.get(namespace, 0) + 1
+                    _bump(self.stats.corrupt, mem_key[0])
                 return _MISSING
         try:
             # Refresh recency so LRU eviction spares live entries.
@@ -289,7 +307,7 @@ class ArtifactCache:
         except OSError:
             pass
         with self._lock:
-            self.stats.disk_hits += 1
+            self.stats.count_hit(mem_key[0], disk=True)
             self._memory[mem_key] = value
         return value
 

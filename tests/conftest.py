@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic graphs, workloads, configs."""
+"""Shared fixtures: small deterministic graphs, workloads, configs, and
+a session whose cache starts empty."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import pytest
 from repro.graphs.generators import dc_sbm_graph
 from repro.graphs.graph import Graph
 from repro.hardware.config import HardwareConfig
+from repro.perf.cache import ENV_DISK_CACHE, ArtifactCache
+from repro.runtime import Session
 from repro.stages.workload import Workload
 
 
@@ -50,3 +53,14 @@ def small_workload(small_graph) -> Workload:
 def small_config() -> HardwareConfig:
     """Hardware config with a budget small enough to bind allocation."""
     return HardwareConfig().scaled(array_capacity_bytes=4 * 1024 ** 2)
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch) -> Session:
+    """The test runs in a session with its own empty, memory-only cache:
+    every artifact it asks for is built, none is served from an earlier
+    test (the ``"training"`` memo would otherwise stand in for the
+    engine a bit-identity test exercises)."""
+    monkeypatch.delenv(ENV_DISK_CACHE, raising=False)
+    with Session(cache=ArtifactCache()).use() as session:
+        yield session

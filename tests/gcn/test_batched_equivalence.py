@@ -10,7 +10,9 @@ plan) and the one setting it must carry through unchanged (analog
 noise), plus groups of one, the co-simulator's one-epoch-per-call
 pattern, input validation, ordering, and the split harness
 (``train_with_split``, GCN and GraphSAGE fleets) against its serial
-oracle in ``tests/oracles/split_harness.py``.
+oracle in ``tests/oracles/split_harness.py``.  Each test runs in a
+fresh-cache session, so every replica trains on the engine instead of
+coming from the ``"training"`` memo.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.experiments.harness import train_with_split
+from repro.gcn import batched
 from repro.gcn.batched import ReplicaSpec, train_replicas
 from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
@@ -28,6 +31,8 @@ from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
 from tests.oracles import split_harness as split_oracle
 from tests.oracles.trainers import make_trainer as make_oracle
+
+pytestmark = pytest.mark.usefixtures("fresh_cache")
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +228,46 @@ def test_split_replicas_with_delays_match_stale_loop(graph):
     )
 
 
+@pytest.mark.parametrize("family", [GCN, GraphSAGE], ids=["GCN", "SAGE"])
+def test_split_replicas_with_plans_and_delays_match_oracle(graph, plan, family):
+    # Delayed weights feed the training forward while the eval forward
+    # reads the store; the GCN fleet reuses its training logits here.
+    _assert_split_matches_oracle(
+        _fleet(family, graph, range(4)), graph, 7,
+        update_plans=[None, plan, plan, None], param_delays=[0, 1, 2, 2],
+    )
+
+
+@pytest.mark.parametrize("family, sigma, store, per_epoch", [
+    (GCN, 0.0, True, 1),
+    (GCN, 0.05, True, 2),
+    (GCN, 0.0, False, 2),
+    (GraphSAGE, None, True, 2),
+], ids=["GCN-store", "GCN-store-noise", "GCN", "SAGE-store"])
+def test_split_eval_forward_runs_only_when_it_can_differ(
+    graph, plan, monkeypatch, family, sigma, store, per_epoch,
+):
+    # A GCN fleet with the store on and no noise would aggregate the
+    # rows its training forward just wrote, so it reuses the training
+    # logits; noise, fresh rows or SAGE's live self path need the eval.
+    stacked = batched._STACKED_FAMILIES[family]
+    forward = stacked.forward
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(stacked, "forward", counting)
+    noise = {} if sigma is None else {"analog_noise_sigma": sigma}
+    epochs = 4
+    train_with_split(
+        _fleet(family, graph, [0, 0], **noise)(), graph, epochs, 0,
+        update_plans=[None, plan] if store else None,
+    )
+    assert len(calls) == per_epoch * epochs
+
+
 def test_split_replicas_sage_matches_serial_loop(graph):
     _assert_split_matches_oracle(_fleet(GraphSAGE, graph, range(3)), graph, 5)
 
@@ -235,13 +280,18 @@ def test_split_model_family_shape(graph, plan, family):
     )
 
 
-def test_split_gcn_noise_and_delays(graph):
+def test_split_gcn_noise_and_delays(graph, plan):
     _assert_split_matches_oracle(
         _fleet(GCN, graph, range(3), analog_noise_sigma=0.02), graph, 4,
     )
     _assert_split_matches_oracle(
         _fleet(GCN, graph, range(3), analog_noise_sigma=0.02),
         graph, 6, param_delays=[0, 2, 1],
+    )
+    # With the store on, the noisy eval forward still runs and draws.
+    _assert_split_matches_oracle(
+        _fleet(GCN, graph, range(3), analog_noise_sigma=0.02),
+        graph, 5, update_plans=[None, plan, plan],
     )
 
 

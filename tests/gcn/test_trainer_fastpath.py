@@ -9,7 +9,8 @@ losses and per-epoch metrics must equal the serial oracle's
 the eval forward, bit for bit.  Covered for both trainers (node
 classification and link prediction), with and without an ISU
 :class:`UpdatePlan`, and for the ``start_epoch`` phase the co-simulator
-drives.
+drives.  Each test runs in a fresh-cache session, so ``train_replicas``
+trains on the engine instead of reading the ``"training"`` memo.
 """
 
 import pytest
@@ -21,8 +22,11 @@ from repro.gcn.batched import ReplicaSpec, TrainingResult, train_replicas
 from repro.gcn.trainer import make_trainer
 from repro.graphs.generators import dc_sbm_graph
 from repro.mapping.selective import build_update_plan
+from repro.perf.cache import ArtifactCache
 from repro.runtime import RunSpec, Session
 from tests.oracles import trainers as oracle
+
+pytestmark = pytest.mark.usefixtures("fresh_cache")
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +103,8 @@ def test_analog_noise_forces_per_epoch_cadence(graph):
         analog_noise_sigma=0.05,
     )
     [first] = train_replicas([spec])
-    [second] = train_replicas([spec])
+    with Session(cache=ArtifactCache()).use():  # trains again: no hit
+        [second] = train_replicas([spec])
     assert len(first.test_metrics) == 6
     _assert_same_history(first, second)
 

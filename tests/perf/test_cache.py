@@ -206,6 +206,20 @@ class TestArtifactCache:
         assert len(cache) == 0
         assert cache.stats.hits == 0
 
+    def test_hits_and_misses_split_per_namespace(self, tmp_path):
+        ArtifactCache(disk_dir=str(tmp_path)).put("a", "on-disk", 0)
+        cache = ArtifactCache(disk_dir=str(tmp_path))
+        cache.get_or_compute("a", "k", lambda: 1)  # miss
+        cache.get_or_compute("a", "k", lambda: 1)  # memory hit
+        cache.get("a", "on-disk")  # disk hit
+        cache.get("b", "k")  # miss
+        stats = cache.stats
+        assert (stats.memory_hits, stats.disk_hits, stats.misses) == (1, 1, 2)
+        assert stats.namespace_hits == {"a": 2}
+        assert stats.namespace_misses == {"a": 1, "b": 1}
+        cache.clear()
+        assert cache.stats.namespace_hits == cache.stats.namespace_misses == {}
+
     def test_namespaces_do_not_collide(self):
         cache = ArtifactCache(disk_dir="")
         cache.get_or_compute("ns1", "k", lambda: 1)

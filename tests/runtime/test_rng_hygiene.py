@@ -14,6 +14,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 # The explicit-seed construction surface; everything else on np.random is
@@ -60,6 +62,7 @@ def test_no_stdlib_random_in_src():
 # ----------------------------------------------------------------------
 # Runtime hygiene of the replica-batched trainer: its randomness flows
 # only through each replica's trainer stream and its GCN's model stream.
+# Each test trains in a fresh-cache session, on the engine, not the memo.
 # ----------------------------------------------------------------------
 def _fleet_graph():
     from repro.graphs.generators import dc_sbm_graph
@@ -69,6 +72,7 @@ def _fleet_graph():
     )
 
 
+@pytest.mark.usefixtures("fresh_cache")
 def test_train_replicas_leaves_global_numpy_rng_untouched():
     import numpy as np
 
@@ -86,6 +90,7 @@ def test_train_replicas_leaves_global_numpy_rng_untouched():
     )
 
 
+@pytest.mark.usefixtures("fresh_cache")
 def test_replica_stream_positions_match_serial_trainers():
     # After a batched run, every replica's trainer stream and model
     # stream must sit at the exact position its serial oracle's
