@@ -32,7 +32,7 @@ from repro.errors import (
     PredictorError,
     TrainingError,
 )
-from repro.graphs import Graph, dataset_names, load_dataset
+from repro.graphs import Graph, load_dataset
 from repro.hardware import DEFAULT_CONFIG, HardwareConfig
 from repro.stages import Workload, workload_from_dataset
 
@@ -51,7 +51,6 @@ __all__ = [
     "PredictorError",
     "TrainingError",
     "Graph",
-    "dataset_names",
     "load_dataset",
     "DEFAULT_CONFIG",
     "HardwareConfig",

@@ -58,18 +58,14 @@ def serial() -> AcceleratorModel:
     return AcceleratorModel(name="Serial", schedule=ScheduleMode.SERIAL)
 
 
-def slimgnn_like(theta: Optional[float] = None) -> AcceleratorModel:
-    """SlimGNN minus weight pruning: uniform replicas + input pruning.
-
-    ``theta`` is the kept (important) vertex fraction; ``None`` is the
-    adaptive rule, and 0.0 keeps no edge.
-    """
+def slimgnn_like() -> AcceleratorModel:
+    """SlimGNN minus weight pruning: uniform replicas + input pruning at
+    the adaptive kept-vertex fraction."""
     return AcceleratorModel(
         name="SlimGNN-like",
         schedule=ScheduleMode.INTRA_BATCH,
         allocator=uniform_allocation,
         prune_graph=True,
-        theta=theta,
     )
 
 

@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,12 @@ from repro.allocation.problem import AllocationProblem, AllocationResult
 from repro.perf import profile
 from repro.perf.cache import cache_key
 from repro.runtime import current_session
+
+#: ReGraphX's crossbar split: weight-mapped (CO/LC) to feature-mapped
+#: (AG/GC) stages as 1:2.
+WEIGHT_STAGE_SHARE = 1.0
+FEATURE_STAGE_SHARE = 2.0
+FEATURE_STAGE_PREFIXES = ("AG", "GC")
 
 
 def serial_allocation(problem: AllocationProblem) -> AllocationResult:
@@ -57,27 +63,20 @@ def uniform_allocation(problem: AllocationProblem) -> AllocationResult:
     return AllocationResult(problem=problem, replicas=replicas, strategy="uniform")
 
 
-def fixed_ratio_allocation(
-    problem: AllocationProblem,
-    weight_stage_share: float = 1.0,
-    feature_stage_share: float = 2.0,
-    feature_stage_names: Sequence[str] = ("AG", "GC"),
-) -> AllocationResult:
+def fixed_ratio_allocation(problem: AllocationProblem) -> AllocationResult:
     """ReGraphX's fixed CO:AG = 1:2 crossbar split.
 
-    The budget is divided between the two stage families in the given
-    ratio; within a family every stage gets an equal crossbar share,
-    converted to replicas by its per-replica cost.
+    The budget is divided between the two stage families in that ratio;
+    within a family every stage gets an equal crossbar share, converted
+    to replicas by its per-replica cost.
     """
-    names = problem.stage_names
     is_feature = np.array([
-        any(name.startswith(prefix) for prefix in feature_stage_names)
-        for name in names
+        name.startswith(FEATURE_STAGE_PREFIXES) for name in problem.stage_names
     ])
-    total_share = weight_stage_share + feature_stage_share
+    total_share = WEIGHT_STAGE_SHARE + FEATURE_STAGE_SHARE
     family_budget = {
-        True: problem.budget * feature_stage_share / total_share,
-        False: problem.budget * weight_stage_share / total_share,
+        True: problem.budget * FEATURE_STAGE_SHARE / total_share,
+        False: problem.budget * WEIGHT_STAGE_SHARE / total_share,
     }
     replicas = np.ones(problem.num_stages, dtype=np.int64)
     for family in (True, False):

@@ -21,6 +21,10 @@ import numpy as _np
 
 from repro.errors import AllocationError
 
+#: The floor on a second-largest key; with no other entry, the second
+#: key reads this.
+KEY_FLOOR = 0.0
+
 
 class FlatMaxKeys:
     """Array-backed replacement for the heap operations Algorithm 1 uses.
@@ -36,7 +40,7 @@ class FlatMaxKeys:
     scan per query instead of O(log n) Python calls per mutation.
 
     Supports the subset of the heap API the greedy needs: ``push``,
-    ``top``, ``update``, ``max_excluding``, ``key_of``, ``__len__``.
+    ``top``, ``update``, ``max_excluding``, ``__len__``.
     Items must be hashable and unique, exactly as for the heap.
     """
 
@@ -76,13 +80,6 @@ class FlatMaxKeys:
         slot = keys[:size].argmax()
         return keys[slot], self._items[slot]
 
-    def key_of(self, item: object) -> float:
-        """Current key of ``item``."""
-        slot = self._pos.get(item)
-        if slot is None:
-            raise AllocationError(f"item {item!r} not in heap")
-        return float(self._keys[slot])
-
     def update(self, item: object, new_key: float) -> None:
         """Change ``item``'s key (O(1))."""
         slot = self._pos.get(item)
@@ -90,24 +87,24 @@ class FlatMaxKeys:
             raise AllocationError(f"item {item!r} not in heap")
         self._keys[slot] = new_key
 
-    def max_excluding(self, item: object, default: float = 0.0) -> float:
+    def max_excluding(self, item: object) -> float:
         """Largest key among entries other than ``item``, floored at
-        ``default`` — same contract as the heap's method."""
+        :data:`KEY_FLOOR` — same contract as the heap's method."""
         slot = self._pos.get(item)
         if slot is None:
             raise AllocationError(f"item {item!r} not in heap")
         size = len(self._items)
         if size == 1:
-            return default
+            return KEY_FLOOR
         keys = self._keys[:size]
         best_slot = keys.argmax()
         if best_slot != slot:
-            return max(default, keys[best_slot])
+            return max(KEY_FLOOR, keys[best_slot])
         saved = keys[slot]
         keys[slot] = -_np.inf
         second = keys.max()
         keys[slot] = saved
-        return max(default, second)
+        return max(KEY_FLOOR, second)
 
 
 class LazyMaxKeys:
@@ -134,10 +131,6 @@ class LazyMaxKeys:
         ]
         _heapq.heapify(self._heap)
 
-    def key_of(self, stage: int) -> float:
-        """Current key of ``stage``."""
-        return self._keys[stage]
-
     def update(self, stage: int, new_key: float) -> None:
         """Change ``stage``'s key (keys must only decrease over time)."""
         self._keys[stage] = new_key
@@ -152,18 +145,18 @@ class LazyMaxKeys:
                 return stage
             _heapq.heappop(heap)
 
-    def top_and_second(self, default: float = 0.0):
+    def top_and_second(self):
         """``(top_stage, second_key, second_stage)`` in one query.
 
         ``second_key`` is the largest key among stages *other than* the
-        top one, floored at ``default`` (the same contract as
+        top one, floored at :data:`KEY_FLOOR` (the same contract as
         ``max_excluding``); ``second_stage`` is its holder, or ``-1``
         when the floor wins or no other stage exists.
         """
         heap, keys = self._heap, self._keys
         top_stage = self.top()
         popped: List[Tuple[float, int]] = []
-        second_key = default
+        second_key = KEY_FLOOR
         second_stage = -1
         while heap:
             neg_key, stage = heap[0]
@@ -173,7 +166,7 @@ class LazyMaxKeys:
             if stage == top_stage:
                 popped.append(_heapq.heappop(heap))
                 continue
-            if -neg_key > default:
+            if -neg_key > KEY_FLOOR:
                 second_key = -neg_key
                 second_stage = stage
             break

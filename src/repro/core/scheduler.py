@@ -31,6 +31,9 @@ from repro.errors import AllocationError
 from repro.runtime import current_session
 from repro.stages.workload import Workload
 
+#: The greedy split hands out the shared pool in this many quanta.
+SPLIT_QUANTA = 16
+
 
 @dataclass
 class JobPlacement:
@@ -109,21 +112,15 @@ class MultiTenantScheduler:
             ))
         return ScheduleOutcome(policy="equal-split", placements=placements)
 
-    def greedy_split(
-        self,
-        workloads: Sequence[Workload],
-        quanta: int = 16,
-    ) -> ScheduleOutcome:
+    def greedy_split(self, workloads: Sequence[Workload]) -> ScheduleOutcome:
         """Marginal-gain split: quanta go to the job that improves most.
 
         Starts every job at its mandatory footprint, then repeatedly gives
-        one budget quantum (``1/quanta`` of the remaining pool) to the job
+        one budget quantum (``1/SPLIT_QUANTA`` of the pool) to the job
         whose *makespan* currently dominates — the min-max objective's
         steepest descent.
         """
         self._validate(workloads)
-        if quanta < 1:
-            raise AllocationError("quanta must be >= 1")
         accelerators = self._accelerators(workloads)
         mandatory = [
             self._mandatory(acc, wl)
@@ -135,7 +132,7 @@ class MultiTenantScheduler:
             raise AllocationError(
                 "chip cannot hold every job's mandatory footprint"
             )
-        quantum = max(1, pool // quanta)
+        quantum = max(1, pool // SPLIT_QUANTA)
         makespans = [
             self._makespan_with_budget(acc, wl, b)
             for acc, wl, b in zip(accelerators, workloads, budgets)

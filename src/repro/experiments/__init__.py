@@ -8,12 +8,11 @@ artifact cache; a run function reads it with
 """
 
 from repro.experiments.harness import ExperimentResult, combine_markdown
-from repro.experiments.io import load_results, save_results
+from repro.experiments.io import save_results
 
 __all__ = [
     "ExperimentResult",
     "combine_markdown",
-    "load_results",
     "save_results",
     "REGISTRY",
     "run_all",

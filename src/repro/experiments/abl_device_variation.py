@@ -34,7 +34,7 @@ def mvm_relative_error(sigma: float, seed: int = 0) -> float:
     )
     x = rng.normal(size=128).astype(np.float32)
     exact = x @ weights
-    noisy = mapped.mvm(x)
+    noisy = mapped.mvm_batch(x[None, :])[0]
     scale = np.maximum(np.abs(exact), 1e-6)
     return float(np.median(np.abs(noisy - exact) / scale))
 

@@ -61,15 +61,16 @@ class ExperimentResult:
             )
         return values
 
-    def to_markdown(self, float_format: str = "{:.3g}") -> str:
-        """Render as a GitHub-flavoured markdown table."""
+    def to_markdown(self) -> str:
+        """Render as a GitHub-flavoured markdown table (floats to three
+        significant digits)."""
         cols = self.columns
         if not cols:
             return f"## {self.title}\n\n(no rows)\n"
 
         def fmt(value: Any) -> str:
             if isinstance(value, float):
-                return float_format.format(value)
+                return f"{value:.3g}"
             return "" if value is None else str(value)
 
         lines = [f"## {self.title} ({self.experiment_id})", ""]

@@ -5,21 +5,15 @@ The central type is :class:`~repro.graphs.graph.Graph`, an immutable CSR
 graph with optional vertex features and labels.  ``datasets`` provides
 synthetic stand-ins for the seven graphs in Table III of the paper, matched
 on the statistics GoPIM's mechanisms actually consume (degree skew, average
-degree, feature dimension, density class).
+degree, feature dimension, density class), and holds the paper's density
+rule.
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.generators import (
-    dc_sbm_graph,
-    erdos_renyi_graph,
-    powerlaw_cluster_graph,
-    sbm_graph,
-)
+from repro.graphs.generators import dc_sbm_graph
 from repro.graphs.datasets import (
     DATASET_SPECS,
-    OVERALL_EVAL_DATASETS,
     DatasetSpec,
-    dataset_names,
     get_spec,
     load_dataset,
 )
@@ -39,13 +33,8 @@ from repro.graphs.sparsify import (
 __all__ = [
     "Graph",
     "dc_sbm_graph",
-    "erdos_renyi_graph",
-    "powerlaw_cluster_graph",
-    "sbm_graph",
     "DATASET_SPECS",
-    "OVERALL_EVAL_DATASETS",
     "DatasetSpec",
-    "dataset_names",
     "get_spec",
     "load_dataset",
     "degree_rank",

@@ -23,7 +23,7 @@ the spec and surfaced in EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -32,6 +32,17 @@ from repro.graphs.generators import RandomState, _rng, dc_sbm_graph
 from repro.graphs.graph import Graph
 from repro.perf import cache_key
 from repro.perf import profile
+
+#: The paper's density class (Section VI-C): a graph is dense iff its
+#: average degree exceeds 8.  The adaptive update threshold keeps 50% of
+#: a dense graph's vertices important and 80% of a sparse one's.
+DENSE_DEGREE_THRESHOLD = 8.0
+DENSE_THETA = 0.5
+SPARSE_THETA = 0.8
+
+#: Spread of the log-normal noise on the degree key that renumbers a
+#: generated graph's vertices.
+RELABEL_NOISE_SIGMA = 0.5
 
 
 @dataclass(frozen=True)
@@ -60,12 +71,12 @@ class DatasetSpec:
     @property
     def is_dense(self) -> bool:
         """Paper's density class: dense iff average degree > 8."""
-        return self.paper_avg_degree > 8.0
+        return self.paper_avg_degree > DENSE_DEGREE_THRESHOLD
 
     @property
     def selective_threshold(self) -> float:
         """Adaptive theta from Section VI-C: 50% dense, 80% sparse."""
-        return 0.5 if self.is_dense else 0.8
+        return DENSE_THETA if self.is_dense else SPARSE_THETA
 
 
 # Table III statistics with laptop-scale simulated sizes.  Simulated average
@@ -130,17 +141,6 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
     ),
 }
 
-# The five datasets the headline Figure 13 sweeps (Section VII-B).
-OVERALL_EVAL_DATASETS: Tuple[str, ...] = (
-    "ddi", "collab", "ppa", "proteins", "arxiv",
-)
-
-
-def dataset_names() -> Tuple[str, ...]:
-    """Names of all available datasets, in Table III order."""
-    return tuple(DATASET_SPECS)
-
-
 def get_spec(name: str) -> DatasetSpec:
     """Fetch a dataset spec by name (case-insensitive)."""
     key = name.lower()
@@ -154,7 +154,6 @@ def get_spec(name: str) -> DatasetSpec:
 def relabel_by_noisy_degree(
     graph: Graph,
     random_state: RandomState = 0,
-    noise_sigma: float = 0.5,
 ) -> Graph:
     """Renumber vertices so ids correlate with degree, with noise.
 
@@ -163,10 +162,11 @@ def relabel_by_noisy_degree(
     yields the skewed per-crossbar degree profile of Fig. 6.  Synthetic
     generators assign ids randomly, so this post-pass restores the
     correlation: vertices are sorted by ``degree * lognormal(0, sigma)``
-    descending and renumbered in that order.
+    (sigma :data:`RELABEL_NOISE_SIGMA`) descending and renumbered in that
+    order.
     """
     rng = _rng(random_state)
-    noise = rng.lognormal(0.0, noise_sigma, size=graph.num_vertices)
+    noise = rng.lognormal(0.0, RELABEL_NOISE_SIGMA, size=graph.num_vertices)
     key = (graph.degrees + 1.0) * noise
     order = np.argsort(-key, kind="stable")
     # order[i] = old id that becomes new id i  ->  remap[old] = new.
@@ -185,43 +185,42 @@ def relabel_by_noisy_degree(
 
 def load_dataset(
     name: str,
-    random_state: RandomState = 0,
+    random_state: int = 0,
     scale: float = 1.0,
 ) -> Graph:
     """Generate the synthetic stand-in graph for a paper dataset.
 
+    A load is a pure function of (name, seed, scale), so it is memoised
+    through the current session's artifact cache: repeated experiments
+    share one generated instance (graphs are immutable).
+
     Parameters
     ----------
     name:
-        One of :func:`dataset_names`.
+        A key of :data:`DATASET_SPECS`.
     random_state:
-        Seed or generator; the default makes repeated loads identical.
+        Integer seed; the default makes repeated loads identical.
     scale:
         Extra multiplier on the simulated vertex count (e.g. 0.25 for a
         quick smoke run, 2.0 for a bigger sweep).
     """
+    # Imported here: the run context sits above the graph layer.
+    from repro.runtime.session import current_session
+
     spec = get_spec(name)
     if scale <= 0:
         raise GraphError("scale must be positive")
-    if isinstance(random_state, (int, np.integer)):
-        # Imported here: the run context sits above the graph layer.
-        from repro.runtime.session import current_session
-
-        # Seeded loads are pure functions of (name, seed, scale): memoise
-        # through the artifact cache so repeated experiments share one
-        # generated instance (graphs are immutable).
-        key = cache_key(spec.name, int(random_state), float(scale))
-        return current_session().cache.get_or_compute(
-            "datasets", key,
-            lambda: _generate_dataset_graph(spec, random_state, scale),
-        )
-    return _generate_dataset_graph(spec, random_state, scale)
+    key = cache_key(spec.name, int(random_state), float(scale))
+    return current_session().cache.get_or_compute(
+        "datasets", key,
+        lambda: _generate_dataset_graph(spec, random_state, scale),
+    )
 
 
 @profile.phase(profile.PHASE_DATASET)
 def _generate_dataset_graph(
     spec: DatasetSpec,
-    random_state: RandomState,
+    random_state: int,
     scale: float,
 ) -> Graph:
     num_vertices = max(spec.num_communities * 2,

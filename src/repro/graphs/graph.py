@@ -250,10 +250,6 @@ class Graph:
             return 1.0
         return 1.0 - self.num_arcs / (n * n)
 
-    def is_dense(self, threshold: float = 8.0) -> bool:
-        """Paper's dense/sparse split: dense iff average degree > threshold."""
-        return self.average_degree > threshold
-
     # ------------------------------------------------------------------
     # Cached structures for the linear-algebra hot path
     # ------------------------------------------------------------------
@@ -363,20 +359,6 @@ class Graph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
-    def with_features(self, features: np.ndarray) -> "Graph":
-        """Return a copy of this graph with ``features`` attached."""
-        return Graph(
-            self._indptr, self._indices, features=features,
-            labels=self._labels, name=self._name,
-        )
-
-    def with_labels(self, labels: np.ndarray) -> "Graph":
-        """Return a copy of this graph with ``labels`` attached."""
-        return Graph(
-            self._indptr, self._indices, features=self._features,
-            labels=labels, name=self._name,
-        )
-
     def edge_list(self) -> np.ndarray:
         """Return the unique undirected edge list as an ``(m, 2)`` array."""
         src = self._source_indices()

@@ -16,6 +16,9 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
+#: Smallest degree the tail-exponent fit reads.
+TAIL_MIN_DEGREE = 2
+
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -50,18 +53,18 @@ class GraphStats:
         }
 
 
-def powerlaw_alpha_mle(degrees: np.ndarray, d_min: int = 2) -> Optional[float]:
+def powerlaw_alpha_mle(degrees: np.ndarray) -> Optional[float]:
     """Continuous MLE of the degree tail exponent (Clauset et al. form).
 
-    ``alpha = 1 + n / sum(ln(d / (d_min - 1/2)))`` over degrees >= d_min.
-    Returns ``None`` when fewer than 10 vertices reach the tail.
+    ``alpha = 1 + n / sum(ln(d / (d_min - 1/2)))`` over degrees >= d_min
+    (:data:`TAIL_MIN_DEGREE`).  Returns ``None`` when fewer than 10
+    vertices reach the tail.
     """
-    if d_min < 1:
-        raise GraphError("d_min must be >= 1")
-    tail = np.asarray(degrees[degrees >= d_min], dtype=np.float64)
+    tail = np.asarray(degrees[degrees >= TAIL_MIN_DEGREE], dtype=np.float64)
     if tail.size < 10:
         return None
-    return float(1.0 + tail.size / np.log(tail / (d_min - 0.5)).sum())
+    scaled = tail / (TAIL_MIN_DEGREE - 0.5)
+    return float(1.0 + tail.size / np.log(scaled).sum())
 
 
 def degree_gini(degrees: np.ndarray) -> float:

@@ -22,7 +22,6 @@ from repro.hardware.crossbar import Crossbar, CrossbarStats, quantize_symmetric
 from repro.hardware.energy import EnergyBreakdown, area_report
 from repro.hardware.endurance import (
     RERAM_ENDURANCE_WRITES,
-    SRAM_ENDURANCE_WRITES,
     LifetimeReport,
     compare_schemes,
     estimate_lifetime,
@@ -41,7 +40,6 @@ __all__ = [
     "area_report",
     "MappedMatrix",
     "RERAM_ENDURANCE_WRITES",
-    "SRAM_ENDURANCE_WRITES",
     "LifetimeReport",
     "compare_schemes",
     "estimate_lifetime",

@@ -21,6 +21,10 @@ from typing import Dict
 
 from repro.errors import ConfigError
 
+#: ReRAM program-verify pulses per row write: the timing model's default
+#: (``TimingParams.write_pulses``) and the wear one row write costs.
+WRITE_PULSES = 2
+
 
 @dataclass(frozen=True)
 class ComponentSpec:

@@ -17,8 +17,7 @@ through the 2-bit DACs over ``input_cycles`` passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,12 +178,12 @@ class Crossbar:
     def _matmul(self, padded: np.ndarray) -> np.ndarray:
         """Deterministic left-fold matmul kernel: ``padded @ values``.
 
-        Both the scalar and the batched read paths route through this one
-        kernel so their results agree *bit for bit*.  BLAS gemm/gemv calls
-        cannot guarantee that (their accumulation order over the wordline
-        axis changes with the batch size), so the product is accumulated
-        wordline by wordline: each output row depends only on its own
-        input row, making the kernel row-invariant by construction.
+        An input row gives the same output bit for bit whatever batch it
+        streams in.  BLAS gemm/gemv calls cannot guarantee that (their
+        accumulation order over the wordline axis changes with the batch
+        size), so the product is accumulated wordline by wordline: each
+        output row depends only on its own input row, making the kernel
+        row-invariant by construction.
         """
         if padded.shape[0] == 1:
             # axis-0 ufunc reduce is a sequential left fold — identical
@@ -197,30 +196,9 @@ class Crossbar:
             acc += tmp
         return acc
 
-    def mvm(self, input_vector: np.ndarray) -> np.ndarray:
-        """One matrix-vector multiply: ``input @ values``.
-
-        ``input_vector`` has one entry per wordline (shorter vectors are
-        zero-padded).  The analog pass costs ``mvm_latency_ns`` regardless
-        of input sparsity (all wordlines fire together); sparsity savings
-        appear at the tiling level where all-zero input segments skip whole
-        crossbars.
-        """
-        vector = np.asarray(input_vector, dtype=np.float32).ravel()
-        if vector.size > self.rows:
-            raise MappingError(
-                f"input of length {vector.size} exceeds {self.rows} wordlines"
-            )
-        if vector.size < self.rows:
-            vector = np.pad(vector, (0, self.rows - vector.size))
-        result = self._matmul(vector[None, :])[0]
-        self.stats.mvm_reads += 1
-        self.stats.busy_ns += self._config.mvm_latency_ns
-        return self._apply_read_noise(result)
-
     def _count_reads(self, count: int) -> None:
-        """Account ``count`` analog passes exactly like ``count`` scalar
-        :meth:`mvm` calls: the event counter is arithmetic, but the float
+        """Account ``count`` analog passes as ``count`` single passes
+        would be: the event counter is arithmetic, but the float
         ``busy_ns`` fold is replayed add-by-add because the Table II
         latencies are not exactly representable — ``n * latency`` rounds
         differently than ``n`` sequential additions.
@@ -233,11 +211,17 @@ class Crossbar:
         self.stats.busy_ns = busy
 
     def mvm_batch(self, input_matrix: np.ndarray) -> np.ndarray:
-        """MVM for each row of ``input_matrix`` (rows stream serially).
+        """``input @ values`` for each row of ``input_matrix`` (rows
+        stream serially; one row is one matrix-vector multiply).
 
-        Bit-identical to looping :meth:`mvm` over the rows: the matmul
-        kernel is row-invariant and the noise for all rows is drawn in one
-        batched call, which numpy fills in the same stream order as the
+        A row has one entry per wordline (shorter rows are zero-padded).
+        Each analog pass costs ``mvm_latency_ns`` regardless of input
+        sparsity (all wordlines fire together); sparsity savings appear
+        at the tiling level, where all-zero input segments skip whole
+        crossbars.  Bit-identical to one call per row (the per-row oracle
+        in ``tests/oracles/functional.py``): the matmul kernel is
+        row-invariant and the noise for all rows is drawn in one batched
+        call, which numpy fills in the same stream order as the
         equivalent sequence of per-row draws.
         """
         matrix = np.asarray(input_matrix, dtype=np.float32)
@@ -256,7 +240,7 @@ class Crossbar:
         """Batched one-hot reads: the resident row per id, with read noise.
 
         Equivalent — output values, noise stream, and event counters — to
-        firing one unit-input wordline per id through :meth:`mvm` (a
+        firing one unit-input wordline per id through :meth:`mvm_batch` (a
         one-hot MVM returns the addressed row exactly; the noise for all
         ids is one batched draw, which matches the per-call sequence).
         """

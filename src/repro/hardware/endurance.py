@@ -7,10 +7,11 @@ feature-mapped crossbars**, and ISU — by cutting write traffic and
 balancing it across crossbars — extends the array's useful life.
 
 The model is deliberately simple: a crossbar row dies after
-``endurance_writes`` row writes; the array's lifetime is set by the
-*most-written* row (wear is not levelled across rows because a vertex's
-features live at a fixed wordline).  Lifetime is reported in training
-epochs.
+:data:`RERAM_ENDURANCE_WRITES` program pulses, and each row write costs
+:data:`~repro.hardware.config.WRITE_PULSES` of them; the array's
+lifetime is set by the *most-written* row (wear is not levelled across
+rows because a vertex's features live at a fixed wordline).  Lifetime
+is reported in training epochs.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from typing import Dict
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.hardware.config import WRITE_PULSES
 from repro.mapping.selective import UpdatePlan
 
 RERAM_ENDURANCE_WRITES = 10 ** 8
-SRAM_ENDURANCE_WRITES = 10 ** 16
+
+#: Epochs between two wordline rotations of the wear-levelling mapper.
+ROTATION_PERIOD_EPOCHS = 100
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class LifetimeReport:
     writes_per_epoch_mean: float
     epochs_to_wearout_worst: float
     epochs_to_wearout_median: float
-    pulses_per_write: int
 
 
 def rows_written_per_epoch(plan: UpdatePlan) -> np.ndarray:
@@ -59,77 +61,51 @@ def rows_written_per_epoch(plan: UpdatePlan) -> np.ndarray:
     return rates
 
 
-def estimate_lifetime(
-    plan: UpdatePlan,
-    scheme_name: str,
-    endurance_writes: int = RERAM_ENDURANCE_WRITES,
-    pulses_per_write: int = 2,
-    layers_sharing_row: int = 1,
-) -> LifetimeReport:
-    """Epochs until the most-written wordline wears out.
-
-    ``layers_sharing_row`` multiplies wear when several AG stages map the
-    same vertex row onto the same physical crossbars (conservative: 1
-    assumes distinct pools per stage, which GoPIM's allocation uses).
-    """
-    if endurance_writes < 1:
-        raise ConfigError("endurance_writes must be >= 1")
-    if pulses_per_write < 1:
-        raise ConfigError("pulses_per_write must be >= 1")
-    if layers_sharing_row < 1:
-        raise ConfigError("layers_sharing_row must be >= 1")
-    rates = rows_written_per_epoch(plan)
-    factor = pulses_per_write * layers_sharing_row
-    worst = float(rates.max()) * factor
-    median = float(np.median(rates)) * factor
-    mean = float(rates.mean()) * factor
+def _report(scheme: str, rates: np.ndarray) -> LifetimeReport:
+    """Wear of per-row write ``rates`` at :data:`WRITE_PULSES` per write."""
+    worst = float(rates.max()) * WRITE_PULSES
+    median = float(np.median(rates)) * WRITE_PULSES
+    mean = float(rates.mean()) * WRITE_PULSES
     return LifetimeReport(
-        scheme=scheme_name,
+        scheme=scheme,
         writes_per_epoch_worst_row=worst,
         writes_per_epoch_median_row=median,
         writes_per_epoch_mean=mean,
         epochs_to_wearout_worst=(
-            endurance_writes / worst if worst > 0 else float("inf")
+            RERAM_ENDURANCE_WRITES / worst if worst > 0 else float("inf")
         ),
         epochs_to_wearout_median=(
-            endurance_writes / median if median > 0 else float("inf")
+            RERAM_ENDURANCE_WRITES / median if median > 0 else float("inf")
         ),
-        pulses_per_write=pulses_per_write,
     )
 
 
-def compare_schemes(
-    plans: Dict[str, UpdatePlan],
-    endurance_writes: int = RERAM_ENDURANCE_WRITES,
-    pulses_per_write: int = 2,
-) -> Dict[str, LifetimeReport]:
+def estimate_lifetime(plan: UpdatePlan, scheme_name: str) -> LifetimeReport:
+    """Epochs until the most-written wordline wears out.
+
+    Each AG stage maps its vertex rows onto crossbars of its own (GoPIM's
+    allocation), so no two layers wear the same physical row.
+    """
+    return _report(scheme_name, rows_written_per_epoch(plan))
+
+
+def compare_schemes(plans: Dict[str, UpdatePlan]) -> Dict[str, LifetimeReport]:
     """Lifetime reports for several named update schemes."""
-    return {
-        name: estimate_lifetime(
-            plan, name, endurance_writes=endurance_writes,
-            pulses_per_write=pulses_per_write,
-        )
-        for name, plan in plans.items()
-    }
+    return {name: estimate_lifetime(plan, name) for name, plan in plans.items()}
 
 
-def wear_levelled_rates(
-    plan: UpdatePlan,
-    rotation_period_epochs: int = 100,
-) -> np.ndarray:
+def wear_levelled_rates(plan: UpdatePlan) -> np.ndarray:
     """Per-row write rates under wordline rotation (wear levelling).
 
-    A simple future-work extension: every ``rotation_period_epochs`` the
-    mapper rotates each crossbar's vertex-to-wordline assignment by one
-    slot, so over many rotations every physical row absorbs the *average*
-    write rate of the vertices sharing its crossbar.  The rotation itself
-    costs one extra full write round per period, charged here as an added
-    ``1 / rotation_period`` to every row.
+    A simple future-work extension: every :data:`ROTATION_PERIOD_EPOCHS`
+    the mapper rotates each crossbar's vertex-to-wordline assignment by
+    one slot, so over many rotations every physical row absorbs the
+    *average* write rate of the vertices sharing its crossbar.  The
+    rotation itself costs one extra full write round per period, charged
+    here as an added ``1 / ROTATION_PERIOD_EPOCHS`` to every row.
 
     Returns the asymptotic per-vertex-slot write rates.
     """
-    if rotation_period_epochs < 1:
-        raise ConfigError("rotation_period_epochs must be >= 1")
     rates = rows_written_per_epoch(plan)
     mapping = plan.mapping
     # Segment means via bincount: sum and count each crossbar's rates in
@@ -140,15 +116,12 @@ def wear_levelled_rates(
     counts = np.bincount(groups, minlength=mapping.num_crossbars)
     sums = np.bincount(groups, weights=rates, minlength=mapping.num_crossbars)
     means = sums / np.maximum(counts, 1)  # empty crossbars are never read
-    return means[groups] + 1.0 / rotation_period_epochs
+    return means[groups] + 1.0 / ROTATION_PERIOD_EPOCHS
 
 
 def estimate_lifetime_with_leveling(
     plan: UpdatePlan,
     scheme_name: str,
-    rotation_period_epochs: int = 100,
-    endurance_writes: int = RERAM_ENDURANCE_WRITES,
-    pulses_per_write: int = 2,
 ) -> LifetimeReport:
     """Lifetime under wordline rotation (compare with the static mapping).
 
@@ -156,21 +129,4 @@ def estimate_lifetime_with_leveling(
     rows' per-epoch writes get amortised across all wordlines of their
     crossbar, at the price of the periodic rotation writes.
     """
-    rates = wear_levelled_rates(plan, rotation_period_epochs)
-    factor = pulses_per_write
-    worst = float(rates.max()) * factor
-    median = float(np.median(rates)) * factor
-    mean = float(rates.mean()) * factor
-    return LifetimeReport(
-        scheme=f"{scheme_name}+leveling",
-        writes_per_epoch_worst_row=worst,
-        writes_per_epoch_median_row=median,
-        writes_per_epoch_mean=mean,
-        epochs_to_wearout_worst=(
-            endurance_writes / worst if worst > 0 else float("inf")
-        ),
-        epochs_to_wearout_median=(
-            endurance_writes / median if median > 0 else float("inf")
-        ),
-        pulses_per_write=pulses_per_write,
-    )
+    return _report(f"{scheme_name}+leveling", wear_levelled_rates(plan))

@@ -98,42 +98,18 @@ class MappedMatrix:
         return worst
 
     # ------------------------------------------------------------------
-    def mvm(self, vector: np.ndarray) -> np.ndarray:
-        """Dense MVM: ``vector @ matrix`` streamed through the grid.
+    def mvm_batch(self, matrix: np.ndarray) -> np.ndarray:
+        """Dense MVM ``row @ matrix`` for each input row, streamed through
+        the grid tile by tile.
 
         Column tiles run in parallel; row tiles serialise through the S+A
-        chain (their partial sums are accumulated here).
-        """
-        vector = np.asarray(vector, dtype=np.float32).ravel()
-        if vector.size != self._matrix_rows:
-            raise MappingError(
-                f"input length {vector.size} != matrix rows "
-                f"{self._matrix_rows}"
-            )
-        rows = self._config.crossbar_rows
-        cols = self._config.logical_cols
-        out = np.zeros(self._matrix_cols, dtype=np.float32)
-        for r in range(self._plan.row_tiles):
-            segment = vector[r * rows:(r + 1) * rows]
-            if not np.any(segment):
-                continue  # zero input segment: wordlines stay quiet
-            for c in range(self._plan.col_tiles):
-                width = min(cols, self._matrix_cols - c * cols)
-                out[c * cols:c * cols + width] += (
-                    self._grid[r][c].mvm(segment)[:width]
-                )
-        return out
-
-    def mvm_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """MVM for each input row, batched tile by tile.
-
-        Bit-identical to a per-row loop over :meth:`mvm` (the oracle in
-        ``tests/oracles/functional.py``): row tiles whose input segment is
-        all-zero are skipped for exactly the rows the scalar path skips
-        them for (wordlines stay quiet — no activation counted, no noise
-        drawn), partial sums accumulate over row tiles in the same order,
-        and each crossbar draws its read noise for all its active rows in
-        one batched call from the same seeded stream.
+        chain (their partial sums are accumulated here).  A row tile whose
+        input segment is all-zero stays quiet for that row: no activation
+        counted, no noise drawn.  Bit-identical to one call per row (the
+        per-row oracle in ``tests/oracles/functional.py``): partial sums
+        accumulate over row tiles in the same order, and each crossbar
+        draws its read noise for all its active rows in one batched call
+        from the same seeded stream.
         """
         matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2:
@@ -161,9 +137,10 @@ class MappedMatrix:
     def read_rows(self, row_ids: np.ndarray) -> np.ndarray:
         """Noisy resident rows for a sequence of logical row ids.
 
-        Equivalent to firing one one-hot MVM per id through :meth:`mvm`
-        in the given order: only the row tile holding each id activates,
-        and each crossbar's noise draws cover its ids in sequence order
+        Equivalent to firing one one-hot MVM per id through
+        :meth:`mvm_batch`, one id at a time in the given order: only the
+        row tile holding each id activates, and each crossbar's noise
+        draws cover its ids in sequence order
         (ids are routed to tiles with order-preserving masks, so the
         per-crossbar subsequence matches the scalar loop's).  Duplicate
         ids are independent reads with independent noise.

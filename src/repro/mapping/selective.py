@@ -28,6 +28,11 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import MappingError
+from repro.graphs.datasets import (
+    DENSE_DEGREE_THRESHOLD,
+    DENSE_THETA,
+    SPARSE_THETA,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.sparsify import top_degree_vertices
 from repro.mapping.vertex_map import (
@@ -37,9 +42,6 @@ from repro.mapping.vertex_map import (
 )
 from repro.perf import cache_key, profile
 
-DENSE_DEGREE_THRESHOLD = 8.0
-DENSE_THETA = 0.5
-SPARSE_THETA = 0.8
 MINOR_UPDATE_PERIOD = 20
 
 
@@ -139,7 +141,6 @@ def build_update_plan(
     theta: Optional[float] = None,
     rows_per_crossbar: Optional[int] = None,
     minor_period: int = MINOR_UPDATE_PERIOD,
-    selective: bool = True,
 ) -> UpdatePlan:
     """Construct an :class:`UpdatePlan` for a named scheme.
 
@@ -154,9 +155,6 @@ def build_update_plan(
     rows_per_crossbar:
         Wordlines per crossbar; defaults to the current session's
         ``crossbar_rows``.
-    selective:
-        When ``False``, selection is disabled regardless of theta (all
-        vertices are important).
 
     The plan is memoised on ``graph`` per (strategy, rows, resolved
     theta, minor period), as
@@ -174,7 +172,7 @@ def build_update_plan(
         from repro.runtime.session import current_session
 
         rows_per_crossbar = current_session().config.crossbar_rows
-    if strategy == "full" or not selective:
+    if strategy == "full":
         effective_theta = 1.0
     else:
         effective_theta = float(

@@ -48,16 +48,6 @@ class TilingPlan:
         """Crossbars one replica of this matrix occupies."""
         return self.row_tiles * self.col_tiles
 
-    @property
-    def cols_per_tile(self) -> int:
-        """Value columns served by each column tile (last may be ragged)."""
-        return -(-self.matrix_cols // self.col_tiles)
-
-    @property
-    def values_capacity(self) -> int:
-        """Logical value slots provided by the reserved crossbar grid."""
-        return self.num_crossbars * self.rows_per_tile * self.cols_per_tile
-
 
 def plan_tiling(
     matrix_rows: int,

@@ -26,6 +26,9 @@ from repro.graphs.graph import Graph
 from repro.graphs.sparsify import degree_rank
 from repro.perf import profile
 
+#: Seed of the within-scope dealing shuffle of :func:`interleaved_mapping`.
+SHUFFLE_SEED = 0
+
 
 @dataclass(frozen=True)
 class VertexMapping:
@@ -100,7 +103,7 @@ def _validate(num_vertices: int, rows_per_crossbar: int) -> None:
 
 def index_mapping(
     num_vertices: int,
-    rows_per_crossbar: int = 64,
+    rows_per_crossbar: int,
 ) -> VertexMapping:
     """Map vertices to crossbars in vertex-id order (the baseline)."""
     _validate(num_vertices, rows_per_crossbar)
@@ -117,9 +120,8 @@ def index_mapping(
 @profile.phase(profile.PHASE_MAPPING)
 def interleaved_mapping(
     graph: Graph,
-    rows_per_crossbar: int = 64,
+    rows_per_crossbar: int,
     num_scopes: Optional[int] = None,
-    random_state: int = 0,
 ) -> VertexMapping:
     """GoPIM's interleaved mapping (Section VI-B, Fig. 11).
 
@@ -127,8 +129,9 @@ def interleaved_mapping(
     of ``N/K`` vertices; crossbars take one vertex from each scope in a
     round-robin pass, so each crossbar receives a stratified sample of the
     degree distribution.  Vertices *within* a scope are considered equally
-    important (Fig. 11), so their dealing order is arbitrary — a seeded
-    shuffle here — which is exactly why the scope count matters: with
+    important (Fig. 11), so their dealing order is arbitrary — a shuffle
+    seeded with :data:`SHUFFLE_SEED` here — which is exactly why the
+    scope count matters: with
     ``K = rows_per_crossbar`` (the default) every scope contributes one
     vertex per crossbar and balance is guaranteed, while small ``K``
     degrades towards random assignment.
@@ -139,7 +142,7 @@ def interleaved_mapping(
     scopes = num_scopes if num_scopes is not None else rows_per_crossbar
     if scopes < 1:
         raise MappingError("num_scopes must be >= 1")
-    rng = np.random.default_rng(random_state)
+    rng = np.random.default_rng(SHUFFLE_SEED)
 
     order = degree_rank(graph)  # descending degree, deterministic ties
     scope_size = -(-num_vertices // scopes)

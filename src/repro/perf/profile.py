@@ -66,17 +66,6 @@ PHASE_ACCELERATOR = "accelerator_sim"    # accelerator run glue: stage build,
 #                                          graph sparsification, pipeline sim,
 #                                          energy accounting, tenant splits
 
-ALL_PHASES = (
-    PHASE_DATASET,
-    PHASE_TRAINING_BATCHED,
-    PHASE_PREDICTOR,
-    PHASE_ALLOCATION,
-    PHASE_TIMING,
-    PHASE_FUNCTIONAL,
-    PHASE_MAPPING,
-    PHASE_ACCELERATOR,
-)
-
 # name -> [seconds, calls]; guarded by _lock.
 _totals: Dict[str, List[float]] = {}
 _lock = threading.Lock()
@@ -167,14 +156,6 @@ def snapshot() -> Dict[str, Tuple[float, int]]:
     """Copy of the accumulated (seconds, calls) per phase."""
     with _lock:
         return {name: (entry[0], entry[1]) for name, entry in _totals.items()}
-
-
-def phase_totals() -> Dict[str, Dict[str, float]]:
-    """Accumulated totals as ``{phase: {"seconds": s, "calls": n}}``."""
-    return {
-        name: {"seconds": seconds, "calls": calls}
-        for name, (seconds, calls) in snapshot().items()
-    }
 
 
 def since(

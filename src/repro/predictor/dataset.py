@@ -12,7 +12,7 @@ time) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,6 +25,14 @@ from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import Workload
 from repro.perf import profile
+
+#: Vertex-count range of the random training workloads.
+MIN_VERTICES = 192
+MAX_VERTICES = 1536
+
+#: Spread of the multiplicative log-normal noise on each sample's target
+#: (measurement jitter across epochs).
+NOISE_SIGMA = 0.02
 
 
 @dataclass(frozen=True)
@@ -64,13 +72,9 @@ class PredictorDataset:
         )
 
 
-def random_workload(
-    rng: np.random.Generator,
-    min_vertices: int = 192,
-    max_vertices: int = 1536,
-) -> Workload:
+def random_workload(rng: np.random.Generator) -> Workload:
     """Draw one random GCN workload for predictor training."""
-    num_vertices = int(rng.integers(min_vertices, max_vertices + 1))
+    num_vertices = int(rng.integers(MIN_VERTICES, MAX_VERTICES + 1))
     avg_degree = float(rng.uniform(3.0, 64.0))
     num_layers = int(rng.integers(2, 4))
     dims: List[Tuple[int, int]] = []
@@ -107,41 +111,37 @@ def samples_config_key(config: HardwareConfig) -> Tuple:
 
 def generate_dataset(
     num_samples: int = 2200,
-    random_state: RandomState = 0,
-    noise_sigma: float = 0.02,
+    random_state: int = 0,
 ) -> PredictorDataset:
     """Generate ~``num_samples`` (feature, log-time) pairs.
 
     Each random workload contributes one sample per stage; multiplicative
     log-normal noise models measurement jitter across epochs.  Stage
     times are priced on the current session's hardware configuration.
+    Generation is deterministic, so the whole dataset is memoised in the
+    session's artifact cache.
     """
     if num_samples < 1:
         raise PredictorError("num_samples must be >= 1")
-    if noise_sigma < 0:
-        raise PredictorError("noise_sigma must be >= 0")
-    config = current_session().config
-    if isinstance(random_state, (int, np.integer)):
-        # Seeded generation is deterministic: memoise the whole dataset.
-        key = cache_key(
-            num_samples, int(random_state), float(noise_sigma),
-            samples_config_key(config),
-        )
-        return current_session().cache.get_or_compute(
-            "predictor-datasets", key,
-            lambda: _generate(num_samples, random_state, noise_sigma, config),
-        )
-    return _generate(num_samples, random_state, noise_sigma, config)
+    session = current_session()
+    config = session.config
+    key = cache_key(
+        num_samples, int(random_state), float(NOISE_SIGMA),
+        samples_config_key(config),
+    )
+    return session.cache.get_or_compute(
+        "predictor-datasets", key,
+        lambda: _generate(num_samples, random_state, config),
+    )
 
 
 @profile.phase(profile.PHASE_DATASET)
 def _generate(
     num_samples: int,
-    random_state: RandomState,
-    noise_sigma: float,
+    random_state: int,
     config: HardwareConfig,
 ) -> PredictorDataset:
-    rng = _rng(random_state)
+    rng = np.random.default_rng(random_state)
     feature_rows: List[np.ndarray] = []
     target_rows: List[np.ndarray] = []
     names: List[str] = []
@@ -149,10 +149,7 @@ def _generate(
         workload = random_workload(rng)
         model = StageTimingModel(workload, config)
         feats, targets, stage_names = stage_samples(model)
-        if noise_sigma > 0:
-            targets = targets + rng.normal(
-                0.0, noise_sigma, size=targets.shape,
-            )
+        targets = targets + rng.normal(0.0, NOISE_SIGMA, size=targets.shape)
         feature_rows.append(feats)
         target_rows.append(targets)
         names.extend(stage_names)

@@ -31,6 +31,9 @@ from repro.runtime import current_session
 from repro.stages.latency import StageTimingModel
 from repro.stages.workload import workload_from_dataset
 
+#: Seed of the generalisation study's training samples and held-out graph.
+GENERALISATION_SEED = 0
+
 
 def default_model_zoo() -> Dict[str, Callable[[], Regressor]]:
     """Factories for the Fig. 9(a) comparison set.
@@ -55,16 +58,15 @@ def default_model_zoo() -> Dict[str, Callable[[], Regressor]]:
 
 def compare_models(
     dataset: Optional[PredictorDataset] = None,
-    models: Optional[Dict[str, Callable[[], Regressor]]] = None,
     random_state: int = 0,
 ) -> Dict[str, float]:
-    """Fig. 9(a): held-out RMSE per model family (smaller is better)."""
+    """Fig. 9(a): held-out RMSE per model family of
+    :func:`default_model_zoo` (smaller is better)."""
     if dataset is None:
         dataset = generate_dataset(random_state=random_state)
     train, test = dataset.split(random_state=random_state)
-    zoo = models if models is not None else default_model_zoo()
     results: Dict[str, float] = {}
-    for name, factory in zoo.items():
+    for name, factory in default_model_zoo().items():
         model = factory().fit(train.features, train.targets)
         results[name] = model.rmse(test.features, test.targets)
     return results
@@ -139,16 +141,18 @@ def prediction_accuracy(true_ns: float, predicted_ns: float) -> float:
 def leave_one_dataset_out(
     held_out: str,
     train_samples: int = 1600,
-    random_state: int = 0,
 ) -> GeneralisationResult:
-    """Section VII-G: train on random workloads, predict an unseen dataset."""
+    """Section VII-G: train on random workloads, predict an unseen dataset
+    (both drawn with :data:`GENERALISATION_SEED`)."""
     from repro.predictor.predictor import TimePredictor
 
     dataset = generate_dataset(
-        num_samples=train_samples, random_state=random_state,
+        num_samples=train_samples, random_state=GENERALISATION_SEED,
     )
     predictor = TimePredictor().fit(dataset)
-    workload = workload_from_dataset(held_out, random_state=random_state)
+    workload = workload_from_dataset(
+        held_out, random_state=GENERALISATION_SEED,
+    )
     timing = StageTimingModel(workload, current_session().config)
     _, targets, names = stage_samples(timing)
     predicted = predictor.predict_stage_times(workload)

@@ -10,7 +10,7 @@ matter a lot; the layer index least.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,10 +37,10 @@ def _mask_feature(features: np.ndarray, index: int) -> np.ndarray:
 
 def ablate_features(
     dataset: Optional[PredictorDataset] = None,
-    model_factory: Optional[Callable[[], Regressor]] = None,
     random_state: int = 0,
 ) -> Dict[str, float]:
-    """RMSE with each Table I feature removed, plus the full baseline.
+    """RMSE with each Table I feature removed, plus the full baseline,
+    each from a fresh per-kind MLP (:func:`_default_factory`).
 
     Returns ``{"<all features>": rmse, feature_name: rmse_without_it, ...}``.
     Feature columns are zeroed in both splits; the kind-dispatch column is
@@ -50,14 +50,13 @@ def ablate_features(
         dataset = generate_dataset(random_state=random_state)
     if dataset.features.shape[1] != NUM_FEATURES + 1:
         raise PredictorError("dataset does not carry kind-tagged features")
-    factory = model_factory if model_factory is not None else _default_factory
     train, test = dataset.split(random_state=random_state)
 
     results: Dict[str, float] = {}
-    baseline = factory().fit(train.features, train.targets)
+    baseline = _default_factory().fit(train.features, train.targets)
     results["<all features>"] = baseline.rmse(test.features, test.targets)
     for index, name in enumerate(FEATURE_NAMES):
-        model = factory().fit(
+        model = _default_factory().fit(
             _mask_feature(train.features, index), train.targets,
         )
         results[name] = model.rmse(

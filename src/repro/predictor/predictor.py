@@ -132,11 +132,6 @@ class TimePredictor:
         """The underlying regression model (usually a PerKindRegressor)."""
         return self._model
 
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` has run."""
-        return self._fitted
-
     @profile.phase(profile.PHASE_PREDICTOR)
     def fit(self, dataset: PredictorDataset) -> "TimePredictor":
         """Train on a generated dataset

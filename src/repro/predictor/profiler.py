@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import PredictorError
 from repro.stages.latency import StageTimingModel
 
 
@@ -23,18 +22,14 @@ class ProfilingResult:
 
     stage_times_ns: Dict[str, float]
     overhead_ns: float
-    epochs_profiled: int
 
 
-def profile_stage_times(
-    timing_model: StageTimingModel,
-    epochs: int = 1,
-) -> ProfilingResult:
-    """Measure stage times by running ``epochs`` serial epochs.
+def profile_stage_times(timing_model: StageTimingModel) -> ProfilingResult:
+    """Measure stage times by running one serial epoch.
 
     The returned times are the exact per-stage means; the overhead is the
     total simulated serial execution time spent to observe them (every
-    stage of every micro-batch, ``epochs`` times).  The profiled epoch is
+    stage of every micro-batch).  The profiled epoch is
     priced by the current session's simulation backend (profiling *is*
     running the workload, so it observes whatever engine the session runs
     under; the analytic engine reproduces the timing model's vectorized
@@ -44,8 +39,6 @@ def profile_stage_times(
     """
     from repro.backends import EpochProgram, resolve_backend
 
-    if epochs < 1:
-        raise PredictorError("epochs must be >= 1")
     workload = timing_model.workload
     matrix = resolve_backend(None).stage_time_matrix(
         EpochProgram(timing=timing_model)
@@ -57,6 +50,5 @@ def profile_stage_times(
     }
     return ProfilingResult(
         stage_times_ns=stage_times,
-        overhead_ns=float(per_stage.sum()) * epochs,
-        epochs_profiled=epochs,
+        overhead_ns=float(per_stage.sum()),
     )

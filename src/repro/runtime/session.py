@@ -213,10 +213,6 @@ class Session:
             count += 1
         return count
 
-    def clear_caches(self) -> None:
-        """Drop this session's cached artifacts (tests / cold starts)."""
-        self.cache.clear()
-
     # ------------------------------------------------------------------
     # Provenance
     # ------------------------------------------------------------------

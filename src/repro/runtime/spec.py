@@ -18,7 +18,7 @@ serialisation and process-pool shipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
@@ -145,10 +145,6 @@ class RunSpec:
         return DEFAULT_CONFIG.scaled(
             array_capacity_bytes=self.array_bytes, **dict(self.hardware),
         )
-
-    def with_(self, **changes: Any) -> "RunSpec":
-        """A copy with some fields replaced."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

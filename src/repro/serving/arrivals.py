@@ -30,8 +30,8 @@ from repro.errors import ExperimentError
 #: Default high-state/low-state rate ratio of the bursty MMPP.
 DEFAULT_BURSTINESS = 8.0
 
-#: Default expected arrivals per MMPP phase at unit rate.
-DEFAULT_PHASE_LENGTH = 400.0
+#: Expected arrivals per MMPP phase at unit rate.
+PHASE_LENGTH = 400.0
 
 #: Longest arrival timeline in nanoseconds (about 146 years): half the
 #: int64 range, which leaves headroom for the dispatch and completion
@@ -63,15 +63,14 @@ def unit_mmpp(
     num_requests: int,
     rng: np.random.Generator,
     burstiness: float = DEFAULT_BURSTINESS,
-    phase_length: float = DEFAULT_PHASE_LENGTH,
 ) -> np.ndarray:
     """Bursty inter-arrivals from a two-state MMPP, normalised to unit mean.
 
     The modulating chain alternates between a low-rate and a high-rate
     Poisson phase with exponentially distributed sojourns; the two rates
     are ``2/(1+burstiness)`` and ``burstiness`` times that, so the
-    stationary mean rate is 1.  ``phase_length`` is the expected number
-    of arrivals per phase at unit rate — large enough that the process
+    stationary mean rate is 1.  :data:`PHASE_LENGTH` is the expected
+    number of arrivals per phase at unit rate — large enough that the process
     is visibly bursty at experiment scales, small enough that a run
     spans many phases.  Phase boundaries regenerate the within-phase
     exponential clock (a standard simplification; the burst structure,
@@ -86,10 +85,6 @@ def unit_mmpp(
             "burstiness must be > 1 and finite for a bursty process, "
             f"got {burstiness}"
         )
-    if not 0 < phase_length < np.inf:
-        raise ExperimentError(
-            f"phase_length must be positive and finite, got {phase_length}"
-        )
     rate_low = 2.0 / (1.0 + burstiness)
     rate_high = burstiness * rate_low
     state = int(rng.integers(2))
@@ -101,7 +96,7 @@ def unit_mmpp(
     clock = last = 0.0
     while collected < num_requests:
         rate = rate_high if state else rate_low
-        duration = rng.exponential(phase_length)
+        duration = rng.exponential(PHASE_LENGTH)
         # Draw a slab of exponentials covering the phase with headroom;
         # top up in the (rare) case the slab falls short.
         expected = rate * duration

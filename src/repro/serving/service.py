@@ -50,8 +50,8 @@ ARRIVAL_PROCESSES = ("poisson", "mmpp", "trace")
 STREAMS_NAMESPACE = "serving-streams"
 
 #: Part of every stream key; bump it when a draw's law, layout or
-#: unkeyed default (``DEFAULT_PHASE_LENGTH``) changes, so a disk tier
-#: never serves an older one.
+#: unkeyed constant (``PHASE_LENGTH``) changes, so a disk tier never
+#: serves an older one.
 _STREAMS_REVISION = "unit-pattern-and-degrees-v1"
 
 

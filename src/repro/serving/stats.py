@@ -22,8 +22,6 @@ import numpy as np
 from repro.serving.batching import BatchPlan
 from repro.serving.engine import ServingTimeline
 
-PERCENTILES = (50.0, 95.0, 99.0)
-
 
 def exact_percentile(sorted_ns: np.ndarray, q: float) -> int:
     """The ``q``-th percentile of a pre-sorted int64 latency vector."""

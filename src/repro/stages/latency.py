@@ -40,7 +40,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.hardware.config import HardwareConfig
+from repro.hardware.config import WRITE_PULSES, HardwareConfig
 from repro.mapping.selective import UpdatePlan, build_update_plan
 from repro.mapping.tiling import plan_tiling
 from repro.stages.stage import StageKind, StageSpec
@@ -65,7 +65,7 @@ class TimingParams:
     """
 
     scan_group_tiles: int = 4
-    write_pulses: int = 2
+    write_pulses: int = WRITE_PULSES
     reload_penalty: float = 0.0
     intrinsic_edge_parallelism: int = 1
 
@@ -491,11 +491,3 @@ class StageTimingModel:
             self.microbatch_times_ns(stage, replicas).sum()
             / self._workload.num_microbatches
         )
-
-    @profile.phase(profile.PHASE_TIMING)
-    def no_replica_times(self) -> Dict[str, float]:
-        """Stage name -> mean time without replication (predictor target)."""
-        return {
-            stage.name: self.mean_stage_time_ns(stage, 1)
-            for stage in self._stages
-        }

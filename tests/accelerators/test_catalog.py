@@ -1,8 +1,6 @@
 """Catalog semantics: each baseline's distinguishing behaviour."""
 
-import numpy as np
-import pytest
-
+from repro.accelerators.base import AcceleratorModel
 from repro.accelerators.catalog import (
     gopim,
     gopim_vanilla,
@@ -14,6 +12,7 @@ from repro.accelerators.catalog import (
     serial,
     slimgnn_like,
 )
+from repro.allocation.baselines import uniform_allocation
 from repro.graphs.sparsify import sparsify_by_degree
 from repro.mapping.selective import adaptive_theta
 from repro.pipeline.simulator import ScheduleMode
@@ -77,17 +76,23 @@ def test_slimgnn_reduces_ag_work(small_workload, small_config):
 def test_slimgnn_prunes_at_the_theta_it_is_given(small_workload, small_config):
     # theta = 0.0 keeps no important vertex, hence no edge; only None
     # asks for the adaptive theta.
+    def pruning(theta):
+        return AcceleratorModel(
+            name="SlimGNN-like",
+            schedule=ScheduleMode.INTRA_BATCH,
+            allocator=uniform_allocation,
+            prune_graph=True,
+            theta=theta,
+        )
+
+    assert pruning(None) == slimgnn_like()
     graph = small_workload.graph
     adaptive = adaptive_theta(graph)
-    timing = slimgnn_like(theta=0.0).build_timing_model(
-        small_workload, small_config,
-    )
+    timing = pruning(0.0).build_timing_model(small_workload, small_config)
     assert timing.workload.graph.num_edges == 0
     assert timing.workload.graph is sparsify_by_degree(graph, 0.0)
     times = {
-        theta: slimgnn_like(theta=theta).run(
-            small_workload, small_config,
-        ).total_time_ns
+        theta: pruning(theta).run(small_workload, small_config).total_time_ns
         for theta in (None, adaptive, 0.0)
     }
     assert times[None] == times[adaptive]

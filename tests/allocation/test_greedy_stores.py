@@ -1,8 +1,8 @@
 """FlatMaxKeys vs IndexedMaxHeap: decision-identical priority stores.
 
-Algorithm 1 only ever asks its heaps three questions — ``top()``,
-``key_of`` and ``max_excluding`` — all of which are functions of the
-current key assignment under the strict total order
+Algorithm 1 only ever asks its heaps two questions — ``top()`` and
+``max_excluding`` — both of which are functions of the current key
+assignment under the strict total order
 ``(key, -insertion_order)``.  Any store answering those queries under the
 same order therefore drives the greedy through the identical decision
 sequence.  These tests pin that equivalence down both at the store level
@@ -17,7 +17,7 @@ import pytest
 
 from repro.allocation import greedy
 from repro.allocation.greedy import greedy_allocation_reference
-from repro.allocation.heap import FlatMaxKeys
+from repro.allocation.heap import KEY_FLOOR, FlatMaxKeys
 from repro.allocation.problem import AllocationProblem
 from repro.errors import AllocationError
 from tests.oracles.allocation import IndexedMaxHeap
@@ -85,7 +85,6 @@ def test_stores_agree_on_random_query_sequences():
                 assert flat.top() == heap.top()
             else:
                 assert flat.max_excluding(item) == heap.max_excluding(item)
-            assert flat.key_of(item) == heap.key_of(item)
         assert len(flat) == len(heap) == n
 
 
@@ -94,15 +93,14 @@ def test_flat_store_contract():
     assert store.top() == (5.0, "b")
     assert "a" in store and "c" not in store
     assert store.max_excluding("b") == 3.0
-    assert store.max_excluding("b", default=4.0) == 4.0
     store.update("b", -1.0)
     assert store.top() == (3.0, "a")
+    # The second key is floored: a lone or all-negative rest reads 0.
+    assert store.max_excluding("a") == KEY_FLOOR == 0.0
     only = FlatMaxKeys([(2.0, "x")])
-    assert only.max_excluding("x", default=9.0) == 9.0
+    assert only.max_excluding("x") == KEY_FLOOR
     with pytest.raises(AllocationError):
         store.push(1.0, "a")
-    with pytest.raises(AllocationError):
-        store.key_of("missing")
     with pytest.raises(AllocationError):
         store.update("missing", 1.0)
     with pytest.raises(AllocationError):
@@ -130,4 +128,4 @@ def test_flat_store_growth_past_initial_capacity():
         store.push(float(item), item)
     assert len(store) == 100
     assert store.top() == (99.0, 99)
-    assert store.key_of(0) == 0.0
+    assert store.max_excluding(99) == 98.0

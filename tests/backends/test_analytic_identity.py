@@ -76,8 +76,8 @@ def test_ambient_batch_times_default_to_analytic(serving_system):
 
 
 def test_profiler_matches_scalar_reference(timing):
-    fast = profile_stage_times(timing, epochs=2)
-    slow = profile_stage_times_reference(timing, epochs=2)
+    fast = profile_stage_times(timing)
+    slow = profile_stage_times_reference(timing)
     assert fast.stage_times_ns.keys() == slow.stage_times_ns.keys()
     for name in fast.stage_times_ns:
         assert fast.stage_times_ns[name] == pytest.approx(

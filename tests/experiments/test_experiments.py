@@ -145,6 +145,6 @@ def test_session_caches():
     a = session.workload("cora", seed=0)
     b = session.workload("cora", seed=0)
     assert a is b
-    session.clear_caches()
+    session.cache.clear()
     c = session.workload("cora", seed=0)
     assert c is not a

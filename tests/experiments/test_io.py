@@ -1,18 +1,11 @@
-"""Experiment result JSON round-trip."""
+"""Experiment result JSON output."""
 
 import json
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.io import (
-    FORMAT_VERSION,
-    load_results,
-    results_from_dict,
-    results_to_dict,
-    save_results,
-)
+from repro.experiments.io import FORMAT_VERSION, results_to_dict, save_results
 
 
 @pytest.fixture
@@ -31,50 +24,23 @@ def results():
 def test_round_trip_via_file(results, tmp_path):
     path = tmp_path / "results.json"
     save_results(results, path)
-    loaded = load_results(path)
-    assert len(loaded) == 2
-    assert loaded[0].experiment_id == "fig05"
-    assert loaded[0].rows == results[0].rows
-    assert loaded[0].notes == "Paper notes."
-    assert loaded[1].rows == []
+    payload = json.loads(path.read_text())
+    assert payload == results_to_dict(results)
+    assert payload["format_version"] == FORMAT_VERSION
+    loaded = payload["results"]
+    assert [entry["experiment_id"] for entry in loaded] == ["fig05", "tab05"]
+    assert loaded[0]["rows"] == results[0].rows
+    assert loaded[0]["notes"] == "Paper notes."
+    assert loaded[1]["rows"] == []
     # Types preserved through JSON.
-    assert isinstance(loaded[0].rows[0]["a"], int)
-    assert isinstance(loaded[0].rows[0]["b"], float)
+    assert isinstance(loaded[0]["rows"][0]["a"], int)
+    assert isinstance(loaded[0]["rows"][0]["b"], float)
 
 
 def test_markdown_identical_after_round_trip(results, tmp_path):
+    # The file holds everything a result renders from.
     path = tmp_path / "results.json"
     save_results(results, path)
-    loaded = load_results(path)
-    assert loaded[0].to_markdown() == results[0].to_markdown()
-
-
-def test_version_checked(results):
-    payload = results_to_dict(results)
-    payload["format_version"] = 999
-    with pytest.raises(ExperimentError):
-        results_from_dict(payload)
-
-
-def test_malformed_payloads():
-    with pytest.raises(ExperimentError):
-        results_from_dict([])
-    with pytest.raises(ExperimentError):
-        results_from_dict({"format_version": FORMAT_VERSION, "results": {}})
-    with pytest.raises(ExperimentError):
-        results_from_dict({
-            "format_version": FORMAT_VERSION,
-            "results": [{"title": "missing id"}],
-        })
-
-
-def test_load_missing_file(tmp_path):
-    with pytest.raises(ExperimentError):
-        load_results(tmp_path / "absent.json")
-
-
-def test_load_invalid_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ExperimentError):
-        load_results(path)
+    entries = json.loads(path.read_text())["results"]
+    for entry, result in zip(entries, results):
+        assert ExperimentResult(**entry).to_markdown() == result.to_markdown()

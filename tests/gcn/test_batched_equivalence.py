@@ -28,6 +28,7 @@ from repro.gcn.model import GCN
 from repro.gcn.sage import GraphSAGE
 from repro.gcn.trainer import make_trainer
 from repro.graphs.generators import dc_sbm_graph
+from repro.graphs.graph import Graph
 from repro.mapping.selective import build_update_plan
 from tests.oracles import split_harness as split_oracle
 from tests.oracles.trainers import make_trainer as make_oracle
@@ -327,9 +328,12 @@ def test_split_invalid_input_rejected_at_any_fleet_size(graph, replicas, bad):
     elif bad == "delay=-1":
         delays = [-1] * replicas
     elif bad == "unlabelled":
-        target = graph.with_labels(None)
+        target = Graph(graph.indptr, graph.indices, features=graph.features)
     else:
-        target = graph.with_features(graph.features[:, :-1])
+        target = Graph(
+            graph.indptr, graph.indices,
+            features=graph.features[:, :-1], labels=graph.labels,
+        )
     with pytest.raises(TrainingError):
         train_with_split(models, target, epochs, 0, param_delays=delays)
 

@@ -40,7 +40,6 @@ def test_node_training_with_isu_close_to_full(community_graph):
 
 
 def test_node_trainer_requires_labels(small_graph):
-    unlabeled = small_graph.with_features(small_graph.features)
     # small_graph has labels; build one without.
     from repro.graphs.graph import Graph
     g = Graph.from_edges(

@@ -6,20 +6,16 @@ import pytest
 from repro.errors import GraphError
 from repro.graphs.datasets import (
     DATASET_SPECS,
-    OVERALL_EVAL_DATASETS,
-    dataset_names,
     get_spec,
     load_dataset,
     relabel_by_noisy_degree,
 )
+from repro.mapping.selective import adaptive_theta
 
 
 def test_catalog_covers_paper_tables():
-    assert set(dataset_names()) == {
+    assert set(DATASET_SPECS) == {
         "ddi", "collab", "ppa", "proteins", "arxiv", "products", "cora",
-    }
-    assert set(OVERALL_EVAL_DATASETS) == {
-        "ddi", "collab", "ppa", "proteins", "arxiv",
     }
 
 
@@ -54,7 +50,7 @@ def test_get_spec_case_insensitive_and_unknown():
         get_spec("imaginary")
 
 
-@pytest.mark.parametrize("name", dataset_names())
+@pytest.mark.parametrize("name", tuple(DATASET_SPECS))
 def test_load_dataset_matches_spec(name):
     spec = get_spec(name)
     g = load_dataset(name, random_state=0)
@@ -62,8 +58,8 @@ def test_load_dataset_matches_spec(name):
     assert g.feature_dim == spec.feature_dim
     # Average degree within 25% of the simulated target.
     assert g.average_degree == pytest.approx(spec.sim_avg_degree, rel=0.25)
-    # Density class preserved.
-    assert g.is_dense() == spec.is_dense
+    # Density class preserved: the graph's adaptive theta is the spec's.
+    assert adaptive_theta(g) == spec.selective_threshold
 
 
 def test_load_dataset_scaling():

@@ -1,76 +1,14 @@
-"""Generators: target statistics, determinism, validation."""
+"""The DC-SBM generator: target statistics, determinism, validation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.generators import (
-    dc_sbm_graph,
-    erdos_renyi_graph,
-    powerlaw_cluster_graph,
-    sbm_graph,
-)
-
-
-def test_erdos_renyi_degree_target():
-    g = erdos_renyi_graph(500, 8.0, random_state=0)
-    assert 6.0 < g.average_degree < 10.0
-
-
-def test_erdos_renyi_determinism():
-    a = erdos_renyi_graph(100, 4.0, random_state=3)
-    b = erdos_renyi_graph(100, 4.0, random_state=3)
-    np.testing.assert_array_equal(a.indices, b.indices)
-
-
-def test_erdos_renyi_validation():
-    with pytest.raises(GraphError):
-        erdos_renyi_graph(0, 4.0)
-    with pytest.raises(GraphError):
-        erdos_renyi_graph(10, -1.0)
-
-
-def test_powerlaw_heavy_tail():
-    g = powerlaw_cluster_graph(400, 8.0, random_state=1)
-    degrees = np.sort(g.degrees)[::-1]
-    # Preferential attachment: the top vertex well above the mean.
-    assert degrees[0] > 4 * g.average_degree
-    assert 6.0 < g.average_degree < 12.0
-
-
-def test_powerlaw_validation():
-    with pytest.raises(GraphError):
-        powerlaw_cluster_graph(1, 4.0)
-    with pytest.raises(GraphError):
-        powerlaw_cluster_graph(10, 0.0)
-    with pytest.raises(GraphError):
-        powerlaw_cluster_graph(10, 4.0, triad_prob=1.5)
-
-
-def test_sbm_labels_and_features():
-    g = sbm_graph(
-        300, 3, 10.0, random_state=2, feature_dim=8, intra_ratio=0.9,
-    )
-    assert g.num_classes == 3
-    assert g.feature_dim == 8
-    # Community structure: most edges intra-community.
-    edges = g.edge_list()
-    intra = (g.labels[edges[:, 0]] == g.labels[edges[:, 1]]).mean()
-    assert intra > 0.6
-
-
-def test_sbm_validation():
-    with pytest.raises(GraphError):
-        sbm_graph(2, 5, 4.0)
-    with pytest.raises(GraphError):
-        sbm_graph(10, 2, 4.0, intra_ratio=2.0)
+from repro.graphs.generators import dc_sbm_graph
 
 
 def test_dc_sbm_combines_skew_and_communities():
-    g = dc_sbm_graph(
-        600, 4, 16.0, random_state=5, feature_dim=8,
-        powerlaw_exponent=2.2,
-    )
+    g = dc_sbm_graph(600, 4, 16.0, random_state=5, feature_dim=8)
     assert g.num_classes == 4
     # Heavy tail: max degree well above mean.
     assert g.degrees.max() > 4 * g.average_degree
@@ -92,13 +30,11 @@ def test_dc_sbm_validation():
     with pytest.raises(GraphError):
         dc_sbm_graph(3, 5, 4.0)
     with pytest.raises(GraphError):
-        dc_sbm_graph(10, 2, 4.0, powerlaw_exponent=0.5)
+        dc_sbm_graph(10, 2, 4.0, intra_ratio=2.0)
     with pytest.raises(GraphError):
         dc_sbm_graph(10, 2, -1.0)
 
 
 def test_zero_degree_graphs():
-    g = sbm_graph(20, 2, 0.0, random_state=0)
+    g = dc_sbm_graph(20, 2, 0.0, random_state=0)
     assert g.num_edges == 0
-    g2 = dc_sbm_graph(20, 2, 0.0, random_state=0)
-    assert g2.num_edges == 0

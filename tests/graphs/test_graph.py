@@ -84,11 +84,6 @@ def test_density_and_sparsity(tiny_graph):
     assert tiny_graph.sparsity == pytest.approx(1 - 12 / 36)
 
 
-def test_is_dense_threshold(tiny_graph):
-    assert not tiny_graph.is_dense()  # avg degree 2
-    assert tiny_graph.is_dense(threshold=1.0)
-
-
 def test_adjacency_matmul_matches_dense(tiny_graph):
     n = tiny_graph.num_vertices
     dense = np.zeros((n, n))
@@ -121,15 +116,6 @@ def test_matmul_shape_mismatch(tiny_graph):
         tiny_graph.adjacency_matmul(np.zeros((3, 2)))
     with pytest.raises(GraphError):
         tiny_graph.normalized_adjacency_matmul(np.zeros((3, 2)))
-
-
-def test_with_features_and_labels(tiny_graph):
-    new_features = np.ones((6, 2), dtype=np.float32)
-    g = tiny_graph.with_features(new_features)
-    assert g.feature_dim == 2
-    np.testing.assert_array_equal(g.labels, tiny_graph.labels)
-    g2 = tiny_graph.with_labels(np.zeros(6, dtype=np.int64))
-    assert g2.num_classes == 1
 
 
 def test_edge_list_roundtrip(tiny_graph):

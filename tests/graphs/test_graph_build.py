@@ -14,12 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.datasets import load_dataset
-from repro.graphs.generators import (
-    dc_sbm_graph,
-    erdos_renyi_graph,
-    powerlaw_cluster_graph,
-    sbm_graph,
-)
+from repro.graphs.generators import dc_sbm_graph
 from repro.graphs.graph import Graph
 from repro.graphs.sparsify import sparsify_by_degree
 from repro.perf import clear_cache
@@ -91,17 +86,42 @@ def test_from_edges_empty_input_matches_oracle(edges):
 # ----------------------------------------------------------------------
 # sparsify_by_degree
 # ----------------------------------------------------------------------
+def flat_graph(n: int, seed: int) -> Graph:
+    """Uniform random pairs: the flat-degree control."""
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(n, rng.integers(0, n, size=(2 * n, 2)), name="flat")
+
+
+def hub_graph(n: int, seed: int) -> Graph:
+    """Three hubs, each joined to about a third of the vertices, over a
+    sparse flat background."""
+    rng = np.random.default_rng(seed)
+    hubs = rng.choice(n, size=3, replace=False)
+    spokes = np.stack([rng.choice(hubs, size=n), np.arange(n)], axis=1)
+    background = rng.integers(0, n, size=(n, 2))
+    return Graph.from_edges(
+        n, np.concatenate([spokes, background]), name="hubs",
+    )
+
+
+def community_graph(n: int, seed: int) -> Graph:
+    """Two communities (even and odd ids) with uniform pairs inside each
+    and no edge across."""
+    rng = np.random.default_rng(seed)
+    community = rng.integers(0, 2, size=(2 * n, 1))
+    pairs = 2 * rng.integers(0, n // 2, size=(2 * n, 2)) + community
+    return Graph.from_edges(
+        n, pairs, labels=np.arange(n) % 2, name="communities",
+    )
+
+
 GENERATORS = {
     "dc-sbm": lambda n, seed: dc_sbm_graph(
         n, 3, 6.0, random_state=seed, feature_dim=4,
     ),
-    "sbm": lambda n, seed: sbm_graph(n, 2, 5.0, random_state=seed),
-    "powerlaw": lambda n, seed: powerlaw_cluster_graph(
-        n, 4.0, random_state=seed,
-    ),
-    "erdos-renyi": lambda n, seed: erdos_renyi_graph(
-        n, 3.0, random_state=seed,
-    ),
+    "flat": flat_graph,
+    "hubs": hub_graph,
+    "communities": community_graph,
 }
 
 

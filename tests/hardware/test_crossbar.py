@@ -9,6 +9,12 @@ from hypothesis.extra.numpy import arrays
 from repro.errors import MappingError
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.hardware.crossbar import Crossbar, CrossbarStats, quantize_symmetric
+from tests.oracles.functional import crossbar_mvm_reference
+
+
+def mvm(crossbar, vector):
+    """One matrix-vector multiply: a batch of one row."""
+    return crossbar.mvm_batch(np.asarray(vector, dtype=np.float32)[None, :])[0]
 
 
 def test_program_and_mvm_exact():
@@ -17,7 +23,7 @@ def test_program_and_mvm_exact():
     latency = xb.program(matrix)
     assert latency == pytest.approx(4 * DEFAULT_CONFIG.row_write_latency_ns)
     vec = np.array([1.0, 0.0, 2.0, 0.0])
-    out = xb.mvm(vec)
+    out = mvm(xb, vec)
     expected = vec @ matrix
     np.testing.assert_allclose(out[:3], expected)
     np.testing.assert_allclose(out[3:], 0.0)
@@ -26,25 +32,31 @@ def test_program_and_mvm_exact():
 def test_mvm_pads_short_input():
     xb = Crossbar()
     xb.program(np.eye(4, dtype=np.float32))
-    out = xb.mvm([5.0, 6.0])
+    out = mvm(xb, [5.0, 6.0])
     assert out[0] == 5.0 and out[1] == 6.0
 
 
 def test_mvm_batch_matches_loop():
-    xb = Crossbar()
+    # Bit for bit: outputs, the noise stream and the event counters.
     rng = np.random.default_rng(0)
     matrix = rng.normal(size=(8, 5)).astype(np.float32)
-    xb.program(matrix)
-    inputs = rng.normal(size=(6, 8)).astype(np.float32)
-    batch = xb.mvm_batch(inputs)
-    for i, row in enumerate(inputs):
-        np.testing.assert_allclose(batch[i], xb.mvm(row), rtol=1e-5)
+    for sigma in (0.0, 0.05):
+        batched = Crossbar(read_noise_sigma=sigma, random_state=3)
+        looped = Crossbar(read_noise_sigma=sigma, random_state=3)
+        batched.program(matrix)
+        looped.program(matrix)
+        for rows in (6, 1):
+            inputs = rng.normal(size=(rows, 8)).astype(np.float32)
+            batch = batched.mvm_batch(inputs)
+            loop = np.stack([crossbar_mvm_reference(looped, r) for r in inputs])
+            assert np.array_equal(batch, loop)
+        assert batched.stats == looped.stats
 
 
 def test_stats_accounting():
     xb = Crossbar()
     xb.program(np.ones((3, 2), dtype=np.float32))
-    xb.mvm(np.ones(3))
+    mvm(xb, np.ones(3))
     xb.mvm_batch(np.ones((5, 3)))
     assert xb.stats.row_writes == 3
     assert xb.stats.mvm_reads == 6
@@ -70,7 +82,7 @@ def test_size_violations():
     with pytest.raises(MappingError):
         xb.program(np.ones((2, 33)))
     with pytest.raises(MappingError):
-        xb.mvm(np.ones(65))
+        mvm(xb, np.ones(65))
     with pytest.raises(MappingError):
         xb.write_rows(np.array([64]), np.ones((1, 2)))
 
@@ -122,7 +134,7 @@ def test_quantized_crossbar_close_to_exact():
     quant.program(matrix)
     vec = rng.normal(size=16).astype(np.float32)
     np.testing.assert_allclose(
-        quant.mvm(vec)[:8], exact.mvm(vec)[:8], rtol=0.05, atol=0.5,
+        mvm(quant, vec)[:8], mvm(exact, vec)[:8], rtol=0.05, atol=0.5,
     )
 
 
@@ -135,7 +147,7 @@ def test_read_noise_validation_and_determinism():
     a.program(matrix)
     b.program(matrix)
     vec = np.ones(4, dtype=np.float32)
-    np.testing.assert_allclose(a.mvm(vec), b.mvm(vec))
+    np.testing.assert_allclose(mvm(a, vec), mvm(b, vec))
 
 
 def test_read_noise_perturbs_but_tracks():
@@ -145,7 +157,7 @@ def test_read_noise_perturbs_but_tracks():
     clean.program(matrix)
     noisy.program(matrix)
     vec = np.ones(8, dtype=np.float32)
-    exact = clean.mvm(vec)
-    out = noisy.mvm(vec)
+    exact = mvm(clean, vec)
+    out = mvm(noisy, vec)
     assert not np.allclose(out, exact)
     np.testing.assert_allclose(out, exact, rtol=0.2, atol=1e-3)

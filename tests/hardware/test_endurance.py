@@ -2,21 +2,22 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.hardware.config import WRITE_PULSES
 from repro.hardware.endurance import (
     RERAM_ENDURANCE_WRITES,
-    SRAM_ENDURANCE_WRITES,
     compare_schemes,
     estimate_lifetime,
     rows_written_per_epoch,
 )
 from repro.mapping.selective import build_update_plan
+from repro.stages.latency import TimingParams
 
 
 def test_endurance_constants_match_paper():
-    # Section IV-A: SRAM 10^16 writes vs ReRAM 10^8.
+    # Section IV-A: ReRAM cells survive 10^8 writes.
     assert RERAM_ENDURANCE_WRITES == 10 ** 8
-    assert SRAM_ENDURANCE_WRITES == 10 ** 16
+    # Wear and the timing model price a row write at the same pulses.
+    assert TimingParams().write_pulses == WRITE_PULSES == 2
 
 
 def test_rates_follow_schedule(small_graph):
@@ -35,6 +36,8 @@ def test_full_update_uniform_wear(small_graph):
     assert report.epochs_to_wearout_worst == pytest.approx(
         RERAM_ENDURANCE_WRITES / report.writes_per_epoch_worst_row,
     )
+    # Every row is written every epoch, at WRITE_PULSES pulses a write.
+    assert report.writes_per_epoch_worst_row == WRITE_PULSES
 
 
 def test_isu_extends_median_not_worst(small_graph):
@@ -57,16 +60,6 @@ def test_compare_schemes(small_graph):
     assert reports["isu"].scheme == "isu"
 
 
-def test_validation(small_graph):
-    plan = build_update_plan(small_graph, "full")
-    with pytest.raises(ConfigError):
-        estimate_lifetime(plan, "x", endurance_writes=0)
-    with pytest.raises(ConfigError):
-        estimate_lifetime(plan, "x", pulses_per_write=0)
-    with pytest.raises(ConfigError):
-        estimate_lifetime(plan, "x", layers_sharing_row=0)
-
-
 def test_wear_leveling_extends_worst_row(small_graph):
     from repro.hardware.endurance import (
         estimate_lifetime_with_leveling,
@@ -85,12 +78,14 @@ def test_wear_leveling_extends_worst_row(small_graph):
 
 
 def test_wear_leveling_rotation_cost(small_graph):
-    from repro.hardware.endurance import wear_levelled_rates
+    from repro.hardware.endurance import (
+        ROTATION_PERIOD_EPOCHS,
+        wear_levelled_rates,
+    )
 
     plan = build_update_plan(small_graph, "isu", theta=0.3)
-    frequent = wear_levelled_rates(plan, rotation_period_epochs=2)
-    rare = wear_levelled_rates(plan, rotation_period_epochs=200)
-    # Rotating more often costs more background writes.
-    assert frequent.mean() > rare.mean()
-    with pytest.raises(ConfigError):
-        wear_levelled_rates(plan, rotation_period_epochs=0)
+    levelled = wear_levelled_rates(plan)
+    # Each rotation costs every row one background write per period.
+    assert levelled.mean() == pytest.approx(
+        rows_written_per_epoch(plan).mean() + 1.0 / ROTATION_PERIOD_EPOCHS,
+    )

@@ -11,8 +11,9 @@ deliberately tight to pin that down.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError
+from repro.hardware.config import WRITE_PULSES
 from repro.hardware.endurance import (
+    ROTATION_PERIOD_EPOCHS,
     estimate_lifetime,
     estimate_lifetime_with_leveling,
     wear_levelled_rates,
@@ -34,32 +35,23 @@ def test_matches_reference(strategy, theta, rows):
         graph, strategy, theta=theta, rows_per_crossbar=rows,
         minor_period=10,
     )
-    for period in (1, 20, 100):
-        vec = wear_levelled_rates(plan, rotation_period_epochs=period)
-        ref = wear_levelled_rates_reference(
-            plan, rotation_period_epochs=period,
-        )
-        np.testing.assert_allclose(vec, ref, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(
+        wear_levelled_rates(plan), wear_levelled_rates_reference(plan),
+        rtol=1e-12, atol=1e-15,
+    )
 
 
 def test_levelling_spreads_hub_wear(small_graph):
     plan = build_update_plan(
         small_graph, "isu", theta=0.2, minor_period=10,
     )
-    levelled = wear_levelled_rates(plan, rotation_period_epochs=100)
+    levelled = wear_levelled_rates(plan)
     static = estimate_lifetime(plan, "isu")
     report = estimate_lifetime_with_leveling(plan, "isu")
     # Levelling caps the worst row at (crossbar mean + rotation tax),
     # which for skewed plans beats the unlevelled hub rate of 1.0.
-    assert levelled.max() < 1.0 + 1.0 / 100 + 1e-12
+    tax = 1.0 / ROTATION_PERIOD_EPOCHS
+    assert levelled.max() < 1.0 + tax + 1e-12
     assert report.writes_per_epoch_worst_row <= (
-        static.writes_per_epoch_worst_row + 2.0 / 100 + 1e-12
+        static.writes_per_epoch_worst_row + WRITE_PULSES * tax + 1e-12
     )
-
-
-def test_rotation_period_validation(small_graph):
-    plan = build_update_plan(small_graph, "isu", theta=0.25)
-    with pytest.raises(ConfigError):
-        wear_levelled_rates(plan, rotation_period_epochs=0)
-    with pytest.raises(ConfigError):
-        wear_levelled_rates_reference(plan, rotation_period_epochs=0)

@@ -32,7 +32,7 @@ def test_mvm_matches_numpy(weights):
     mapped = MappedMatrix(weights)
     rng = np.random.default_rng(1)
     x = rng.normal(size=100).astype(np.float32)
-    np.testing.assert_allclose(mapped.mvm(x), x @ weights,
+    np.testing.assert_allclose(mapped.mvm_batch(x[None, :])[0], x @ weights,
                                rtol=1e-3, atol=1e-3)
 
 
@@ -49,7 +49,7 @@ def test_zero_segments_skip_activations(weights):
     before = mapped.stats().mvm_reads
     x = np.zeros(100, dtype=np.float32)
     x[:4] = 1.0  # only the first row tile has non-zero input
-    mapped.mvm(x)
+    mapped.mvm_batch(x[None, :])
     delta = mapped.stats().mvm_reads - before
     assert delta == mapped.plan.col_tiles  # one activation per col tile
 
@@ -64,6 +64,6 @@ def test_program_latency_is_serial_per_crossbar(weights):
 def test_mvm_input_length_checked(weights):
     mapped = MappedMatrix(weights)
     with pytest.raises(MappingError):
-        mapped.mvm(np.zeros(99))
+        mapped.mvm_batch(np.zeros((1, 99)))
     with pytest.raises(MappingError):
         MappedMatrix(np.zeros((0, 3)))

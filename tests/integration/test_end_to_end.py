@@ -76,7 +76,8 @@ def test_crossbar_functional_mvm_matches_gcn_combination():
         seg = x[r * 64:(r + 1) * 64]
         for c in range(plan.col_tiles):
             width = min(32, d_out - c * 32)
-            out[c * 32:c * 32 + width] += crossbars[r][c].mvm(seg)[:width]
+            partial = crossbars[r][c].mvm_batch(seg[None, :])[0]
+            out[c * 32:c * 32 + width] += partial[:width]
     np.testing.assert_allclose(out, x @ weights, rtol=1e-3, atol=1e-3)
 
 

@@ -132,7 +132,6 @@ def test_equal_arguments_return_the_same_plan(small_graph):
     {"theta": 0.3},
     {"rows_per_crossbar": 32},
     {"minor_period": 5},
-    {"selective": False},
 ])
 def test_every_argument_reaches_the_memo_key(small_graph, kwargs):
     kwargs = {"strategy": "isu", **kwargs}

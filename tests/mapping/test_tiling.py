@@ -37,7 +37,8 @@ def test_ragged_edges_round_up():
 
 def test_capacity_covers_matrix():
     plan = plan_tiling(100, 50)
-    assert plan.values_capacity >= 100 * 50
+    cfg = DEFAULT_CONFIG
+    assert plan.num_crossbars * cfg.crossbar_rows * cfg.logical_cols >= 100 * 50
 
 
 def test_validation():
@@ -61,4 +62,6 @@ def test_tiling_invariants(rows, cols):
     assert (plan.col_tiles - 1) * cfg.logical_cols < cols
     assert plan.col_tiles * cfg.logical_cols >= cols
     assert plan.num_crossbars == plan.row_tiles * plan.col_tiles
-    assert plan.values_capacity >= rows * cols
+    assert plan.num_crossbars * cfg.crossbar_rows * cfg.logical_cols >= (
+        rows * cols
+    )

@@ -25,7 +25,7 @@ def test_index_mapping_layout():
 
 def test_index_mapping_validation():
     with pytest.raises(MappingError):
-        index_mapping(0)
+        index_mapping(0, 64)
     with pytest.raises(MappingError):
         index_mapping(5, rows_per_crossbar=0)
 

@@ -16,18 +16,19 @@ import numpy as np
 from repro.errors import MappingError
 from repro.graphs.graph import Graph
 from repro.graphs.sparsify import degree_rank
-from repro.mapping.vertex_map import VertexMapping, _validate
+from repro.mapping.vertex_map import SHUFFLE_SEED, VertexMapping, _validate
 
 
 def interleaved_mapping_reference(
     graph: Graph,
-    rows_per_crossbar: int = 64,
+    rows_per_crossbar: int,
     num_scopes: Optional[int] = None,
-    random_state: int = 0,
+    random_state: int = SHUFFLE_SEED,
 ) -> VertexMapping:
     """Dealing-loop form of :func:`interleaved_mapping` (byte-identical
     equivalence oracle, including the skip-full-crossbar probe the
-    vectorized form proves dead)."""
+    vectorized form proves dead).  ``random_state`` seeds the dealing
+    shuffle, which ``src/`` fixes at ``SHUFFLE_SEED``."""
     num_vertices = graph.num_vertices
     _validate(num_vertices, rows_per_crossbar)
     num_crossbars = -(-num_vertices // rows_per_crossbar)

@@ -20,7 +20,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import PredictorError
 from repro.predictor.mlp import MLPRegressor
 from repro.predictor.profiler import ProfilingResult
 from repro.stages.latency import StageTimingModel
@@ -106,11 +105,8 @@ def mlp_fit_reference(
 
 def profile_stage_times_reference(
     timing_model: StageTimingModel,
-    epochs: int = 1,
 ) -> ProfilingResult:
     """Original per-(stage, micro-batch) loop, kept as equivalence oracle."""
-    if epochs < 1:
-        raise PredictorError("epochs must be >= 1")
     workload = timing_model.workload
     stage_times: Dict[str, float] = {}
     total = 0.0
@@ -122,6 +118,5 @@ def profile_stage_times_reference(
         total += per_stage
     return ProfilingResult(
         stage_times_ns=stage_times,
-        overhead_ns=total * epochs,
-        epochs_profiled=epochs,
+        overhead_ns=total,
     )

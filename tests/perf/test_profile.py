@@ -1,4 +1,7 @@
-"""Phase-attributed profiler: exclusive attribution, nesting, reporting."""
+"""Phase-attributed profiler: exclusive attribution, nesting, reporting.
+
+Totals since the last ``reset()`` are read as ``profile.since({})``.
+"""
 
 import threading
 import time
@@ -12,7 +15,7 @@ def test_context_manager_records_time_and_calls():
     profile.reset()
     with profile.phase(profile.PHASE_TIMING):
         time.sleep(0.02)
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_TIMING]["calls"] == 1
     assert totals[profile.PHASE_TIMING]["seconds"] >= 0.015
 
@@ -24,7 +27,7 @@ def test_nested_phases_attribute_exclusively():
         with profile.phase(profile.PHASE_TIMING):
             time.sleep(0.03)
         time.sleep(0.02)
-    totals = profile.phase_totals()
+    totals = profile.since({})
     outer = totals[profile.PHASE_DATASET]["seconds"]
     inner = totals[profile.PHASE_TIMING]["seconds"]
     # Inner time is charged only to the inner phase; the outer phase
@@ -40,7 +43,7 @@ def test_reentrant_same_phase_keeps_one_bucket():
     with profile.phase(profile.PHASE_ALLOCATION):
         with profile.phase(profile.PHASE_ALLOCATION):
             time.sleep(0.01)
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_ALLOCATION]["calls"] == 2
     assert totals[profile.PHASE_ALLOCATION]["seconds"] >= 0.008
 
@@ -55,7 +58,7 @@ def test_decorator_form():
 
     assert work() == 42
     assert work.__name__ == "work"
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_FUNCTIONAL]["calls"] == 1
 
 
@@ -66,12 +69,12 @@ def test_exception_still_closes_phase():
             raise ValueError("boom")
     except ValueError:
         pass
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_MAPPING]["calls"] == 1
     # The frame stack is clean: a fresh phase nests at top level again.
     with profile.phase(profile.PHASE_TIMING):
         pass
-    assert profile.phase_totals()[profile.PHASE_TIMING]["calls"] == 1
+    assert profile.since({})[profile.PHASE_TIMING]["calls"] == 1
 
 
 def test_snapshot_since_returns_delta_only():
@@ -99,7 +102,7 @@ def test_threads_attribute_independently():
         thread.start()
     for thread in threads:
         thread.join()
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_TIMING]["calls"] == 4
     assert totals[profile.PHASE_TIMING]["seconds"] >= 4 * 0.015
 
@@ -168,5 +171,5 @@ def test_instrumented_hot_paths_accrue_phases():
         num_microbatches=4,
     )
     greedy_allocation(problem)
-    totals = profile.phase_totals()
+    totals = profile.since({})
     assert totals[profile.PHASE_ALLOCATION]["calls"] == 1

@@ -68,8 +68,6 @@ def test_random_workload_variety():
 def test_generate_validation():
     with pytest.raises(PredictorError):
         generate_dataset(num_samples=0)
-    with pytest.raises(PredictorError):
-        generate_dataset(num_samples=10, noise_sigma=-1.0)
 
 
 def test_samples_do_not_read_the_array_budget():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PredictorError
+from repro.predictor import feature_ablation
 from repro.predictor.dataset import generate_dataset
 from repro.predictor.feature_ablation import (
     ablate_features,
@@ -15,12 +16,14 @@ from repro.predictor.regressors import LinearRegressor
 
 @pytest.fixture(scope="module")
 def ablation():
+    # A linear head per kind in place of the MLP keeps the fits fast.
     dataset = generate_dataset(num_samples=500, random_state=3)
-    return ablate_features(
-        dataset=dataset,
-        model_factory=lambda: PerKindRegressor(LinearRegressor),
-        random_state=3,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            feature_ablation, "_default_factory",
+            lambda: PerKindRegressor(LinearRegressor),
+        )
+        return ablate_features(dataset=dataset, random_state=3)
 
 
 def test_covers_all_features(ablation):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PredictorError
-from repro.graphs.datasets import dataset_names
+from repro.graphs.datasets import DATASET_SPECS
 from repro.hardware.config import DEFAULT_CONFIG
 from repro.predictor.dataset import generate_dataset
 from repro.predictor.features import stage_features_with_kind
@@ -69,7 +69,8 @@ def test_predict_before_fit():
 def test_predictions_positive_and_reasonable(fitted_predictor):
     workload = workload_from_dataset("cora", random_state=0)
     times = fitted_predictor.predict_stage_times(workload)
-    truth = StageTimingModel(workload, DEFAULT_CONFIG).no_replica_times()
+    timing = StageTimingModel(workload, DEFAULT_CONFIG)
+    truth = {s.name: timing.mean_stage_time_ns(s, 1) for s in timing.stages}
     assert set(times) == set(truth)
     for name in truth:
         assert times[name] > 0
@@ -78,11 +79,14 @@ def test_predictions_positive_and_reasonable(fitted_predictor):
 
 
 def test_is_fitted_flag():
+    # Unfitted, the predictor refuses to predict; fitted, it predicts.
     predictor = TimePredictor(PerKindRegressor(LinearRegressor))
-    assert not predictor.is_fitted
+    workload = workload_from_dataset("cora", random_state=0)
+    with pytest.raises(PredictorError):
+        predictor.predict_stage_times(workload)
     ds = generate_dataset(num_samples=60, random_state=0)
-    predictor.fit(ds)
-    assert predictor.is_fitted
+    assert predictor.fit(ds) is predictor
+    assert predictor.predict_stage_times(workload)
 
 
 def _one_row_predictions(predictor, workload):
@@ -99,7 +103,7 @@ def _one_row_predictions(predictor, workload):
 def test_memoised_predictions_equal_uncached_ones(micro_batch):
     session = Session()
     predictor = session.predictor()
-    for name in dataset_names():
+    for name in DATASET_SPECS:
         workload = session.workload(name, micro_batch=micro_batch)
         first = predictor.predict_stage_times(workload)
         assert first == _one_row_predictions(predictor, workload)

@@ -84,9 +84,9 @@ class TestRunSpec:
 
     def test_with_derives_variants(self):
         spec = RunSpec(dataset="ddi")
-        assert spec.with_(seed=7).seed == 7
-        assert spec.with_(seed=7).dataset == "ddi"
-        assert spec.with_() == spec
+        assert dataclasses.replace(spec, seed=7).seed == 7
+        assert dataclasses.replace(spec, seed=7).dataset == "ddi"
+        assert dataclasses.replace(spec) == spec
 
 
 class TestStreams:

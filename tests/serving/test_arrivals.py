@@ -52,7 +52,6 @@ class TestUnitPatterns:
 
     @pytest.mark.parametrize("kwargs", [
         {"burstiness": np.nan}, {"burstiness": np.inf},
-        {"phase_length": np.nan}, {"phase_length": np.inf},
     ])
     def test_mmpp_rejects_non_finite_parameters(self, kwargs):
         with pytest.raises(ExperimentError, match="finite"):
@@ -63,8 +62,6 @@ class TestUnitPatterns:
             unit_poisson(0, rng())
         with pytest.raises(ExperimentError):
             unit_mmpp(100, rng(), burstiness=1.0)
-        with pytest.raises(ExperimentError):
-            unit_mmpp(100, rng(), phase_length=0.0)
         with pytest.raises(ExperimentError):
             unit_trace(100, trace=(1.0, -1.0))
 

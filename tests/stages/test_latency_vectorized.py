@@ -135,8 +135,8 @@ def test_activity_totals_match_scalar_sum(strategy):
 
 def test_profiler_matches_reference():
     timing = _timing_model("isu", reload_penalty=0.2)
-    fast = profile_stage_times(timing, epochs=3)
-    slow = profile_stage_times_reference(timing, epochs=3)
+    fast = profile_stage_times(timing)
+    slow = profile_stage_times_reference(timing)
     assert fast.stage_times_ns.keys() == slow.stage_times_ns.keys()
     for name, value in slow.stage_times_ns.items():
         assert fast.stage_times_ns[name] == pytest.approx(value, rel=1e-12)

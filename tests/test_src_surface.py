@@ -8,22 +8,29 @@
   and hardware are read from ``current_session()`` (its ``RunSpec``).
   Nothing above the hardware primitives falls back to the unscaled
   ``DEFAULT_CONFIG``, by name or by leaving out a primitive's config,
-  nor to the vertex mappings' default crossbar rows.
+  nor passes the vertex mappings a literal crossbar row count.
 * The GNN trainers train one configuration.  Their signatures hold
   only what some run sets; every other hyperparameter is a module
-  constant (``repro.gcn.batched``, ``repro.gcn.optim``).
+  constant (``repro.gcn.batched``, ``repro.gcn.optim``).  The same
+  holds for the functions beside the other module constants that
+  stand for values no run sets.
+* ``src/`` defines only what is used: every function, class, method and
+  module constant under ``src/repro`` is used by the program, its
+  examples, its benchmarks or the test oracles, not by tests alone.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "repro"
 
 #: The one oracle still in ``src/``.  abl-allocator reports it as the
 #: "greedy (reference loop)" row and the e2e tracer binds it; ROADMAP
@@ -203,9 +210,9 @@ def test_no_call_falls_back_to_the_default_config():
 
 
 def test_no_mapping_call_fixes_the_crossbar_rows():
-    # The vertex mappings default to 64-row crossbars, whatever the
-    # session's hardware, and a literal fixes them as surely;
-    # build_update_plan defaults to the session's.
+    # A literal row count passed to a vertex mapping fixes its crossbars
+    # whatever the session's hardware; build_update_plan defaults to the
+    # session's.
     from repro.mapping import vertex_map
 
     primitives = {
@@ -294,12 +301,197 @@ TRAINING_SURFACE = {
 }
 
 
-def test_the_trainers_take_only_what_a_run_sets():
+#: The parameters of functions beside which a value no run sets is a
+#: module constant, pinned so that value cannot come back as an argument.
+SETTABLE_SURFACE = {
+    "repro.allocation.baselines:fixed_ratio_allocation": ["problem"],
+    "repro.allocation.heap:FlatMaxKeys.max_excluding": ["item"],
+    "repro.allocation.heap:LazyMaxKeys.top_and_second": [],
+    "repro.mapping.selective:build_update_plan": [
+        "graph", "strategy", "theta", "rows_per_crossbar", "minor_period",
+    ],
+    "repro.mapping.vertex_map:interleaved_mapping": [
+        "graph", "rows_per_crossbar", "num_scopes",
+    ],
+    "repro.accelerators.catalog:slimgnn_like": [],
+    "repro.graphs.generators:dc_sbm_graph": [
+        "num_vertices", "num_communities", "avg_degree", "random_state",
+        "name", "intra_ratio", "feature_dim", "feature_noise",
+    ],
+    "repro.graphs.datasets:relabel_by_noisy_degree": [
+        "graph", "random_state",
+    ],
+    "repro.graphs.stats:powerlaw_alpha_mle": ["degrees"],
+    "repro.predictor.dataset:random_workload": ["rng"],
+    "repro.predictor.dataset:generate_dataset": [
+        "num_samples", "random_state",
+    ],
+    "repro.predictor.evaluate:compare_models": ["dataset", "random_state"],
+    "repro.predictor.evaluate:leave_one_dataset_out": [
+        "held_out", "train_samples",
+    ],
+    "repro.predictor.feature_ablation:ablate_features": [
+        "dataset", "random_state",
+    ],
+    "repro.predictor.profiler:profile_stage_times": ["timing_model"],
+    "repro.hardware.endurance:estimate_lifetime": ["plan", "scheme_name"],
+    "repro.hardware.endurance:compare_schemes": ["plans"],
+    "repro.hardware.endurance:wear_levelled_rates": ["plan"],
+    "repro.hardware.endurance:estimate_lifetime_with_leveling": [
+        "plan", "scheme_name",
+    ],
+    "repro.core.scheduler:MultiTenantScheduler.greedy_split": ["workloads"],
+    "repro.serving.arrivals:unit_mmpp": [
+        "num_requests", "rng", "burstiness",
+    ],
+    "repro.experiments.harness:ExperimentResult.to_markdown": [],
+}
+
+
+def _signatures(surface):
     found = {}
-    for target in TRAINING_SURFACE:
+    for target in surface:
         module, _, qualname = target.partition(":")
         owner = importlib.import_module(module)
         for part in qualname.split("."):
             owner = getattr(owner, part)
         found[target] = [name for name in _parameters(owner) if name != "self"]
-    assert found == TRAINING_SURFACE
+    return found
+
+
+def test_the_trainers_take_only_what_a_run_sets():
+    assert _signatures(TRAINING_SURFACE) == TRAINING_SURFACE
+
+
+def test_functions_take_only_what_a_run_sets():
+    assert _signatures(SETTABLE_SURFACE) == SETTABLE_SURFACE
+
+
+# ----------------------------------------------------------------------
+# Names only tests use
+# ----------------------------------------------------------------------
+#: Where a use of a ``src/`` name counts: the program, its examples and
+#: benchmarks, and the test oracles (code that moved out of ``src/``).
+#: Other tests do not count: a name only they call is surface no run
+#: needs.
+USE_ROOTS = ("src", "examples", "benchmarks", "tests/oracles")
+
+#: The e2e tracer binds its targets by ``"module:qualname"`` string.
+TRACER_PATH = REPO / "benchmarks" / "e2e" / "e2e_tracer.py"
+
+#: Names ``src/`` keeps although only tests use them, each with its reason.
+TEST_ONLY = {
+    "repro/perf/cache.py::ArtifactCache.contains": (
+        "the only look at the memory tier that changes nothing; the "
+        "stale-entry tests need it, because get() promotes a disk entry"
+    ),
+    "repro/gcn/batched.py::TrainingResult.final_test_metric": (
+        "deleting it moves the digest of gcn/batched.py that "
+        "tests/perf/test_revisioned_layouts.py pins beside "
+        "_TRAINING_REVISION; it goes with that revision's next bump"
+    ),
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """``(key, name, file, first line, last line)`` of every function,
+    class, non-dunder method and UPPER_CASE module constant."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        key = path.relative_to(SRC.parent).as_posix()
+        where = path.relative_to(REPO).as_posix()
+
+        def visit(body, prefix):
+            for node in body:
+                if isinstance(node, (
+                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                )):
+                    if not _is_dunder(node.name):
+                        found.append((
+                            f"{key}::{prefix}{node.name}", node.name, where,
+                            node.lineno, node.end_lineno,
+                        ))
+                    if isinstance(node, ast.ClassDef):
+                        visit(node.body, f"{prefix}{node.name}.")
+                elif not prefix and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (
+                        node.targets if isinstance(node, ast.Assign)
+                        else [node.target]
+                    )
+                    for target in targets:
+                        for name in ast.walk(target):
+                            if isinstance(name, ast.Name) and name.id.isupper():
+                                found.append((
+                                    f"{key}::{name.id}", name.id, where,
+                                    node.lineno, node.end_lineno,
+                                ))
+
+        visit(ast.parse(path.read_text()).body, "")
+    return found
+
+
+def _uses():
+    """Name -> ``(file, line)`` of each use under :data:`USE_ROOTS`.
+
+    A use is a loaded ``Name`` or ``Attribute``, or an imported name;
+    a package's re-exports (imports in an ``__init__``) and its
+    ``__all__`` strings are not uses, but its other code is.  Each
+    tracer target counts as a use of its last qualname part.
+    """
+    uses = {}
+    for root in USE_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            where = path.relative_to(REPO).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    if isinstance(node.ctx, ast.Store):
+                        continue
+                    names = [
+                        node.id if isinstance(node, ast.Name) else node.attr
+                    ]
+                elif (
+                    isinstance(node, ast.ImportFrom)
+                    and path.name != "__init__.py"
+                ):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    uses.setdefault(name, []).append((where, node.lineno))
+    spec = importlib.util.spec_from_file_location("e2e_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [
+        target for _, group in tracer.SPAN_TARGETS for target in group
+    ] + list(tracer.CACHE_TARGETS)
+    for target in targets:
+        name = target.partition(":")[2].rpartition(".")[2]
+        uses.setdefault(name, []).append((TRACER_PATH.name, 0))
+    return uses
+
+
+def test_src_defines_only_what_is_used():
+    # Names are matched by their last part, so a name that shares its
+    # spelling with a used one (a method of another class) passes.
+    uses = _uses()
+    unused = {
+        key
+        for key, name, where, first, last in _definitions()
+        if not any(
+            not (site == where and first <= line <= last)
+            for site, line in uses.get(name, ())
+        )
+    }
+    assert unused - set(TEST_ONLY) == set(), (
+        "only tests use these; delete them (and the tests that only "
+        "exercise them), or list them in TEST_ONLY with a reason:\n"
+        + "\n".join(sorted(unused - set(TEST_ONLY)))
+    )
+    assert set(TEST_ONLY) - unused == set(), (
+        "no longer test-only; drop them from TEST_ONLY:\n"
+        + "\n".join(sorted(set(TEST_ONLY) - unused))
+    )
